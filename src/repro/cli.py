@@ -24,8 +24,7 @@ concurrently (deterministic output ordering, shared artifact cache)::
     ompdart batch src/*.c -j 8           # 8 worker processes
     ompdart batch a.c b.c -o outdir      # write <outdir>/<name>
     ompdart batch a.c --cache-dir .ompdart-cache   # on-disk artifacts
-    ompdart batch src/*.c -j 4 --cache-dir C --report  # shared-store stats
-    ompdart batch --cache-dir C --migrate          # compact legacy spills
+    ompdart batch src/*.c -j 4 --cache-dir C --report  # hits by cache tier
     ompdart batch a.c --simulate --platform h100-sxm5
 
 Serve mode puts the asyncio job service in front of the shared
@@ -271,20 +270,11 @@ def build_batch_arg_parser() -> argparse.ArgumentParser:
         help="persist per-pass artifacts here (shared across workers/runs)",
     )
     parser.add_argument(
-        "--migrate",
-        action="store_true",
-        help=(
-            "rewrite legacy whole-object spills in --cache-dir to the "
-            "compact per-pass schema format (reports bytes saved); may "
-            "be used without inputs"
-        ),
-    )
-    parser.add_argument(
         "--report",
         action="store_true",
         help=(
-            "print per-input pass timings, cache events, and shared-"
-            "store traffic (cross-worker hits, spill-size reduction)"
+            "print per-input pass timings and cache events, and per-pass "
+            "cache hits by tier (memory/disk/remote)"
         ),
     )
     parser.add_argument(
@@ -569,8 +559,8 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         help=(
-            "artifact directory backing the shared store (jobs then "
-            "share per-pass artifacts across workers and runs)"
+            "artifact cache directory (jobs then share per-pass "
+            "artifacts across workers and runs)"
         ),
     )
     parser.add_argument(
@@ -1457,18 +1447,6 @@ def _run_batch(argv: list[str]) -> int:
 
         print(platform_table())
         return 0
-    if args.migrate:
-        if not args.cache_dir:
-            print(
-                "ompdart batch: error: --migrate requires --cache-dir",
-                file=sys.stderr,
-            )
-            return 2
-        from .pipeline.artifacts import migrate_spills
-
-        print(f"ompdart: {args.cache_dir}: {migrate_spills(args.cache_dir).render()}")
-        if not args.inputs:
-            return 0
     if not args.inputs:
         print("ompdart batch: error: no input files", file=sys.stderr)
         return 2
@@ -1487,23 +1465,7 @@ def _run_batch(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    cache = None
-    run_stats = None
-    if args.cache_dir and args.jobs <= 1:
-        # Serial runs keep a handle on the cache so --report can show
-        # per-pass disk traffic; worker processes own their caches.
-        from .pipeline.cache import ArtifactCache
-
-        cache = ArtifactCache(
-            disk_dir=args.cache_dir, measure_baseline=args.report
-        )
-    if args.cache_dir and args.report and cache is None:
-        # Process runs surface pool-wide traffic through the shared
-        # store's counters instead.
-        run_stats = BatchRunStats()
-    elif args.store_url and args.report:
-        # Serial remote runs park the driver client's health here.
-        run_stats = BatchRunStats()
+    run_stats = BatchRunStats() if args.store_url and args.report else None
     import time
 
     batch_start = time.perf_counter()
@@ -1512,7 +1474,6 @@ def _run_batch(argv: list[str]) -> int:
         options,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        cache=cache,
         run_stats=run_stats,
         store_url=args.store_url,
     )
@@ -1570,55 +1531,17 @@ def _run_batch(argv: list[str]) -> int:
             dest = os.path.join(args.output_dir, dest_names[outcome.filename])
             with open(dest, "w", encoding="utf-8") as fh:
                 fh.write(outcome.output_source or "")
-    if args.report and args.cache_dir:
-        from .pipeline.cache import ArtifactCache
-
-        if cache is not None:
-            for name, stat in sorted(cache.stats.items()):
-                print(
-                    f"  cache {name:<11s} {stat.hits} hit(s) / "
-                    f"{stat.misses} miss(es), "
-                    f"{stat.disk_bytes_read}B read / "
-                    f"{stat.disk_bytes_written}B written"
-                )
-            _print_spill_reduction(
-                sum(s.disk_bytes_written for s in cache.stats.values()),
-                sum(s.baseline_bytes_written for s in cache.stats.values()),
-            )
-            report_cache = cache
-        else:
-            if run_stats is None or run_stats.store is None:
-                # Worker processes own their private counters; without
-                # a shared store (unsupported host) only the on-disk
-                # total is observable from the driver.
-                print(
-                    "ompdart: no shared store on this host; per-pass "
-                    "counters live in the worker processes under -j, "
-                    "showing disk totals only"
-                )
-            else:
-                stats = run_stats.store
-                for name, s in sorted(stats.passes.items()):
-                    print(
-                        f"  store {name:<11s} {s.hits} hit(s) / "
-                        f"{s.misses} miss(es), {s.writes} write(s), "
-                        f"{s.cross_worker_hits} cross-worker hit(s)"
-                    )
-                print(
-                    f"ompdart: shared store: {stats.hits} hit(s), "
-                    f"{stats.cross_worker_hits} cross-worker hit(s) "
-                    "across the pool"
-                )
-                _print_spill_reduction(
-                    stats.bytes_written, stats.baseline_bytes
-                )
-            report_cache = ArtifactCache(disk_dir=args.cache_dir)
+    if args.report:
+        _print_cache_report(outcomes)
         if args.store_url:
             _print_remote_report(args.store_url, run_stats)
-        print(
-            f"ompdart: disk cache {args.cache_dir}: "
-            f"{report_cache.disk_usage()} byte(s) in spill files"
-        )
+        if args.cache_dir:
+            from .pipeline.store import spill_stats
+
+            print(
+                f"ompdart: disk cache {args.cache_dir}: "
+                f"{spill_stats(args.cache_dir)['bytes']} byte(s) in spill files"
+            )
     deduped = sum(1 for o in outcomes if o.deduped_from)
     if args.report and deduped:
         print(
@@ -1645,50 +1568,47 @@ def _run_batch(argv: list[str]) -> int:
     return 1 if failures else 0
 
 
-def _print_remote_report(store_url: str, run_stats) -> None:
-    """The --report line for remote-store traffic, from either shape.
+def _print_cache_report(outcomes) -> None:
+    """Per-pass cache hits by serving tier, and misses.
 
-    Serial runs hand back the driver client's health dict (singular
-    event names); process runs aggregate workers' counters through the
-    shared store's reserved rows (plural, via ``remote_view``).
+    Summed over the inputs that ran: a deduplicated input shares its
+    representative's lookups instead of making its own (a repeated path
+    shares the very outcome object).
     """
-    remote = None
-    if run_stats is not None:
-        remote = run_stats.remote
-        if remote is None and run_stats.store is not None:
-            from .pipeline.remote import remote_view
+    from .pipeline.cache import ORIGIN_DISK, ORIGIN_MEMORY, ORIGIN_REMOTE
 
-            remote = remote_view(run_stats.store.internal)
+    tiers = (ORIGIN_MEMORY, ORIGIN_DISK, ORIGIN_REMOTE)
+    ran = {id(o): o for o in outcomes if not o.deduped_from}
+    rows: dict[str, dict[str, int]] = {}
+    for outcome in ran.values():
+        for name, event in outcome.cache_events.items():
+            row = rows.setdefault(name, dict.fromkeys((*tiers, "miss"), 0))
+            if event == "hit":
+                row[outcome.cache_origins[name]] += 1
+            elif event == "miss":
+                row["miss"] += 1
+    for name, row in rows.items():
+        by_tier = ", ".join(f"{tier} {row[tier]}" for tier in tiers)
+        print(
+            f"  cache {name:<11s} {sum(row[t] for t in tiers)} hit(s) "
+            f"({by_tier}) / {row['miss']} miss(es)"
+        )
+
+
+def _print_remote_report(store_url: str, run_stats) -> None:
+    """The --report line for the run's remote-store traffic."""
+    remote = run_stats.remote
     if remote is None:
         print(f"ompdart: remote store {store_url}: no traffic recorded")
         return
-
-    def count(*names: str) -> int:
-        return next((int(remote[n]) for n in names if n in remote), 0)
-
     line = (
         f"ompdart: remote store {store_url}: "
-        f"{count('hits', 'hit')} remote hit(s), "
-        f"{count('misses', 'miss')} miss(es), "
-        f"{count('puts', 'put')} publish(es), "
-        f"{count('errors', 'error')} error(s)"
+        f"{remote['hits']} remote hit(s), {remote['misses']} miss(es), "
+        f"{remote['puts']} publish(es), {remote['errors']} error(s)"
     )
-    degraded = count("degraded")
-    if degraded:
-        line += f", {degraded} degraded op(s) served locally"
+    if remote["degraded"]:
+        line += f", {remote['degraded']} degraded op(s) served locally"
     print(line)
-
-
-def _print_spill_reduction(compact: int, baseline: int) -> None:
-    """Quote the compact-vs-legacy spill size delta measured this run."""
-    if not compact or not baseline:
-        return
-    pct = 100.0 * (baseline - compact) / baseline
-    print(
-        f"ompdart: compact spills: {compact}B written vs {baseline}B "
-        f"legacy whole-object format ({pct:.1f}% smaller, "
-        f"{baseline / compact:.2f}x)"
-    )
 
 
 def _run_suite(argv: list[str]) -> int:

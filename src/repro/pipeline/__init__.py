@@ -22,7 +22,6 @@ from .cache import ArtifactCache, CacheStats, fingerprint  # noqa: F401
 from .context import PipelineContext, ToolOptions  # noqa: F401
 from .manager import PassManager  # noqa: F401
 from .passes import DEFAULT_PASSES, Pass  # noqa: F401
-from .store import SharedArtifactStore  # noqa: F401
 
 __all__ = [
     "ArtifactCache",
@@ -34,7 +33,6 @@ __all__ = [
     "PassManager",
     "BatchRunStats",
     "PipelineContext",
-    "SharedArtifactStore",
     "ToolOptions",
     "fingerprint",
     "schema_for",

@@ -28,26 +28,21 @@ schemas fix that structurally:
 
 Spill files use a small magic-prefixed container (zlib-compressed
 pickle of ``(pass, version, fmt, payload)``); anything without the
-magic is treated as a legacy spill (zlib'd or plain pickle of the whole
-artifact) and still loads.  :func:`migrate_spills` rewrites a legacy
-cache directory in place (``ompdart batch --cache-dir D --migrate``).
+magic does not decode.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import pickle
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Mapping
 
 #: Magic prefix of compact spill containers.
 MAGIC = b"OART1\n"
 
-#: zlib level shared with the legacy writer: spills are written once
-#: and read by many workers.
+#: zlib level: spills are written once and read by many workers.
 _COMPRESS_LEVEL = 6
 
 
@@ -325,129 +320,27 @@ def decode_spill(
     pass_name: str,
     deps: Mapping[str, Any] | None = None,
 ) -> Any:
-    """Decode a spill — compact container or legacy pickle.
+    """Decode a compact spill container.
 
     Raises :class:`ArtifactDecodeError` on any mismatch or corruption;
     callers treat that as a cache miss.
     """
+    if not is_compact_spill(raw):
+        raise ArtifactDecodeError("not a spill container")
     try:
-        if is_compact_spill(raw):
-            body = zlib.decompress(raw[len(MAGIC):])
-            spilled_name, version, fmt, payload = pickle.loads(body)
-            schema = schema_for(pass_name)
-            if spilled_name != pass_name or version != schema.version:
-                raise ArtifactDecodeError(
-                    f"spill is {spilled_name}/v{version}, "
-                    f"expected {pass_name}/v{schema.version}"
-                )
-            return schema.decode(payload, deps)
-        return decode_legacy(raw)
+        body = zlib.decompress(raw[len(MAGIC):])
+        spilled_name, version, fmt, payload = pickle.loads(body)
+        schema = schema_for(pass_name)
+        if spilled_name != pass_name or version != schema.version:
+            raise ArtifactDecodeError(
+                f"spill is {spilled_name}/v{version}, "
+                f"expected {pass_name}/v{schema.version}"
+            )
+        return schema.decode(payload, deps)
     except ArtifactDecodeError:
         raise
     except Exception as exc:  # noqa: BLE001 - any corruption is a miss
         raise ArtifactDecodeError(str(exc)) from exc
-
-
-def decode_legacy(raw: bytes) -> Any:
-    """Load a pre-schema spill: zlib'd pickle, or plain pickle (0x80)."""
-    try:
-        if raw[:1] == b"\x80":
-            return pickle.loads(raw)
-        return pickle.loads(zlib.decompress(raw))
-    except Exception as exc:  # noqa: BLE001 - any corruption is a miss
-        raise ArtifactDecodeError(str(exc)) from exc
-
-
-def legacy_size(artifact: Any) -> int:
-    """Bytes the PR 3 whole-object spill format would have written.
-
-    Used by the ``--report`` baseline counters so the compact-vs-legacy
-    reduction can be measured on a live run without writing both.
-    """
-    return len(zlib.compress(pickle.dumps(artifact, protocol=5), _COMPRESS_LEVEL))
-
-
-# ===========================================================================
-# Legacy-cache migration
-# ===========================================================================
-
-
-@dataclass
-class MigrationReport:
-    """Outcome of one ``migrate_spills`` sweep."""
-
-    migrated: int = 0
-    skipped: int = 0
-    failed: int = 0
-    bytes_before: int = 0
-    bytes_after: int = 0
-
-    @property
-    def bytes_saved(self) -> int:
-        return self.bytes_before - self.bytes_after
-
-    def render(self) -> str:
-        pct = (
-            100.0 * self.bytes_saved / self.bytes_before
-            if self.bytes_before
-            else 0.0
-        )
-        return (
-            f"migrated {self.migrated} spill(s) "
-            f"({self.skipped} already compact, {self.failed} unreadable): "
-            f"{self.bytes_before} -> {self.bytes_after} bytes "
-            f"({self.bytes_saved} saved, {pct:.1f}%)"
-        )
-
-
-def migrate_spills(cache_dir: str | Path) -> MigrationReport:
-    """Rewrite legacy whole-object spills to the compact schema format.
-
-    Legacy files are grouped by their shared input key so the ``parse``
-    artifact of each group decodes first and anchors the reference
-    encoding of its dependents.  Every migrated file moves from
-    ``{pass}-{key}.pkl`` to the versioned compact name the cache now
-    looks up, and the legacy file is removed; unreadable spills are
-    left in place and counted.
-    """
-    directory = Path(cache_dir)
-    report = MigrationReport()
-    groups: dict[str, list[tuple[str, Path]]] = {}
-    for path in sorted(directory.glob("*.pkl")):
-        pass_name, sep, key = path.stem.partition("-")
-        if not sep:
-            report.skipped += 1
-            continue
-        groups.setdefault(key, []).append((pass_name, path))
-    for key, entries in sorted(groups.items()):
-        for pass_name, path in entries:
-            try:
-                raw = path.read_bytes()
-                if is_compact_spill(raw):
-                    report.skipped += 1
-                    continue
-                # Legacy spills are self-contained whole-object
-                # pickles, and encode_spill finds the reference-anchor
-                # TU inside the artifact itself — no group ordering or
-                # decode dependencies apply during migration.
-                artifact = decode_legacy(raw)
-            except (OSError, ArtifactDecodeError):
-                report.failed += 1
-                continue
-            try:
-                compact = encode_spill(pass_name, artifact)
-                new_path = directory / spill_filename(pass_name, key)
-                tmp = new_path.with_suffix(f".{os.getpid()}.tmp")
-                tmp.write_bytes(compact)
-                tmp.replace(new_path)
-                path.unlink(missing_ok=True)
-            except OSError:
-                report.failed += 1
-                continue
-            report.migrated += 1
-            report.bytes_before += len(raw)
-            report.bytes_after += len(compact)
-    return report
 
 
 def storage_key(pass_name: str, key: str) -> str:

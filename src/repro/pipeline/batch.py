@@ -6,14 +6,12 @@ shared in-process cache when ``jobs <= 1``) and returns compact,
 picklable :class:`BatchOutcome` records in **submission order** —
 results are deterministic regardless of worker scheduling.
 
-Worker processes keep a process-global :class:`PassManager`, so
-repeated inputs inside one batch still hit the artifact cache; pass a
-``cache_dir`` to share artifacts across processes and across runs.
-With a cache directory, the driver also opens a
-:class:`~repro.pipeline.store.SharedArtifactStore` for the run, so
-duplicate inputs discovered *mid-run* are served by whichever worker
-produced them first — cross-worker hits the CLI's ``--report``
-surfaces from the store's shared counters.
+Content-identical inputs are deduplicated at submit, so each distinct
+source runs once.  Worker processes keep a process-global
+:class:`PassManager`; pass a ``cache_dir`` to share artifacts across
+processes and across runs through its spill files.  Every outcome
+records which cache tier (memory, disk, remote) served each pass, which
+is what the CLI's ``--report`` sums.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from ..service.core import (  # noqa: F401
 from .cache import ArtifactCache, fingerprint
 from .context import ToolOptions
 from .manager import PassManager
-from .store import SharedArtifactStore, StoreStats
 
 #: Backwards-compatible aliases (the worker runtime moved to the
 #: service layer; the batch driver is a thin client of it).
@@ -62,18 +59,11 @@ def parallel_map(
 
 @dataclass
 class BatchRunStats:
-    """Pool-wide observability a caller can opt into per batch run.
+    """Run-wide observability a caller can opt into per batch run."""
 
-    ``transform_batch`` fills this in when given one: the shared
-    store's per-pass counters (cross-worker hits, bytes) for process
-    runs, and nothing extra for serial runs (the caller already holds
-    the cache there).
-    """
-
-    store: StoreStats | None = None
-    #: Serial runs with a ``store_url`` park the driver's remote client
-    #: health here (process runs aggregate through ``store`` instead).
-    remote: dict[str, Any] | None = None
+    #: Remote-tier counters (:data:`repro.pipeline.remote.EVENTS`) of a
+    #: run with a ``store_url``, summed over every worker.
+    remote: dict[str, int] | None = None
     #: Content-hash pre-dedup accounting for the run: how many distinct
     #: sources actually dispatched, and how many inputs were fanned out
     #: from a representative's result instead of running themselves.
@@ -130,14 +120,12 @@ def transform_batch(
     manager: PassManager | None = None,
     run_stats: BatchRunStats | None = None,
     store_url: str | None = None,
-    dedup: bool = True,
 ) -> list[BatchOutcome]:
     """Transform ``(source, filename)`` pairs; results in input order.
 
-    ``dedup`` (default on) collapses content-identical inputs at
-    submit: one representative runs, its outcome fans out to the
-    duplicates with ``deduped_from`` set.  Disable it to force every
-    copy through the pipeline (store/cache stress tests do).
+    Content-identical inputs collapse at submit: one representative
+    runs, its outcome fans out to the duplicates with ``deduped_from``
+    set.
 
     ``jobs <= 1`` runs serially through one shared manager (and shared
     artifact cache); ``jobs > 1`` fans out over a process pool.  Either
@@ -145,15 +133,14 @@ def transform_batch(
 
     In-process ``cache``/``manager`` objects cannot cross the process
     boundary, so combining them with ``jobs > 1`` is an error — use
-    ``cache_dir`` to share artifacts between workers instead.  Process
-    runs with a cache directory open a shared store for the run;
-    ``run_stats`` receives its counters after the pool drains.
+    ``cache_dir`` to share artifacts between workers instead.
 
     ``store_url`` layers the remote tier on top: lookups that miss
     locally read through to a store node's ``/artifacts`` routes and
     fresh spills publish back write-behind.  Requires ``cache_dir``
     (remote payloads land as local spills); a down store node degrades
-    to the local tiers, it never fails the batch.
+    to the local tiers, it never fails the batch.  ``run_stats``
+    receives the run's remote counters.
     """
     options = options or ToolOptions()
     items = list(items)
@@ -172,17 +159,13 @@ def transform_batch(
     unique: list[tuple[str, str]] = []
     rep_of_hash: dict[str, int] = {}
     rep_index: list[int] = []
-    if dedup:
-        for source, filename in items:
-            content_key = fingerprint(source)
-            idx = rep_of_hash.get(content_key)
-            if idx is None:
-                idx = rep_of_hash[content_key] = len(unique)
-                unique.append((source, filename))
-            rep_index.append(idx)
-    else:
-        unique = items
-        rep_index = list(range(len(items)))
+    for source, filename in items:
+        content_key = fingerprint(source)
+        idx = rep_of_hash.get(content_key)
+        if idx is None:
+            idx = rep_of_hash[content_key] = len(unique)
+            unique.append((source, filename))
+        rep_index.append(idx)
     if run_stats is not None:
         run_stats.unique_inputs = len(unique)
         run_stats.deduped_inputs = len(items) - len(unique)
@@ -205,7 +188,7 @@ def transform_batch(
         if store_url is not None and mgr.cache.disk_dir is not None:
             from ..service.core import make_remote_client
 
-            remote = make_remote_client(store_url, None)
+            remote = make_remote_client(store_url)
             mgr.cache.remote = remote
         try:
             return _fan_out([
@@ -216,36 +199,31 @@ def transform_batch(
             if remote is not None:
                 remote.flush(timeout=5.0)
                 if run_stats is not None:
-                    run_stats.remote = remote.health()
+                    run_stats.remote = dict(remote.counters)
                 mgr.cache.remote = None
                 remote.close()
 
     jobs = min(jobs, len(unique))
     payload = [(src, fname, options) for src, fname in unique]
-    store = (
-        SharedArtifactStore.create(cache_dir) if cache_dir is not None else None
+    counters = None
+    if store_url is not None:
+        from .remote import RemoteCounters
+
+        counters = RemoteCounters()
+    results = dispatch_map(
+        _worker_transform,
+        payload,
+        jobs=jobs,
+        cache_dir=cache_dir,
+        store_url=store_url,
+        remote_counters=counters,
+        # Amortize per-item IPC once the queue is long; one chunk per
+        # worker per ~8 rounds keeps the pool load-balanced.
+        chunksize=max(1, min(32, len(payload) // (jobs * 8))),
     )
-    try:
-        results = dispatch_map(
-            _worker_transform,
-            payload,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            store_name=store.name if store is not None else None,
-            # The baseline double-serialization only pays off when the
-            # store exists to carry the counters back to the driver.
-            measure_baseline=run_stats is not None and store is not None,
-            store_url=store_url,
-            # Amortize per-item IPC once the queue is long; one chunk
-            # per worker per ~8 rounds keeps the pool load-balanced.
-            chunksize=max(1, min(32, len(payload) // (jobs * 8))),
-        )
-        if store is not None and run_stats is not None:
-            run_stats.store = store.stats()
-        return _fan_out(results)
-    finally:
-        if store is not None:
-            store.close()
+    if counters is not None and run_stats is not None:
+        run_stats.remote = counters.snapshot()
+    return _fan_out(results)
 
 
 def transform_paths(
@@ -254,17 +232,10 @@ def transform_paths(
     *,
     jobs: int = 1,
     cache_dir: str | None = None,
-    cache: ArtifactCache | None = None,
     run_stats: BatchRunStats | None = None,
     store_url: str | None = None,
-    dedup: bool = True,
 ) -> list[BatchOutcome]:
-    """Read files and transform them as one batch (CLI entry point).
-
-    Pass an in-process ``cache`` (serial runs only) to observe its
-    hit/miss and disk-byte counters after the batch — the CLI's
-    ``--report`` uses this to surface on-disk cache traffic.
-    """
+    """Read files and transform them as one batch (CLI entry point)."""
     items: list[tuple[str, str]] = []
     outcomes_by_index: dict[int, BatchOutcome] = {}
     readable: list[int] = []
@@ -278,8 +249,8 @@ def transform_paths(
                 filename=path, ok=False, error=f"cannot read {path}: {exc}"
             )
     results = transform_batch(
-        items, options, jobs=jobs, cache_dir=cache_dir, cache=cache,
-        run_stats=run_stats, store_url=store_url, dedup=dedup,
+        items, options, jobs=jobs, cache_dir=cache_dir,
+        run_stats=run_stats, store_url=store_url,
     )
     for i, outcome in zip(readable, results):
         outcomes_by_index[i] = outcome

@@ -14,14 +14,13 @@ registered schema (analysis artifacts store AST references instead of
 AST copies), and each pass's schema *version* is folded into the
 storage key, so spills from an incompatible revision are never looked
 up — stale caches self-invalidate instead of unpickling to wrong
-shapes.  Legacy whole-object spills (zlib'd or plain pickles from
-earlier revisions) are still readable, and ``ompdart batch --cache-dir
---migrate`` rewrites them in place.
+shapes.
 
-When a :class:`~repro.pipeline.store.SharedArtifactStore` is attached,
-disk traffic is also published to the run-wide shared index, so batch
-workers discover — and count — artifacts produced by their siblings
-*during* the run.
+Lookups walk three tiers — memory, then the disk spills, then an
+optional remote store node (:mod:`repro.pipeline.remote`) — and report
+which one served each hit.  Worker processes share artifacts through
+the disk tier: whatever one worker spills, its siblings and later runs
+read back.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Any, Callable, Mapping
 
 from . import artifacts as artifact_schemas
 from .artifacts import ArtifactDecodeError
-from .store import SharedArtifactStore, gc_spills
+from .store import gc_spills
 
 _LOG = logging.getLogger(__name__)
 
@@ -53,7 +52,6 @@ spill_fault_hook: Callable[[Path], None] | None = None
 #: Lookup-origin labels recorded by the pass manager.
 ORIGIN_MEMORY = "memory"
 ORIGIN_DISK = "disk"
-ORIGIN_STORE = "store"
 #: Served by a remote store node (cross-machine artifact hit).
 ORIGIN_REMOTE = "remote"
 
@@ -87,11 +85,8 @@ class CacheStats:
     disk_bytes_read: int = 0
     #: Compressed bytes written to disk spills on misses.
     disk_bytes_written: int = 0
-    #: Bytes the legacy whole-object format would have written for the
-    #: same artifacts (populated only under ``measure_baseline``).
-    baseline_bytes_written: int = 0
-    #: Spill files that failed to decode (truncated, corrupt, or
-    #: legacy-unpicklable) and were quarantined as misses.
+    #: Spill files that failed to decode (truncated, corrupt, or from
+    #: an incompatible revision) and were quarantined as misses.
     corrupt_spills: int = 0
 
     @property
@@ -116,17 +111,12 @@ class ArtifactCache:
     max_entries: int = 256
     disk_dir: str | Path | None = None
     stats: dict[str, CacheStats] = field(default_factory=dict)
-    #: Optional run-wide shared index (batch workers, serve scheduler).
-    store: SharedArtifactStore | None = None
     #: Optional remote tier (:class:`~repro.pipeline.remote
     #: .RemoteStoreClient`): read-through on local disk misses,
     #: write-behind on spills.  Any object with ``fetch``/``offer`` —
     #: typed loosely so the pipeline never imports HTTP machinery
     #: unless a store URL is actually configured.
     remote: Any = None
-    #: Also compute what the legacy spill format would have written, so
-    #: ``--report`` can quote the compact-format reduction on live runs.
-    measure_baseline: bool = False
     #: Size/TTL bounds for the disk spill tier (None = unbounded, the
     #: historical behavior).  Enforced opportunistically every
     #: ``_GC_EVERY`` disk puts via :func:`repro.pipeline.store.gc_spills`.
@@ -156,12 +146,11 @@ class ArtifactCache:
         if self.disk_dir is None:
             return 0
         total = 0
-        for pattern in ("*.art", "*.pkl"):
-            for path in Path(self.disk_dir).glob(pattern):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue  # racing writer/cleaner; size is best-effort
+        for path in Path(self.disk_dir).glob("*.art"):
+            try:
+                total += path.stat().st_size
+            except OSError:
+                continue  # racing writer/cleaner; size is best-effort
         return total
 
     # -- lookup ----------------------------------------------------------
@@ -177,9 +166,8 @@ class ArtifactCache:
         ``deps`` supplies earlier in-context artifacts for reference
         decoding (the pass manager passes ``ctx.artifacts``); without
         it, spills that need the parse artifact decode as misses.
-        Origin is ``"memory"``, ``"disk"``, ``"store"`` (produced by a
-        sibling worker during this run), ``"remote"`` (fetched from a
-        remote store node) or ``None`` on a miss.
+        Origin is ``"memory"``, ``"disk"``, ``"remote"`` (fetched from
+        a remote store node) or ``None`` on a miss.
         """
         skey = artifact_schemas.storage_key(pass_name, key)
         with self._lock:
@@ -188,7 +176,7 @@ class ArtifactCache:
                 self._memory.move_to_end(memory_key)
                 self._stat(pass_name).hits += 1
                 return self._memory[memory_key], ORIGIN_MEMORY
-        value, nbytes, origin = self._disk_get(pass_name, key, skey, deps)
+        value, nbytes, origin = self._disk_get(pass_name, skey, deps)
         with self._lock:
             stat = self._stat(pass_name)
             if value is not _MISS:
@@ -216,15 +204,8 @@ class ArtifactCache:
             self._remember(pass_name, skey, value)
         nbytes = self._disk_put(pass_name, skey, value)
         if nbytes:
-            baseline = 0
-            if self.measure_baseline:
-                baseline = artifact_schemas.legacy_size(value)
             with self._lock:
-                stat = self._stat(pass_name)
-                stat.disk_bytes_written += nbytes
-                stat.baseline_bytes_written += baseline
-            if self.store is not None:
-                self.store.publish(pass_name, skey, nbytes, baseline)
+                self._stat(pass_name).disk_bytes_written += nbytes
             if self.remote is not None and self.disk_dir is not None:
                 # Write-behind: the publisher thread reads the spill
                 # file at upload time; a down store node costs nothing
@@ -265,11 +246,7 @@ class ArtifactCache:
         budget = self.max_entries if limit is None else limit
         try:
             paths = sorted(
-                (
-                    p
-                    for pattern in ("*.art", "*.pkl")
-                    for p in Path(self.disk_dir).glob(pattern)
-                ),
+                Path(self.disk_dir).glob("*.art"),
                 key=lambda p: p.stat().st_mtime,
                 reverse=True,
             )
@@ -290,12 +267,7 @@ class ArtifactCache:
                 raw = path.read_bytes()
             except OSError:
                 continue
-            if path.suffix == ".pkl":
-                # Legacy spill: filename carries the raw fingerprint;
-                # remember under the versioned key so lookups hit.
-                skey = artifact_schemas.storage_key(pass_name, skey)
-            schema = artifact_schemas.schema_for(pass_name)
-            if schema.depends and artifact_schemas.is_compact_spill(raw):
+            if artifact_schemas.schema_for(pass_name).depends:
                 deferred.append((pass_name, skey, _group_of(skey), raw))
                 continue
             try:
@@ -350,11 +322,6 @@ class ArtifactCache:
 
     # -- disk spill ------------------------------------------------------
 
-    def _disk_path(self, pass_name: str, key: str) -> Path:
-        """Legacy spill path (pre-schema revisions wrote these)."""
-        assert self.disk_dir is not None
-        return Path(self.disk_dir) / f"{pass_name}-{key}.pkl"
-
     def _compact_path(self, pass_name: str, skey: str) -> Path:
         assert self.disk_dir is not None
         return Path(self.disk_dir) / f"{pass_name}-{skey}.art"
@@ -362,7 +329,6 @@ class ArtifactCache:
     def _disk_get(
         self,
         pass_name: str,
-        key: str,
         skey: str,
         deps: Mapping[str, Any] | None,
     ) -> tuple[Any, int, str | None]:
@@ -377,14 +343,7 @@ class ArtifactCache:
             try:
                 raw = src.read_bytes()
             except OSError:
-                # Fall back to a spill written by a pre-schema revision
-                # (named by the raw fingerprint, whole-object payload).
-                legacy = self._disk_path(pass_name, key)
-                try:
-                    raw = legacy.read_bytes()
-                    src = legacy
-                except OSError:
-                    raw = None
+                raw = None
         if raw is None and self.remote is not None:
             raw = self.remote.fetch(f"{pass_name}-{skey}")
             if raw is None:
@@ -412,15 +371,7 @@ class ArtifactCache:
                 with self._lock:
                     self._stat(pass_name).corrupt_spills += 1
             return _MISS, 0, None
-        if remote_hit:
-            return value, len(raw), ORIGIN_REMOTE
-        cross = False
-        if self.store is not None:
-            # Attribute the hit only after the spill actually served —
-            # a vanished or undecodable segment must not inflate the
-            # cross-worker counters the batch report gates on.
-            _published, cross = self.store.lookup(pass_name, skey)
-        return value, len(raw), ORIGIN_STORE if cross else ORIGIN_DISK
+        return value, len(raw), ORIGIN_REMOTE if remote_hit else ORIGIN_DISK
 
     def _quarantine(self, pass_name: str, path: Path) -> None:
         """Move a corrupt spill aside and count it — never raise."""

@@ -1,12 +1,11 @@
 """Remote artifact store backend: HTTP client built failure-first.
 
-The :class:`~repro.pipeline.store.SharedArtifactStore` shares artifacts
-across the worker processes of *one machine*.  This module extends the
-tier one hop further: a :class:`RemoteStoreClient` speaks the compact
-spill container format of :mod:`repro.pipeline.artifacts` against the
-content-addressed ``/artifacts/<key>`` routes of ``ompdart serve``, so
-a fleet of batch/serve nodes shares parse/codegen/plan artifacts
-cross-machine.
+A cache directory shares artifacts across the worker processes of *one
+machine*.  This module extends the tier one hop further: a
+:class:`RemoteStoreClient` speaks the compact spill container format of
+:mod:`repro.pipeline.artifacts` against the content-addressed
+``/artifacts/<key>`` routes of ``ompdart serve``, so a fleet of
+batch/serve nodes shares parse/codegen/plan artifacts cross-machine.
 
 The design is failure-first — a down or lying store node must never
 fail a job, only slow its cache hits:
@@ -22,17 +21,16 @@ fail a job, only slow its cache hits:
   skipped (counted as ``degraded``) until ``breaker_cooldown`` has
   passed, at which point a single half-open probe decides whether to
   close it again.  While open, lookups fall through to the local
-  disk/SharedMemory tier exactly as if no remote store were
-  configured.
+  memory/disk tiers exactly as if no remote store were configured.
 * **Write-behind publishing.**  ``offer`` enqueues spill uploads on a
   bounded queue drained by a daemon thread; under backpressure the
   queue sheds **oldest-first** (the newest artifact is the one a peer
   is most likely to want) and counts what it dropped.
 
-Counters flow into the run-wide SHM store under the reserved
-``__remote__``/``__remote_pub__`` rows (see :data:`EVENT_ROWS`), so
-``batch --report`` and ``/stats`` observe pool-wide remote traffic the
-same way they observe cross-worker hits.
+Every client counts its traffic by event name (:data:`EVENTS`).  A
+pool owner hands its workers one :class:`RemoteCounters` array, so
+``batch --report`` and ``/stats`` read pool-wide totals in the same
+shape a single in-process client reports.
 
 Chaos seams: :data:`request_fault_hook` and :data:`payload_fault_hook`
 are installed by :mod:`repro.service.faults` for the deterministic
@@ -45,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import http.client
+import multiprocessing
 import threading
 import time
 from collections import deque
@@ -54,33 +53,20 @@ from typing import Any, Callable
 from urllib.parse import urlsplit
 
 __all__ = [
+    "EVENTS",
     "CircuitBreaker",
     "InjectedNetworkFault",
+    "RemoteCounters",
     "RemoteStoreClient",
     "RemoteStoreConfig",
-    "REMOTE_ROW",
-    "REMOTE_PUB_ROW",
-    "remote_view",
 ]
 
-#: Reserved SHM counter-row names for pool-wide remote-store counters.
-#: Rows starting with ``__`` are internal: the store keeps them out of
-#: the per-pass listings and surfaces them through :func:`remote_view`.
-REMOTE_ROW = "__remote__"
-REMOTE_PUB_ROW = "__remote_pub__"
-
-#: event name -> (counter row, field index) for the SHM adapter.
-EVENT_ROWS: dict[str, tuple[str, int]] = {
-    "hit": (REMOTE_ROW, 0),
-    "miss": (REMOTE_ROW, 1),
-    "put": (REMOTE_ROW, 2),
-    "error": (REMOTE_ROW, 3),
-    "breaker_open": (REMOTE_ROW, 4),
-    "breaker_close": (REMOTE_ROW, 5),
-    "publish_shed": (REMOTE_PUB_ROW, 0),
-    "publish_error": (REMOTE_PUB_ROW, 1),
-    "degraded": (REMOTE_PUB_ROW, 2),
-}
+#: Counter events, by the names ``/stats`` and ``--report`` publish.
+EVENTS: tuple[str, ...] = (
+    "hits", "misses", "puts", "errors", "breaker_opens", "breaker_closes",
+    "publish_shed", "publish_errors", "degraded",
+)
+_EVENT_INDEX = {name: i for i, name in enumerate(EVENTS)}
 
 #: Chaos seams (installed by :mod:`repro.service.faults`; never set in
 #: production).  The request hook runs once per attempt before the
@@ -224,8 +210,8 @@ class RemoteStoreClient:
     behind a lock, reconnecting on error.
 
     ``on_event`` (when given) receives every counter event by name —
-    the worker runtime binds it to the SHM store so remote traffic
-    aggregates pool-wide; see :data:`EVENT_ROWS`.
+    the worker runtime binds it to the pool's :class:`RemoteCounters`
+    so remote traffic aggregates pool-wide.
     """
 
     def __init__(
@@ -252,14 +238,14 @@ class RemoteStoreClient:
             threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown,
             clock=clock,
-            on_open=lambda: self._event("breaker_open"),
-            on_close=lambda: self._event("breaker_close"),
+            on_open=lambda: self._event("breaker_opens"),
+            on_close=lambda: self._event("breaker_closes"),
         )
         self._io_lock = threading.Lock()
         self._conn: http.client.HTTPConnection | None = None
         self._closed = False
         # local counters (pool-wide aggregation rides on_event)
-        self.counters = {name: 0 for name in EVENT_ROWS}
+        self.counters = {name: 0 for name in EVENTS}
         # write-behind publish queue
         self._pub_lock = threading.Lock()
         self._pub_queue: deque[tuple[str, Path]] = deque()
@@ -283,8 +269,6 @@ class RemoteStoreClient:
         return {
             "url": self.url,
             "breaker": self.breaker.state,
-            "breaker_opens": self.breaker.opens,
-            "breaker_closes": self.breaker.closes,
             "publish_queue_depth": depth,
             **dict(self.counters),
         }
@@ -336,7 +320,7 @@ class RemoteStoreClient:
                     hook(op, key, attempt)
                 result = fn(attempt)
             except (OSError, http.client.HTTPException, ValueError):
-                self._event("error")
+                self._event("errors")
                 if attempt >= self.config.retries:
                     self.breaker.record_failure()
                     return _FAILED
@@ -369,9 +353,9 @@ class RemoteStoreClient:
         result = self._with_retries("fetch", key, attempt)
         if result is _FAILED or result is None:
             if result is None:
-                self._event("miss")
+                self._event("misses")
             return None
-        self._event("hit")
+        self._event("hits")
         return result
 
     def push(self, key: str, payload: bytes) -> bool:
@@ -387,7 +371,7 @@ class RemoteStoreClient:
 
         if self._with_retries("push", key, attempt) is _FAILED:
             return False
-        self._event("put")
+        self._event("puts")
         return True
 
     def remote_stats(self) -> dict[str, Any] | None:
@@ -451,7 +435,7 @@ class RemoteStoreClient:
             except OSError:
                 continue  # spill evicted/quarantined before publish: skip
             if not self.push(key, payload):
-                self._event("publish_error")
+                self._event("publish_errors")
 
     def flush(self, timeout: float = 5.0) -> bool:
         """Wait for the publish queue to drain (tests, batch teardown)."""
@@ -470,47 +454,22 @@ class RemoteStoreClient:
                 self._conn = None
 
 
-def remote_view(
-    internal: "dict[str, Any]",
-) -> dict[str, int] | None:
-    """Pool-wide remote counters from the store's internal rows.
+class RemoteCounters:
+    """Pool-wide remote counters, shared with the pool's workers.
 
-    ``internal`` maps reserved row names to
-    :class:`~repro.pipeline.store.StorePassStats`; the row fields are
-    positional (see :data:`EVENT_ROWS`), so this renames them into the
-    shape ``/stats`` and ``batch --report`` publish.
+    The pool owner creates one before its workers start and passes it
+    to them; each worker's client adds its events here, and the owner
+    reads the totals with :meth:`snapshot`.  Workers inherit the array
+    across fork, so it needs no name, file or resource tracker.
     """
-    row = internal.get(REMOTE_ROW)
-    pub = internal.get(REMOTE_PUB_ROW)
-    if row is None and pub is None:
-        return None
-    out = {
-        "hits": 0, "misses": 0, "puts": 0, "errors": 0,
-        "breaker_opens": 0, "breaker_closes": 0,
-        "publish_shed": 0, "publish_errors": 0, "degraded": 0,
-    }
-    if row is not None:
-        out.update(
-            hits=row.hits, misses=row.misses, puts=row.writes,
-            errors=row.cross_worker_hits, breaker_opens=row.bytes_written,
-            breaker_closes=row.baseline_bytes,
-        )
-    if pub is not None:
-        out.update(
-            publish_shed=pub.hits, publish_errors=pub.misses,
-            degraded=pub.writes,
-        )
-    return out
 
+    def __init__(self) -> None:
+        self._values = multiprocessing.Array("q", len(EVENTS))
 
-def store_event_adapter(store: Any) -> Callable[[str, int], None]:
-    """Bind client events to the SHM store's reserved counter rows."""
+    def add(self, name: str, delta: int = 1) -> None:
+        with self._values.get_lock():
+            self._values[_EVENT_INDEX[name]] += delta
 
-    def on_event(name: str, delta: int) -> None:
-        target = EVENT_ROWS.get(name)
-        if target is None:
-            return
-        row, index = target
-        store._bump(row, field_index=index, delta=delta)
-
-    return on_event
+    def snapshot(self) -> dict[str, int]:
+        with self._values.get_lock():
+            return dict(zip(EVENTS, self._values))

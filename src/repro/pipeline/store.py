@@ -1,106 +1,35 @@
-"""Shared cross-process artifact store: SHM index over file segments.
+"""Disk spill maintenance for a cache directory (``ompdart store``).
 
-The batch driver's worker processes each keep a private in-memory
-cache, and before this module they only shared work *across* runs (via
-``--cache-dir`` spill files) — a duplicate input discovered mid-run was
-recomputed by every worker that had not yet seen it.  The
-:class:`SharedArtifactStore` closes that gap:
+The artifact cache (:mod:`repro.pipeline.cache`) spills every artifact
+as a compact ``.art`` file and never removes one.  This module keeps
+such a directory bounded and clean:
 
-* **Index**: one :class:`multiprocessing.shared_memory.SharedMemory`
-  block holding an open-addressed table of content-key digests, each
-  stamped with the writer's pid.  A worker that misses in memory
-  probes the index before touching the disk — and learns, in the same
-  probe, whether another worker produced the artifact *during this
-  run* (the cross-worker hit the ``batch --report`` counters surface).
-* **Segments**: the artifact payloads themselves are the compact spill
-  files of the cache directory — file-backed segments the index points
-  at by name, so the store adds no second copy of any artifact.
-* **Counters**: a per-pass table (hits/misses/writes/cross-worker
-  hits/bytes) lives in the same SHM block, so the parent process can
-  report pool-wide store traffic after the run — something the
-  pre-store driver could not observe at all.
-
-All index and counter mutations happen under an advisory ``flock`` on
-a lockfile next to the segments; payload I/O stays outside the lock.
-Creation degrades gracefully: where shared memory or file locking is
-unavailable (sandboxes), :meth:`SharedArtifactStore.create` returns
-``None`` and the batch driver runs exactly as before.
-
-**Crash safety.**  Workers die (OOM kills, injected faults), and a
-death mid-operation must not wedge the survivors: the lock acquisition
-is *bounded* — after ``lock_timeout`` seconds the waiter inspects the
-pid stamped into the lockfile and, if that writer is dead, rotates the
-lockfile (unlink + recreate: a fresh inode no stale open file
-description can hold an flock on) and retries.  The supervisor calls
-:meth:`reclaim_dead` after every worker death to zero index slots
-stamped by dead pids (a kill mid-``pack_into`` leaves torn garbage in
-them) and to sweep the dead writer's orphaned spill ``*.tmp`` files.
+* :func:`gc_spills` evicts spills LRU-oldest-first to a size bound
+  and/or past a TTL, and always sweeps garbage: quarantined ``.bad``
+  files, ``.pkl`` spills of the retired whole-object format (never
+  read), and ``.tmp`` files whose writer died mid-spill.
+* :func:`sweep_dead_tmp` is that last sweep on its own; the worker
+  pool supervisor runs it after every worker death.
+* :func:`spill_stats` is the per-pass census behind ``store stats``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import os
-import secrets
-import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
-
-try:  # pragma: no cover - present on every supported platform
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - minimal builds
-    shared_memory = None  # type: ignore[assignment]
 
 __all__ = [
-    "SharedArtifactStore",
     "SpillGCReport",
-    "StorePassStats",
-    "StoreStats",
     "gc_spills",
     "spill_stats",
+    "sweep_dead_tmp",
 ]
 
-#: SHM layout: header | counter rows | index slots.
-#: The trailing u64 is a monotonically increasing generation counter:
-#: every publish/lookup stamps its slot with the next generation, so
-#: the index can evict least-recently-used entries when a probe window
-#: fills instead of silently dropping new publishes forever.
-_HEADER = struct.Struct("<8sIIQ")  # magic, slot count, counter rows, gen
-_MAGIC = b"OMPSTOR2"
-#: One counter row: pass name (utf-8, padded) + six u64 counters.
-_COUNTER = struct.Struct("<24sQQQQQQ")
-#: One index slot: 16-byte key digest + writer pid + generation.
-_SLOT = struct.Struct("<16sII")
-
-#: Reserved counter-row name for pool-wide index-eviction counts.
-#: Rows whose name starts with ``__`` are internal plumbing (this one,
-#: plus the remote-store rows of :mod:`repro.pipeline.remote`): they
-#: ride the same SHM counter table but stay out of the per-pass stats.
-GC_ROW = "__store_gc__"
-
-_DEFAULT_SLOTS = 4096
-_COUNTER_ROWS = 32
-_MAX_PROBE = 32
-
-#: Bounded lock wait before dead-writer recovery kicks in, and the
-#: poll interval while waiting.  Two seconds is orders of magnitude
-#: past any legitimate critical section (a few SHM reads/writes).
-_LOCK_TIMEOUT = 2.0
-_LOCK_POLL = 0.01
-
-
-def _digest(pass_name: str, key: str) -> bytes:
-    return hashlib.blake2b(
-        f"{pass_name}\x1f{key}".encode(), digest_size=16
-    ).digest()
+#: Suffixes of files that are garbage on sight: quarantined corrupt
+#: spills and spills of the retired whole-object format.
+_GARBAGE_SUFFIXES = (".bad", ".pkl")
 
 
 def _pid_alive(pid: int) -> bool:
@@ -132,552 +61,33 @@ def _tmp_writer_pid(name: str) -> int | None:
         return None
 
 
-@dataclass
-class StorePassStats:
-    """Shared-store counters for one pass name."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    #: Hits on entries published by a *different* worker process.
-    cross_worker_hits: int = 0
-    bytes_written: int = 0
-    #: Bytes the legacy whole-object spill format would have written
-    #: for the same artifacts (populated under ``--report``).
-    baseline_bytes: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "cross_worker_hits": self.cross_worker_hits,
-            "bytes_written": self.bytes_written,
-            "baseline_bytes": self.baseline_bytes,
-        }
+def _unlink(path: Path, dry_run: bool) -> bool:
+    """Remove ``path`` (or pretend to); False when a racer got there."""
+    if dry_run:
+        return True
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    return True
 
 
-@dataclass
-class StoreStats:
-    """Pool-wide store counters, keyed by pass name.
+def sweep_dead_tmp(directory: str | Path, *, dry_run: bool = False) -> int:
+    """Unlink ``.tmp`` spills whose writer is dead; returns the count.
 
-    Reserved ``__``-prefixed rows (remote-store traffic, index
-    evictions) land in :attr:`internal` so the per-pass aggregates
-    below never mix cache counters with plumbing counters.
+    Completed spills were atomically renamed, so a ``.tmp`` left by a
+    dead pid is a half-written orphan.  Fail-soft per file.
     """
-
-    passes: dict[str, StorePassStats] = field(default_factory=dict)
-    internal: dict[str, StorePassStats] = field(default_factory=dict)
-
-    @property
-    def cross_worker_hits(self) -> int:
-        return sum(s.cross_worker_hits for s in self.passes.values())
-
-    @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self.passes.values())
-
-    @property
-    def bytes_written(self) -> int:
-        return sum(s.bytes_written for s in self.passes.values())
-
-    @property
-    def baseline_bytes(self) -> int:
-        return sum(s.baseline_bytes for s in self.passes.values())
-
-    def as_dict(self) -> dict[str, dict[str, int]]:
-        return {
-            name: stats.as_dict() for name, stats in sorted(self.passes.items())
-        }
-
-
-class SharedArtifactStore:
-    """Cross-process content-addressed index over a cache directory.
-
-    One process (the batch parent or the serve scheduler) calls
-    :meth:`create`; workers :meth:`attach` by name.  The store never
-    owns payload bytes — it indexes the spill files the
-    :class:`~repro.pipeline.cache.ArtifactCache` writes — so dropping
-    it loses only counters, never artifacts.
-    """
-
-    def __init__(
-        self,
-        directory: str | Path,
-        shm: "shared_memory.SharedMemory",
-        *,
-        owner: bool,
-        slots: int,
-    ):
-        self.directory = Path(directory)
-        self._shm = shm
-        self._owner = owner
-        self._slots = slots
-        self._pid = os.getpid()
-        self._lock_path = self.directory / ".store.lock"
-        self._closed = False
-        #: Bounded lock wait (seconds) before dead-writer recovery.
-        self.lock_timeout = _LOCK_TIMEOUT
-        # recovery counters (this process's view; the supervisor is
-        # the interesting observer)
-        self.lock_timeouts = 0
-        self.lock_rotations = 0
-        self.slots_reclaimed = 0
-        self.slots_evicted = 0
-        self.tmp_files_reclaimed = 0
-
-    # -- lifecycle -------------------------------------------------------
-
-    @classmethod
-    def create(
-        cls, directory: str | Path, *, slots: int = _DEFAULT_SLOTS
-    ) -> "SharedArtifactStore | None":
-        """Create a fresh store for one run; ``None`` when unsupported."""
-        if shared_memory is None or fcntl is None:
-            return None
-        size = _HEADER.size + _COUNTER_ROWS * _COUNTER.size + slots * _SLOT.size
-        try:
-            Path(directory).mkdir(parents=True, exist_ok=True)
-            shm = shared_memory.SharedMemory(
-                name=f"ompdart-{secrets.token_hex(6)}", create=True, size=size
-            )
-        except (OSError, ValueError, PermissionError):
-            return None
-        buf = shm.buf
-        buf[: size] = b"\x00" * size
-        _HEADER.pack_into(buf, 0, _MAGIC, slots, _COUNTER_ROWS, 0)
-        return cls(directory, shm, owner=True, slots=slots)
-
-    @classmethod
-    def attach(
-        cls, directory: str | Path, name: str
-    ) -> "SharedArtifactStore | None":
-        """Attach to a store created by another process, by SHM name."""
-        if shared_memory is None or fcntl is None:
-            return None
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except (OSError, ValueError, PermissionError):
-            return None
-        # Attaching re-registers the segment name with the resource
-        # tracker.  Pool children inherit the parent's tracker (its fd
-        # is passed through both fork and spawn preparation), whose
-        # name cache is a set — the duplicate REGISTER is a no-op, and
-        # the single UNREGISTER happens when the creator unlinks.
-        # Explicitly unregistering here instead would double-remove the
-        # name and crash the shared tracker at parent exit.
-        try:
-            magic, slots, rows, _gen = _HEADER.unpack_from(shm.buf, 0)
-        except struct.error:
-            shm.close()
-            return None
-        if magic != _MAGIC or rows != _COUNTER_ROWS:
-            shm.close()
-            return None
-        return cls(directory, shm, owner=False, slots=slots)
-
-    @property
-    def name(self) -> str:
-        """SHM segment name workers attach by."""
-        return self._shm.name
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        with contextlib.suppress(OSError):
-            self._shm.close()
-        if self._owner:
-            with contextlib.suppress(OSError):
-                self._shm.unlink()
-
-    def __enter__(self) -> "SharedArtifactStore":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- locking ---------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _locked(self) -> Iterator[None]:
-        fd = self._acquire_lock()
-        try:
-            yield
-        finally:
-            with contextlib.suppress(OSError):
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-
-    def _acquire_lock(self) -> int:
-        """flock the lockfile with a bounded wait and stale recovery.
-
-        An flock vanishes when its holder's last fd closes — but a
-        worker that forked children (or whose fds leaked into a
-        sibling) can die while the lock lives on in an inherited open
-        file description.  After ``lock_timeout`` seconds: if the pid
-        stamped into the lockfile is dead, rotate the file (unlink +
-        recreate — flocks attach to the inode, so a fresh inode cannot
-        be held by any stale description) and retry; if the holder is
-        alive or unknown, raise — callers are fail-soft by contract.
-        """
-        deadline = time.monotonic() + self.lock_timeout
-        rotated = False
-        fd = os.open(self._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-        while True:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                if time.monotonic() < deadline:
-                    time.sleep(_LOCK_POLL)
-                    continue
-                if not self._lock_is_current(fd):
-                    # A concurrent waiter already rotated the file:
-                    # this fd — and the dead-holder stamp readable
-                    # through it — describes the *old* inode.  Acting
-                    # on that stale evidence would unlink the fresh
-                    # lockfile a live contender may now hold, giving
-                    # two processes the "exclusive" lock.  Reopen the
-                    # current path and keep waiting instead.
-                    os.close(fd)
-                    deadline = time.monotonic() + self.lock_timeout
-                    fd = os.open(
-                        self._lock_path, os.O_CREAT | os.O_RDWR, 0o644
-                    )
-                    continue
-                if not rotated and self._holder_is_dead(fd):
-                    os.close(fd)
-                    with contextlib.suppress(OSError):
-                        os.unlink(self._lock_path)
-                    self.lock_rotations += 1
-                    rotated = True
-                    deadline = time.monotonic() + self.lock_timeout
-                    fd = os.open(
-                        self._lock_path, os.O_CREAT | os.O_RDWR, 0o644
-                    )
-                    continue
-                os.close(fd)
-                self.lock_timeouts += 1
-                raise OSError(
-                    f"store lock held past {self.lock_timeout:g}s by a "
-                    "live process"
-                )
-            # Locked — but a concurrent waiter may have rotated the
-            # file between our open and flock: a lock on the *old*
-            # inode excludes nobody.  Verify and retry on mismatch.
-            if self._lock_is_current(fd):
-                self._stamp_lock(fd)
-                return fd
-            with contextlib.suppress(OSError):
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-            fd = os.open(self._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-
-    def _lock_is_current(self, fd: int) -> bool:
-        try:
-            return os.fstat(fd).st_ino == os.stat(self._lock_path).st_ino
-        except OSError:
-            return False  # path unlinked mid-rotation: retry
-
-    def _stamp_lock(self, fd: int) -> None:
-        """Record the holder's pid so waiters can detect a dead one."""
-        with contextlib.suppress(OSError):
-            os.ftruncate(fd, 0)
-            os.pwrite(fd, f"{self._pid}\n".encode(), 0)
-
-    def _holder_is_dead(self, fd: int) -> bool:
-        try:
-            raw = os.pread(fd, 32, 0).split(b"\n")[0].strip()
-            pid = int(raw)
-        except (OSError, ValueError):
-            return False  # no stamp: cannot prove death, do not rotate
-        return pid != self._pid and not _pid_alive(pid)
-
-    # -- counters --------------------------------------------------------
-
-    def _counter_offset(self, row: int) -> int:
-        return _HEADER.size + row * _COUNTER.size
-
-    def _find_counter_row(self, pass_name: str, *, create: bool) -> int | None:
-        """Row index for ``pass_name``; allocates when ``create``."""
-        encoded = pass_name.encode()[:24]
-        for row in range(_COUNTER_ROWS):
-            name_raw = bytes(
-                self._shm.buf[
-                    self._counter_offset(row): self._counter_offset(row) + 24
-                ]
-            )
-            name = name_raw.rstrip(b"\x00")
-            if name == encoded:
-                return row
-            if not name:
-                if not create:
-                    return None
-                _COUNTER.pack_into(
-                    self._shm.buf, self._counter_offset(row),
-                    encoded, 0, 0, 0, 0, 0, 0,
-                )
-                return row
-        return None  # table full: counters saturate, lookups still work
-
-    def _bump(self, pass_name: str, *, field_index: int, delta: int = 1) -> None:
-        row = self._find_counter_row(pass_name, create=True)
-        if row is None:
-            return
-        offset = self._counter_offset(row)
-        values = list(_COUNTER.unpack_from(self._shm.buf, offset))
-        values[1 + field_index] += delta
-        _COUNTER.pack_into(self._shm.buf, offset, *values)
-
-    def stats(self) -> StoreStats:
-        """Snapshot of the pool-wide per-pass counters.
-
-        Fail-soft like every store operation: if the lockfile or the
-        SHM segment has gone away, the snapshot is simply empty.
-        """
-        out = StoreStats()
-        try:
-            self._stats_locked(out)
-        except (OSError, ValueError):
-            pass
-        return out
-
-    def _stats_locked(self, out: StoreStats) -> None:
-        with self._locked():
-            for row in range(_COUNTER_ROWS):
-                offset = self._counter_offset(row)
-                name_raw, hits, misses, writes, cross, nbytes, baseline = (
-                    _COUNTER.unpack_from(self._shm.buf, offset)
-                )
-                name = name_raw.rstrip(b"\x00").decode(errors="replace")
-                if not name:
-                    continue
-                bucket = (
-                    out.internal if name.startswith("__") else out.passes
-                )
-                bucket[name] = StorePassStats(
-                    hits=hits, misses=misses, writes=writes,
-                    cross_worker_hits=cross, bytes_written=nbytes,
-                    baseline_bytes=baseline,
-                )
-
-    # -- crash recovery --------------------------------------------------
-
-    def health(self) -> dict[str, int]:
-        """Recovery counters (this process's view)."""
-        return {
-            "lock_timeouts": self.lock_timeouts,
-            "lock_rotations": self.lock_rotations,
-            "slots_reclaimed": self.slots_reclaimed,
-            "slots_evicted": self.slots_evicted,
-            "tmp_files_reclaimed": self.tmp_files_reclaimed,
-        }
-
-    def reclaim_dead(self) -> dict[str, int]:
-        """Reclaim state a dead writer left behind; returns counts.
-
-        * **Index slots** stamped with a dead pid are zeroed: a worker
-          killed mid-``pack_into`` leaves torn digests that occupy a
-          slot forever and can poison its probe window.  Zeroing may
-          orphan a colliding live entry further down the probe chain —
-          harmless, the store is a presence *hint* and the disk spill
-          still serves.
-        * **Spill tmp files** whose embedded writer pid is dead are
-          unlinked; completed spills were atomically renamed, so any
-          surviving ``.tmp`` from a dead pid is a half-written orphan.
-
-        Called by the pool supervisor after each worker death; safe to
-        call from anywhere (fail-soft, like every store operation).
-        """
-        out = {"slots": 0, "tmp_files": 0}
-        try:
-            out["slots"] = self._reclaim_slots()
-        except (OSError, ValueError):
-            pass
-        out["tmp_files"] = self._sweep_tmp_files()
-        self.slots_reclaimed += out["slots"]
-        self.tmp_files_reclaimed += out["tmp_files"]
-        return out
-
-    def _reclaim_slots(self) -> int:
-        liveness: dict[int, bool] = {}
-        count = 0
-        with self._locked():
-            for slot in range(self._slots):
-                offset = self._slot_offset(slot)
-                _raw, pid, _gen = _SLOT.unpack_from(self._shm.buf, offset)
-                if pid == 0 or pid == self._pid:
-                    continue
-                alive = liveness.get(pid)
-                if alive is None:
-                    alive = _pid_alive(pid)
-                    liveness[pid] = alive
-                if not alive:
-                    _SLOT.pack_into(
-                        self._shm.buf, offset, b"\x00" * 16, 0, 0
-                    )
-                    count += 1
-        return count
-
-    def _sweep_tmp_files(self) -> int:
-        count = 0
-        try:
-            candidates = list(self.directory.glob("*.tmp"))
-        except OSError:
-            return 0
-        for path in candidates:
-            pid = _tmp_writer_pid(path.name)
-            if pid is None or pid == self._pid or _pid_alive(pid):
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
+    try:
+        candidates = list(Path(directory).glob("*.tmp"))
+    except OSError:
+        return 0
+    count = 0
+    for path in candidates:
+        pid = _tmp_writer_pid(path.name)
+        if pid is not None and not _pid_alive(pid) and _unlink(path, dry_run):
             count += 1
-        return count
-
-    # -- index -----------------------------------------------------------
-
-    def _slot_offset(self, slot: int) -> int:
-        return (
-            _HEADER.size + _COUNTER_ROWS * _COUNTER.size + slot * _SLOT.size
-        )
-
-    def _next_gen(self) -> int:
-        """Advance the store-wide generation clock (call under lock).
-
-        Slot generations are u32; the header counter is masked down
-        and skips 0 so a stamped slot is never confused with a zeroed
-        one.  Generations only order recency within one run — 4
-        billion store operations per run is unreachable, so the wrap
-        needs no tie-breaking.
-        """
-        magic, slots, rows, gen = _HEADER.unpack_from(self._shm.buf, 0)
-        gen = (gen + 1) & 0xFFFFFFFF or 1
-        _HEADER.pack_into(self._shm.buf, 0, magic, slots, rows, gen)
-        return gen
-
-    def _oldest_in_window(self, digest: bytes) -> int:
-        """LRU victim slot within the digest's probe window."""
-        start = int.from_bytes(digest[:8], "little") % self._slots
-        best = start
-        best_gen: int | None = None
-        for i in range(_MAX_PROBE):
-            slot = (start + i) % self._slots
-            _raw, _pid, gen = _SLOT.unpack_from(
-                self._shm.buf, self._slot_offset(slot)
-            )
-            if best_gen is None or gen < best_gen:
-                best, best_gen = slot, gen
-        return best
-
-    def _probe(self, digest: bytes) -> tuple[int | None, int | None]:
-        """(slot holding digest, first free slot) within the probe window."""
-        start = int.from_bytes(digest[:8], "little") % self._slots
-        free: int | None = None
-        for i in range(_MAX_PROBE):
-            slot = (start + i) % self._slots
-            raw, pid, _gen = _SLOT.unpack_from(
-                self._shm.buf, self._slot_offset(slot)
-            )
-            if pid == 0:
-                if free is None:
-                    free = slot
-                return None, free
-            if raw == digest:
-                return slot, free
-        return None, free
-
-    def publish(
-        self, pass_name: str, key: str, nbytes: int, baseline: int = 0
-    ) -> None:
-        """Record that this process wrote the artifact's segment file.
-
-        Fail-soft: the store only carries counters and this-run
-        presence hints, never the artifacts themselves, so a failing
-        ``flock`` (NFS without lockd, a cleaner racing the directory)
-        or a torn-down SHM segment must not fail the batch input —
-        the spill file already exists, exactly as in a store-less run.
-        """
-        try:
-            self._publish_locked(pass_name, key, nbytes, baseline)
-        except (OSError, ValueError):
-            pass
-
-    def _publish_locked(
-        self, pass_name: str, key: str, nbytes: int, baseline: int
-    ) -> None:
-        digest = _digest(pass_name, key)
-        with self._locked():
-            slot, free = self._probe(digest)
-            gen = self._next_gen()
-            if slot is not None:
-                # Re-publish: keep the first writer's pid (cross-worker
-                # attribution) but refresh recency.
-                raw, pid, _old = _SLOT.unpack_from(
-                    self._shm.buf, self._slot_offset(slot)
-                )
-                _SLOT.pack_into(
-                    self._shm.buf, self._slot_offset(slot), raw, pid, gen
-                )
-            elif free is not None:
-                _SLOT.pack_into(
-                    self._shm.buf, self._slot_offset(free),
-                    digest, self._pid, gen,
-                )
-            else:
-                # Probe window full: evict its least-recently-touched
-                # entry instead of silently dropping this publish (the
-                # pre-GC behavior, under which a long-lived index
-                # stopped admitting new artifacts).  Evicting a hint
-                # is harmless — the disk spill still serves.
-                victim = self._oldest_in_window(digest)
-                _SLOT.pack_into(
-                    self._shm.buf, self._slot_offset(victim),
-                    digest, self._pid, gen,
-                )
-                self.slots_evicted += 1
-                self._bump(GC_ROW, field_index=0)
-            self._bump(pass_name, field_index=2)  # writes
-            self._bump(pass_name, field_index=4, delta=nbytes)  # bytes
-            if baseline:
-                self._bump(pass_name, field_index=5, delta=baseline)
-
-    def lookup(self, pass_name: str, key: str) -> tuple[bool, bool]:
-        """(published this run, published by another worker).
-
-        A miss here is not authoritative for the artifact itself — the
-        segment file may predate this run — only for *this run's*
-        traffic, which is what the counters measure.  Fail-soft like
-        :meth:`publish`: lock or SHM trouble reads as "not published",
-        and the caller falls through to the plain disk path.
-        """
-        try:
-            return self._lookup_locked(pass_name, key)
-        except (OSError, ValueError):
-            return False, False
-
-    def _lookup_locked(self, pass_name: str, key: str) -> tuple[bool, bool]:
-        digest = _digest(pass_name, key)
-        with self._locked():
-            slot, _free = self._probe(digest)
-            if slot is None:
-                self._bump(pass_name, field_index=1)  # misses
-                return False, False
-            offset = self._slot_offset(slot)
-            raw, pid, _gen = _SLOT.unpack_from(self._shm.buf, offset)
-            # Touch recency: a looked-up entry is a bad eviction victim.
-            _SLOT.pack_into(self._shm.buf, offset, raw, pid, self._next_gen())
-            self._bump(pass_name, field_index=0)  # hits
-            cross = pid != self._pid
-            if cross:
-                self._bump(pass_name, field_index=3)  # cross-worker hits
-            return True, cross
-
-
-# ======================================================================
-# Disk spill GC (``ompdart store gc|stats``)
-# ======================================================================
+    return count
 
 
 @dataclass
@@ -692,7 +102,8 @@ class SpillGCReport:
     #: Spills removed (oldest-first) to fit under ``max_bytes``.
     size_evicted: int = 0
     evicted_bytes: int = 0
-    #: ``.bad`` quarantine files swept (always removed).
+    #: ``.bad`` quarantine and retired ``.pkl`` files swept (always
+    #: removed).
     quarantine_swept: int = 0
     #: Orphaned ``.tmp`` files of dead writers swept (always removed).
     tmp_swept: int = 0
@@ -735,8 +146,9 @@ def gc_spills(
     every new input spills its artifacts and nothing ever removes
     them.  The sweep unlinks, in order:
 
-    1. ``.bad`` quarantine files (already written off as corrupt) and
-       ``.tmp`` orphans whose embedded writer pid is dead — always;
+    1. ``.bad`` quarantine files (already written off as corrupt),
+       retired ``.pkl`` spills, and ``.tmp`` orphans whose embedded
+       writer pid is dead — always;
     2. spills older than ``max_age_s`` (mtime-based TTL);
     3. then the oldest remaining spills until the directory fits under
        ``max_bytes``.
@@ -750,34 +162,18 @@ def gc_spills(
     directory = Path(directory)
     report = SpillGCReport(directory=str(directory), dry_run=dry_run)
     now = time.time() if now is None else now
-
-    def unlink(path: Path) -> bool:
-        if dry_run:
-            return True
-        try:
-            path.unlink()
-        except OSError:
-            return False
-        return True
-
     try:
         entries = list(directory.iterdir())
     except OSError:
         return report
+    report.tmp_swept = sweep_dead_tmp(directory, dry_run=dry_run)
     spills: list[tuple[float, int, Path]] = []
     for path in entries:
-        name = path.name
-        if name.endswith(".bad"):
-            if unlink(path):
+        if path.name.endswith(_GARBAGE_SUFFIXES):
+            if _unlink(path, dry_run):
                 report.quarantine_swept += 1
             continue
-        if name.endswith(".tmp"):
-            pid = _tmp_writer_pid(name)
-            if pid is not None and not _pid_alive(pid):
-                if unlink(path):
-                    report.tmp_swept += 1
-            continue
-        if path.suffix not in (".art", ".pkl"):
+        if path.suffix != ".art":
             continue
         try:
             stat = path.stat()
@@ -791,7 +187,7 @@ def gc_spills(
     survivors: list[tuple[float, int, Path]] = []
     for mtime, size, path in spills:
         if max_age_s is not None and now - mtime > max_age_s:
-            if unlink(path):
+            if _unlink(path, dry_run):
                 report.ttl_evicted += 1
                 report.evicted_bytes += size
                 continue
@@ -800,7 +196,7 @@ def gc_spills(
         total = sum(size for _mtime, size, _path in survivors)
         kept: list[tuple[float, int, Path]] = []
         for mtime, size, path in survivors:
-            if total > max_bytes and unlink(path):
+            if total > max_bytes and _unlink(path, dry_run):
                 report.size_evicted += 1
                 report.evicted_bytes += size
                 total -= size
@@ -823,13 +219,13 @@ def spill_stats(directory: str | Path) -> dict[str, object]:
         entries = []
     for path in entries:
         name = path.name
-        if name.endswith(".bad"):
+        if name.endswith(_GARBAGE_SUFFIXES):
             quarantined += 1
             continue
         if name.endswith(".tmp"):
             tmp += 1
             continue
-        if path.suffix not in (".art", ".pkl"):
+        if path.suffix != ".art":
             continue
         try:
             size = path.stat().st_size

@@ -128,7 +128,6 @@ def _store_dict(cache_stats: Any) -> dict[str, Any]:
                 "misses": s.misses,
                 "disk_bytes_read": s.disk_bytes_read,
                 "disk_bytes_written": s.disk_bytes_written,
-                "baseline_bytes_written": s.baseline_bytes_written,
             }
             for name, s in sorted(cache_stats.items())
         }

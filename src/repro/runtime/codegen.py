@@ -1667,8 +1667,9 @@ def compile_straight_candidate(
                 return False
             if not stores_disjoint(slots, [t]):
                 return False
-            pv = lo + step * np.arange(t, dtype=np.int64) if t else None
-            pc: dict[int, Any] = {}
+            # The lane vector is built lazily, after the step budget
+            # has admitted the launch (see below).
+            pv, pc = None, {}
             launch_state[:] = [slots, svals, lo, t, pv, pc]
         ch = cache.get("charge")
         if ch is not None and ch[0] is machine and ch[1] == machine.on_device:
@@ -1680,9 +1681,14 @@ def compile_straight_candidate(
         dev0 = machine.profiler.device_work
         host0 = machine.profiler.host_work
         try:
+            # Charged before the lane vector exists, as the closure
+            # tiers do: max_steps trips on a runaway bound without a
+            # giant arange.
             charge(1 + t + 1)
             if not t:
                 return True
+            if pv is None:
+                pv = launch_state[4] = lo + step * np.arange(t, dtype=np.int64)
             vbody(slots, charge, t, pv, pc)
         except V._RuntimeDecline:
             machine.steps = steps0

@@ -4,9 +4,9 @@ The pipeline's execution surface is split in five:
 
 * :mod:`repro.service.core` — the worker runtime shared by every
   concurrent driver: per-process pass managers bound to a cache
-  directory and a :class:`~repro.pipeline.store.SharedArtifactStore`,
-  typed job specs keyed by content hash, and the ordered dispatch
-  helpers ``ompdart batch`` and the evaluation suite fan out through.
+  directory (and optionally a remote store node), typed job specs
+  keyed by content hash, and the ordered dispatch helpers ``ompdart
+  batch`` and the evaluation suite fan out through.
 * :mod:`repro.service.supervisor` — the fault-tolerant process pool:
   worker crash detection and respawn under a restart budget, in-flight
   job retry with exponential backoff, poison-job quarantine, and hard
@@ -24,7 +24,7 @@ The pipeline's execution surface is split in five:
 ``repro.pipeline.batch`` and ``repro.suite.runner`` are thin clients
 of the same core, so a batch run, a suite sweep and a served job all
 execute through identical worker code paths — and share artifacts
-through the same store.
+through the same cache directory.
 """
 
 from .core import (  # noqa: F401

@@ -343,11 +343,8 @@ async def _run_variant(
         out["records"] = records
         out["states"] = _state_counts(records)
         out["supervisor"] = stats.get("supervisor", {})
-        out["store_health"] = stats.get("store_health", {})
         if "remote" in stats:
             out["remote"] = stats["remote"]
-        if "store_gc" in stats:
-            out["store_gc"] = stats["store_gc"]
         if "degraded_reasons" in stats:
             out["degraded_reasons"] = stats["degraded_reasons"]
         out["scheduler"] = {
@@ -462,9 +459,9 @@ async def run_chaos(config: ChaosConfig) -> dict[str, Any]:
         payload[name] = {
             k: variant.get(k)
             for k in ("executor", "wall_s", "states", "supervisor",
-                      "store_health", "scheduler", "server_survived",
-                      "server_error", "cancel_probe", "remote",
-                      "store_gc", "degraded_reasons", "store_node")
+                      "scheduler", "server_survived", "server_error",
+                      "cancel_probe", "remote", "degraded_reasons",
+                      "store_node")
             if k in variant
         }
     return payload

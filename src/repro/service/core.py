@@ -1,9 +1,9 @@
 """Shared worker runtime + typed job specs for every concurrent driver.
 
 One process-global :class:`~repro.pipeline.manager.PassManager` per
-``(cache_dir)`` serves every job a worker process executes, optionally
-bound to the run's :class:`~repro.pipeline.store.SharedArtifactStore`
-so sibling workers share artifacts *during* the run.  The batch driver,
+``(cache_dir)`` serves every job a worker process executes; sibling
+workers share artifacts through that cache directory's spills (and,
+with a store URL, through a remote store node).  The batch driver,
 the evaluation suite's process pool and the asyncio scheduler all
 dispatch through :func:`dispatch_map` / :func:`open_pool` and execute
 via the same top-level entry points, so a transform is bit-identical
@@ -28,7 +28,6 @@ from ..diagnostics import ToolError
 from ..pipeline.cache import ArtifactCache, fingerprint
 from ..pipeline.context import ToolOptions
 from ..pipeline.manager import PassManager
-from ..pipeline.store import SharedArtifactStore
 
 
 class BatchWorkerError(RuntimeError):
@@ -72,7 +71,7 @@ class BatchOutcome:
     #: Did the rewrite differ from the input source?  Mirrors
     #: ``TransformResult.changed``.
     changed: bool = False
-    #: pass name -> "memory" | "disk" | "store" for cache hits.
+    #: pass name -> "memory" | "disk" | "remote" for cache hits.
     cache_origins: dict[str, str] = field(default_factory=dict)
     #: Filename of the representative input whose pipeline run this
     #: outcome was fanned out from (batch content-hash pre-dedup);
@@ -149,48 +148,42 @@ def transform_one(
 #: Per-process manager, keyed by cache directory (None = memory only).
 _WORKER_MANAGERS: dict[str | None, PassManager] = {}
 
-#: The store this worker attached to at pool startup (if any).
-_WORKER_STORE: SharedArtifactStore | None = None
-
 #: This worker's remote store client (if a --store-url was configured).
 _WORKER_REMOTE: "Any | None" = None
 
-#: (cache_dir, measure_baseline) recorded by the pool initializer so
-#: job entry points find the runtime they were spawned with.
-_WORKER_RUNTIME: tuple[str | None, bool] = (None, False)
+#: The cache directory recorded by the pool initializer, so job entry
+#: points find the runtime they were spawned with.
+_WORKER_CACHE_DIR: str | None = None
 
 
-def worker_manager(
-    cache_dir: str | None, *, measure_baseline: bool = False
-) -> PassManager:
+def worker_manager(cache_dir: str | None) -> PassManager:
     """This process's shared pass manager for ``cache_dir``."""
     manager = _WORKER_MANAGERS.get(cache_dir)
     if manager is None:
         cache = ArtifactCache(disk_dir=cache_dir) if cache_dir else ArtifactCache()
-        cache.store = _WORKER_STORE
         cache.remote = _WORKER_REMOTE
-        cache.measure_baseline = measure_baseline
         manager = PassManager(cache=cache)
         _WORKER_MANAGERS[cache_dir] = manager
     return manager
 
 
 def make_remote_client(
-    store_url: str | None, store: SharedArtifactStore | None
+    store_url: str | None, counters: "Any | None" = None
 ) -> "Any | None":
     """Build one process's remote store client (None when unset).
 
-    When the run has a SHM store, the client's counter events are
-    bound to its reserved ``__remote__`` rows so remote traffic
-    aggregates pool-wide; without one, the client keeps local counters
-    only.  Fail-soft: a malformed URL logs nothing and disables the
+    ``counters`` is the pool's
+    :class:`~repro.pipeline.remote.RemoteCounters`: when given, every
+    client event is added to it so remote traffic aggregates pool-wide;
+    the client's own ``counters`` dict always holds this process's
+    view.  Fail-soft: a malformed URL logs nothing and disables the
     tier — exactly the degraded mode a down store node produces.
     """
     if not store_url:
         return None
-    from ..pipeline.remote import RemoteStoreClient, store_event_adapter
+    from ..pipeline.remote import RemoteStoreClient
 
-    on_event = store_event_adapter(store) if store is not None else None
+    on_event = counters.add if counters is not None else None
     try:
         return RemoteStoreClient(store_url, on_event=on_event)
     except ValueError:
@@ -199,47 +192,36 @@ def make_remote_client(
 
 def worker_init(
     cache_dir: str | None,
-    store_name: str | None = None,
-    measure_baseline: bool = False,
     store_url: str | None = None,
+    remote_counters: "Any | None" = None,
 ) -> None:
-    """Pool initializer: attach the shared store, build the manager
-    eagerly, and pre-warm its private in-memory cache from ``cache_dir``.
+    """Pool initializer: build the manager eagerly and pre-warm its
+    private in-memory cache from ``cache_dir``.
 
     Without the pre-warm, every forked worker started cold: duplicate
     inputs whose artifacts a previous run had already spilled were
     re-fetched from disk per lookup — or, before the disk check,
-    re-parsed outright.  With the store attached, artifacts produced by
-    *sibling workers during this run* are discovered (and counted) too.
-    With a ``store_url``, lookups that miss locally read through to the
-    remote store node and spills publish back write-behind — the
-    cross-machine tier.
+    re-parsed outright.  With a ``store_url``, lookups that miss
+    locally read through to the remote store node and spills publish
+    back write-behind — the cross-machine tier — counting into the
+    pool's ``remote_counters``.
     """
-    global _WORKER_STORE, _WORKER_REMOTE, _WORKER_RUNTIME
-    _WORKER_RUNTIME = (cache_dir, measure_baseline)
-    _WORKER_STORE = (
-        SharedArtifactStore.attach(cache_dir, store_name)
-        if store_name and cache_dir
-        else None
-    )
+    global _WORKER_REMOTE, _WORKER_CACHE_DIR
+    _WORKER_CACHE_DIR = cache_dir
     if _WORKER_REMOTE is not None:
         _WORKER_REMOTE.close()
-    _WORKER_REMOTE = make_remote_client(store_url, _WORKER_STORE)
-    manager = worker_manager(cache_dir, measure_baseline=measure_baseline)
+    _WORKER_REMOTE = make_remote_client(store_url, remote_counters)
+    manager = worker_manager(cache_dir)
     # The manager may predate this run (thread runtime reusing the
     # process, or a second scheduler binding the same cache_dir):
-    # rebind it to *this* run's store so it never publishes into a
-    # closed shared-memory segment from an earlier pool.
-    manager.cache.store = _WORKER_STORE
+    # rebind it to *this* run's remote client.
     manager.cache.remote = _WORKER_REMOTE
-    manager.cache.measure_baseline = measure_baseline
     if cache_dir:
         manager.cache.prewarm()
 
 
 def _runtime_manager() -> PassManager:
-    cache_dir, measure_baseline = _WORKER_RUNTIME
-    return worker_manager(cache_dir, measure_baseline=measure_baseline)
+    return worker_manager(_WORKER_CACHE_DIR)
 
 
 def _warmup() -> int:
@@ -251,12 +233,11 @@ def open_pool(
     jobs: int,
     *,
     cache_dir: str | None = None,
-    store_name: str | None = None,
-    measure_baseline: bool = False,
     store_url: str | None = None,
+    remote_counters: "Any | None" = None,
     prespawn: bool = False,
 ) -> ProcessPoolExecutor:
-    """A worker pool wired to the shared runtime (store + pre-warm).
+    """A worker pool wired to the shared runtime (remote tier + pre-warm).
 
     ``prespawn`` forks every worker immediately (and surfaces sandbox
     failures as exceptions *now*).  Long-lived fronts like the serve
@@ -267,7 +248,7 @@ def open_pool(
     pool = ProcessPoolExecutor(
         max_workers=jobs,
         initializer=worker_init,
-        initargs=(cache_dir, store_name, measure_baseline, store_url),
+        initargs=(cache_dir, store_url, remote_counters),
     )
     if prespawn:
         try:
@@ -288,9 +269,8 @@ def dispatch_map(
     jobs: int = 1,
     label: Callable[[Any], str] | None = None,
     cache_dir: str | None = None,
-    store_name: str | None = None,
-    measure_baseline: bool = False,
     store_url: str | None = None,
+    remote_counters: "Any | None" = None,
     chunksize: int = 1,
 ) -> list[Any]:
     """Order-preserving map — the dispatch seam every driver shares.
@@ -330,9 +310,8 @@ def dispatch_map(
     with open_pool(
         min(jobs, len(items)),
         cache_dir=cache_dir,
-        store_name=store_name,
-        measure_baseline=measure_baseline,
         store_url=store_url,
+        remote_counters=remote_counters,
     ) as pool:
         results = []
         result_iter = pool.map(fn, items, chunksize=max(1, chunksize))
@@ -575,8 +554,7 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
         # No artifact_store block here: the worker runtime is long-lived
         # and its cumulative cache counters would make the same
         # content-addressed spec return different payloads depending on
-        # how warm the server is.  Store traffic is served by the
-        # scheduler's /stats endpoint instead; the CLI's one-shot suite
-        # run (fresh manager per invocation) does attach its stats.
+        # how warm the server is.  The CLI's one-shot suite run (fresh
+        # manager per invocation) does attach its stats.
         return sweep_to_dict(sweep)
     raise TypeError(f"unknown job spec {type(spec).__name__}")

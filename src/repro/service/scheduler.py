@@ -10,10 +10,9 @@ runtime.  Two properties matter:
   the package version).  Submitting a spec that is already queued,
   running, or finished coalesces onto the existing job: eight clients
   submitting the same nine-benchmark corpus cost one evaluation.
-* **Shared artifact store.**  With a cache directory, the scheduler
-  opens one :class:`~repro.pipeline.store.SharedArtifactStore` for its
-  lifetime and every worker executes against it, so even *distinct*
-  jobs share parse/analysis artifacts for identical inputs.
+* **Shared artifact cache.**  With a cache directory, every worker
+  executes against the same spill directory, so even *distinct* jobs
+  share parse/analysis artifacts for identical inputs.
 
 Execution is supervised: process workers run under
 :class:`~repro.service.supervisor.SupervisedPool` (crash detection,
@@ -32,8 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..pipeline.remote import remote_view
-from ..pipeline.store import GC_ROW, SharedArtifactStore
+from ..pipeline.remote import RemoteCounters
 from .core import JobSpec, execute_job, spec_to_dict, worker_init
 from .metrics import MetricsRegistry
 from .supervisor import (
@@ -246,10 +244,9 @@ class JobScheduler:
         self._job_latency = None
         if metrics is not None:
             self.bind_metrics(metrics)
-        self._store: SharedArtifactStore | None = (
-            SharedArtifactStore.create(cache_dir)
-            if cache_dir is not None
-            else None
+        #: Pool-wide remote-tier counters every worker's client adds to.
+        self._remote_counters: RemoteCounters | None = (
+            RemoteCounters() if store_url else None
         )
         self._executor = self._make_executor(max(1, workers), use_processes)
         self._closed = False
@@ -265,28 +262,21 @@ class JobScheduler:
                 pool = SupervisedPool(
                     workers,
                     cache_dir=self.cache_dir,
-                    store_name=self._store.name
-                    if self._store is not None
-                    else None,
                     job_retries=self.job_retries,
                     retry_backoff=self.retry_backoff,
                     max_restarts=self.max_worker_restarts,
                     cancel_grace=self.cancel_grace,
                     fault_plan=self.fault_plan,
-                    store=self._store,
                     store_url=self.store_url,
+                    remote_counters=self._remote_counters,
                 )
                 self.executor_kind = "supervised"
                 return pool
             except Exception:  # noqa: BLE001 - sandboxes block process
                 pass  # creation in assorted ways: fall through to threads
-        # The thread runtime executes the very same entry points; it
-        # must still see the store, so initialize this process too.
-        worker_init(
-            self.cache_dir,
-            self._store.name if self._store is not None else None,
-            store_url=self.store_url,
-        )
+        # The thread runtime executes the very same entry points, so
+        # initialize this process as a worker too.
+        worker_init(self.cache_dir, self.store_url, self._remote_counters)
         self.executor_kind = "thread"
         return ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="ompdart-job"
@@ -405,12 +395,9 @@ class JobScheduler:
         )
 
     def _remote_stat(self, name: str) -> int:
-        if self._store is not None:
-            view = remote_view(self._store.stats().internal)
-            if view is not None:
-                return int(view.get(name, 0))
-        view = self._local_remote_health()
-        return int(view.get(name, 0)) if view is not None else 0
+        if self._remote_counters is None:
+            return 0
+        return self._remote_counters.snapshot()[name]
 
     def _pool_stat(self, name: str) -> int:
         pool = getattr(self, "_executor", None)
@@ -708,69 +695,23 @@ class JobScheduler:
         }
         if isinstance(self._executor, SupervisedPool):
             out["supervisor"] = self._executor.stats()
-        if self._store is not None:
-            snapshot = self._store.stats()
-            out["store"] = snapshot.as_dict()
-            out["store_health"] = self._store.health()
-            gc_row = snapshot.internal.get(GC_ROW)
-            out["store_gc"] = {
-                "slots_evicted": gc_row.hits if gc_row is not None else 0,
-            }
-            remote = remote_view(snapshot.internal)
-            if remote is None and self.store_url:
-                remote = self._local_remote_health()
-            if remote is not None:
-                out["remote"] = remote
-        elif self.store_url:
-            local = self._local_remote_health()
-            if local is not None:
-                out["remote"] = local
+        if self._remote_counters is not None:
+            out["remote"] = self._remote_counters.snapshot()
         reasons = self.degraded_reasons()
         if reasons:
             out["degraded_reasons"] = reasons
         return out
-
-    def _local_remote_health(self) -> dict[str, Any] | None:
-        """This process's remote-client counters (thread runtime only).
-
-        On the supervised runtime each worker process owns its client
-        and aggregation rides the SHM rows instead; the parent's
-        ``_WORKER_REMOTE`` is then None and this returns None.
-        """
-        from . import core as core_module
-
-        client = core_module._WORKER_REMOTE
-        if client is None:
-            return None
-        health = client.health()
-        return {
-            "hits": health.get("hit", 0),
-            "misses": health.get("miss", 0),
-            "puts": health.get("put", 0),
-            "errors": health.get("error", 0),
-            "breaker_opens": health.get("breaker_opens", 0),
-            "breaker_closes": health.get("breaker_closes", 0),
-            "publish_shed": health.get("publish_shed", 0),
-            "publish_errors": health.get("publish_error", 0),
-            "degraded": health.get("degraded", 0),
-        }
 
     def remote_breaker_open(self) -> bool:
         """Is the remote-store circuit breaker open pool-wide?
 
         "Currently open" is derived from the monotonic open/close
         counters (opens > closes): worker processes cannot share a
-        state enum, but every transition bumps a SHM counter.
+        state enum, but every transition bumps a shared counter.
         """
-        if not self.store_url:
+        if self._remote_counters is None:
             return False
-        view: dict[str, Any] | None = None
-        if self._store is not None:
-            view = remote_view(self._store.stats().internal)
-        if view is None:
-            view = self._local_remote_health()
-        if view is None:
-            return False
+        view = self._remote_counters.snapshot()
         return view["breaker_opens"] > view["breaker_closes"]
 
     def degraded_reasons(self) -> list[str]:
@@ -796,7 +737,7 @@ class JobScheduler:
     # -- lifecycle -------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Cancel nothing, wait for nothing: drop executors and store.
+        """Cancel nothing, wait for nothing: drop the executor.
 
         Pending futures raise for their awaiters via executor shutdown
         semantics; the HTTP front closes the scheduler only after the
@@ -809,8 +750,6 @@ class JobScheduler:
         await asyncio.get_running_loop().run_in_executor(
             None, lambda: executor.shutdown(wait=False, cancel_futures=True)
         )
-        if self._store is not None:
-            self._store.close()
 
     async def __aenter__(self) -> "JobScheduler":
         return self

@@ -33,7 +33,7 @@ Routes:
 * ``GET  /healthz``      — liveness probe; reports ``degraded`` (with
   reasons: spent restart budget, open store/peer breakers) while still
   answering 200 — degraded is not down.
-* ``GET  /stats``        — scheduler + store + HTTP counters.
+* ``GET  /stats``        — scheduler + remote-tier + HTTP counters.
 * ``GET  /metrics``      — Prometheus text exposition.
 * ``GET  /jobs``         — all retained jobs, submission order.
 * ``POST /jobs``         — submit a job spec; answers immediately with
@@ -52,8 +52,8 @@ Routes:
 * ``GET  /artifacts/<key>``  — content-addressed spill container bytes
   from this node's cache directory (the remote store tier's read side).
 * ``PUT  /artifacts/<key>``  — land one spill container (validated
-  magic, atomic rename) and publish it to the node's SHM index.
-* ``GET  /artifacts/stats``  — spill census + store counters.
+  magic, atomic rename) in this node's cache directory.
+* ``GET  /artifacts/stats``  — spill census of the cache directory.
 
 When the supervised pool's restart budget is spent and no workers
 remain, new submissions answer ``503 Service Unavailable`` — the HTTP
@@ -740,24 +740,14 @@ class JobServer:
         if not stored:
             self._artifact_ops.inc(op="put", outcome="error")
             raise _HttpError(500, f"could not store artifact {key!r}")
-        # Publish into the SHM index so this node's own workers (and
-        # its stats) see the artifact without a disk probe.
-        store = self.scheduler._store
-        if store is not None and "-" in key:
-            pass_name, skey = key.rsplit("-", 1)
-            store.publish(pass_name, skey, len(body))
         self._artifact_ops.inc(op="put", outcome="stored")
         return _Response(201, b'{"stored":true}')
 
     async def _artifact_stats(self) -> dict[str, Any]:
         directory = self._artifact_dir()
-        payload: dict[str, Any] = await asyncio.get_running_loop(
-        ).run_in_executor(None, lambda: dict(spill_stats(directory)))
-        store = self.scheduler._store
-        if store is not None:
-            payload["store"] = store.stats().as_dict()
-            payload["store_health"] = store.health()
-        return payload
+        return await asyncio.get_running_loop().run_in_executor(
+            None, spill_stats, directory
+        )
 
     def _degraded_reasons(self) -> list[str]:
         reasons = list(self.scheduler.degraded_reasons())

@@ -42,6 +42,7 @@ from concurrent.futures import Future, InvalidStateError
 from multiprocessing.connection import wait as _mp_wait
 from typing import Any
 
+from ..pipeline.store import sweep_dead_tmp
 from . import faults as faults_module
 from .core import JobSpec, describe_exception, execute_job, worker_init
 
@@ -83,10 +84,9 @@ def _worker_main(
     conn,
     parent_conn,
     cache_dir: str | None,
-    store_name: str | None,
-    measure_baseline: bool,
     fault_plan,
-    store_url: str | None = None,
+    store_url: str | None,
+    remote_counters,
 ) -> None:
     """Worker loop: recv a spec, execute, reply; SIGINT = cancel.
 
@@ -107,7 +107,7 @@ def _worker_main(
         # worker_init builds the remote client (whose prewarm-adjacent
         # traffic the chaos plans target).
         faults_module.install(fault_plan)
-        worker_init(cache_dir, store_name, measure_baseline, store_url)
+        worker_init(cache_dir, store_url, remote_counters)
     except BaseException as exc:  # noqa: BLE001 - reported to supervisor
         try:
             conn.send(("init-fail", os.getpid(), describe_exception(exc)))
@@ -226,26 +226,24 @@ class SupervisedPool:
         workers: int,
         *,
         cache_dir: str | None = None,
-        store_name: str | None = None,
-        measure_baseline: bool = False,
         job_retries: int = 1,
         retry_backoff: float = 0.05,
         max_restarts: int = 16,
         cancel_grace: float = 2.0,
         fault_plan=None,
-        store=None,
         store_url: str | None = None,
+        remote_counters=None,
     ):
         self.cache_dir = cache_dir
-        self.store_name = store_name
         self.store_url = store_url
-        self.measure_baseline = measure_baseline
+        #: Pool-wide remote-tier counters the workers inherit (see
+        #: :class:`~repro.pipeline.remote.RemoteCounters`).
+        self.remote_counters = remote_counters
         self.job_retries = max(0, job_retries)
         self.retry_backoff = max(0.0, retry_backoff)
         self.max_restarts = max(0, max_restarts)
         self.cancel_grace = max(0.0, cancel_grace)
         self.fault_plan = fault_plan
-        self._store = store
         self._max_workers = max(1, workers)
         try:
             self._ctx = multiprocessing.get_context("fork")
@@ -563,13 +561,10 @@ class SupervisedPool:
                         2 ** (job.attempts - 1)
                     )
                     self._pending.append(job)
-        if self._store is not None:
-            # A dead writer may have left pid-stamped slots and orphan
-            # spill tmp files behind; reclaim before the retry runs.
-            try:
-                self._store.reclaim_dead()
-            except Exception:  # noqa: BLE001 - reclamation is best-effort
-                pass
+        if self.cache_dir is not None:
+            # A writer killed mid-spill leaves its tmp file behind;
+            # sweep it before the retry runs.
+            sweep_dead_tmp(self.cache_dir)
         if self._stop:
             return
         if not cancel_kill:
@@ -614,8 +609,8 @@ class SupervisedPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
-                child_conn, parent_conn, self.cache_dir, self.store_name,
-                self.measure_baseline, self.fault_plan, self.store_url,
+                child_conn, parent_conn, self.cache_dir, self.fault_plan,
+                self.store_url, self.remote_counters,
             ),
             daemon=True,
         )

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from ..core.tool import OMPDart, ToolOptions, TransformResult
 from ..pipeline.cache import ArtifactCache
 from ..pipeline.manager import PassManager
-from ..pipeline.store import SharedArtifactStore
 from ..service.core import dispatch_map
 from ..runtime.costmodel import CostModel
 from ..runtime.interp import SimulationResult, run_simulation
@@ -376,7 +375,7 @@ def _serial_runtime(
     if store_url and cache_dir:
         from ..service.core import make_remote_client
 
-        remote = make_remote_client(store_url, None)
+        remote = make_remote_client(store_url)
         cache.remote = remote
     return PassManager(cache=cache), remote
 
@@ -387,21 +386,6 @@ def _close_serial_runtime(remote: "object | None") -> None:
         remote.close()
 
 
-def _dispatch_suite(fn, payload, *, jobs, label, cache_dir, store_url):
-    """Suite fan-out with the shared-store + remote tier attached."""
-    store = (
-        SharedArtifactStore.create(cache_dir) if cache_dir else None
-    )
-    try:
-        return dispatch_map(
-            fn, payload, jobs=jobs, label=label,
-            cache_dir=cache_dir,
-            store_name=store.name if store is not None else None,
-            store_url=store_url,
-        )
-    finally:
-        if store is not None:
-            store.close()
 
 
 def run_all(
@@ -472,7 +456,7 @@ def run_all(
             "use jobs=1 to share one pass manager"
         )
     machine = cost_model if cost_model is not None else resolve_platform(platform)
-    runs = _dispatch_suite(
+    runs = dispatch_map(
         _benchmark_job,
         [(name, machine, verify, vectorize) for name in names],
         jobs=jobs,
@@ -632,7 +616,7 @@ def run_sweep(
             "a shared manager cannot cross worker processes; "
             "use jobs=1 to share one pass manager"
         )
-    per_bench = _dispatch_suite(
+    per_bench = dispatch_map(
         _sweep_job,
         [(name, tuple(resolved), verify, vectorize) for name in names],
         jobs=jobs,

@@ -1,5 +1,5 @@
 """Typed per-pass artifact schemas: compact spills, versioned keys,
-legacy readability, and cache-directory migration."""
+and the retired whole-object spill format staying unread."""
 
 import pickle
 import zlib
@@ -10,6 +10,7 @@ from repro.pipeline import artifacts as AR
 from repro.pipeline.cache import MISS, ArtifactCache
 from repro.pipeline.context import ToolOptions
 from repro.pipeline.manager import PassManager
+from repro.pipeline.store import gc_spills
 
 SRC = """
 int a[64];
@@ -54,14 +55,17 @@ class TestSchemas:
 
     def test_analysis_payloads_drop_the_embedded_tu(self, ctx):
         """effects/cfg/plan no longer spill a whole AST copy each."""
+
+        def whole_object_size(artifact):
+            return len(zlib.compress(pickle.dumps(artifact, protocol=5), 6))
+
         for name in ("effects", "cfg", "plan"):
             compact = len(AR.encode_spill(name, ctx.artifacts[name]))
-            legacy = AR.legacy_size(ctx.artifacts[name])
-            assert compact < legacy, name
+            assert compact < whole_object_size(ctx.artifacts[name]), name
         # effects is almost pure reference payload: a small fraction.
         assert len(
             AR.encode_spill("effects", ctx.artifacts["effects"])
-        ) < AR.legacy_size(ctx.artifacts["effects"]) / 3
+        ) < whole_object_size(ctx.artifacts["effects"]) / 3
 
     def test_decoded_refs_share_node_identity_with_parse(self, ctx):
         parse2 = AR.decode_spill(
@@ -146,75 +150,34 @@ class TestVersionedKeys:
         assert cache.get("rewrite", "k") is MISS
 
 
-def _write_legacy_spills(manager, cache_dir, source, filename):
-    """Spill one input's artifacts exactly as the PR 3 format did."""
-    ctx = manager.run(source, filename)
-    key = manager.input_key(source, filename, ToolOptions())
-    for name, artifact in ctx.artifacts.items():
-        raw = zlib.compress(pickle.dumps(artifact, protocol=5), 6)
-        (cache_dir / f"{name}-{key}.pkl").write_bytes(raw)
-    return key, ctx
+class TestRetiredSpillFormat:
+    """Whole-object pickles (``.pkl`` files, or such a payload under an
+    ``.art`` name) are garbage: never decoded, swept by ``store gc``."""
 
-
-class TestLegacyAndMigration:
-    def test_legacy_whole_object_spills_still_load(self, tmp_path):
+    def test_pkl_spills_are_never_read(self, tmp_path):
         manager = PassManager()
-        key, ctx = _write_legacy_spills(manager, tmp_path, SRC, "t.c")
+        ctx = manager.run(SRC, "t.c")
+        key = manager.input_key(SRC, "t.c", ToolOptions())
+        for name, artifact in ctx.artifacts.items():
+            raw = zlib.compress(pickle.dumps(artifact, protocol=5), 6)
+            (tmp_path / f"{name}-{key}.pkl").write_bytes(raw)
         cold = ArtifactCache(disk_dir=tmp_path)
-        assert cold.get("rewrite", key) == ctx.artifacts["rewrite"]
-        # Even analysis artifacts load (self-contained legacy pickles).
-        effects = cold.get("effects", key)
-        assert effects is not MISS
-        assert effects.summaries.keys() == ctx.artifacts["effects"].summaries.keys()
+        assert cold.prewarm() == 0
+        assert cold.get("rewrite", key) is MISS
+        assert cold.disk_usage() == 0
+        report = gc_spills(tmp_path)
+        assert report.quarantine_swept == len(ctx.artifacts)
+        assert not list(tmp_path.iterdir())
 
-    def test_legacy_plain_pickle_spills_still_load(self, tmp_path):
+    def test_whole_object_payload_is_a_quarantined_miss(self, tmp_path):
         cache = ArtifactCache(disk_dir=tmp_path)
-        path = cache._disk_path("parse", "old")
-        with open(path, "wb") as fh:
-            pickle.dump({"legacy": True}, fh)
-        assert cache.get("parse", "old") == {"legacy": True}
-
-    def test_migrate_rewrites_legacy_spills_compact(self, tmp_path):
-        manager = PassManager()
-        key, ctx = _write_legacy_spills(manager, tmp_path, SRC, "t.c")
-        before = sum(p.stat().st_size for p in tmp_path.glob("*.pkl"))
-        report = AR.migrate_spills(tmp_path)
-        assert report.migrated == len(ctx.artifacts)
-        assert report.failed == 0
-        assert report.bytes_before == before
-        assert report.bytes_saved > 0
-        assert "saved" in report.render()
-        assert not list(tmp_path.glob("*.pkl"))
-        assert len(list(tmp_path.glob("*.art"))) == report.migrated
-        # A pipeline over the migrated directory answers from cache.
-        fresh = PassManager(cache=ArtifactCache(disk_dir=tmp_path))
-        ctx2 = fresh.run(SRC, "t.c")
-        assert set(ctx2.cache_events.values()) == {"hit"}
-        assert ctx2.artifact("rewrite") == ctx.artifacts["rewrite"]
-
-    def test_migrate_skips_compact_and_counts_unreadable(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.put("rewrite", "k", "already compact")
-        (tmp_path / "parse-broken.pkl").write_bytes(b"not a pickle")
-        report = AR.migrate_spills(tmp_path)
-        assert report.migrated == 0
-        assert report.failed == 1
-
-    def test_batch_cli_migrate(self, tmp_path, capsys):
-        from repro.cli import main
-
-        manager = PassManager()
-        _write_legacy_spills(manager, tmp_path, SRC, "t.c")
-        assert main(["batch", "--cache-dir", str(tmp_path), "--migrate"]) == 0
-        out = capsys.readouterr().out
-        assert "migrated" in out and "saved" in out
-        assert not list(tmp_path.glob("*.pkl"))
-
-    def test_batch_cli_migrate_requires_cache_dir(self, capsys):
-        from repro.cli import main
-
-        assert main(["batch", "--migrate"]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
+        cache.put("rewrite", "k", "compact")
+        (spill,) = tmp_path.glob("*.art")
+        spill.write_bytes(zlib.compress(pickle.dumps("whole", protocol=5)))
+        fresh = ArtifactCache(disk_dir=tmp_path)
+        assert fresh.get("rewrite", "k") is MISS
+        assert fresh.stats["rewrite"].corrupt_spills == 1
+        assert list(tmp_path.glob("*.art.bad"))
 
 
 class TestPrewarmCompact:

@@ -1,17 +1,16 @@
 """Fault tolerance: deterministic fault plans, the supervised pool's
-crash/retry/poison/cancel machinery, crash-safe store recovery, the
+crash/retry/poison/cancel machinery, the dead-writer spill sweep, the
 corrupt-spill quarantine, and the chaos harness's zero-divergence
 contract."""
 
 import asyncio
 import os
-import struct
 import time
 
 import pytest
 
 from repro.pipeline.cache import MISS, ArtifactCache
-from repro.pipeline.store import _SLOT, SharedArtifactStore
+from repro.pipeline.store import sweep_dead_tmp
 from repro.service.core import PingJobSpec, TransformJobSpec
 from repro.service.faults import (
     CORRUPT_SPILL,
@@ -440,125 +439,33 @@ class TestServerFaultRoutes:
 
 
 class TestStoreCrashSafety:
-    @pytest.fixture
-    def store(self, tmp_path):
-        store = SharedArtifactStore.create(tmp_path)
-        if store is None:
-            pytest.skip("shared memory unavailable on this host")
-        yield store
-        store.close()
-
-    def test_stale_lock_from_dead_holder_is_rotated(self, store):
-        """Regression: a lockfile flocked by a leaked descriptor and
-        stamped with a dead pid must not wedge the store forever."""
-        import fcntl
-
-        fd = os.open(store._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            dead = _dead_pid()
-            os.ftruncate(fd, 0)
-            os.pwrite(fd, f"{dead}\n".encode(), 0)
-            store.lock_timeout = 0.2
-            start = time.monotonic()
-            store.publish("parse", "k1", 10)  # must not hang
-            assert time.monotonic() - start < 5.0
-            assert store.lock_rotations == 1
-            assert store.lookup("parse", "k1") == (True, False)
-        finally:
-            os.close(fd)
-
-    def test_two_contenders_rotate_a_dead_lock_exactly_once(
-        self, store, tmp_path
-    ):
-        """Race: two attached handles both time out on the same dead
-        holder's lock.  Exactly one may rotate the lockfile — a double
-        rotation would let both win and tear the index."""
-        import fcntl
-        import threading
-
-        fd = os.open(store._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-        handles = []
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            dead = _dead_pid()
-            os.ftruncate(fd, 0)
-            os.pwrite(fd, f"{dead}\n".encode(), 0)
-            for _ in range(2):
-                handle = SharedArtifactStore.attach(tmp_path, store.name)
-                assert handle is not None
-                handle.lock_timeout = 0.2
-                handles.append(handle)
-            barrier = threading.Barrier(2)
-            errors = []
-
-            def contend(handle, key):
-                try:
-                    barrier.wait(timeout=5)
-                    handle.publish("parse", key, 10)
-                except Exception as exc:  # noqa: BLE001 - report to main
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=contend, args=(handle, f"k{i}"))
-                for i, handle in enumerate(handles)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not errors
-            rotations = sum(handle.lock_rotations for handle in handles)
-            assert rotations == 1
-            # Both publishes landed: nobody's write was torn away.
-            assert store.lookup("parse", "k0") == (True, False)
-            assert store.lookup("parse", "k1") == (True, False)
-        finally:
-            os.close(fd)
-            for handle in handles:
-                handle.close()
-
-    def test_lock_held_by_live_process_raises_bounded(self, store):
-        import fcntl
-
-        fd = os.open(store._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            # Stamp a live pid (our own): rotation must NOT kick in.
-            os.pwrite(fd, f"{os.getpid()}\n".encode(), 0)
-            store.lock_timeout = 0.2
-            with pytest.raises(OSError, match="held past"):
-                store._acquire_lock()
-            assert store.lock_timeouts == 1
-            assert store.lock_rotations == 0
-            # Fail-soft callers shrug it off.
-            store.publish("parse", "k1", 10)
-            assert store.health()["lock_timeouts"] >= 2
-        finally:
-            os.close(fd)
-
-    def test_reclaim_dead_zeroes_slots_and_sweeps_tmp(self, store, tmp_path):
+    def test_sweep_removes_only_dead_writers_tmp(self, tmp_path):
         dead = _dead_pid()
-        # A torn index slot left by a dead writer.
-        _SLOT.pack_into(
-            store._shm.buf, store._slot_offset(0), b"\x01" * 16, dead, 1
-        )
-        # An orphaned half-written spill, and a live writer's tmp that
-        # must survive the sweep.
-        (tmp_path / f"parse-abc.{dead}-123.tmp").write_bytes(b"torn")
+        orphan = tmp_path / f"parse-abc.{dead}-123.tmp"
+        orphan.write_bytes(b"torn")
         live = tmp_path / f"parse-def.{os.getpid()}-123.tmp"
         live.write_bytes(b"in progress")
-        out = store.reclaim_dead()
-        assert out["slots"] == 1
-        assert out["tmp_files"] == 1
-        assert live.exists()
-        raw, pid, _gen = struct.unpack_from(
-            "<16sII", store._shm.buf, store._slot_offset(0)
-        )
-        assert pid == 0 and raw == b"\x00" * 16
-        health = store.health()
-        assert health["slots_reclaimed"] == 1
-        assert health["tmp_files_reclaimed"] == 1
+        assert sweep_dead_tmp(tmp_path) == 1
+        assert not orphan.exists() and live.exists()
+
+    def test_worker_kill_sweeps_its_tmp_spill(self, tmp_path):
+        """A worker killed mid-spill leaves ``{pass}-{key}.{pid}-{tid}
+        .tmp`` behind; the supervisor's death hook removes it."""
+        pool = _pool(1, cache_dir=str(tmp_path))
+        try:
+            victim = pool._workers[0].proc.pid
+            orphan = tmp_path / f"parse-abc.{victim}-1.tmp"
+            orphan.write_bytes(b"torn")
+            os.kill(victim, 9)
+            deadline = time.monotonic() + 10
+            while orphan.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not orphan.exists()
+            # The respawned worker still serves jobs.
+            job = pool.submit_spec(PingJobSpec(token="after-kill"))
+            assert job.future.result(timeout=30)["pong"] is True
+        finally:
+            pool.shutdown()
 
 
 class TestCacheQuarantine:

@@ -3,6 +3,7 @@ server's /artifacts routes, tiered read-through/write-behind caching,
 and the degraded-health surfaces."""
 
 import asyncio
+import os
 import threading
 
 import pytest
@@ -10,16 +11,13 @@ import pytest
 import repro.pipeline.remote as remote_module
 from repro.pipeline.cache import MISS, ORIGIN_REMOTE, ArtifactCache
 from repro.pipeline.remote import (
-    EVENT_ROWS,
-    REMOTE_PUB_ROW,
-    REMOTE_ROW,
+    EVENTS,
     CircuitBreaker,
+    RemoteCounters,
     RemoteStoreClient,
     RemoteStoreConfig,
     _jitter,
-    remote_view,
 )
-from repro.pipeline.store import StorePassStats
 
 #: A localhost port nothing listens on (reserved, never assigned).
 DEAD_URL = "http://127.0.0.1:1"
@@ -115,13 +113,13 @@ class TestRetryMachinery:
             for _ in range(FAST.breaker_threshold):
                 assert client.fetch("parse-k") is None
             # Every attempt (1 + retries) hit the dead port.
-            assert client.counters["error"] == 3 * (1 + FAST.retries)
+            assert client.counters["errors"] == 3 * (1 + FAST.retries)
             assert client.breaker.state == CircuitBreaker.OPEN
-            assert client.counters["breaker_open"] == 1
+            assert client.counters["breaker_opens"] == 1
             # While open: no network, counted as degraded.
             assert client.fetch("parse-k") is None
             assert client.counters["degraded"] == 1
-            assert client.counters["error"] == 3 * (1 + FAST.retries)
+            assert client.counters["errors"] == 3 * (1 + FAST.retries)
             # One backoff sleep per failed first attempt.
             assert len(sleeps) == 3 * FAST.retries
         finally:
@@ -133,8 +131,8 @@ class TestRetryMachinery:
         )
         try:
             assert client.push("parse-k", b"payload") is False
-            assert client.counters["put"] == 0
-            assert client.counters["error"] > 0
+            assert client.counters["puts"] == 0
+            assert client.counters["errors"] > 0
         finally:
             client.close()
 
@@ -177,24 +175,45 @@ class TestRetryMachinery:
             client.close()
 
 
-class TestRemoteView:
-    def test_absent_rows_mean_no_remote_tier(self):
-        assert remote_view({}) is None
-        assert remote_view({"__store_gc__": StorePassStats()}) is None
+class TestRemoteCounters:
+    def test_client_events_land_in_the_pool_array(self):
+        counters = RemoteCounters()
+        client = RemoteStoreClient(
+            DEAD_URL, config=FAST, sleep=lambda s: None,
+            on_event=counters.add,
+        )
+        try:
+            assert client.fetch("parse-k") is None
+        finally:
+            client.close()
+        # The pool-wide array and the client's own view share one shape.
+        assert counters.snapshot() == client.counters
+        assert counters.snapshot()["errors"] == 1 + FAST.retries
+        assert set(counters.snapshot()) == set(EVENTS)
 
-    def test_field_mapping_matches_event_rows(self):
-        view = remote_view({
-            REMOTE_ROW: StorePassStats(1, 2, 3, 4, 5, 6),
-            REMOTE_PUB_ROW: StorePassStats(7, 8, 9, 0, 0, 0),
-        })
-        assert view == {
-            "hits": 1, "misses": 2, "puts": 3, "errors": 4,
-            "breaker_opens": 5, "breaker_closes": 6,
-            "publish_shed": 7, "publish_errors": 8, "degraded": 9,
-        }
-        # EVENT_ROWS indices and the view fields must stay in lockstep.
-        assert EVENT_ROWS["hit"] == (REMOTE_ROW, 0)
-        assert EVENT_ROWS["degraded"] == (REMOTE_PUB_ROW, 2)
+    def test_forked_workers_add_to_the_owner_array(self):
+        """More workers than cores, each adding many times: a lost
+        read-modify-write would leave the total short."""
+        import multiprocessing
+
+        counters = RemoteCounters()
+        ctx = multiprocessing.get_context("fork")
+        workers = (os.cpu_count() or 1) + 2
+        procs = [
+            ctx.Process(target=_add_many, args=(counters, 20000))
+            for _ in range(workers)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert not proc.is_alive() and proc.exitcode == 0
+        assert counters.snapshot()["hits"] == 20000 * workers
+
+
+def _add_many(counters, times):
+    for _ in range(times):
+        counters.add("hits")
 
 
 def _spill_payload(tmp_path, value=(1, 2, 3)):
@@ -318,7 +337,7 @@ class TestTieredCache:
         publisher.remote = client_a
         publisher.put("parse", "shared", [4, 5, 6])
         assert client_a.flush(timeout=5.0)
-        assert client_a.counters["put"] == 1
+        assert client_a.counters["puts"] == 1
         client_a.close()
 
         reader = ArtifactCache(disk_dir=tmp_path / "b")
@@ -328,7 +347,7 @@ class TestTieredCache:
             value, origin = reader.lookup("parse", "shared")
             assert value == [4, 5, 6]
             assert origin == ORIGIN_REMOTE
-            assert client_b.counters["hit"] == 1
+            assert client_b.counters["hits"] == 1
             assert list((tmp_path / "b").glob("parse-*.art"))
             # Second lookup is local: the payload landed as a spill.
             fresh = ArtifactCache(disk_dir=tmp_path / "b")
@@ -383,7 +402,7 @@ class TestTieredCache:
             assert cache.get("parse", "k") == [1]  # local tiers still work
             client.flush(timeout=5.0)
             health = client.health()
-            assert health["error"] > 0 or health["publish_error"] > 0
+            assert health["errors"] > 0 or health["publish_errors"] > 0
         finally:
             client.close()
 
@@ -435,3 +454,60 @@ class TestDegradedHealth:
         assert any(
             "circuit breaker" in r for r in stats["degraded_reasons"]
         )
+
+
+class TestPoolWideCounters:
+    SRC = (
+        "int b[8];\nint main() {\n"
+        "  #pragma omp target teams distribute parallel for\n"
+        "  for (int i = 0; i < 8; i++) b[i] = 2 * i;\n"
+        "  return 0;\n}\n"
+    )
+
+    def test_supervised_workers_aggregate_hits_and_breaker_opens(
+        self, tmp_path
+    ):
+        """Remote traffic of worker processes reaches the owner's /stats
+        through the pool's counter array."""
+        from repro.pipeline.batch import transform_batch
+        from repro.service.core import TransformJobSpec
+        from repro.service.server import JobServer
+
+        spec = TransformJobSpec(source=self.SRC, filename="b.c")
+
+        async def run():
+            node = JobServer(
+                _scheduler(cache_dir=str(tmp_path / "node")), port=0
+            )
+            host, port = await node.start()
+            url = f"http://{host}:{port}"
+            try:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, lambda: transform_batch(
+                        [(self.SRC, "b.c")],
+                        cache_dir=str(tmp_path / "pub"), store_url=url,
+                    ),
+                )
+                stats = []
+                for name, store_url in (("live", url), ("dead", DEAD_URL)):
+                    sched = _scheduler(
+                        workers=2, use_processes=True,
+                        cache_dir=str(tmp_path / name), store_url=store_url,
+                    )
+                    try:
+                        if sched.executor_kind != "supervised":
+                            pytest.skip("process workers unavailable")
+                        await sched.run(spec)
+                        stats.append(sched.stats())
+                    finally:
+                        await sched.aclose()
+                return stats
+            finally:
+                await node.aclose()
+
+        live, dead = asyncio.run(run())
+        assert live["remote"]["hits"] >= 1
+        assert live["remote"]["errors"] == 0
+        assert dead["remote"]["breaker_opens"] >= 1
+        assert dead["remote"]["errors"] >= 1
+        assert dead["remote"]["hits"] == 0

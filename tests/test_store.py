@@ -1,108 +1,14 @@
-"""Shared cross-process artifact store: SHM index, counters, and the
-batch driver's mid-run cross-worker sharing."""
+"""The cache directory as the artifact store: batch runs sharing it,
+the ``--report`` tier counts, and spill GC behind ``ompdart store``."""
 
 import os
-
-import pytest
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from repro.pipeline.cache import ArtifactCache
-from repro.pipeline.store import (
-    GC_ROW,
-    SharedArtifactStore,
-    gc_spills,
-    spill_stats,
-)
-
-
-@pytest.fixture
-def store(tmp_path):
-    store = SharedArtifactStore.create(tmp_path)
-    if store is None:
-        pytest.skip("shared memory unavailable on this host")
-    yield store
-    store.close()
-
-
-class TestStoreIndex:
-    def test_publish_then_lookup_same_process(self, store):
-        assert store.lookup("parse", "k1") == (False, False)
-        store.publish("parse", "k1", 100)
-        published, cross = store.lookup("parse", "k1")
-        assert published and not cross
-
-    def test_cross_worker_attribution(self, store, tmp_path):
-        sibling = SharedArtifactStore.attach(tmp_path, store.name)
-        assert sibling is not None
-        # Simulate a different worker process: distinct pid.
-        sibling._pid = store._pid + 1
-        store.publish("parse", "k1", 64)
-        published, cross = sibling.lookup("parse", "k1")
-        assert published and cross
-        stats = store.stats()
-        assert stats.passes["parse"].cross_worker_hits == 1
-        assert stats.passes["parse"].hits == 1
-        assert stats.passes["parse"].writes == 1
-        assert stats.cross_worker_hits == 1
-        sibling.close()
-
-    def test_counters_aggregate_bytes(self, store):
-        store.publish("plan", "a", 10, baseline=30)
-        store.publish("plan", "b", 5, baseline=12)
-        store.lookup("plan", "missing")
-        stats = store.stats().passes["plan"]
-        assert stats.bytes_written == 15
-        assert stats.baseline_bytes == 42
-        assert stats.misses == 1
-
-    def test_attach_bad_name_returns_none(self, tmp_path):
-        assert SharedArtifactStore.attach(tmp_path, "ompdart-nonexistent") is None
-
-    def test_close_is_idempotent(self, tmp_path):
-        store = SharedArtifactStore.create(tmp_path)
-        if store is None:
-            pytest.skip("shared memory unavailable on this host")
-        store.close()
-        store.close()
-
-
-class TestCacheStoreIntegration:
-    def test_put_publishes_and_get_attributes_cross_hits(
-        self, store, tmp_path
-    ):
-        writer = ArtifactCache(disk_dir=tmp_path, store=store)
-        writer.put("rewrite", "k", "artifact-body")
-
-        sibling_store = SharedArtifactStore.attach(tmp_path, store.name)
-        sibling_store._pid = store._pid + 1
-        reader = ArtifactCache(disk_dir=tmp_path, store=sibling_store)
-        value, origin = reader.lookup("rewrite", "k")
-        assert value == "artifact-body"
-        assert origin == "store"
-        assert store.stats().passes["rewrite"].cross_worker_hits == 1
-        # Second lookup answers from the reader's memory: no new hit.
-        value, origin = reader.lookup("rewrite", "k")
-        assert origin == "memory"
-        assert store.stats().passes["rewrite"].cross_worker_hits == 1
-        sibling_store.close()
-
-    def test_same_process_disk_hit_is_not_cross(self, store, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path, store=store)
-        cache.put("rewrite", "k", "x")
-        fresh = ArtifactCache(disk_dir=tmp_path, store=store)
-        value, origin = fresh.lookup("rewrite", "k")
-        assert value == "x"
-        assert origin == "disk"
-
-    def test_measure_baseline_feeds_store_counters(self, store, tmp_path):
-        cache = ArtifactCache(
-            disk_dir=tmp_path, store=store, measure_baseline=True
-        )
-        cache.put("rewrite", "k", "y" * 4000)
-        stats = store.stats().passes["rewrite"]
-        assert stats.bytes_written > 0
-        assert stats.baseline_bytes > 0
-        assert cache.stats["rewrite"].baseline_bytes_written == stats.baseline_bytes
-
+from repro.pipeline.store import gc_spills, spill_stats
 
 BENCH_SRC = """
 int data[128];
@@ -114,77 +20,81 @@ int main() {
 }
 """
 
+_POOL_RUN = textwrap.dedent(
+    """
+    import sys
+    from multiprocessing import resource_tracker
+    from repro.pipeline.batch import transform_batch
 
-class TestBatchCrossWorkerSharing:
-    def test_duplicate_inputs_hit_across_workers_mid_run(self, tmp_path):
-        """The acceptance path: -j 4 over a corpus with duplicates.
+    source = sys.stdin.read()
+    items = [(source % i, f"input_{i}.c") for i in range(4)]
+    outcomes = transform_batch(items, jobs=2, cache_dir=sys.argv[1])
+    assert all(o.ok for o in outcomes)
+    print(resource_tracker._resource_tracker._pid)
+    """
+)
 
-        Originals first, duplicates (same path => same content key)
-        last: by the time a duplicate is pulled, its original has been
-        computed — on a different worker with probability 3/4 per pair,
-        so across nine pairs at least one cross-worker store hit is
-        effectively certain.
-        """
-        from repro.pipeline.batch import BatchRunStats, transform_paths
 
-        cache_dir = tmp_path / "cache"
+def _shm_segments():
+    return set(Path("/dev/shm").glob("ompdart-*"))
+
+
+class TestBatchRunsShareTheCacheDir:
+    def test_pool_run_leaves_no_shared_memory_or_tracker(self, tmp_path):
+        """A ``-j 2 --cache-dir`` run needs no shared-memory segment, so
+        the parent never starts multiprocessing's resource tracker."""
+        before = _shm_segments()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOL_RUN, str(tmp_path / "cache")],
+            input=BENCH_SRC, capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "None"
+        assert _shm_segments() <= before
+        assert list((tmp_path / "cache").glob("*.art"))
+
+    def _inputs(self, tmp_path, count):
         paths = []
-        for i in range(9):
+        for i in range(count):
             p = tmp_path / f"input_{i}.c"
             p.write_text(BENCH_SRC % i)
             paths.append(str(p))
-        run_stats = BatchRunStats()
-        # dedup=False forces every copy through a worker: this test is
-        # about the *store* tier picking up mid-run duplicates, which
-        # submit-time pre-dedup would otherwise collapse first.
-        outcomes = transform_paths(
-            paths + paths,  # duplicates trail the originals
-            jobs=4,
-            cache_dir=str(cache_dir),
-            run_stats=run_stats,
-            dedup=False,
-        )
-        assert all(o.ok for o in outcomes)
-        # Deterministic halves: duplicate outcomes mirror the originals.
-        for original, duplicate in zip(outcomes[:9], outcomes[9:]):
-            assert duplicate.output_source == original.output_source
-        if run_stats.store is None:
-            pytest.skip("shared memory unavailable on this host")
-        assert run_stats.store.cross_worker_hits > 0
-        assert run_stats.store.bytes_written > 0
+        return paths
 
-    def test_batch_report_cli_prints_store_and_reduction(
-        self, tmp_path, capsys
-    ):
+    def test_report_counts_hits_by_tier_under_jobs(self, tmp_path, capsys):
         from repro.cli import main
 
-        cache_dir = tmp_path / "cache"
-        paths = []
-        for i in range(3):
-            p = tmp_path / f"input_{i}.c"
-            p.write_text(BENCH_SRC % i)
-            paths.append(str(p))
-        rc = main(
-            ["batch", *paths, *paths, "-j", "2",
-             "--cache-dir", str(cache_dir), "--report"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "store" in out
-        assert "cross-worker hit(s)" in out
-        assert "compact spills" in out and "legacy whole-object" in out
+        paths = self._inputs(tmp_path, 3)
+        argv = ["batch", *paths, *paths, "-j", "2",
+                "--cache-dir", str(tmp_path / "cache"), "--report"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        # Repeated paths ran once: 3 lookups per pass, all missing.
+        assert "  cache parse       0 hit(s) (memory 0, disk 0, remote 0) " \
+            "/ 3 miss(es)" in cold
+        assert main(argv) == 0
+        warm = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  cache ")
+        ]
+        assert len(warm) == 8  # one line per cached pass
+        for line in warm:
+            assert " 3 hit(s) " in line and line.endswith("/ 0 miss(es)")
 
-    def test_serial_report_quotes_reduction_from_cache(self, tmp_path, capsys):
+    def test_serial_report_reads_the_disk_tier(self, tmp_path, capsys):
         from repro.cli import main
 
-        p = tmp_path / "input.c"
-        p.write_text(BENCH_SRC % 1)
-        rc = main(
-            ["batch", str(p), "--cache-dir", str(tmp_path / "c"), "--report"]
-        )
-        assert rc == 0
+        (path,) = self._inputs(tmp_path, 1)
+        argv = ["batch", path, "--cache-dir", str(tmp_path / "c"), "--report"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "compact spills" in out and "% smaller" in out
+        assert "  cache rewrite     1 hit(s) (memory 0, disk 1, remote 0) " \
+            "/ 0 miss(es)" in out
+        assert "byte(s) in spill files" in out
 
 
 class TestSpillGC:
@@ -233,6 +143,9 @@ class TestSpillGC:
     def test_quarantine_and_dead_tmp_always_swept(self, tmp_path):
         bad = tmp_path / "parse-k.art.bad"
         bad.write_bytes(b"corrupt")
+        # A spill of the retired whole-object format is garbage too.
+        retired = tmp_path / "plan-k.pkl"
+        retired.write_bytes(b"whole-object pickle")
         # A dead writer's orphaned tmp, and our own in-progress one.
         dead_tmp = tmp_path / "parse-k.99999999-1.tmp"
         dead_tmp.write_bytes(b"torn")
@@ -240,9 +153,10 @@ class TestSpillGC:
         live_tmp.write_bytes(b"in progress")
         keeper = self._spill(tmp_path, "parse-keep.art", 10, 0)
         report = gc_spills(tmp_path)  # no bounds: sweep-only
-        assert report.quarantine_swept == 1
+        assert report.quarantine_swept == 2
         assert report.tmp_swept == 1
-        assert not bad.exists() and not dead_tmp.exists()
+        assert not bad.exists() and not retired.exists()
+        assert not dead_tmp.exists()
         assert live_tmp.exists() and keeper.exists()
         assert report.ttl_evicted == 0 and report.size_evicted == 0
 
@@ -258,32 +172,6 @@ class TestSpillGC:
         assert census["quarantined"] == 1
         assert census["by_pass"]["parse"] == {"files": 2, "bytes": 30}
         assert census["by_pass"]["plan"] == {"files": 1, "bytes": 5}
-
-
-class TestIndexEviction:
-    def test_full_probe_window_evicts_lru_instead_of_dropping(
-        self, tmp_path
-    ):
-        store = SharedArtifactStore.create(tmp_path, slots=4)
-        if store is None:
-            pytest.skip("shared memory unavailable on this host")
-        try:
-            for i in range(4):
-                store.publish("parse", f"k{i}", 10)
-            assert store.slots_evicted == 0
-            # Keep k1..k3 hot so k0 is the coldest entry.
-            for i in range(1, 4):
-                assert store.lookup("parse", f"k{i}") == (True, False)
-            store.publish("parse", "overflow", 10)
-            assert store.slots_evicted == 1
-            assert store.health()["slots_evicted"] == 1
-            internal = store.stats().internal
-            assert internal[GC_ROW].hits == 1  # field 0 = evictions
-            # The new publish is indexed; the cold entry gave its slot.
-            assert store.lookup("parse", "overflow") == (True, False)
-            assert store.lookup("parse", "k0") == (False, False)
-        finally:
-            store.close()
 
 
 class TestCacheGC:

@@ -8,6 +8,7 @@ import zlib
 
 import pytest
 
+from repro.pipeline.artifacts import spill_filename
 from repro.pipeline.cache import MISS, ArtifactCache
 from repro.report.diff import diff_payloads, render_diff
 from repro.report.perf import sweep_to_dict
@@ -211,16 +212,9 @@ class TestCompressedCache:
         assert other.get("parse", "k1") == artifact
         assert other.stats["parse"].disk_bytes_read == stat.disk_bytes_written
 
-    def test_legacy_uncompressed_spills_still_load(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        path = cache._disk_path("parse", "old")
-        with open(path, "wb") as fh:
-            pickle.dump({"legacy": True}, fh)
-        assert cache.get("parse", "old") == {"legacy": True}
-
     def test_corrupt_spill_is_a_miss(self, tmp_path):
         cache = ArtifactCache(disk_dir=tmp_path)
-        path = cache._disk_path("parse", "bad")
+        path = tmp_path / spill_filename("parse", "bad")
         path.write_bytes(zlib.compress(b"not a pickle"))
         assert cache.get("parse", "bad") is MISS
 

@@ -622,24 +622,71 @@ def test_max_steps_guard_trips_under_vectorized_execution():
             run_simulation(src, "<t>", max_steps=5, vectorize=vectorize)
 
 
-def test_max_steps_guard_charges_before_materializing_lanes():
-    """A runaway trip count must raise before allocating the index
-    vector — 2 billion lanes would be a 16 GB arange."""
-    src = """
-    double a[8];
+#: One kernel shape per lowering strategy; ``N`` is the runaway bound.
+_RUNAWAY_SHAPES = {
+    "codegen": """
+    double a[64];
     int main() {
       #pragma omp target teams distribute parallel for
-      for (long i = 0; i < 2000000000; i++) {
-        a[0 * i] = 1.0;
+      for (long i = 0; i < N; i++) {
+        a[i] = 1.0;
       }
       return 0;
     }
-    """
-    # The store subscript (0*i) is not injective in i, so this exact
-    # shape is statically ineligible; use an eligible one instead.
-    src = src.replace("a[0 * i]", "a[i]")
+    """,
+    "masked": """
+    double a[64];
+    int main() {
+      #pragma omp target teams distribute parallel for
+      for (long i = 0; i < N; i++) {
+        if (i % 2 == 0) {
+          a[i] = 1.0;
+        }
+      }
+      return 0;
+    }
+    """,
+    "collapse": """
+    double a[64];
+    int main() {
+      #pragma omp target teams distribute parallel for
+      for (long i = 0; i < N; i++) {
+        for (long j = 0; j < 4; j++) {
+          a[i * 4 + j] = 1.0;
+        }
+      }
+      return 0;
+    }
+    """,
+    "wavefront": """
+    double a[64];
+    int main() {
+      #pragma omp target
+      for (int t = 1; t < 3; t++) {
+        for (long i = 0; i < N; i++) {
+          a[i] = a[i] + t;
+        }
+      }
+      return 0;
+    }
+    """,
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(_RUNAWAY_SHAPES))
+def test_max_steps_guard_charges_before_materializing_lanes(strategy):
+    """A runaway trip count must raise before allocating the index
+    vector — 2 billion lanes would be a 16 GB arange — in every
+    lowering strategy."""
+    src = _RUNAWAY_SHAPES[strategy]
+    small = run_simulation(src.replace("N", "8"), "<t>", vectorize=True)
+    assert small.vector_strategy == strategy
+    assert small.vectorized_launches == 1
     with pytest.raises(SimulationError, match="exceeded"):
-        run_simulation(src, "<t>", max_steps=1_000_000, vectorize=True)
+        run_simulation(
+            src.replace("N", "2000000000"), "<t>",
+            max_steps=1_000_000, vectorize=True,
+        )
 
 
 def test_sequential_reduction_rounding_is_exact():
