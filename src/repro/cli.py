@@ -267,7 +267,7 @@ def build_batch_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir",
-        help="persist per-pass artifacts here (shared across workers/runs)",
+        help="persist pipeline artifacts here (shared across workers/runs)",
     )
     parser.add_argument(
         "--report",
@@ -348,7 +348,7 @@ def build_suite_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         help=(
-            "persist per-pass artifacts here (shared across "
+            "persist pipeline artifacts here (shared across "
             "workers/runs, like ompdart batch)"
         ),
     )
@@ -559,7 +559,7 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         help=(
-            "artifact cache directory (jobs then share per-pass "
+            "artifact cache directory (jobs then share pipeline "
             "artifacts across workers and runs)"
         ),
     )
@@ -847,7 +847,7 @@ def build_store_arg_parser() -> argparse.ArgumentParser:
         prog="ompdart store",
         description=(
             "Inspect and garbage-collect an artifact cache directory: "
-            "'stats' prints a per-pass spill census, 'gc' evicts "
+            "'stats' prints a spill census, 'gc' evicts "
             "spills least-recently-used-first to fit a size budget "
             "and/or TTL (quarantined .bad files and dead writers' "
             ".tmp orphans are always swept)."
@@ -899,14 +899,10 @@ def _run_store(argv: list[str]) -> int:
         census = spill_stats(args.cache_dir)
         print(
             f"ompdart store: {census['directory']}: {census['files']} "
-            f"spill(s), {census['bytes']} byte(s), "
+            f"spill(s) ({census['records']} current record(s)), "
+            f"{census['bytes']} byte(s), "
             f"{census['quarantined']} quarantined, {census['tmp']} tmp"
         )
-        for name, row in census.get("by_pass", {}).items():
-            print(
-                f"  {name:<11s} {row['files']:5d} file(s) "
-                f"{row['bytes']:10d} byte(s)"
-            )
         payload = census
     else:
         if args.max_bytes is None and args.max_age is None:

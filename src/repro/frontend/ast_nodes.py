@@ -30,9 +30,9 @@ class Node:
     traversal and ``walk_end`` is one past its last descendant, so a
     subtree is the contiguous slice ``preorder[walk_index:walk_end]``.
     ``walk()`` uses that slice when available — the per-analysis AST
-    re-walks (and the walk-index artifact decode) become list slicing
-    instead of repeated ``children()`` traversals.  Un-finalized trees
-    (hand-built test fixtures) fall back to the generic traversal.
+    re-walks become list slicing instead of repeated ``children()``
+    traversals.  Un-finalized trees (hand-built test fixtures) fall
+    back to the generic traversal.
     """
 
     __slots__ = ("range", "parent", "node_id", "walk_index", "walk_end")
@@ -83,20 +83,6 @@ class Node:
         if subtree is not None:
             return iter(subtree)
         return self._generic_walk()
-
-    def __setstate__(self, state):
-        # Tolerate pickles from revisions that predate the walk-index
-        # slots; the indices default to "unstamped" and the generic
-        # walk takes over.
-        dict_state, slots = state if isinstance(state, tuple) else (state, None)
-        self.walk_index = -1
-        self.walk_end = -1
-        if dict_state:
-            for name, value in dict_state.items():
-                setattr(self, name, value)
-        if slots:
-            for name, value in slots.items():
-                setattr(self, name, value)
 
     def walk_instances(self, *kinds: type) -> Iterator["Node"]:
         """Pre-order traversal filtered to instances of ``kinds``.
@@ -165,14 +151,13 @@ class Decl(Node):
 class TranslationUnit(Decl):
     """Root of the AST for one source file."""
 
-    __slots__ = ("decls", "filename", "_preorder", "_id_index")
+    __slots__ = ("decls", "filename", "_preorder")
 
     def __init__(self, decls: list[Decl], filename: str, range_: SourceRange):
         super().__init__(range_)
         self.decls = decls
         self.filename = filename
         self._preorder: list[Node] | None = None
-        self._id_index: dict[int, int] | None = None
 
     def children(self) -> list[Node]:
         return list(self.decls)
@@ -203,21 +188,12 @@ class TranslationUnit(Decl):
                 for child in reversed(node.children()):
                     stack.append((child, False))
             self._preorder = order
-            self._id_index = None
         return order
 
-    def preorder_index(self) -> dict[int, int]:
-        """``id(node) -> walk index`` over :meth:`preorder` (cached)."""
-        index = self._id_index
-        if index is None:
-            index = {id(n): i for i, n in enumerate(self.preorder())}
-            self._id_index = index
-        return index
-
     def __getstate__(self):
-        # The cached pre-order list/index are derived state: dropping
-        # them keeps parse spills lean and lets indices revalidate
-        # lazily after a pickle round trip.
+        # The cached pre-order list is derived state: dropping it keeps
+        # spills lean and lets indices revalidate lazily after a
+        # pickle round trip.
         state = {
             "range": self.range,
             "parent": self.parent,
@@ -232,7 +208,6 @@ class TranslationUnit(Decl):
     def __setstate__(self, state):
         _, slots = state
         self._preorder = None
-        self._id_index = None
         self.walk_index = -1
         self.walk_end = -1
         for name, value in slots.items():

@@ -131,6 +131,15 @@ class SourceLocation:
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
 
+    def __reduce__(self):
+        # A constructor call instead of the default slot-state dict:
+        # every token and AST node carries locations, so this is most
+        # of what a spill record holds.
+        return (
+            SourceLocation,
+            (self.offset, self.line, self.column, self.filename),
+        )
+
 
 #: Sentinel used for synthesized nodes that have no source position.
 UNKNOWN_LOCATION = SourceLocation(-1, 0, 0, "<unknown>")

@@ -132,3 +132,12 @@ class Token:
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r}@{self.location})"
+
+    def __reduce__(self):
+        # A constructor call per token instead of the default slot-state
+        # dict: smaller pickles that load faster.
+        return (
+            Token,
+            (self.kind, self.text, self.location, self.value,
+             self.expanded_from),
+        )

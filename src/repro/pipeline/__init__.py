@@ -17,7 +17,6 @@ per batch so the simulator frontend reuses the parse artifact instead
 of re-parsing every benchmark source.
 """
 
-from .artifacts import ArtifactSchema, schema_for  # noqa: F401
 from .cache import ArtifactCache, CacheStats, fingerprint  # noqa: F401
 from .context import PipelineContext, ToolOptions  # noqa: F401
 from .manager import PassManager  # noqa: F401
@@ -25,7 +24,6 @@ from .passes import DEFAULT_PASSES, Pass  # noqa: F401
 
 __all__ = [
     "ArtifactCache",
-    "ArtifactSchema",
     "BatchOutcome",
     "CacheStats",
     "DEFAULT_PASSES",
@@ -35,7 +33,6 @@ __all__ = [
     "PipelineContext",
     "ToolOptions",
     "fingerprint",
-    "schema_for",
     "transform_batch",
     "transform_paths",
 ]

@@ -1,26 +1,23 @@
-"""Per-pass artifact cache: content-hash keys, LRU memory, typed spills.
+"""Per-input artifact records: content-hash keys, LRU memory, one spill.
 
 Every pipeline pass is a deterministic function of ``(source, filename,
 options)``, so one fingerprint of those inputs keys every artifact the
-pass chain produces.  The cache keeps a bounded in-memory LRU (the hot
-path for repeated ``OMPDart.run`` calls and for the evaluation harness,
-which historically parsed every benchmark source twice) and can spill
-artifacts to a directory so separate worker processes of the batch
-driver share work across runs.
+pass chain produces.  The cache groups an input's artifacts into one
+**record** (:mod:`repro.pipeline.artifacts`), keeps a bounded
+in-memory LRU of records (the hot path for repeated ``OMPDart.run``
+calls and for the evaluation harness, which historically parsed every
+benchmark source twice) and can spill records to a directory so
+separate worker processes of the batch driver share work across runs.
 
-Disk spills use the **typed per-pass schemas** of
-:mod:`repro.pipeline.artifacts`: each pass's payload is encoded by its
-registered schema (analysis artifacts store AST references instead of
-AST copies), and each pass's schema *version* is folded into the
-storage key, so spills from an incompatible revision are never looked
-up — stale caches self-invalidate instead of unpickling to wrong
-shapes.
-
-Lookups walk three tiers — memory, then the disk spills, then an
-optional remote store node (:mod:`repro.pipeline.remote`) — and report
-which one served each hit.  Worker processes share artifacts through
-the disk tier: whatever one worker spills, its siblings and later runs
-read back.
+A pipeline run looks its input's record up once, on its first pass
+lookup: memory, then the directory's spill, then an optional remote
+store node (:mod:`repro.pipeline.remote`).  Every pass the record holds
+is a hit reported with the tier the record came from; the rest are
+built and :meth:`ArtifactCache.put` into the record.  The pass manager
+then :meth:`~ArtifactCache.commit`\\ s the record once, which spills it
+whole when the run added anything.  The record version is folded into
+the storage key, so records of an incompatible revision are never
+looked up.
 """
 
 from __future__ import annotations
@@ -34,8 +31,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from . import artifacts as artifact_schemas
-from .artifacts import ArtifactDecodeError
+from .artifacts import (
+    ArtifactDecodeError,
+    decode_record,
+    encode_record,
+    storage_key,
+)
 from .store import gc_spills
 
 _LOG = logging.getLogger(__name__)
@@ -55,7 +56,7 @@ ORIGIN_DISK = "disk"
 #: Served by a remote store node (cross-machine artifact hit).
 ORIGIN_REMOTE = "remote"
 
-#: Disk puts between opportunistic GC sweeps when a bound is set.
+#: Record spills between opportunistic GC sweeps when a bound is set.
 _GC_EVERY = 32
 
 
@@ -77,16 +78,13 @@ def fingerprint(*parts: Any) -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss and disk-byte counters for one pass name."""
+    """Hit/miss counters for one pass name."""
 
     hits: int = 0
     misses: int = 0
-    #: Compressed bytes read from disk spills on hits.
-    disk_bytes_read: int = 0
-    #: Compressed bytes written to disk spills on misses.
-    disk_bytes_written: int = 0
-    #: Spill files that failed to decode (truncated, corrupt, or from
-    #: an incompatible revision) and were quarantined as misses.
+    #: Lookups of this pass that found a record which failed to decode
+    #: (truncated, corrupt, or from an incompatible revision) and
+    #: quarantined it as a miss.
     corrupt_spills: int = 0
 
     @property
@@ -98,17 +96,33 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+class _Record:
+    """One input's artifacts plus where they came from."""
+
+    __slots__ = ("artifacts", "origin", "dirty")
+
+    def __init__(self, artifacts: dict[str, Any], origin: str):
+        self.artifacts = artifacts
+        #: Tier the record was loaded from; ``"memory"`` once the run
+        #: that loaded it has committed.
+        self.origin = origin
+        #: Holds artifacts its spill does not have yet.
+        self.dirty = False
+
+
 @dataclass
 class ArtifactCache:
-    """Bounded LRU of pipeline artifacts, optionally backed by a directory.
+    """Bounded LRU of per-input records, optionally backed by a directory.
 
-    Keys are ``(pass_name, input_fingerprint)``; on disk the pass's
-    schema version is folded into the fingerprint.  Thread-safe: the
-    serial batch path may be driven from multiple threads, and the
-    evaluation harness shares one cache across all nine benchmarks.
+    ``lookup``/``put`` address one artifact as ``(pass_name,
+    input_fingerprint)``; ``commit`` spills the input's whole record.
+    Thread-safe: the serial batch path may be driven from multiple
+    threads, and the evaluation harness shares one cache across all
+    nine benchmarks.
     """
 
-    max_entries: int = 256
+    #: Records (inputs) kept in memory.
+    max_entries: int = 32
     disk_dir: str | Path | None = None
     stats: dict[str, CacheStats] = field(default_factory=dict)
     #: Optional remote tier (:class:`~repro.pipeline.remote
@@ -119,14 +133,17 @@ class ArtifactCache:
     remote: Any = None
     #: Size/TTL bounds for the disk spill tier (None = unbounded, the
     #: historical behavior).  Enforced opportunistically every
-    #: ``_GC_EVERY`` disk puts via :func:`repro.pipeline.store.gc_spills`.
+    #: ``_GC_EVERY`` spills via :func:`repro.pipeline.store.gc_spills`.
     max_disk_bytes: int | None = None
     spill_ttl_s: float | None = None
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
-        self._memory: OrderedDict[tuple[str, str], Any] = OrderedDict()
+        self._memory: OrderedDict[str, _Record] = OrderedDict()
         self._puts_since_gc = 0
+        #: Compressed record bytes read on loads and written on spills.
+        self.disk_bytes_read = 0
+        self.disk_bytes_written = 0
         self.evicted_spills = 0
         self.evicted_spill_bytes = 0
         if self.disk_dir is not None:
@@ -163,154 +180,98 @@ class ArtifactCache:
     ) -> tuple[Any, str | None]:
         """(artifact or MISS, origin).
 
-        ``deps`` supplies earlier in-context artifacts for reference
-        decoding (the pass manager passes ``ctx.artifacts``); without
-        it, spills that need the parse artifact decode as misses.
-        Origin is ``"memory"``, ``"disk"``, ``"remote"`` (fetched from
-        a remote store node) or ``None`` on a miss.
+        The first lookup of an input loads its record (memory, then
+        disk, then remote); later lookups answer from the loaded
+        record.  Origin is the tier the record came from —
+        ``"memory"``, ``"disk"`` or ``"remote"`` — or ``None`` on a
+        miss.  ``deps`` is accepted and ignored: a record decodes
+        without outside artifacts.
         """
-        skey = artifact_schemas.storage_key(pass_name, key)
-        with self._lock:
-            memory_key = (pass_name, skey)
-            if memory_key in self._memory:
-                self._memory.move_to_end(memory_key)
-                self._stat(pass_name).hits += 1
-                return self._memory[memory_key], ORIGIN_MEMORY
-        value, nbytes, origin = self._disk_get(pass_name, skey, deps)
+        record = self._open(pass_name, storage_key(key))
         with self._lock:
             stat = self._stat(pass_name)
-            if value is not _MISS:
+            if pass_name in record.artifacts:
                 stat.hits += 1
-                stat.disk_bytes_read += nbytes
-                self._remember(pass_name, skey, value)
-            else:
-                stat.misses += 1
-        if value is _MISS:
-            return _MISS, None
-        return value, origin
+                return record.artifacts[pass_name], record.origin
+            stat.misses += 1
+        return _MISS, None
 
-    def get(
-        self,
-        pass_name: str,
-        key: str,
-        deps: Mapping[str, Any] | None = None,
-    ) -> Any:
+    def get(self, pass_name: str, key: str) -> Any:
         """Return the cached artifact or the module-level ``MISS``."""
-        return self.lookup(pass_name, key, deps)[0]
+        return self.lookup(pass_name, key)[0]
 
     def put(self, pass_name: str, key: str, value: Any) -> None:
-        skey = artifact_schemas.storage_key(pass_name, key)
-        with self._lock:
-            self._remember(pass_name, skey, value)
-        nbytes = self._disk_put(pass_name, skey, value)
-        if nbytes:
-            with self._lock:
-                self._stat(pass_name).disk_bytes_written += nbytes
-            if self.remote is not None and self.disk_dir is not None:
-                # Write-behind: the publisher thread reads the spill
-                # file at upload time; a down store node costs nothing
-                # here beyond a queue entry.
-                self.remote.offer(
-                    f"{pass_name}-{skey}", self._compact_path(pass_name, skey)
-                )
-            self._maybe_gc()
+        """Add an artifact to the input's in-memory record.
 
-    def _remember(self, pass_name: str, skey: str, value: Any) -> None:
-        memory_key = (pass_name, skey)
-        self._memory[memory_key] = value
-        self._memory.move_to_end(memory_key)
+        Nothing is spilled until :meth:`commit`.
+        """
+        skey = storage_key(key)
+        with self._lock:
+            record = self._memory.get(skey)
+            if record is None:
+                record = _Record({}, ORIGIN_MEMORY)
+                self._remember(skey, record)
+            else:
+                self._memory.move_to_end(skey)
+            record.artifacts[pass_name] = value
+            record.dirty = True
+
+    def commit(self, key: str) -> None:
+        """End a run over ``key``: spill its record if the run added to it.
+
+        Later lookups of the record report the memory tier.  An empty
+        record (the run built nothing) leaves memory, so the next run
+        looks for a spill again.
+        """
+        skey = storage_key(key)
+        with self._lock:
+            record = self._memory.get(skey)
+            if record is None:
+                return
+            record.origin = ORIGIN_MEMORY
+            if not record.artifacts:
+                del self._memory[skey]
+                return
+            if not record.dirty or self.disk_dir is None:
+                return
+            record.dirty = False
+            artifacts = dict(record.artifacts)
+        nbytes = self._disk_put(skey, artifacts)
+        if not nbytes:
+            return
+        with self._lock:
+            self.disk_bytes_written += nbytes
+        if self.remote is not None:
+            # Write-behind: the publisher thread reads the spill file
+            # at upload time; a down store node costs nothing here
+            # beyond a queue entry.
+            self.remote.offer(skey, self._record_path(skey))
+        self._maybe_gc()
+
+    def _remember(self, skey: str, record: _Record) -> None:
+        self._memory[skey] = record
         while len(self._memory) > self.max_entries:
             self._memory.popitem(last=False)
 
-    def prewarm(self, limit: int | None = None) -> int:
-        """Load the newest disk spills into the in-memory LRU.
+    def _open(self, pass_name: str, skey: str) -> _Record:
+        """The input's record, loaded into memory on first use.
 
-        Batch worker processes each keep a private in-memory cache, so
-        before this existed every forked worker started cold and
-        re-parsed inputs whose artifacts were already sitting in
-        ``--cache-dir``.  Called from the pool initializer, this primes
-        each worker with up to ``limit`` (default: ``max_entries``)
-        most-recently-written spills — duplicate inputs then hit memory
-        immediately instead of racing the disk per lookup.
-
-        Reference-encoded spills decode against the ``parse`` artifact
-        of their own input group (same fingerprint), which is loaded
-        first; groups whose parse spill is unavailable are skipped like
-        ``get`` misses, as are unreadable or version-skewed files.
-
-        Returns the number of artifacts loaded.  Hit/miss counters are
-        untouched (pre-warming is not a lookup).
+        Inputs with no record anywhere get an empty one, so the rest of
+        the run does not look for a spill again.
         """
-        if self.disk_dir is None:
-            return 0
-        budget = self.max_entries if limit is None else limit
-        try:
-            paths = sorted(
-                Path(self.disk_dir).glob("*.art"),
-                key=lambda p: p.stat().st_mtime,
-                reverse=True,
-            )
-        except OSError:
-            return 0
-        # Oldest-first so LRU recency matches on-disk recency — the
-        # newest artifacts must be the last the LRU would evict.
-        selected = list(reversed(paths[:budget]))
-        loaded = 0
-        deferred: list[tuple[str, str, str, bytes]] = []
-        parse_by_group: dict[str, Any] = {}
-        for path in selected:
-            stem = path.stem
-            pass_name, sep, skey = stem.partition("-")
-            if not sep:
-                continue
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                continue
-            if artifact_schemas.schema_for(pass_name).depends:
-                deferred.append((pass_name, skey, _group_of(skey), raw))
-                continue
-            try:
-                value = artifact_schemas.decode_spill(raw, pass_name)
-            except ArtifactDecodeError:
-                self._quarantine(pass_name, path)
-                continue
-            if pass_name == "parse":
-                parse_by_group[_group_of(skey)] = value
-            with self._lock:
-                self._remember(pass_name, skey, value)
-            loaded += 1
-        for pass_name, skey, group, raw in deferred:
-            parse = parse_by_group.get(group)
-            if parse is None:
-                parse = self._load_group_parse(group)
-                if parse is None:
-                    continue
-                parse_by_group[group] = parse
-            try:
-                value = artifact_schemas.decode_spill(
-                    raw, pass_name, {"parse": parse}
-                )
-            except ArtifactDecodeError:
-                self._quarantine(
-                    pass_name, self._compact_path(pass_name, skey)
-                )
-                continue
-            with self._lock:
-                self._remember(pass_name, skey, value)
-            loaded += 1
-        return loaded
-
-    def _load_group_parse(self, group: str) -> Any:
-        """Decode the parse spill anchoring one input group, if present."""
-        assert self.disk_dir is not None
-        path = Path(self.disk_dir) / artifact_schemas.spill_filename(
-            "parse", group
-        )
-        try:
-            return artifact_schemas.decode_spill(path.read_bytes(), "parse")
-        except (OSError, ArtifactDecodeError):
-            return None
+        with self._lock:
+            record = self._memory.get(skey)
+            if record is not None:
+                self._memory.move_to_end(skey)
+                return record
+        artifacts, nbytes, origin = self._load(pass_name, skey)
+        with self._lock:
+            record = self._memory.get(skey)
+            if record is None:  # no racing thread loaded it meanwhile
+                record = _Record(artifacts, origin)
+                self._remember(skey, record)
+                self.disk_bytes_read += nbytes
+            return record
 
     def clear(self) -> None:
         with self._lock:
@@ -322,61 +283,50 @@ class ArtifactCache:
 
     # -- disk spill ------------------------------------------------------
 
-    def _compact_path(self, pass_name: str, skey: str) -> Path:
+    def _record_path(self, skey: str) -> Path:
         assert self.disk_dir is not None
-        return Path(self.disk_dir) / f"{pass_name}-{skey}.art"
+        return Path(self.disk_dir) / f"{skey}.art"
 
-    def _disk_get(
-        self,
-        pass_name: str,
-        skey: str,
-        deps: Mapping[str, Any] | None,
-    ) -> tuple[Any, int, str | None]:
-        """(artifact, bytes read, origin) — or (MISS, 0, None)."""
-        if self.disk_dir is None and self.remote is None:
-            return _MISS, 0, None
+    def _load(self, pass_name: str, skey: str) -> tuple[dict, int, str]:
+        """(artifacts, bytes read, origin) of the spilled record.
+
+        No record (or an undecodable one) loads as empty.
+        """
         raw: bytes | None = None
         src: Path | None = None
-        remote_hit = False
+        origin = ORIGIN_DISK
         if self.disk_dir is not None:
-            src = self._compact_path(pass_name, skey)
+            src = self._record_path(skey)
             try:
                 raw = src.read_bytes()
             except OSError:
                 raw = None
         if raw is None and self.remote is not None:
-            raw = self.remote.fetch(f"{pass_name}-{skey}")
-            if raw is None:
-                return _MISS, 0, None
-            remote_hit = True
-            if self.disk_dir is not None:
+            raw = self.remote.fetch(skey)
+            origin = ORIGIN_REMOTE
+            if raw is not None and src is not None:
                 # Land the payload locally before decoding: future
                 # lookups stay local, and a corrupt payload rides the
                 # same quarantine path as a torn local spill.
-                src = self._compact_path(pass_name, skey)
                 self._write_spill(src, raw)
         if raw is None:
-            return _MISS, 0, None
+            return {}, 0, ORIGIN_MEMORY
         try:
-            value = artifact_schemas.decode_spill(raw, pass_name, deps)
+            return decode_record(raw), len(raw), origin
         except ArtifactDecodeError:
-            # Unreadable or version-skewed spill files are misses, not
+            # Unreadable or version-skewed records are misses, not
             # crashes (e.g. a cached class moved between releases, or a
             # writer was killed mid-spill).  Quarantine so the broken
-            # file never costs a second decode attempt and the pass's
-            # re-derived artifact can re-spill at the original path.
+            # file never costs a second decode attempt and the run's
+            # re-derived record can re-spill at the original path.
+            with self._lock:
+                self._stat(pass_name).corrupt_spills += 1
             if src is not None:
-                self._quarantine(pass_name, src)
-            else:
-                with self._lock:
-                    self._stat(pass_name).corrupt_spills += 1
-            return _MISS, 0, None
-        return value, len(raw), ORIGIN_REMOTE if remote_hit else ORIGIN_DISK
+                self._quarantine(src)
+            return {}, 0, ORIGIN_MEMORY
 
-    def _quarantine(self, pass_name: str, path: Path) -> None:
-        """Move a corrupt spill aside and count it — never raise."""
-        with self._lock:
-            self._stat(pass_name).corrupt_spills += 1
+    def _quarantine(self, path: Path) -> None:
+        """Move a corrupt spill aside — never raise."""
         bad = path.with_suffix(path.suffix + ".bad")
         try:
             path.replace(bad)
@@ -386,14 +336,12 @@ class ArtifactCache:
             "quarantined corrupt artifact spill %s (re-deriving)", path.name
         )
 
-    def _disk_put(self, pass_name: str, skey: str, value: Any) -> int:
-        """Spill the artifact; returns compressed bytes written (0 = none)."""
-        if self.disk_dir is None:
-            return 0
-        path = self._compact_path(pass_name, skey)
+    def _disk_put(self, skey: str, artifacts: dict[str, Any]) -> int:
+        """Spill one record; returns compressed bytes written (0 = none)."""
+        path = self._record_path(skey)
         try:
-            raw = artifact_schemas.encode_spill(pass_name, value)
-        except Exception:  # noqa: BLE001 - unspillable artifacts stay in memory
+            raw = encode_record(artifacts)
+        except Exception:  # noqa: BLE001 - unspillable records stay in memory
             return 0
         if not self._write_spill(path, raw):
             return 0
@@ -418,9 +366,7 @@ class ArtifactCache:
 
     def _maybe_gc(self) -> None:
         """Opportunistic spill eviction once a size/TTL bound is set."""
-        if self.disk_dir is None or (
-            self.max_disk_bytes is None and self.spill_ttl_s is None
-        ):
+        if self.max_disk_bytes is None and self.spill_ttl_s is None:
             return
         with self._lock:
             self._puts_since_gc += 1
@@ -437,10 +383,6 @@ class ArtifactCache:
             self.evicted_spill_bytes += report.evicted_bytes
 
 
-def _group_of(skey: str) -> str:
-    """The raw input fingerprint shared by one input's spill group."""
-    return skey.rsplit("-s", 1)[0]
-
-
 #: Public miss sentinel (also importable for tests).
 MISS = _MISS
+

@@ -57,8 +57,8 @@ class PipelineContext:
     timings: dict[str, float] = field(default_factory=dict)
     #: pass name -> "hit" | "miss" | "uncached".
     cache_events: dict[str, str] = field(default_factory=dict)
-    #: pass name -> where a hit came from: "memory" | "disk" | "store"
-    #: ("store" = published by a sibling worker during this run).
+    #: pass name -> tier of the record that served a hit: "memory" |
+    #: "disk" | "remote".
     cache_origins: dict[str, str] = field(default_factory=dict)
     #: Uncached pass-to-pass handoff (e.g. the fused-scan prep the
     #: constraints pass leaves for the effects pass).  Never part of

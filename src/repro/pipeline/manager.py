@@ -16,8 +16,10 @@ class PassManager:
     """Runs passes in order over a :class:`PipelineContext`.
 
     Per-pass artifacts are cached under a fingerprint of ``(source,
-    filename, options)``; a repeated run of the same translation unit
-    answers from cache in microseconds.  Wall time and cache events are
+    filename, options)`` and kept together as one record per input: a
+    run looks the record up on its first pass and commits it once at
+    the end, so a repeated run of the same translation unit answers
+    from cache in microseconds.  Wall time and cache events are
     recorded per pass on the context, which the tool facade surfaces
     through ``TransformResult.report()``.
     """
@@ -68,10 +70,16 @@ class PassManager:
             raise KeyError(f"no pass named {until!r} in the pipeline")
         ctx = PipelineContext(source, filename, options or ToolOptions())
         key = self.input_key(ctx.source, ctx.filename, ctx.options)
-        for p in self.passes:
-            self._run_pass(p, ctx, key)
-            if p.name == until:
-                return ctx
+        try:
+            for p in self.passes:
+                self._run_pass(p, ctx, key)
+                if p.name == until:
+                    break
+        finally:
+            # One spill per run, also for prefixes and for runs a
+            # ToolError stopped: whatever was built is kept.
+            if self.cache is not None:
+                self.cache.commit(key)
         return ctx
 
     def _run_pass(self, p: Pass, ctx: PipelineContext, key: str) -> None:
@@ -81,9 +89,7 @@ class PassManager:
         start = time.perf_counter()
         origin = None
         if p.cacheable and self.cache is not None:
-            # Earlier in-context artifacts anchor reference decoding
-            # (analysis spills resolve AST indices against "parse").
-            value, origin = self.cache.lookup(p.name, key, deps=ctx.artifacts)
+            value, origin = self.cache.lookup(p.name, key)
             if value is not MISS:
                 event = HIT
             else:

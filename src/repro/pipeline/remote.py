@@ -2,10 +2,10 @@
 
 A cache directory shares artifacts across the worker processes of *one
 machine*.  This module extends the tier one hop further: a
-:class:`RemoteStoreClient` speaks the compact spill container format of
-:mod:`repro.pipeline.artifacts` against the content-addressed
-``/artifacts/<key>`` routes of ``ompdart serve``, so a fleet of
-batch/serve nodes shares parse/codegen/plan artifacts cross-machine.
+:class:`RemoteStoreClient` moves the spill records of
+:mod:`repro.pipeline.artifacts` (one per input) over the
+content-addressed ``/artifacts/<key>`` routes of ``ompdart serve``, so
+a fleet of batch/serve nodes shares pipeline artifacts cross-machine.
 
 The design is failure-first — a down or lying store node must never
 fail a job, only slow its cache hits:
@@ -93,8 +93,11 @@ class RemoteStoreConfig:
     backoff: float = 0.05
     #: Ceiling on any single backoff sleep.
     backoff_cap: float = 1.0
-    #: Consecutive failed operations that trip the breaker open.
-    breaker_threshold: int = 3
+    #: Consecutive failed operations that trip the breaker open.  An
+    #: operation has already failed ``retries + 1`` attempts, and a
+    #: pipeline run makes one record fetch, so one failed operation is
+    #: enough: a dead store degrades the node within its first job.
+    breaker_threshold: int = 1
     #: Seconds the breaker stays open before one half-open probe.
     breaker_cooldown: float = 5.0
     #: Bound on the write-behind publish queue (sheds oldest-first).
@@ -337,7 +340,7 @@ class RemoteStoreClient:
     # -- operations ------------------------------------------------------
 
     def fetch(self, key: str) -> bytes | None:
-        """Spill container bytes for ``key``, or None (miss/degraded)."""
+        """Spill record bytes for ``key``, or None (miss/degraded)."""
 
         def attempt(n: int) -> bytes | None:
             status, payload = self._exchange("GET", f"/artifacts/{key}")

@@ -1,7 +1,7 @@
 """Disk spill maintenance for a cache directory (``ompdart store``).
 
-The artifact cache (:mod:`repro.pipeline.cache`) spills every artifact
-as a compact ``.art`` file and never removes one.  This module keeps
+The artifact cache (:mod:`repro.pipeline.cache`) spills one ``.art``
+record per input and never removes one.  This module keeps
 such a directory bounded and clean:
 
 * :func:`gc_spills` evicts spills LRU-oldest-first to a size bound
@@ -10,7 +10,7 @@ such a directory bounded and clean:
   read), and ``.tmp`` files whose writer died mid-spill.
 * :func:`sweep_dead_tmp` is that last sweep on its own; the worker
   pool supervisor runs it after every worker death.
-* :func:`spill_stats` is the per-pass census behind ``store stats``.
+* :func:`spill_stats` is the census behind ``store stats``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+from .artifacts import record_filename
 
 __all__ = [
     "SpillGCReport",
@@ -48,7 +50,7 @@ def _pid_alive(pid: int) -> bool:
 def _tmp_writer_pid(name: str) -> int | None:
     """Writer pid embedded in a cache spill tmp filename.
 
-    The cache writes ``{pass}-{skey}.{pid}-{tid}.tmp`` and atomically
+    The cache writes ``{skey}.{pid}-{tid}.tmp`` and atomically
     renames on completion, so any ``.tmp`` left by a dead pid is a
     half-written orphan.
     """
@@ -143,8 +145,8 @@ def gc_spills(
     """Size- and TTL-bounded LRU eviction of a cache directory's spills.
 
     The disk tier of the artifact store grows forever without this:
-    every new input spills its artifacts and nothing ever removes
-    them.  The sweep unlinks, in order:
+    every new input spills its record and nothing ever removes it.
+    The sweep unlinks, in order:
 
     1. ``.bad`` quarantine files (already written off as corrupt),
        retired ``.pkl`` spills, and ``.tmp`` orphans whose embedded
@@ -153,10 +155,10 @@ def gc_spills(
     3. then the oldest remaining spills until the directory fits under
        ``max_bytes``.
 
-    Recency is mtime: the cache rewrites a spill only on re-derive,
-    but prewarm/lookup traffic keeps hot groups young because their
-    passes re-spill whenever inputs change.  ``dry_run`` counts
-    without unlinking.  Fail-soft per file — a racing writer or
+    Recency is mtime: the cache rewrites a record only when a run
+    adds artifacts to it, so a record's age is the time since its
+    input last needed building.  ``dry_run`` counts without
+    unlinking.  Fail-soft per file — a racing writer or
     cleaner never aborts the sweep.
     """
     directory = Path(directory)
@@ -209,10 +211,15 @@ def gc_spills(
 
 
 def spill_stats(directory: str | Path) -> dict[str, object]:
-    """Per-pass spill census of a cache directory (``store stats``)."""
+    """Census of a cache directory (``store stats``).
+
+    ``files``/``bytes`` cover every ``.art`` spill; ``records`` counts
+    those this revision reads (its record version), so spills left by
+    an older format show as the difference.
+    """
     directory = Path(directory)
-    by_pass: dict[str, dict[str, int]] = {}
-    files = bytes_total = quarantined = tmp = 0
+    current = record_filename("")  # "-r<version>.art"
+    files = bytes_total = records = quarantined = tmp = 0
     try:
         entries = list(directory.iterdir())
     except OSError:
@@ -231,17 +238,14 @@ def spill_stats(directory: str | Path) -> dict[str, object]:
             size = path.stat().st_size
         except OSError:
             continue
-        pass_name = name.partition("-")[0] or "?"
-        row = by_pass.setdefault(pass_name, {"files": 0, "bytes": 0})
-        row["files"] += 1
-        row["bytes"] += size
         files += 1
         bytes_total += size
+        records += name.endswith(current)
     return {
         "directory": str(directory),
         "files": files,
         "bytes": bytes_total,
+        "records": records,
         "quarantined": quarantined,
         "tmp": tmp,
-        "by_pass": dict(sorted(by_pass.items())),
     }

@@ -114,7 +114,7 @@ def run_to_dict(run: BenchmarkRun) -> dict[str, Any]:
 
 
 def _store_dict(cache_stats: Any) -> dict[str, Any]:
-    """The optional ``artifact_store`` block: per-pass cache traffic.
+    """The optional ``artifact_store`` block: per-pass cache hits.
 
     ``cache_stats`` is an ``{pass: CacheStats}`` mapping from the run's
     in-process cache.  Observability only — the suite-diff comparator
@@ -123,12 +123,7 @@ def _store_dict(cache_stats: Any) -> dict[str, Any]:
     block: dict[str, Any] = {}
     if cache_stats:
         block["cache"] = {
-            name: {
-                "hits": s.hits,
-                "misses": s.misses,
-                "disk_bytes_read": s.disk_bytes_read,
-                "disk_bytes_written": s.disk_bytes_written,
-            }
+            name: {"hits": s.hits, "misses": s.misses}
             for name, s in sorted(cache_stats.items())
         }
     return block

@@ -195,16 +195,13 @@ def worker_init(
     store_url: str | None = None,
     remote_counters: "Any | None" = None,
 ) -> None:
-    """Pool initializer: build the manager eagerly and pre-warm its
-    private in-memory cache from ``cache_dir``.
+    """Pool initializer: build the manager over ``cache_dir`` eagerly.
 
-    Without the pre-warm, every forked worker started cold: duplicate
-    inputs whose artifacts a previous run had already spilled were
-    re-fetched from disk per lookup — or, before the disk check,
-    re-parsed outright.  With a ``store_url``, lookups that miss
-    locally read through to the remote store node and spills publish
-    back write-behind — the cross-machine tier — counting into the
-    pool's ``remote_counters``.
+    Each worker's memory tier starts empty; an input's first lookup
+    reads its record from ``cache_dir``.  With a ``store_url``, records
+    that miss locally read through to the remote store node and spills
+    publish back write-behind — the cross-machine tier — counting into
+    the pool's ``remote_counters``.
     """
     global _WORKER_REMOTE, _WORKER_CACHE_DIR
     _WORKER_CACHE_DIR = cache_dir
@@ -216,8 +213,6 @@ def worker_init(
     # process, or a second scheduler binding the same cache_dir):
     # rebind it to *this* run's remote client.
     manager.cache.remote = _WORKER_REMOTE
-    if cache_dir:
-        manager.cache.prewarm()
 
 
 def _runtime_manager() -> PassManager:
@@ -237,7 +232,7 @@ def open_pool(
     remote_counters: "Any | None" = None,
     prespawn: bool = False,
 ) -> ProcessPoolExecutor:
-    """A worker pool wired to the shared runtime (remote tier + pre-warm).
+    """A worker pool wired to the shared runtime (cache dir + remote tier).
 
     ``prespawn`` forks every worker immediately (and surfaces sandbox
     failures as exceptions *now*).  Long-lived fronts like the serve

@@ -49,10 +49,10 @@ Routes:
   ``--peer`` routers configured, admitted jobs forward to the least-
   loaded healthy peer (``X-Ompdart-Forwarded`` marks hops; a forwarded
   request always executes locally, so routing cannot loop).
-* ``GET  /artifacts/<key>``  — content-addressed spill container bytes
+* ``GET  /artifacts/<key>``  — content-addressed spill record bytes
   from this node's cache directory (the remote store tier's read side).
-* ``PUT  /artifacts/<key>``  — land one spill container (validated
-  magic, atomic rename) in this node's cache directory.
+* ``PUT  /artifacts/<key>``  — land one spill record (validated magic,
+  atomic rename) in this node's cache directory.
 * ``GET  /artifacts/stats``  — spill census of the cache directory.
 
 When the supervised pool's restart budget is spent and no workers
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..pipeline.artifacts import is_compact_spill
+from ..pipeline.artifacts import is_record
 from ..pipeline.store import spill_stats
 from .core import spec_from_dict
 from .metrics import MetricsRegistry
@@ -714,11 +714,11 @@ class JobServer:
 
     async def _artifact_put(self, key: str, body: bytes) -> _Response:
         directory = self._artifact_dir()
-        if not body or not is_compact_spill(body):
-            # Never land bytes that are not a compact spill container:
-            # a corrupt PUT would poison every future fetch of the key.
+        if not body or not is_record(body):
+            # Never land bytes that are not a spill record: a corrupt
+            # PUT would poison every future fetch of the key.
             self._artifact_ops.inc(op="put", outcome="rejected")
-            raise _HttpError(400, "payload is not a spill container")
+            raise _HttpError(400, "payload is not a spill record")
         path = directory / f"{key}.art"
 
         def write() -> bool:

@@ -67,7 +67,7 @@ class PoolExhausted(RuntimeError):
     """Restart budget spent and no workers remain alive."""
 
 
-#: Worker spawn/respawn readiness timeout (manager init + prewarm).
+#: Worker spawn/respawn readiness timeout (imports + manager init).
 _READY_TIMEOUT = 60.0
 
 #: Supervisor idle tick: bounds how stale a missed wakeup can get and
@@ -104,8 +104,8 @@ def _worker_main(
         pass
     try:
         # Faults first: the network fault hooks must be live before
-        # worker_init builds the remote client (whose prewarm-adjacent
-        # traffic the chaos plans target).
+        # worker_init builds the remote client whose traffic the chaos
+        # plans target.
         faults_module.install(fault_plan)
         worker_init(cache_dir, store_url, remote_counters)
     except BaseException as exc:  # noqa: BLE001 - reported to supervisor

@@ -1,12 +1,20 @@
-"""Typed per-pass artifact schemas: compact spills, versioned keys,
-and the retired whole-object spill format staying unread."""
+"""The spill record: one file per input holding every pass's artifact,
+versioned keys, quarantine of broken records, and the retired spill
+formats staying unread."""
 
+import gc
+import io
 import pickle
 import zlib
 
 import pytest
 
+from repro.diagnostics import ToolError
+from repro.frontend.ast_nodes import Node
+from repro.frontend.source import SourceLocation
+from repro.frontend.tokens import Token, TokenKind
 from repro.pipeline import artifacts as AR
+from repro.pipeline.batch import transform_batch
 from repro.pipeline.cache import MISS, ArtifactCache
 from repro.pipeline.context import ToolOptions
 from repro.pipeline.manager import PassManager
@@ -21,6 +29,18 @@ void work() {
 int main() { a[0] = 3; work(); return a[0]; }
 """
 
+#: Violates the input constraints: a standalone update of a variable
+#: that no enclosing data region maps.
+BAD_SRC = """
+int a[4];
+int main() {
+  #pragma omp target
+  for (int i = 0; i < 4; i++) a[i] = i;
+  #pragma omp target update from(a)
+  return 0;
+}
+"""
+
 PASS_NAMES = (
     "preprocess", "parse", "codegen", "constraints", "effects", "cfg",
     "plan", "rewrite",
@@ -32,121 +52,152 @@ def ctx():
     return PassManager().run(SRC, "t.c")
 
 
+def _referenced_nodes(artifact):
+    """The AST nodes ``artifact`` references directly (not through
+    other nodes)."""
+    found = []
+
+    class Probe(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, Node):
+                found.append(obj)
+                return len(found)
+            return None
+
+    Probe(io.BytesIO(), protocol=5).dump(artifact)
+    return found
+
+
+def _manager(directory):
+    return PassManager(cache=ArtifactCache(disk_dir=directory))
+
+
+def _events(ctx):
+    return [ctx.cache_events[name] for name in PASS_NAMES]
+
+
 class TestSchemas:
-    def test_every_pass_has_a_registered_schema(self):
-        for name in PASS_NAMES:
-            schema = AR.schema_for(name)
-            assert schema.pass_name == name
-            assert schema.version >= 2
-
-    def test_unknown_pass_gets_default_pickle_schema(self):
-        assert AR.schema_for("custom") is AR.DEFAULT_SCHEMA
-
     def test_round_trip_all_passes(self, ctx):
-        deps = dict(ctx.artifacts)
+        raw = AR.encode_record(ctx.artifacts)
+        assert AR.is_record(raw)
+        back = AR.decode_record(raw)
+        assert list(back) == list(PASS_NAMES)
         for name in PASS_NAMES:
-            raw = AR.encode_spill(name, ctx.artifacts[name])
-            assert AR.is_compact_spill(raw)
-            back = AR.decode_spill(raw, name, deps)
-            assert type(back) is type(ctx.artifacts[name])
-        assert AR.decode_spill(
-            AR.encode_spill("rewrite", ctx.artifacts["rewrite"]), "rewrite"
-        ) == ctx.artifacts["rewrite"]
+            assert type(back[name]) is type(ctx.artifacts[name]), name
+        assert back["rewrite"] == ctx.artifacts["rewrite"]
+        assert back["constraints"] == ctx.artifacts["constraints"]
+
+    def test_unknown_pass_gets_default_pickle_schema(self, tmp_path):
+        """A pass outside the default chain (a custom pipeline's) is
+        pickled into the record like any other."""
+        cache = ArtifactCache(disk_dir=tmp_path)
+        cache.put("custom", "k", {"synthetic": [1, 2, 3]})
+        cache.commit("k")
+        fresh = ArtifactCache(disk_dir=tmp_path)
+        assert fresh.lookup("custom", "k") == ({"synthetic": [1, 2, 3]}, "disk")
 
     def test_analysis_payloads_drop_the_embedded_tu(self, ctx):
-        """effects/cfg/plan no longer spill a whole AST copy each."""
+        """effects/cfg/plan share the record's one AST instead of each
+        carrying a copy."""
 
         def whole_object_size(artifact):
-            return len(zlib.compress(pickle.dumps(artifact, protocol=5), 6))
+            return len(zlib.compress(pickle.dumps(artifact, protocol=5), 1))
 
-        for name in ("effects", "cfg", "plan"):
-            compact = len(AR.encode_spill(name, ctx.artifacts[name]))
-            assert compact < whole_object_size(ctx.artifacts[name]), name
-        # effects is almost pure reference payload: a small fraction.
-        assert len(
-            AR.encode_spill("effects", ctx.artifacts["effects"])
-        ) < whole_object_size(ctx.artifacts["effects"]) / 3
+        names = ("parse", "effects", "cfg", "plan")
+        separate = sum(whole_object_size(ctx.artifacts[n]) for n in names)
+        record = AR.encode_record({n: ctx.artifacts[n] for n in names})
+        assert len(record) < separate / 2
 
     def test_decoded_refs_share_node_identity_with_parse(self, ctx):
-        parse2 = AR.decode_spill(
-            AR.encode_spill("parse", ctx.artifacts["parse"]), "parse"
-        )
-        deps = {"parse": parse2}
-        effects = AR.decode_spill(
-            AR.encode_spill("effects", ctx.artifacts["effects"]),
-            "effects", deps,
-        )
-        assert effects.tu is parse2
-        cfg = AR.decode_spill(
-            AR.encode_spill("cfg", ctx.artifacts["cfg"]), "cfg", deps
-        )
-        nodes = set(map(id, parse2.walk()))
-        for astcfg in cfg.values():
+        back = AR.decode_record(AR.encode_record(ctx.artifacts))
+        parse = back["parse"]
+        assert back["effects"].tu is parse
+        nodes = set(map(id, parse.walk()))
+        for astcfg in back["cfg"].values():
             assert id(astcfg.function) in nodes
 
-    def test_ref_payload_without_parse_dep_raises(self, ctx):
-        raw = AR.encode_spill("effects", ctx.artifacts["effects"])
-        with pytest.raises(AR.ArtifactDecodeError):
-            AR.decode_spill(raw, "effects")
-
-    def test_non_ast_artifact_under_refs_schema_is_self_contained(self):
-        raw = AR.encode_spill("effects", {"synthetic": [1, 2, 3]})
-        assert AR.decode_spill(raw, "effects") == {"synthetic": [1, 2, 3]}
-
-    def test_find_translation_unit(self, ctx):
-        tu = ctx.artifacts["parse"]
-        assert AR.find_translation_unit(tu) is tu
-        assert AR.find_translation_unit(ctx.artifacts["effects"]) is tu
-        assert AR.find_translation_unit(ctx.artifacts["plan"]) is tu
-        assert AR.find_translation_unit({"no": "ast"}) is None
+    def test_every_referenced_node_is_in_the_decoded_preorder(self, ctx):
+        """Decoded analysis artifacts point into the decoded TU, never
+        into copies of it.  Statements the CFG synthesizes (the wrapper
+        of a for-increment) belong to no TU and carry no walk index;
+        they are set aside, as many as the built artifacts have."""
+        built = set(map(id, ctx.artifacts["parse"].preorder()))
+        back = AR.decode_record(AR.encode_record(ctx.artifacts))
+        preorder = back["parse"].preorder()
+        for name in ("effects", "cfg", "plan"):
+            nodes = _referenced_nodes(back[name])
+            in_tree = [node for node in nodes if node.walk_index >= 0]
+            assert in_tree, name
+            assert all(preorder[n.walk_index] is n for n in in_tree), name
+            synthesized = [
+                n for n in _referenced_nodes(ctx.artifacts[name])
+                if id(n) not in built
+            ]
+            assert len(nodes) - len(in_tree) == len(synthesized), name
 
     def test_version_mismatch_is_a_decode_error(self, ctx, monkeypatch):
-        raw = AR.encode_spill("rewrite", ctx.artifacts["rewrite"])
-        bumped = AR.ArtifactSchema(
-            "rewrite", AR.schema_version("rewrite") + 1, "text",
-            AR._encode_text, AR._decode_text,
-        )
-        monkeypatch.setitem(AR.SCHEMAS, "rewrite", bumped)
+        raw = AR.encode_record({"rewrite": ctx.artifacts["rewrite"]})
+        monkeypatch.setattr(AR, "RECORD_VERSION", AR.RECORD_VERSION + 1)
         with pytest.raises(AR.ArtifactDecodeError):
-            AR.decode_spill(raw, "rewrite")
+            AR.decode_record(raw)
 
     def test_corrupt_container_is_a_decode_error(self):
         with pytest.raises(AR.ArtifactDecodeError):
-            AR.decode_spill(AR.MAGIC + b"garbage", "parse")
+            AR.decode_record(AR.MAGIC + b"garbage")
         with pytest.raises(AR.ArtifactDecodeError):
-            AR.decode_spill(b"neither magic nor pickle", "parse")
+            AR.decode_record(b"neither magic nor pickle")
+
+
+    def test_tokens_and_locations_pickle_as_constructor_calls(self):
+        loc = SourceLocation(7, 2, 3, "t.c")
+        tok = Token(TokenKind.INT_LITERAL, "42", loc, 42, "N")
+        assert loc.__reduce__() == (SourceLocation, (7, 2, 3, "t.c"))
+        assert tok.__reduce__() == (
+            Token, (TokenKind.INT_LITERAL, "42", loc, 42, "N")
+        )
+        back = pickle.loads(pickle.dumps(tok, protocol=5))
+        assert back == tok and str(back.location) == "t.c:2:3"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_decode_restores_the_gc_state(self, ctx, enabled):
+        raw = AR.encode_record(ctx.artifacts)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            AR.decode_record(raw)
+            assert gc.isenabled() is enabled
+            with pytest.raises(AR.ArtifactDecodeError):
+                AR.decode_record(raw[: len(raw) // 2])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestVersionedKeys:
-    def test_schema_version_folds_into_storage_key(self):
+    def test_schema_version_folds_into_storage_key(self, monkeypatch):
         key = "abc123"
-        assert AR.storage_key("parse", key).startswith(key)
-        assert AR.storage_key("parse", key) != AR.storage_key("custom", key)
+        current = AR.storage_key(key)
+        assert current.startswith(key) and current != key
+        monkeypatch.setattr(AR, "RECORD_VERSION", AR.RECORD_VERSION + 1)
+        assert AR.storage_key(key) != current
 
     def test_version_bump_invalidates_cached_artifacts(
         self, tmp_path, monkeypatch
     ):
-        """Incompatible spills are never looked up, not mis-unpickled."""
+        """Incompatible records are never looked up, not mis-unpickled."""
         cache = ArtifactCache(disk_dir=tmp_path)
         cache.put("rewrite", "k", "old-shape")
+        cache.commit("k")
         fresh = ArtifactCache(disk_dir=tmp_path)
         assert fresh.get("rewrite", "k") == "old-shape"
-        bumped = AR.ArtifactSchema(
-            "rewrite", AR.schema_version("rewrite") + 1, "text",
-            AR._encode_text, AR._decode_text,
-        )
-        monkeypatch.setitem(AR.SCHEMAS, "rewrite", bumped)
+        monkeypatch.setattr(AR, "RECORD_VERSION", AR.RECORD_VERSION + 1)
         stale = ArtifactCache(disk_dir=tmp_path)
         assert stale.get("rewrite", "k") is MISS
 
     def test_memory_keys_are_versioned_too(self, monkeypatch):
         cache = ArtifactCache()
         cache.put("rewrite", "k", "cached")
-        bumped = AR.ArtifactSchema(
-            "rewrite", AR.schema_version("rewrite") + 1, "text",
-            AR._encode_text, AR._decode_text,
-        )
-        monkeypatch.setitem(AR.SCHEMAS, "rewrite", bumped)
+        monkeypatch.setattr(AR, "RECORD_VERSION", AR.RECORD_VERSION + 1)
         assert cache.get("rewrite", "k") is MISS
 
 
@@ -162,7 +213,6 @@ class TestRetiredSpillFormat:
             raw = zlib.compress(pickle.dumps(artifact, protocol=5), 6)
             (tmp_path / f"{name}-{key}.pkl").write_bytes(raw)
         cold = ArtifactCache(disk_dir=tmp_path)
-        assert cold.prewarm() == 0
         assert cold.get("rewrite", key) is MISS
         assert cold.disk_usage() == 0
         report = gc_spills(tmp_path)
@@ -172,6 +222,7 @@ class TestRetiredSpillFormat:
     def test_whole_object_payload_is_a_quarantined_miss(self, tmp_path):
         cache = ArtifactCache(disk_dir=tmp_path)
         cache.put("rewrite", "k", "compact")
+        cache.commit("k")
         (spill,) = tmp_path.glob("*.art")
         spill.write_bytes(zlib.compress(pickle.dumps("whole", protocol=5)))
         fresh = ArtifactCache(disk_dir=tmp_path)
@@ -180,28 +231,99 @@ class TestRetiredSpillFormat:
         assert list(tmp_path.glob("*.art.bad"))
 
 
-class TestPrewarmCompact:
-    def test_prewarm_decodes_ref_spills_against_group_parse(self, tmp_path):
-        manager = PassManager(cache=ArtifactCache(disk_dir=tmp_path))
-        ctx = manager.run(SRC, "t.c")
-        cold = ArtifactCache(disk_dir=tmp_path)
-        loaded = cold.prewarm()
-        assert loaded == len(list(tmp_path.glob("*.art")))
-        # Warmed analysis artifacts resolve against the warmed parse.
-        key = manager.input_key(SRC, "t.c", ToolOptions())
-        parse = cold.get("parse", key)
-        effects = cold.get("effects", key)
-        assert effects.tu is parse
-        assert cold.get("rewrite", key) == ctx.artifact("rewrite")
-        assert all(s.disk_bytes_read == 0 for s in cold.stats.values())
+class TestRecordCache:
+    def test_put_stages_until_commit(self, tmp_path):
+        cache = ArtifactCache(disk_dir=tmp_path)
+        cache.put("parse", "k", [1])
+        cache.put("rewrite", "k", "out")
+        assert not list(tmp_path.glob("*.art"))
+        cache.commit("k")
+        (spill,) = tmp_path.glob("*.art")
+        assert AR.decode_record(spill.read_bytes()) == {
+            "parse": [1], "rewrite": "out",
+        }
+        written = cache.disk_bytes_written
+        cache.commit("k")  # nothing new: no second write
+        assert cache.disk_bytes_written == written
 
-    def test_prewarm_skips_ref_spills_without_parse(self, tmp_path):
-        manager = PassManager(cache=ArtifactCache(disk_dir=tmp_path))
-        manager.run(SRC, "t.c")
-        parse_files = list(tmp_path.glob("parse-*.art"))
-        assert len(parse_files) == 1
-        parse_files[0].unlink()
-        cold = ArtifactCache(disk_dir=tmp_path)
-        loaded = cold.prewarm()
-        # Reference spills (effects/cfg/plan) cannot anchor: skipped.
-        assert loaded == len(list(tmp_path.glob("*.art"))) - 3
+    def test_memory_tier_holds_one_record_per_input(self):
+        manager = PassManager()
+        for i in range(3):
+            manager.run(SRC.replace("* 2", f"* {i}"), "t.c")
+        assert len(manager.cache) == 3
+        assert ArtifactCache().max_entries == 32
+
+    def test_an_empty_record_leaves_memory_on_commit(self, tmp_path):
+        cache = ArtifactCache(disk_dir=tmp_path)
+        assert cache.get("parse", "k") is MISS
+        assert len(cache) == 1  # the rest of the run skips the disk
+        cache.commit("k")
+        assert len(cache) == 0
+        assert not list(tmp_path.iterdir())
+
+
+class TestOneRecordPerInput:
+    def test_batch_spills_one_record_per_distinct_input(self, tmp_path):
+        items = [
+            (SRC.replace("* 2", f"* {i}"), f"f{i}.c") for i in range(4)
+        ]
+        items += [(items[0][0], "copy.c"), (BAD_SRC, "bad.c")]
+        outcomes = transform_batch(items, jobs=2, cache_dir=str(tmp_path))
+        assert [o.ok for o in outcomes] == [True] * 5 + [False]
+        distinct = {source for source, _ in items}
+        assert len(list(tmp_path.glob("*.art"))) == len(distinct)
+
+    def test_prefix_run_then_full_run_merge_into_one_record(self, tmp_path):
+        _manager(tmp_path).run(SRC, "t.c", until="codegen")
+        assert len(list(tmp_path.glob("*.art"))) == 1
+        full = _manager(tmp_path).run(SRC, "t.c")
+        assert _events(full) == ["hit"] * 3 + ["miss"] * 5
+        assert set(full.cache_origins.values()) == {"disk"}
+        assert len(list(tmp_path.glob("*.art"))) == 1
+        again = _manager(tmp_path).run(SRC, "t.c")
+        assert _events(again) == ["hit"] * 8
+        assert set(again.cache_origins.values()) == {"disk"}
+        assert again.artifact("rewrite") == full.artifact("rewrite")
+
+    def test_tool_error_replays_from_a_warm_record(self, tmp_path):
+        errors = []
+        for _ in range(2):
+            manager = _manager(tmp_path)
+            with pytest.raises(ToolError) as info:
+                manager.run(BAD_SRC, "bad.c")
+            errors.append(
+                (str(info.value), [d.render() for d in info.value.diagnostics])
+            )
+        assert errors[0] == errors[1]
+        assert "constraints" in errors[1][0]
+        # The second run answered every pass up to the failing one.
+        stats = manager.cache.stats
+        assert [stats[n].hits for n in PASS_NAMES[:4]] == [1] * 4
+        assert all(s.misses == 0 for s in stats.values())
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-magic", "skewed"])
+    def test_broken_record_is_quarantined_then_respilled(
+        self, tmp_path, damage
+    ):
+        first = _manager(tmp_path).run(SRC, "t.c")
+        (spill,) = tmp_path.glob("*.art")
+        raw = spill.read_bytes()
+        if damage == "truncated":
+            raw = raw[: len(raw) // 2]
+        elif damage == "no-magic":
+            raw = raw[len(AR.MAGIC):]
+        else:
+            body = pickle.dumps((AR.RECORD_VERSION + 1, dict(first.artifacts)))
+            raw = AR.MAGIC + zlib.compress(body)
+        spill.write_bytes(raw)
+
+        manager = _manager(tmp_path)
+        rebuilt = manager.run(SRC, "t.c")
+        assert _events(rebuilt) == ["miss"] * 8
+        assert manager.cache.stats["preprocess"].corrupt_spills == 1
+        assert len(list(tmp_path.glob("*.art.bad"))) == 1
+        (respilled,) = tmp_path.glob("*.art")
+        assert respilled.name == spill.name
+        healed = _manager(tmp_path).run(SRC, "t.c")
+        assert _events(healed) == ["hit"] * 8
+        assert healed.artifact("rewrite") == first.artifact("rewrite")

@@ -156,15 +156,32 @@ class TestProfileArtifact:
 
 _IDENTITY_DRIVER = textwrap.dedent(
     """
-    import hashlib, itertools, json, sys
+    import hashlib, io, itertools, json, pickle, sys
 
     from repro.cfg import graph as cfg_graph
     from repro.diagnostics import ToolError
     from repro.frontend import ast_nodes
-    from repro.pipeline.artifacts import encode_spill
     from repro.pipeline.context import ToolOptions
     from repro.pipeline.manager import PassManager
     from repro.suite.registry import BENCHMARK_ORDER, get_benchmark
+
+
+    class WalkIndexPickler(pickle.Pickler):
+        # Every node of the TU pickles as its pre-order walk index, so
+        # the digest covers the artifact's own content plus exactly
+        # which AST nodes it points at.
+        def __init__(self, file, tu):
+            super().__init__(file, protocol=5)
+            self.index = {id(n): i for i, n in enumerate(tu.preorder())}
+
+        def persistent_id(self, obj):
+            return self.index.get(id(obj))
+
+
+    def sha(artifact, tu):
+        buf = io.BytesIO()
+        WalkIndexPickler(buf, tu).dump(artifact)
+        return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
     def digest(source, filename, legacy):
@@ -181,13 +198,10 @@ _IDENTITY_DRIVER = textwrap.dedent(
             )
         except ToolError as exc:
             return {"error": str(exc) + "|" + repr(exc.diagnostics)}
+        tu = ctx.artifact("parse")
         return {
-            "plan": hashlib.sha256(
-                encode_spill("plan", ctx.artifact("plan"))
-            ).hexdigest(),
-            "constraints": hashlib.sha256(
-                encode_spill("constraints", ctx.artifact("constraints"))
-            ).hexdigest(),
+            "plan": sha(ctx.artifact("plan"), tu),
+            "constraints": sha(ctx.artifact("constraints"), tu),
             "output": hashlib.sha256(
                 ctx.artifact("rewrite").encode()
             ).hexdigest(),

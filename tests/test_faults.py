@@ -472,6 +472,7 @@ class TestCacheQuarantine:
     def test_corrupt_spill_reads_as_miss_and_is_quarantined(self, tmp_path):
         cache = ArtifactCache(disk_dir=tmp_path)
         cache.put("parse", "k", [1, 2, 3])
+        cache.commit("k")
         (spill,) = tmp_path.glob("*.art")
         spill.write_bytes(spill.read_bytes()[: spill.stat().st_size // 2])
 
@@ -484,6 +485,7 @@ class TestCacheQuarantine:
 
         # Re-derive + re-spill at the original path heals the cache.
         fresh.put("parse", "k", [1, 2, 3])
+        fresh.commit("k")
         healed = ArtifactCache(disk_dir=tmp_path)
         assert healed.get("parse", "k") == [1, 2, 3]
         assert healed.stats["parse"].corrupt_spills == 0

@@ -73,6 +73,7 @@ class TestArtifactCache:
     def test_disk_spill_survives_new_cache(self, tmp_path):
         cache = ArtifactCache(disk_dir=tmp_path)
         cache.put("parse", "k", [1, 2, 3])
+        cache.commit("k")
         fresh = ArtifactCache(disk_dir=tmp_path)
         assert fresh.get("parse", "k") == [1, 2, 3]
 
@@ -249,62 +250,6 @@ class TestBatchDriver:
         assert list(tmp_path.glob("*.art"))
         again = transform_batch(items, jobs=1, cache_dir=str(tmp_path))
         assert set(again[0].cache_events.values()) == {"hit"}
-
-    def test_prewarm_loads_spills_into_memory(self, tmp_path):
-        from repro.pipeline.cache import ArtifactCache
-
-        items = [_variant(i) for i in range(2)]
-        transform_batch(items, jobs=1, cache_dir=str(tmp_path))
-        spills = len(list(tmp_path.glob("*.art")))
-        assert spills > 0
-        cold = ArtifactCache(disk_dir=str(tmp_path))
-        assert len(cold) == 0
-        loaded = cold.prewarm()
-        assert loaded == spills
-        assert len(cold) == spills
-        # pre-warming is not a lookup: no hit/miss counters moved
-        assert not cold.stats
-        # warmed entries answer from memory (no disk bytes read)
-        again = transform_batch(
-            items, jobs=1,
-            cache=cold,
-        )
-        assert set(again[0].cache_events.values()) == {"hit"}
-        assert all(s.disk_bytes_read == 0 for s in cold.stats.values())
-
-    def test_prewarm_memory_only_cache_is_a_noop(self):
-        from repro.pipeline.cache import ArtifactCache
-
-        assert ArtifactCache().prewarm() == 0
-
-    def test_prewarm_respects_limit_and_quarantines_corrupt(self, tmp_path):
-        from repro.pipeline.cache import ArtifactCache
-
-        items = [_variant(i) for i in range(3)]
-        transform_batch(items, jobs=1, cache_dir=str(tmp_path))
-        (tmp_path / "parse-deadbeef.art").write_bytes(b"not a pickle")
-        cache = ArtifactCache(disk_dir=str(tmp_path))
-        assert cache.prewarm(limit=2) <= 2
-        cache2 = ArtifactCache(disk_dir=str(tmp_path))
-        total = cache2.prewarm()
-        # The corrupt spill was quarantined (renamed *.art.bad) by the
-        # first prewarm; every surviving spill loads.
-        assert (tmp_path / "parse-deadbeef.art.bad").exists()
-        assert not (tmp_path / "parse-deadbeef.art").exists()
-        assert total == len(list(tmp_path.glob("*.art")))
-
-    def test_worker_init_prewarms(self, tmp_path):
-        from repro.pipeline import batch as batch_mod
-
-        items = [_variant(i) for i in range(2)]
-        transform_batch(items, jobs=1, cache_dir=str(tmp_path))
-        batch_mod._WORKER_MANAGERS.clear()
-        try:
-            batch_mod._worker_init(str(tmp_path))
-            manager = batch_mod._WORKER_MANAGERS[str(tmp_path)]
-            assert len(manager.cache) == len(list(tmp_path.glob("*.art")))
-        finally:
-            batch_mod._WORKER_MANAGERS.clear()
 
 
 class TestRunAllBatch:

@@ -5,6 +5,7 @@ and the degraded-health surfaces."""
 import asyncio
 import os
 import threading
+import zlib
 
 import pytest
 
@@ -217,10 +218,12 @@ def _add_many(counters, times):
 
 
 def _spill_payload(tmp_path, value=(1, 2, 3)):
-    """A valid compact spill container, via a real cache spill."""
+    """A valid spill record, via a real cache spill."""
     cache = ArtifactCache(disk_dir=tmp_path / "seed")
     cache.put("parse", "seed-key", list(value))
-    (path,) = (tmp_path / "seed").glob("parse-*.art")
+    cache.put("rewrite", "seed-key", "text")
+    cache.commit("seed-key")
+    (path,) = (tmp_path / "seed").glob("*.art")
     return path.name[: -len(".art")], path.read_bytes()
 
 
@@ -259,7 +262,7 @@ class TestArtifactRoutes:
                 assert response.status == 200
                 census = response.json()
                 assert census["files"] == 1
-                assert census["by_pass"]["parse"]["files"] == 1
+                assert census["records"] == 1
             finally:
                 await server.aclose()
 
@@ -280,9 +283,15 @@ class TestArtifactRoutes:
                         host, port, "GET", f"/artifacts/{bad}"
                     )
                     assert response.status == 400, bad
-                # Not a compact spill container: rejected, not stored.
+                # Not a spill record: rejected, not stored.
                 response = await _request(
                     host, port, "PUT", "/artifacts/parse-k", b"garbage"
+                )
+                assert response.status == 400
+                # Nor is a per-pass spill of the retired format.
+                response = await _request(
+                    host, port, "PUT", "/artifacts/parse-k",
+                    b"OART1\n" + zlib.compress(b"payload"),
                 )
                 assert response.status == 400
                 response = await _request(
@@ -336,8 +345,10 @@ class TestTieredCache:
         client_a = RemoteStoreClient(f"http://{host}:{port}", config=FAST)
         publisher.remote = client_a
         publisher.put("parse", "shared", [4, 5, 6])
+        publisher.put("rewrite", "shared", "out")
+        publisher.commit("shared")
         assert client_a.flush(timeout=5.0)
-        assert client_a.counters["puts"] == 1
+        assert client_a.counters["puts"] == 1  # one record, one key
         client_a.close()
 
         reader = ArtifactCache(disk_dir=tmp_path / "b")
@@ -347,8 +358,10 @@ class TestTieredCache:
             value, origin = reader.lookup("parse", "shared")
             assert value == [4, 5, 6]
             assert origin == ORIGIN_REMOTE
+            # The record's other passes came with it: no second fetch.
+            assert reader.lookup("rewrite", "shared") == ("out", ORIGIN_REMOTE)
             assert client_b.counters["hits"] == 1
-            assert list((tmp_path / "b").glob("parse-*.art"))
+            assert len(list((tmp_path / "b").glob("*.art"))) == 1
             # Second lookup is local: the payload landed as a spill.
             fresh = ArtifactCache(disk_dir=tmp_path / "b")
             assert fresh.get("parse", "shared") == [4, 5, 6]
@@ -373,6 +386,7 @@ class TestTieredCache:
         client_a = RemoteStoreClient(f"http://{host}:{port}", config=FAST)
         publisher.remote = client_a
         publisher.put("parse", "shared", [4, 5, 6])
+        publisher.commit("shared")
         assert client_a.flush(timeout=5.0)
         client_a.close()
 
@@ -399,6 +413,7 @@ class TestTieredCache:
         try:
             assert cache.get("parse", "k") is MISS
             cache.put("parse", "k", [1])
+            cache.commit("k")
             assert cache.get("parse", "k") == [1]  # local tiers still work
             client.flush(timeout=5.0)
             health = client.health()
@@ -506,7 +521,9 @@ class TestPoolWideCounters:
                 await node.aclose()
 
         live, dead = asyncio.run(run())
-        assert live["remote"]["hits"] >= 1
+        # The publishing batch left one record for its one input.
+        assert len(list((tmp_path / "pub").glob("*.art"))) == 1
+        assert live["remote"]["hits"] == 1
         assert live["remote"]["errors"] == 0
         assert dead["remote"]["breaker_opens"] >= 1
         assert dead["remote"]["errors"] >= 1

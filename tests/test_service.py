@@ -177,6 +177,15 @@ class TestScheduler:
         assert "remote" not in stats  # no store URL, no remote tier
         assert list(tmp_path.glob("*.art"))
 
+    def test_each_cold_request_spills_one_record(self, tmp_path):
+        async def run():
+            async with _scheduler(cache_dir=str(tmp_path)) as sched:
+                for name in ("a.c", "b.c"):
+                    await sched.run(TransformJobSpec(source=SRC, filename=name))
+
+        asyncio.run(run())
+        assert len(list(tmp_path.glob("*.art"))) == 2
+
 
 class TestServer:
     def test_routes(self):

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+from repro.pipeline.artifacts import record_filename
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.store import gc_spills, spill_stats
 
@@ -96,6 +97,17 @@ class TestBatchRunsShareTheCacheDir:
             "/ 0 miss(es)" in out
         assert "byte(s) in spill files" in out
 
+    def test_store_stats_counts_one_record_per_input(self, tmp_path, capsys):
+        from repro.cli import main
+
+        paths = self._inputs(tmp_path, 3)
+        cache = str(tmp_path / "cache")
+        assert main(["batch", *paths, "-j", "2", "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        assert main(["store", "stats", "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert ": 3 spill(s) (3 current record(s))" in out
+
 
 class TestSpillGC:
     """Disk-tier GC: size/TTL LRU eviction behind ``ompdart store gc``."""
@@ -160,35 +172,38 @@ class TestSpillGC:
         assert live_tmp.exists() and keeper.exists()
         assert report.ttl_evicted == 0 and report.size_evicted == 0
 
-    def test_spill_stats_census_by_pass(self, tmp_path):
-        self._spill(tmp_path, "parse-a.art", 10, 0)
-        self._spill(tmp_path, "parse-b.art", 20, 0)
-        self._spill(tmp_path, "plan-c.art", 5, 0)
-        (tmp_path / "parse-d.art.bad").write_bytes(b"x")
+    def test_spill_stats_counts_current_records(self, tmp_path):
+        self._spill(tmp_path, record_filename("a"), 10, 0)
+        self._spill(tmp_path, record_filename("b"), 20, 0)
+        # A per-pass spill of an older format: a file, not a record.
+        self._spill(tmp_path, "plan-c-s3.art", 5, 0)
+        (tmp_path / "d-r1.art.bad").write_bytes(b"x")
         (tmp_path / "notes.txt").write_text("ignored")
         census = spill_stats(tmp_path)
         assert census["files"] == 3
         assert census["bytes"] == 35
+        assert census["records"] == 2
         assert census["quarantined"] == 1
-        assert census["by_pass"]["parse"] == {"files": 2, "bytes": 30}
-        assert census["by_pass"]["plan"] == {"files": 1, "bytes": 5}
 
 
 class TestCacheGC:
     def test_put_triggers_opportunistic_gc_once_bounded(self, tmp_path):
         cache = ArtifactCache(disk_dir=tmp_path, max_disk_bytes=1)
         for i in range(3):
-            cache.put("parse", f"g{i}-s0", list(range(50)))
+            cache.put("parse", f"g{i}", list(range(50)))
+            cache.commit(f"g{i}")
         # Below the sweep cadence nothing has run yet...
         assert cache.evicted_spills == 0
         cache._puts_since_gc = 31  # fast-forward to the cadence edge
-        cache.put("parse", "trigger-s0", list(range(50)))
+        cache.put("parse", "trigger", list(range(50)))
+        cache.commit("trigger")
         assert cache.evicted_spills > 0
         assert cache.evicted_spill_bytes > 0
 
     def test_unbounded_cache_never_sweeps(self, tmp_path):
         cache = ArtifactCache(disk_dir=tmp_path)
         cache._puts_since_gc = 31
-        cache.put("parse", "k-s0", [1, 2, 3])
+        cache.put("parse", "k", [1, 2, 3])
+        cache.commit("k")
         assert cache.evicted_spills == 0
         assert len(list(tmp_path.glob("*.art"))) == 1

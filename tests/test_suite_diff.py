@@ -8,7 +8,7 @@ import zlib
 
 import pytest
 
-from repro.pipeline.artifacts import spill_filename
+from repro.pipeline.artifacts import record_filename
 from repro.pipeline.cache import MISS, ArtifactCache
 from repro.report.diff import diff_payloads, render_diff
 from repro.report.perf import sweep_to_dict
@@ -203,27 +203,27 @@ class TestCompressedCache:
         artifact = {"nodes": list(range(500)), "text": "x" * 4000}
         raw_len = len(pickle.dumps(artifact, protocol=5))
         cache.put("parse", "k1", artifact)
-        stat = cache.stats["parse"]
-        assert 0 < stat.disk_bytes_written < raw_len
-        assert cache.disk_usage() == stat.disk_bytes_written
+        cache.commit("k1")
+        assert 0 < cache.disk_bytes_written < raw_len
+        assert cache.disk_usage() == cache.disk_bytes_written
 
         # A fresh cache (cold memory) reads it back through zlib.
         other = ArtifactCache(disk_dir=tmp_path)
         assert other.get("parse", "k1") == artifact
-        assert other.stats["parse"].disk_bytes_read == stat.disk_bytes_written
+        assert other.disk_bytes_read == cache.disk_bytes_written
 
     def test_corrupt_spill_is_a_miss(self, tmp_path):
         cache = ArtifactCache(disk_dir=tmp_path)
-        path = tmp_path / spill_filename("parse", "bad")
+        path = tmp_path / record_filename("bad")
         path.write_bytes(zlib.compress(b"not a pickle"))
         assert cache.get("parse", "bad") is MISS
 
     def test_memory_only_cache_counts_no_bytes(self):
         cache = ArtifactCache()
         cache.put("parse", "k", 1)
+        cache.commit("k")
         assert cache.get("parse", "k") == 1
-        stat = cache.stats["parse"]
-        assert stat.disk_bytes_read == 0 and stat.disk_bytes_written == 0
+        assert cache.disk_bytes_read == 0 and cache.disk_bytes_written == 0
         assert cache.disk_usage() == 0
 
 
