@@ -26,10 +26,11 @@ access-pattern view used for nested host loops.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..cfg.astcfg import ASTCFG
-from ..cfg.graph import LoopInfo, NodeKind
+from ..cfg.graph import CFGNode, LoopInfo, NodeKind
 from ..frontend import ast_nodes as A
 from .bounds import find_update_insert_loc
 from .validity import Direction, Space, TransferNeed, ValidityResult
@@ -97,30 +98,25 @@ class PlacementAnalysis:
         info = self._loop_by_stmt.get(loop.node_id)
         if info is None:
             return True  # unknown loop structure: be pessimistic
-        for node in info.nodes:
-            node_space = Space.DEVICE if node.offloaded else Space.HOST
-            if node_space is not space:
-                continue
-            for acc in self.result.node_accesses.get(node.node_id, []):
-                if acc.name == var and acc.kind.writes:
-                    return True
-        return False
+        return self._writes(var, space, info.nodes)
 
     def _writes_in_region_before(self, var: str, space: Space, offset: int) -> bool:
         """Any ``space`` write to ``var`` between region start and ``offset``?"""
-        for node in self.cfg.nodes:
-            if node.ast is None:
-                continue
-            node_space = Space.DEVICE if node.offloaded else Space.HOST
-            if node_space is not space:
-                continue
-            begin = node.ast.begin_offset
-            if begin < self.region_begin or begin >= offset:
-                continue
-            for acc in self.result.node_accesses.get(node.node_id, []):
-                if acc.name == var and acc.kind.writes:
-                    return True
-        return False
+        return self._writes(var, space, (
+            node for node in self.cfg.nodes
+            if node.ast is not None
+            and self.region_begin <= node.ast.begin_offset < offset
+        ))
+
+    def _writes(self, var: str, space: Space, nodes: Iterable[CFGNode]) -> bool:
+        """Does any of ``nodes`` write ``var`` in ``space``?"""
+        bit = self.result.bits[var]
+        device = space is Space.DEVICE
+        write_masks = self.result.write_masks
+        return any(
+            node.offloaded == device and write_masks.get(node.node_id, 0) & bit
+            for node in nodes
+        )
 
     # -- placement ------------------------------------------------------------
 

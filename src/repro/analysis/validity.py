@@ -6,23 +6,32 @@ last written to in any other memory space.  While traversing the CFG,
 we track whether a memory space has a valid, up-to-date copy of each
 variable at each node."
 
-Lattice: per variable, two booleans (valid-on-host, valid-on-device);
-TOP is (True, True), meet is conjunction — a copy is valid at a join
-only if it is valid on every incoming path.  The transfer function
-records a :class:`TransferNeed` whenever a read observes a stale copy
-(a true RAW dependency across memory spaces — anti and output
-dependencies need no communication) and then *assumes the transfer
-happens*, so downstream state reflects the mapping the tool will insert.
+Lattice: per variable, two booleans (valid-on-host, valid-on-device).
+The analysis gives every tracked variable one bit and keeps the whole
+lattice as two bit planes per CFG node: a host mask and a device mask,
+Python ints whose bit ``i`` says that variable ``i`` has a valid copy
+in that space.  TOP is all ones on both planes and the meet is ``&``
+on each — a copy is valid at a join only if it is valid on every
+incoming path.  A node's accesses reduce once to a gen/kill pair per
+plane, ``out = (in & keep) | set``: every access leaves its own space
+valid, and a write also kills the other space's copy.  A read that
+observes a stale copy is a :class:`TransferNeed` (a true RAW dependency
+across memory spaces — anti and output dependencies need no
+communication); the transfer function *assumes the transfer happens*,
+so downstream state reflects the mapping the tool will insert.
 
 The fixpoint visits loop back edges like any other edge, which realizes
 the paper's loop rule: if data must be valid at the top of a loop body,
 it must still be valid when the back edge is taken, otherwise the meet
-exposes a loop-carried dependency.
+exposes a loop-carried dependency.  Needs and facts are recorded in one
+sweep over the fixpoint masks.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from ..cfg.astcfg import ASTCFG
@@ -57,12 +66,10 @@ class VarState:
     """Validity of one variable's copies.  Immutable; meet returns new.
 
     There are only four possible states, so every operation hands back
-    one of the four module-level instances (:data:`_INTERNED`) — the
-    fixpoint loop churns through millions of meets on large inputs and
-    interning keeps that allocation-free.  Equality is structural with
-    an identity fast path (the hand-written ``__eq__`` below): interned
-    states hit the ``is`` check, while externally-constructed instances
-    still compare by value.
+    one of the four module-level instances (:data:`_INTERNED`).
+    Equality is structural with an identity fast path (the hand-written
+    ``__eq__`` below): interned states hit the ``is`` check, while
+    externally-constructed instances still compare by value.
     """
 
     valid_host: bool = True
@@ -101,14 +108,8 @@ class VarState:
         """A write makes its space the only valid one."""
         return ENTRY if space is Space.HOST else _DEVICE_ONLY
 
-    def after_weak_write(self, space: Space) -> "VarState":
-        """A partial (element) write: the writing space stays/becomes
-        valid, the other becomes stale — same as a strong write under
-        the paper's whole-array conservatism."""
-        return self.after_write(space)
 
-
-#: TOP of the lattice: both copies valid (used for unvisited preds).
+#: TOP of the lattice: both copies valid.
 TOP = VarState(True, True)
 #: Boundary state at function entry: host data valid, device empty.
 ENTRY = VarState(True, False)
@@ -122,6 +123,31 @@ _INTERNED: dict[tuple[bool, bool], VarState] = {
     (False, True): _DEVICE_ONLY,
     (False, False): _NEITHER,
 }
+
+
+def transfer_masks(
+    space: Space, effects: Iterable[tuple[int, bool, bool]], full: int
+) -> tuple[int, int, int, int]:
+    """Reduce one node's ``(bit, reads, writes)`` accesses to its transfer
+    function ``(keep_host, set_host, keep_dev, set_dev)``, applied as
+    ``out = (in & keep) | set`` per plane.
+
+    Every access that reads or writes leaves its own space valid (a
+    stale read because the tool satisfies it in place), and a write
+    kills the other space's copy.  Neither step clears a bit of the
+    node's own plane, so the accesses commute and the node sets every
+    touched bit on its plane and keeps all but the written bits on the
+    other.  ``full`` is the all-ones mask of the tracked variables.
+    """
+    touched = written = 0
+    for bit, reads, writes in effects:
+        if reads or writes:
+            touched |= bit
+        if writes:
+            written |= bit
+    if space is Space.HOST:
+        return (full, touched, full ^ written, 0)
+    return (full ^ written, 0, full, touched)
 
 
 @dataclass(frozen=True)
@@ -175,15 +201,63 @@ class ValidityResult:
 
     needs: list[TransferNeed]
     facts: dict[str, VarFacts]
-    #: Fixpoint state *entering* each node.
-    state_in: dict[CFGNode, dict[str, VarState]]
-    #: Fixpoint state *leaving* each node.
-    state_out: dict[CFGNode, dict[str, VarState]]
-    #: Per-node resolved accesses (cached for placement queries).
+    #: Per-node resolved accesses (reached nodes only).
     node_accesses: dict[int, list[Access]]
+    #: Tracked variable -> its bit in every mask, in sorted name order.
+    bits: dict[str, int]
+    #: Reached nodes in fixpoint order; ``index`` maps node id -> position.
+    nodes: list[CFGNode]
+    index: dict[int, int]
+    #: Fixpoint planes entering / leaving ``nodes[i]``.
+    in_host: list[int]
+    in_dev: list[int]
+    out_host: list[int]
+    out_dev: list[int]
+    #: node id -> variables the node writes, in the node's own space.
+    write_masks: dict[int, int]
 
-    def state_at_exit(self, cfg_exit: CFGNode) -> dict[str, VarState]:
-        return self.state_in.get(cfg_exit, {})
+    @property
+    def state_in(self) -> Mapping[CFGNode, dict[str, VarState]]:
+        """Fixpoint state *entering* each reached node, decoded per read."""
+        return _StateView(self, self.in_host, self.in_dev)
+
+    @property
+    def state_out(self) -> Mapping[CFGNode, dict[str, VarState]]:
+        """Fixpoint state *leaving* each reached node, decoded per read."""
+        return _StateView(self, self.out_host, self.out_dev)
+
+    def host_valid_in(self, node: CFGNode) -> int:
+        """Host plane entering ``node``; 0 (nothing known valid) when unreached."""
+        i = self.index.get(node.node_id)
+        return 0 if i is None else self.in_host[i]
+
+
+class _StateView(Mapping):
+    """Read-only ``{node: {var: VarState}}`` over one pair of planes."""
+
+    __slots__ = ("_result", "_host", "_dev")
+
+    def __init__(self, result: ValidityResult, host: list[int], dev: list[int]):
+        self._result = result
+        self._host = host
+        self._dev = dev
+
+    def __getitem__(self, node: CFGNode) -> dict[str, VarState]:
+        result = self._result
+        i = result.index.get(getattr(node, "node_id", None))
+        if i is None or result.nodes[i] is not node:
+            raise KeyError(node)
+        host, dev = self._host[i], self._dev[i]
+        return {
+            var: _INTERNED[bool(host & bit), bool(dev & bit)]
+            for var, bit in result.bits.items()
+        }
+
+    def __iter__(self) -> Iterator[CFGNode]:
+        return iter(self._result.nodes)
+
+    def __len__(self) -> int:
+        return len(self._result.nodes)
 
 
 class ValidityAnalysis:
@@ -199,13 +273,27 @@ class ValidityAnalysis:
         self.cfg = astcfg.cfg
         self.effects = effects
         self.tracked = tracked
+        self._bits = {var: 1 << i for i, var in enumerate(sorted(tracked))}
         self._accesses: dict[int, list[Access]] = {}
-        #: (node_id, id(access)) -> guardedness.  The Access objects are
-        #: owned by the ``_accesses`` cache, so their ids are stable for
-        #: this analysis' lifetime; the walk behind the answer is pure,
-        #: and the fixpoint re-applies nodes many times.
-        self._guard_memo: dict[tuple[int, int], bool] = {}
+        #: id(access) -> is this write guarded?  The Access objects live
+        #: in ``_accesses``, so their ids are stable for this analysis.
+        self._guarded: dict[int, bool] = {}
+        #: ForStmt node id -> does the loop run at least once?
+        self._runs_once: dict[int, bool] = {}
         self._must_execute_heads = self._find_must_execute_heads()
+
+    def _loop_runs_once(self, loop: A.ForStmt) -> bool:
+        """Statically known trip count >= 1 (memoized per loop)."""
+        cached = self._runs_once.get(loop.node_id)
+        if cached is None:
+            from .bounds import loop_bounds  # local import: avoid module cycle
+
+            bounds = loop_bounds(loop)
+            cached = self._runs_once[loop.node_id] = (
+                bounds is not None and bounds.trip_count is not None
+                and bounds.trip_count >= 1
+            )
+        return cached
 
     def _find_must_execute_heads(self) -> set[int]:
         """PRED nodes of loops with a statically known trip count >= 1.
@@ -217,17 +305,11 @@ class ValidityAnalysis:
         loop (the paper's Listing 2 reuse case) without giving up
         soundness for genuinely unknown bounds.
         """
-        from .bounds import loop_bounds  # local import: avoid module cycle
-
-        heads: set[int] = set()
-        for node in self.cfg.nodes:
-            if node.kind is not NodeKind.PRED or not isinstance(node.ast, A.ForStmt):
-                continue
-            bounds = loop_bounds(node.ast)
-            if bounds is not None and bounds.trip_count is not None \
-                    and bounds.trip_count >= 1:
-                heads.add(node.node_id)
-        return heads
+        return {
+            node.node_id for node in self.cfg.nodes
+            if node.kind is NodeKind.PRED and isinstance(node.ast, A.ForStmt)
+            and self._loop_runs_once(node.ast)
+        }
 
     # -- access resolution (cached) ------------------------------------------
 
@@ -245,63 +327,28 @@ class ValidityAnalysis:
         self._accesses[node.node_id] = result
         return result
 
-    # -- transfer function ------------------------------------------------------
+    def _effects_of(self, node: CFGNode) -> list[tuple[Access, int, bool, bool]]:
+        """``(access, bit, reads, writes)`` for each tracked access.
 
-    def _apply_node(
-        self,
-        node: CFGNode,
-        state: dict[str, VarState],
-        needs: dict[tuple[str, str, int], TransferNeed],
-        facts: dict[str, VarFacts] | None,
-    ) -> dict[str, VarState]:
-        accesses = self.accesses_of(node)
-        if not accesses:
-            # No tracked accesses: the transfer function is the identity.
-            # Returning ``state`` itself (not a copy) is safe because
-            # fixpoint states are never mutated after they are stored.
-            return state
-        space = Space.DEVICE if node.offloaded else Space.HOST
-        out = dict(state)
-        for acc in accesses:
-            var = acc.name
-            vs = out.get(var, ENTRY)
-            reads = acc.kind.reads
-            if acc.kind.writes and not reads and self._write_is_guarded(node, acc):
-                # A conditionally-executed write is a read-modify-write
-                # at whole-variable granularity: the untaken path keeps
-                # the incoming value, so the destination copy must be
-                # valid *before* the write (bfs's device-set flag is the
-                # canonical case).
-                reads = True
-            if facts is not None:
-                fact = facts.setdefault(var, VarFacts(var, acc.decl))
-                if fact.decl is None:
-                    fact.decl = acc.decl
-                fact.note(space, acc.kind, node.kernel)
-            if reads:
-                if not vs.valid_in(space):
-                    direction = (
-                        Direction.HTOD if space is Space.DEVICE else Direction.DTOH
-                    )
-                    need = TransferNeed(var, direction, node, acc, node.kernel)
-                    needs.setdefault(need.key, need)
-                    # Assume the tool satisfies the dependency here.
-                    vs = vs.with_valid(space, True)
-            if acc.kind.writes:
-                vs = vs.after_write(space)
-            out[var] = vs
+        A conditionally-executed write is a read-modify-write at
+        whole-variable granularity: the untaken path keeps the incoming
+        value, so the destination copy must be valid *before* the write
+        (bfs's device-set flag is the canonical case).  It counts as a
+        read here; its state change is a write's either way.
+        """
+        bits, guarded = self._bits, self._guarded
+        out = []
+        for acc in self.accesses_of(node):
+            reads, writes = acc.kind.reads, acc.kind.writes
+            if writes and not reads:
+                key = id(acc)
+                if key not in guarded:
+                    guarded[key] = self._write_is_guarded(node, acc)
+                reads = guarded[key]
+            out.append((acc, bits[acc.name], reads, writes))
         return out
 
     def _write_is_guarded(self, node: CFGNode, acc: Access) -> bool:
-        key = (node.node_id, id(acc))
-        cached = self._guard_memo.get(key)
-        if cached is None:
-            cached = self._guard_memo[key] = self._compute_write_guarded(
-                node, acc
-            )
-        return cached
-
-    def _compute_write_guarded(self, node: CFGNode, acc: Access) -> bool:
         """Is this write control-dependent on a branch whose other arm
         does not also write the variable?
 
@@ -332,131 +379,157 @@ class ValidityAnalysis:
                 return True
             if isinstance(anc, A.WhileStmt) and current is not anc.cond:
                 return True  # while bodies may execute zero times
-            if isinstance(anc, A.ForStmt) and current is anc.body:
-                from .bounds import loop_bounds
-
-                bounds = loop_bounds(anc)
-                if bounds is None or bounds.trip_count is None or bounds.trip_count < 1:
-                    return True
+            if isinstance(anc, A.ForStmt) and current is anc.body \
+                    and not self._loop_runs_once(anc):
+                return True
             current = anc
         # Conditional operators *inside* the same statement also guard.
         return _write_under_conditional(stmt, acc)
 
-    def _meet_states(
-        self, states: list[dict[str, VarState] | None]
-    ) -> dict[str, VarState]:
-        """Pointwise meet; unvisited (None) inputs contribute TOP."""
-        incoming: dict[str, VarState] | None = None
-        tracked = self.tracked
-        top = TOP
-        for st in states:
-            if st is None:
-                continue
-            if incoming is None:
-                incoming = dict(st)
-            else:
-                get_in = incoming.get
-                get_st = st.get
-                for var in tracked:
-                    incoming[var] = get_in(var, top).meet(get_st(var, top))
-        if incoming is None:
-            return {v: top for v in tracked}
-        return incoming
-
     # -- fixpoint -----------------------------------------------------------------
 
     def run(self) -> ValidityResult:
-        nodes = self.cfg.nodes
-        state_out: dict[CFGNode, dict[str, VarState]] = {}
-        state_in: dict[CFGNode, dict[str, VarState]] = {}
-        needs: dict[tuple[str, str, int], TransferNeed] = {}
-
-        entry_state = {v: ENTRY for v in self.tracked}
-        from collections import deque
-
         order = self.cfg.topological_order()
-        worklist: deque[CFGNode] = deque(order)
-        in_worklist = set(n.node_id for n in worklist)
-        iterations = 0
-        limit = max(64, len(nodes) * len(nodes))
+        index = {node.node_id: i for i, node in enumerate(order)}
+        for node in order:  # appends anything reached only via back edges
+            for edge in node.successors:
+                if edge.dst.node_id not in index:
+                    index[edge.dst.node_id] = len(order)
+                    order.append(edge.dst)
+        n = len(order)
+        full = (1 << len(self._bits)) - 1
+        heads = self._must_execute_heads
 
-        #: Exit-edge states for must-execute loop heads (false edge only).
-        state_out_false: dict[CFGNode, dict[str, VarState]] = {}
+        # Flat per-node tables of ints, so the fixpoint keeps no per-node
+        # containers alive for the cyclic GC to trace.  Node i's meet
+        # reads pred_slots[pred_at[i]:pred_at[i + 1]] (successors alike).
+        # Slot ``i`` is node i's OUT; slot ``n + i`` is the FALSE-edge OUT
+        # of a must-execute loop head, which carries the post-body state.
+        # Unreachable predecessors are always TOP and drop out of the meet.
+        pred_at, pred_slots = [0], []
+        succ_at, succ_slots = [0], []
+        back_preds: dict[int, list[int]] = {}
+        keep_h, set_h = [full] * n, [0] * n
+        keep_d, set_d = [full] * n, [0] * n
+        write_masks: dict[int, int] = {}
+        for i, node in enumerate(order):
+            for edge in node.predecessors:
+                j = index.get(edge.src.node_id)
+                if j is None:
+                    continue
+                if edge.src.node_id in heads and edge.label is EdgeLabel.FALSE \
+                        and not edge.is_back_edge:
+                    j += n
+                pred_slots.append(j)
+            pred_at.append(len(pred_slots))
+            for edge in node.successors:
+                succ_slots.append(index[edge.dst.node_id])
+            succ_at.append(len(succ_slots))
+            if node.node_id in heads:
+                back_preds[i] = [
+                    index[e.src.node_id] for e in node.predecessors
+                    if e.is_back_edge and e.src.node_id in index
+                ]
+            effects = self._effects_of(node)
+            if not effects:
+                continue
+            space = Space.DEVICE if node.offloaded else Space.HOST
+            keep_h[i], set_h[i], keep_d[i], set_d[i] = transfer_masks(
+                space, ((b, r, w) for _, b, r, w in effects), full
+            )
+            # The other plane keeps every bit but the written ones.
+            written = full ^ (keep_d[i] if space is Space.HOST else keep_h[i])
+            if written:
+                write_masks[node.node_id] = written
 
-        def pred_out_for(edge) -> dict[str, VarState] | None:
-            """The OUT state flowing along ``edge`` from its source."""
-            src = edge.src
-            if (
-                src.node_id in self._must_execute_heads
-                and edge.label is EdgeLabel.FALSE
-                and not edge.is_back_edge
-            ):
-                return state_out_false.get(src)
-            return state_out.get(src)
-
-        while worklist:
-            iterations += 1
-            if iterations > limit * 4:  # pragma: no cover - safety valve
-                raise RuntimeError("validity analysis failed to converge")
-            node = worklist.popleft()
-            in_worklist.discard(node.node_id)
-
-            if node is self.cfg.entry:
-                incoming = dict(entry_state)
+        # Optimistic start: every OUT slot is TOP until its node runs.
+        out_h = [full] * (2 * n)
+        out_d = [full] * (2 * n)
+        in_h = [full] * n
+        in_d = [full] * n
+        heap = list(range(n))  # reverse-postorder priority
+        queued = [True] * n
+        heappop, heappush = heapq.heappop, heapq.heappush
+        while heap:
+            i = heappop(heap)
+            queued[i] = False
+            if i == 0:  # entry: host data valid, device empty
+                h, d = full, 0
             else:
-                preds = node.predecessors
-                if len(preds) == 1:
-                    # Single predecessor: the meet is the identity.
-                    # Fixpoint dicts are never mutated once stored, so
-                    # the predecessor's OUT is shared, not copied.
-                    st = pred_out_for(preds[0])
-                    incoming = (
-                        st if st is not None else {v: TOP for v in self.tracked}
-                    )
-                else:
-                    incoming = self._meet_states([pred_out_for(e) for e in preds])
-
-            state_in[node] = incoming
-            new_out = self._apply_node(node, incoming, needs, None)
-            changed = state_out.get(node) != new_out
-            state_out[node] = new_out
-
-            if node.node_id in self._must_execute_heads:
+                h = d = full
+                for s in pred_slots[pred_at[i]:pred_at[i + 1]]:
+                    h &= out_h[s]
+                    d &= out_d[s]
+            in_h[i] = h
+            in_d[i] = d
+            h = (h & keep_h[i]) | set_h[i]
+            d = (d & keep_d[i]) | set_d[i]
+            changed = h != out_h[i] or d != out_d[i]
+            out_h[i] = h
+            out_d[i] = d
+            back = back_preds.get(i)
+            if back is not None:
                 # The exit edge carries post-body state only: meet over
                 # back-edge predecessors, re-run through the predicate.
-                back_in = self._meet_states(
-                    [
-                        state_out.get(e.src)
-                        for e in node.predecessors
-                        if e.is_back_edge
-                    ]
-                )
-                new_false = self._apply_node(node, back_in, needs, None)
-                if state_out_false.get(node) != new_false:
-                    state_out_false[node] = new_false
+                h = d = full
+                for s in back:
+                    h &= out_h[s]
+                    d &= out_d[s]
+                h = (h & keep_h[i]) | set_h[i]
+                d = (d & keep_d[i]) | set_d[i]
+                if h != out_h[n + i] or d != out_d[n + i]:
+                    out_h[n + i] = h
+                    out_d[n + i] = d
                     changed = True
-
             if changed:
-                for edge in node.successors:
-                    if edge.dst.node_id not in in_worklist:
-                        worklist.append(edge.dst)
-                        in_worklist.add(edge.dst.node_id)
+                for j in succ_slots[succ_at[i]:succ_at[i + 1]]:
+                    if not queued[j]:
+                        queued[j] = True
+                        heappush(heap, j)
 
-        # Final fact-collection sweep against the fixpoint states.
+        needs, facts = self._record(index, in_h, in_d)
+        return ValidityResult(
+            needs, facts, dict(self._accesses), self._bits, order, index,
+            in_h, in_d, out_h[:n], out_d[:n], write_masks,
+        )
+
+    def _record(
+        self, index: dict[int, int], in_h: list[int], in_d: list[int]
+    ) -> tuple[list[TransferNeed], dict[str, VarFacts]]:
+        """Needs and facts of every reached node, from the fixpoint planes.
+
+        Within a node only a variable's first access can observe a stale
+        copy: any access leaves the node's own space valid.
+        """
         facts: dict[str, VarFacts] = {}
-        final_needs: dict[tuple[str, str, int], TransferNeed] = {}
-        for node in nodes:
-            if node in state_in:
-                self._apply_node(node, state_in[node], final_needs, facts)
-
-        ordered = sorted(
-            final_needs.values(),
+        needs: list[TransferNeed] = []
+        for node in self.cfg.nodes:
+            i = index.get(node.node_id)
+            if i is None:
+                continue
+            if node.offloaded:
+                space, direction, valid = Space.DEVICE, Direction.HTOD, in_d[i]
+            else:
+                space, direction, valid = Space.HOST, Direction.DTOH, in_h[i]
+            kernel = node.kernel
+            for acc, bit, reads, writes in self._effects_of(node):
+                fact = facts.get(acc.name)
+                if fact is None:
+                    fact = facts[acc.name] = VarFacts(acc.name, acc.decl)
+                elif fact.decl is None:
+                    fact.decl = acc.decl
+                fact.note(space, acc.kind, kernel)
+                if reads and not valid & bit:
+                    needs.append(TransferNeed(acc.name, direction, node, acc, kernel))
+                if reads or writes:
+                    valid |= bit
+        needs.sort(
             key=lambda n: (
                 n.node.ast.begin_offset if n.node.ast is not None else 0,
                 n.var,
             ),
         )
-        return ValidityResult(ordered, facts, state_in, state_out, dict(self._accesses))
+        return needs, facts
 
 
 def _subtree_writes(root: A.Node, var: str) -> bool:

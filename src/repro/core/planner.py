@@ -76,15 +76,18 @@ def plan_function(
     astcfg: ASTCFG,
     tu: A.TranslationUnit,
     effects: InterproceduralAnalysis,
+    kernels: list[A.OMPExecutableDirective],
 ) -> PlannerOutput:
-    """Produce the directive plan for one function, or None without kernels."""
-    kernels = astcfg.kernel_directives()
+    """Produce the directive plan for one function, or None without kernels.
+
+    ``kernels`` is the function's :meth:`ASTCFG.kernel_directives`.
+    """
     if not kernels:
         return PlannerOutput(None)
 
     diagnostics: list[Diagnostic] = []
     tracked = variables_of_interest(astcfg, effects)
-    region = compute_region(astcfg)
+    region = compute_region(astcfg, kernels)
 
     # Alias disambiguation for kernel-referenced pointers (section VII).
     pointer_vars = _pointer_vars(astcfg.function, tu, tracked)
@@ -128,7 +131,7 @@ def plan_function(
     # that end up in the region's map clauses; firstprivate scalars and
     # reduction variables travel with each kernel and are exempt.
     diagnostics.extend(
-        check_declarations_precede_region(astcfg, region, mapped_vars)
+        check_declarations_precede_region(astcfg, region, mapped_vars, kernels)
     )
     if any(d.severity >= Severity.ERROR for d in diagnostics):
         return PlannerOutput(None, diagnostics)
@@ -167,13 +170,12 @@ def plan_function(
     # directives, so a variable refreshed on the host after its last
     # device write does not get a redundant `from` — this is exactly the
     # redundancy the paper found in lulesh's expert mappings.
-    exit_state = validity.state_in.get(astcfg.cfg.exit, {})
+    exit_host = validity.host_valid_in(astcfg.cfg.exit)
     for name in sorted(mapped_vars):
         fact = validity.facts[name]
-        if fact.device_writes and name in escaping:
-            vs = exit_state.get(name)
-            if vs is None or not vs.valid_host:
-                from_vars.add(name)
+        if fact.device_writes and name in escaping \
+                and not exit_host & validity.bits[name]:
+            from_vars.add(name)
 
     maps = [
         MapSpec(name, MapType.combine(name in to_vars, name in from_vars))

@@ -81,9 +81,16 @@ def _child_containing(block: A.CompoundStmt, target: A.Node) -> A.Stmt:
     raise AnalysisError("region target not inside its owning block")
 
 
-def compute_region(astcfg: ASTCFG) -> RegionSpec:
-    """The function's single target data region."""
-    kernels = astcfg.kernel_directives()
+def compute_region(
+    astcfg: ASTCFG, kernels: list[A.OMPExecutableDirective] | None = None
+) -> RegionSpec:
+    """The function's single target data region.
+
+    ``kernels`` is the function's :meth:`ASTCFG.kernel_directives`, when
+    the caller already has it.
+    """
+    if kernels is None:
+        kernels = astcfg.kernel_directives()
     if not kernels:
         raise AnalysisError(
             f"function {astcfg.function.name!r} has no offload kernels"
@@ -101,6 +108,7 @@ def check_declarations_precede_region(
     astcfg: ASTCFG,
     region: RegionSpec,
     tracked: set[str],
+    kernels: list[A.OMPExecutableDirective],
 ) -> list[Diagnostic]:
     """The paper's declaration-placement requirement.
 
@@ -124,6 +132,9 @@ def check_declarations_precede_region(
         for ref in node.ast.walk_instances(A.DeclRefExpr):
             if isinstance(ref.decl, A.VarDecl) and ref.name in tracked:
                 kernel_decls.add(ref.decl.node_id)
+    # Declarations referenced at or after the region end, collected by
+    # one walk the first time an in-region declaration needs them.
+    referenced_after: set[int] | None = None
 
     for decl in astcfg.function.walk_instances(A.VarDecl):
         if isinstance(decl, A.ParmVarDecl):
@@ -133,18 +144,20 @@ def check_declarations_precede_region(
         if decl.node_id in kernel_decls and decl.begin_offset >= region.begin_offset:
             # Declared inside the kernel region itself => private, fine.
             declared_in_kernel = any(
-                k.range.contains(decl.range)
-                for k in astcfg.kernel_directives()
+                k.range.contains(decl.range) for k in kernels
             )
             violates = not declared_in_kernel
         elif in_region and not region.single_kernel:
             # A host-only local declared inside the (to-be-braced) region
             # but referenced after it would fall out of scope once the
             # rewriter wraps the block — same remedy as the paper's rule.
-            violates = any(
-                ref.decl is decl and ref.begin_offset >= region.end_offset
-                for ref in astcfg.function.walk_instances(A.DeclRefExpr)
-            )
+            if referenced_after is None:
+                referenced_after = {
+                    id(ref.decl)
+                    for ref in astcfg.function.walk_instances(A.DeclRefExpr)
+                    if ref.begin_offset >= region.end_offset
+                }
+            violates = id(decl) in referenced_after
         if violates:
             loc = decl.range.begin
             diagnostics.append(

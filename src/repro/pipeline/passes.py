@@ -114,9 +114,10 @@ def _build_plan(ctx: PipelineContext) -> tuple[list, list, list[Diagnostic]]:
     diagnostics: list[Diagnostic] = []
     for name in sorted(astcfgs, key=lambda n: astcfgs[n].function.begin_offset):
         astcfg = astcfgs[name]
-        if not astcfg.kernel_directives():
+        kernels = astcfg.kernel_directives()
+        if not kernels:
             continue
-        output = plan_function(astcfg, tu, effects)
+        output = plan_function(astcfg, tu, effects, kernels)
         outputs.append(output)
         diagnostics.extend(output.diagnostics)
         if output.plan is not None:

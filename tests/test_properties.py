@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import AccessKind
-from repro.analysis.validity import VarState
+from repro.analysis.validity import Space, VarState, transfer_masks
 from repro.frontend.ctypes_ import DOUBLE
 from repro.frontend.lexer import tokenize
 from repro.frontend.source import SourceBuffer
@@ -139,6 +139,42 @@ class TestVarStateLattice:
         w = s.after_write(sp)
         assert w.valid_in(sp)
         assert not w.valid_in(Space.DEVICE if sp is Space.HOST else Space.HOST)
+
+    @given(
+        st.lists(_states, min_size=1, max_size=5),
+        st.lists(st.tuples(
+            st.sampled_from(list(Space)),
+            st.lists(st.tuples(
+                st.integers(0, 4), st.sampled_from(list(AccessKind)),
+                st.booleans(),
+            ), max_size=6),
+        ), max_size=4),
+    )
+    def test_mask_transfer_matches_varstate_sequence(self, states, nodes):
+        """Each node's (keep, set) masks == its accesses applied with
+        VarState in order (a guarded write also counts as a read)."""
+        full = (1 << len(states)) - 1
+        host = sum(1 << i for i, s in enumerate(states) if s.valid_host)
+        dev = sum(1 << i for i, s in enumerate(states) if s.valid_dev)
+        for space, accesses in nodes:
+            ops = [
+                (v % len(states), kind.reads or (kind.writes and guarded),
+                 kind.writes)
+                for v, kind, guarded in accesses
+            ]
+            keep_h, set_h, keep_d, set_d = transfer_masks(
+                space, [(1 << v, r, w) for v, r, w in ops], full
+            )
+            host, dev = (host & keep_h) | set_h, (dev & keep_d) | set_d
+            for v, reads, writes in ops:
+                if reads:
+                    states[v] = states[v].with_valid(space, True)
+                if writes:
+                    states[v] = states[v].after_write(space)
+        for i, s in enumerate(states):
+            assert (bool(host >> i & 1), bool(dev >> i & 1)) == (
+                s.valid_host, s.valid_dev
+            )
 
 
 # ---------------------------------------------------------------------------

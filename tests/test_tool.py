@@ -180,6 +180,32 @@ class TestInputConstraints:
             transform_source(src, "bad.c")
         assert any("must precede" in d.message for d in exc.value.diagnostics)
 
+    def test_host_local_read_after_region_rejected(self):
+        # `t` never reaches a kernel but is read after the region, so
+        # bracing the region would end its scope; `u` travels as a
+        # firstprivate scalar and is exempt.
+        src = (
+            "int a[4];\n"
+            "int main() {\n"
+            "  #pragma omp target\n"
+            "  for (int i = 0; i < 4; i++) a[i] = i;\n"
+            "  int t = 3;\n"
+            "  int u = 4;\n"
+            "  #pragma omp target\n"
+            "  for (int i = 0; i < 4; i++) a[i] += u;\n"
+            "  return t;\n"
+            "}\n"
+        )
+        with pytest.raises(ToolError) as exc:
+            transform_source(src, "bad.c")
+        assert [
+            (d.message, d.filename, d.line, d.column)
+            for d in exc.value.diagnostics
+        ] == [(
+            "declaration of 't' must precede the target data region; "
+            "move it before line 3, column 3", "bad.c", 5, 3,
+        )]
+
     def test_program_without_kernels_unchanged(self):
         src = "int main() { return 0; }\n"
         res = transform_source(src, "plain.c")

@@ -1,5 +1,9 @@
 """Tests for the validity dataflow (IV-D) and update placement (IV-D/E)."""
 
+from collections import deque
+
+import pytest
+
 from repro.analysis import (
     Direction,
     InterproceduralAnalysis,
@@ -10,10 +14,15 @@ from repro.analysis import (
     VarState,
     variables_of_interest,
 )
-from repro.cfg import ASTCFG
+from repro.analysis.validity import ENTRY, TOP, Space, VarFacts
+from repro.cfg import ASTCFG, build_astcfgs
+from repro.cfg.graph import EdgeLabel
 from repro.core.region import compute_region
 from repro.frontend import ast_nodes as A
 from repro.frontend import parse_source
+from repro.pipeline.manager import PassManager
+from repro.suite.registry import BENCHMARK_ORDER, get_benchmark
+from repro.suite.synth import generate_corpus
 
 
 def setup(src, fn_name="main"):
@@ -388,3 +397,128 @@ class TestAlgorithm1Position:
         for need in placer.result.needs:
             if need.access is None or need.access.subscript is None:
                 assert placer.algorithm1_position(need) is None
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-variable dict fixpoint
+# ---------------------------------------------------------------------------
+
+
+def dict_fixpoint(analysis):
+    """The validity fixpoint as one ``{var: VarState}`` dict per node.
+
+    A FIFO worklist applies each access with :class:`VarState` in order;
+    a final sweep over the reached nodes records needs and facts.  It
+    shares only access resolution, guard checks and must-execute loop
+    heads with the bit-vector analysis under test.
+    """
+    cfg, tracked = analysis.cfg, analysis.tracked
+    heads = analysis._must_execute_heads
+
+    def apply(node, state, needs=None, facts=None):
+        space = Space.DEVICE if node.offloaded else Space.HOST
+        direction = Direction.HTOD if node.offloaded else Direction.DTOH
+        out = dict(state)
+        for acc in analysis.accesses_of(node):
+            vs, kind = out[acc.name], acc.kind
+            reads = kind.reads or (
+                kind.writes and analysis._write_is_guarded(node, acc)
+            )
+            if facts is not None:
+                fact = facts.setdefault(acc.name, VarFacts(acc.name, acc.decl))
+                if fact.decl is None:
+                    fact.decl = acc.decl
+                fact.note(space, kind, node.kernel)
+            if reads and not vs.valid_in(space):
+                if needs is not None:
+                    needs.setdefault(
+                        (acc.name, node.node_id),
+                        (acc.name, direction, node, node.kernel),
+                    )
+                vs = vs.with_valid(space, True)
+            if kind.writes:
+                vs = vs.after_write(space)
+            out[acc.name] = vs
+        return out
+
+    def meet(states):
+        out = {v: TOP for v in tracked}
+        for st in states:
+            if st is not None:
+                out = {v: out[v].meet(st[v]) for v in tracked}
+        return out
+
+    state_in, state_out, exit_out = {}, {}, {}
+
+    def edge_out(edge):
+        if edge.src.node_id in heads and edge.label is EdgeLabel.FALSE \
+                and not edge.is_back_edge:
+            return exit_out.get(edge.src)
+        return state_out.get(edge.src)
+
+    worklist = deque(cfg.topological_order())
+    queued = set(worklist)
+    while worklist:
+        node = worklist.popleft()
+        queued.discard(node)
+        if node is cfg.entry:
+            state_in[node] = {v: ENTRY for v in tracked}
+        else:
+            state_in[node] = meet(edge_out(e) for e in node.predecessors)
+        out = apply(node, state_in[node])
+        changed = state_out.get(node) != out
+        state_out[node] = out
+        if node.node_id in heads:
+            post = apply(node, meet(
+                state_out.get(e.src) for e in node.predecessors if e.is_back_edge
+            ))
+            if exit_out.get(node) != post:
+                exit_out[node] = post
+                changed = True
+        if changed:
+            for edge in node.successors:
+                if edge.dst not in queued:
+                    worklist.append(edge.dst)
+                    queued.add(edge.dst)
+
+    needs, facts = {}, {}
+    for node in cfg.nodes:
+        if node in state_in:
+            apply(node, state_in[node], needs, facts)
+    ordered = sorted(needs.values(), key=lambda n: (
+        n[2].ast.begin_offset if n[2].ast is not None else 0, n[0],
+    ))
+    return state_in, ordered, facts
+
+
+def _oracle_sources():
+    for name in BENCHMARK_ORDER:
+        bench = get_benchmark(name)
+        unopt = bench.unoptimized_source()
+        transformed = PassManager(cache=None).run(unopt, name + ".c")
+        yield f"{name}/unoptimized", unopt
+        yield f"{name}/transformed", transformed.artifact("rewrite")
+        yield f"{name}/expert", bench.expert_source()
+    for filename, source in generate_corpus(18, seed=11):
+        yield filename, source
+
+
+@pytest.mark.parametrize("label,source", list(_oracle_sources()))
+def test_bit_vector_fixpoint_matches_dict_oracle(label, source):
+    tu = parse_source(source, label)
+    effects = InterproceduralAnalysis(tu)
+    checked = 0
+    for astcfg in build_astcfgs(tu).values():
+        if not astcfg.kernel_directives():
+            continue
+        tracked = variables_of_interest(astcfg, effects)
+        analysis = ValidityAnalysis(astcfg, effects, tracked)
+        result = analysis.run()
+        state_in, needs, facts = dict_fixpoint(analysis)
+        assert dict(result.state_in) == state_in
+        assert [
+            (n.var, n.direction, n.node, n.kernel) for n in result.needs
+        ] == needs
+        assert result.facts == facts
+        checked += 1
+    assert checked
