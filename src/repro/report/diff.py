@@ -21,7 +21,7 @@ What is compared, per platform / benchmark:
 
 * a per-variant ``vector_strategy`` whose coverage rank drops below the
   baseline's — a previously vectorized variant regressing to the
-  interpreter, or a stronger lowering (``straight``/``collapse``)
+  interpreter, or a stronger lowering (``codegen``/``collapse``)
   degrading to a weaker one (``masked``/``wavefront``) — is a coverage
   regression regardless of tolerance.
 
@@ -196,7 +196,7 @@ class _Differ:
         not drop below the baseline's.
 
         Rank order (see ``repro.runtime.vectorize.STRATEGY_RANK``):
-        interpreter < wavefront < masked < collapse < ufunc < straight.
+        interpreter < wavefront < masked < collapse < codegen.
         A baseline without the field (pre-phase-2 artifact) or with an
         unknown label offers nothing to gate on.
         """

@@ -42,7 +42,7 @@ def _stats_dict(result: Any) -> dict[str, Any]:
     executor) that the modelled metrics, by design, cannot show.
     ``vector_strategy`` *is* gated: suite-diff fails when a variant's
     strategy rank regresses (a previously vectorized variant falling
-    back to the interpreter, or a straight kernel degrading to a
+    back to the interpreter, or a codegen kernel degrading to a
     weaker lowering).
     """
     stats: TransferStats = result.stats

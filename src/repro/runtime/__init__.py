@@ -37,7 +37,6 @@ __all__ = [
     "Pointer",
     "StructObject",
     "NULL",
-    "try_vectorize",
 ]
 
 #: public name -> the submodule that defines it.
@@ -69,7 +68,6 @@ _EXPORTS = {
     "Cell": "values",
     "Pointer": "values",
     "StructObject": "values",
-    "try_vectorize": "vectorize",
 }
 
 

@@ -1,37 +1,27 @@
-"""Source-level kernel compiler: loop nests -> Python/NumPy source.
+"""Sequential kernel source: loop nests -> order-exact Python.
 
-Two emitters share one front door:
+:class:`_ScalarEmitter` flattens a kernel body into order-exact
+sequential Python — the replay tier behind
+:mod:`repro.runtime.replay`, one statement per line.  The generated
+function charges the same tick ledger, applies the same coercions in
+the same order, and raises the same diagnostics as the interpreter, so
+it is bit-identical by construction.  Its output is a *serializable
+row* (source + content-hash key + symbolic slot specs) that travels
+through the pipeline artifact store: codegen cost is paid once per
+distinct kernel, across launches, batch workers, and served jobs.
 
-* :class:`_ScalarEmitter` flattens a kernel body into order-exact
-  sequential Python — the retired closure-walker replay tier, one
-  statement per line instead of one closure per node.  The generated
-  function charges the same tick ledger, applies the same coercions in
-  the same order, and raises the same diagnostics, so it is
-  bit-identical to the interpreter by construction.  Its output is a
-  *serializable row* (source + content-hash key + symbolic slot specs)
-  that travels through the pipeline artifact store: codegen cost is
-  paid once per distinct kernel, across launches, batch workers, and
-  served jobs.
-
-* :class:`_VectorEmitter` compiles the common "straight" nest shape
-  (single parallel level, no masks, no scatter) into a flat NumPy
-  function, replacing the per-statement closure dispatch of the
-  vectorizer's generic executor.  It reuses the finished
-  :class:`~repro.runtime.vectorize._NestCompiler`'s slot table and
-  store-disjointness proof, so it can only ever be a faster spelling
-  of a nest the closure tier already accepted; any construct outside
-  its grammar simply declines, leaving the closure candidate in place.
-
-The launch side (signature-specialized map_enter/map_exit) lives in
+The NumPy vector emitter that lowers parallel nests lives in
+:mod:`repro.runtime.vectorize`; both share :func:`compile_source`, a
+bounded code-object cache keyed by generated source.  The launch side
+(signature-specialized map_enter/map_exit) lives in
 :mod:`repro.runtime.launch`.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from typing import Any, Callable
-
-import numpy as np
 
 from ..frontend import ast_nodes as A
 from ..frontend.ctypes_ import ArrayType, StructType
@@ -834,887 +824,31 @@ def bind_specs(row: dict[str, Any]) -> list[dict[str, Any]]:
     return specs
 
 
-_CODE_CACHE: dict[str, Any] = {}
+#: Compiled code objects by generated source text, least recently used
+#: first.  Keyed by the source alone, so an entry pins no AST node (and
+#: so no translation unit) for the life of the process; the bound keeps
+#: a long-running process from accumulating one entry per kernel seen.
+_SOURCE_CACHE: OrderedDict[str, Any] = OrderedDict()
+_SOURCE_CACHE_LIMIT = 256
+
+
+def compile_source(source: str) -> Any:
+    """``compile`` generated kernel source, memoized by its text."""
+    code = _SOURCE_CACHE.get(source)
+    if code is None:
+        code = compile(source, "<ompdart-codegen>", "exec")
+        _SOURCE_CACHE[source] = code
+        while len(_SOURCE_CACHE) > _SOURCE_CACHE_LIMIT:
+            _SOURCE_CACHE.popitem(last=False)
+    else:
+        _SOURCE_CACHE.move_to_end(source)
+    return code
 
 
 def compiled_kernel(row: dict[str, Any], math: dict[str, Any]) -> Any:
-    """exec-compile a row's source; code objects memoized by key."""
-    key = row["key"]
-    code = _CODE_CACHE.get(key)
-    if code is None:
-        code = compile(
-            row["source"], f"<ompdart-codegen:{key[:12]}>", "exec"
-        )
-        _CODE_CACHE[key] = code
+    """exec a row's (memoized) compiled source into a fresh namespace."""
     ns = _base_namespace()
     for name in row["math"]:
         ns[f"_m_{name}"] = math[name]
-    exec(code, ns)  # noqa: S102 - our own generated source
+    exec(compile_source(row["source"]), ns)  # noqa: S102 - our own generated source
     return ns["_kernel"]
-
-
-# -- preflight memoization -----------------------------------------------
-
-
-def _preflight_memo(
-    machine: Any, specs: list[dict[str, Any]], cache: dict[str, Any]
-) -> list | None:
-    """``_preflight`` with an identity fast path.
-
-    When every binding (and the storage behind it) is the same object
-    as on the previous launch, the alias analysis and slot rebuild are
-    skipped.  The storage pool in :mod:`repro.runtime.device` keeps
-    device arrays identity-stable across map cycles, so many-launch
-    benchmarks hit this on every launch after the first.
-    """
-    from .vectorize import _SCALAR_TYPES, _preflight
-
-    probes = cache.get("probes")
-    if probes is not None:
-        for probe in probes:
-            if not probe(machine):
-                break
-        else:
-            return cache["slots"]
-    slots = _preflight(machine, specs)
-    if slots is None:
-        cache.pop("probes", None)
-        return None
-    from .values import ArrayObject, Cell, Pointer, StructObject
-
-    probes = []
-    ok = True
-    for spec, slot in zip(specs, slots):
-        getter = spec["getter"]
-        binding = getter(machine)
-        if spec["kind"] == "scalar":
-
-            def probe_scalar(
-                m: Any, g: Callable = getter, cell: Any = binding
-            ) -> bool:
-                return g(m) is cell and isinstance(
-                    cell.value, _SCALAR_TYPES
-                )
-
-            probes.append(probe_scalar)
-        elif spec["kind"] == "array":
-            storage = slot[0]
-            if isinstance(binding, Cell):
-                ptr = binding.value
-                if not isinstance(ptr, Pointer):
-                    ok = False
-                    break
-
-                def probe_cellptr(
-                    m: Any,
-                    g: Callable = getter,
-                    cell: Any = binding,
-                    ptr: Any = ptr,
-                    storage: Any = storage,
-                ) -> bool:
-                    return (
-                        g(m) is cell
-                        and cell.value is ptr
-                        and m.storage_of(ptr.obj) is storage
-                    )
-
-                probes.append(probe_cellptr)
-            elif isinstance(binding, ArrayObject):
-
-                def probe_array(
-                    m: Any,
-                    g: Callable = getter,
-                    obj: Any = binding,
-                    storage: Any = storage,
-                ) -> bool:
-                    return (
-                        g(m) is obj and m.storage_of(obj) is storage
-                    )
-
-                probes.append(probe_array)
-            else:
-                ok = False
-                break
-        else:
-            members = tuple(spec["members"])
-            if not isinstance(binding, StructObject):
-                ok = False
-                break
-
-            def probe_struct(
-                m: Any,
-                g: Callable = getter,
-                obj: Any = binding,
-                members: tuple = members,
-            ) -> bool:
-                if g(m) is not obj:
-                    return False
-                fields = obj.fields
-                return all(
-                    isinstance(fields.get(mem), _SCALAR_TYPES)
-                    for mem in members
-                )
-
-            probes.append(probe_struct)
-    if ok:
-        cache["probes"] = probes
-        cache["slots"] = slots
-    else:
-        cache.pop("probes", None)
-    return slots
-
-
-# -- the straight-nest vector emitter ------------------------------------
-
-
-class _VectorEmitter:
-    """Emit a flat NumPy function for a single-level straight nest.
-
-    Consumes a finished ``_NestCompiler`` — its slot table, parallel
-    header, taint facts, and store-disjointness proof — and re-spells
-    the body the closure executor already accepted.  Anything outside
-    the covered grammar raises :class:`_CodegenDecline`; the caller
-    then simply omits the codegen candidate.
-    """
-
-    def __init__(self, compiler: Any) -> None:
-        from . import vectorize as V
-
-        self.V = V
-        self.c = compiler
-        self._ns: dict[str, Any] = {}
-        self._inj_map: dict[tuple, str] = {}
-        self._lines: list[str] = []
-        self._indent = 0
-        self._tmp = 0
-        self._assigned: set[str] = set()
-        self._used_slots: set[int] = set()
-        self._strides: set[tuple[int, int]] = set()
-        self._seq_depth = 0
-        self._pc_keys = 0
-        # Shared scalar slots assigned by statements emitted so far: a
-        # later position expression reading one would see a mid-kernel
-        # value the launch-stability check cannot observe.
-        self._shared_written: set[int] = set()
-        # Locals currently holding a launch-invariant value (assigned
-        # at top level from a stable expression, not reassigned since).
-        self._stable_locals: set[str] = set()
-
-    def _line(self, text: str) -> None:
-        self._lines.append("    " * self._indent + text)
-
-    def _fresh(self) -> str:
-        self._tmp += 1
-        return f"_t{self._tmp}"
-
-    def _inject(self, stem: str, value: Any) -> str:
-        key = (stem, id(value))
-        name = self._inj_map.get(key)
-        if name is None:
-            name = f"_{stem}{len(self._inj_map)}"
-            self._inj_map[key] = name
-            self._ns[name] = value
-        return name
-
-    def _decline(self, what: str) -> _CodegenDecline:
-        return _CodegenDecline(f"vector codegen: {what}")
-
-    # -- top level
-
-    def emit(self) -> tuple[str, dict[str, Any]]:
-        V, c = self.V, self.c
-        stmt = V._unwrap_for(c.directive.associated_stmt)
-        if not isinstance(stmt, A.ForStmt):
-            raise self._decline("no for statement")
-        if len(c.pvars) != 1:
-            raise self._decline("not a single-level nest")
-        header = c.pvars[0]
-        for e in (header.init_expr, header.bound_expr):
-            for r in e.walk_instances(A.DeclRefExpr):
-                if (
-                    not isinstance(r.decl, EnumConstantDecl)
-                    and r.decl is not None
-                    and r.decl.node_id in c._local_ids
-                ):
-                    raise self._decline("kernel-local in loop header")
-        init_src = self._emit_bound_fn(header.init_expr)
-        bound_src = self._emit_bound_fn(header.bound_expr)
-        self._assigned.add(header.var)
-        self._line(f"v_{header.var} = _pv")
-        for s in V._stmts_of(stmt.body):
-            self._emit_stmt(s)
-        return self._assemble(init_src, bound_src), dict(self._ns)
-
-    def _emit_bound_fn(self, expr: A.Expr) -> str:
-        return self._emit_expr(expr, bound=True)
-
-    def _assemble(self, init_src: str, bound_src: str) -> str:
-        out = []
-        for fn_name, src in (("_vinit", init_src), ("_vbound", bound_src)):
-            out.append(f"def {fn_name}(_slots):")
-            for i in sorted(self._used_slots):
-                spec = self.c._specs[i]
-                if spec["kind"] == "array":
-                    out.append(
-                        f"    _d{i}, _o{i}, _sh{i} = _slots[{i}]"
-                    )
-                else:
-                    out.append(f"    _s{i} = _slots[{i}]")
-            out.append(f"    return {src}")
-            out.append("")
-        out.append("def _vbody(_slots, _charge, _lanes, _pv, _pc):")
-        for i in sorted(self._used_slots):
-            spec = self.c._specs[i]
-            if spec["kind"] == "array":
-                out.append(f"    _d{i}, _o{i}, _sh{i} = _slots[{i}]")
-            else:
-                out.append(f"    _s{i} = _slots[{i}]")
-        for sidx, k in sorted(self._strides):
-            out.append(f"    _st{sidx}_{k} = _vprod(_sh{sidx}, {k + 1})")
-        out.extend("    " + ln for ln in self._lines)
-        out.append("    return None")
-        return "\n".join(out) + "\n"
-
-    # -- statements (mirror _NestCompiler closures, active == None)
-
-    def _emit_stmt(self, stmt: A.Stmt) -> None:
-        if isinstance(stmt, A.NullStmt):
-            return
-        if isinstance(stmt, A.CompoundStmt):
-            for s in stmt.stmts:
-                self._emit_stmt(s)
-            return
-        if isinstance(stmt, A.DeclStmt):
-            self._emit_decl(stmt)
-            return
-        if isinstance(stmt, A.ExprStmt):
-            self._emit_expr_stmt(stmt)
-            return
-        if isinstance(stmt, A.ForStmt):
-            self._emit_seq_for(stmt)
-            return
-        raise self._decline(f"statement {stmt.class_name}")
-
-    def _emit_decl(self, stmt: A.DeclStmt) -> None:
-        self._line("_charge(_lanes)")
-        for decl in stmt.decls:
-            qt = decl.qual_type
-            if (
-                qt is None
-                or qt.is_pointer
-                or isinstance(qt.type, (ArrayType, StructType))
-            ):
-                raise self._decline("aggregate decl")
-            if decl.init is not None:
-                co = self._inject("co", self.V._coercer(qt))
-                value = f"{co}({self._emit_expr(decl.init)})"
-                if self._seq_depth == 0 and self._expr_stable(decl.init):
-                    value = self._pc_wrap(value)
-                    self._stable_locals.add(decl.name)
-                else:
-                    self._stable_locals.discard(decl.name)
-            else:
-                value = "0.0" if qt.is_floating else "0"
-                if self._seq_depth == 0:
-                    self._stable_locals.add(decl.name)
-                else:
-                    self._stable_locals.discard(decl.name)
-            self._line(f"v_{decl.name} = {value}")
-            self._assigned.add(decl.name)
-
-    def _emit_expr_stmt(self, stmt: A.ExprStmt) -> None:
-        expr = _strip(stmt.expr)
-        if not isinstance(expr, A.BinaryOperator) or not expr.is_assignment:
-            raise self._decline("non-assignment statement")
-        target = _strip(expr.lhs)
-        if isinstance(target, A.DeclRefExpr) and self._is_local(target):
-            self._emit_local_assign(expr, target)
-            return
-        if isinstance(target, A.DeclRefExpr):
-            self._emit_shared_assign(expr, target)
-            return
-        if isinstance(target, A.ArraySubscriptExpr):
-            self._emit_array_store(expr, target)
-            return
-        raise self._decline(f"assignment target {target.class_name}")
-
-    def _is_local(self, ref: A.DeclRefExpr) -> bool:
-        return (
-            ref.decl is not None
-            and ref.decl.node_id in self.c._local_ids
-        )
-
-    def _local_load(self, name: str) -> str:
-        if name in self._assigned:
-            return f"v_{name}"
-        return f"_vchk(v_{name}, {name!r})"
-
-    def _emit_local_assign(
-        self, expr: A.BinaryOperator, target: A.DeclRefExpr
-    ) -> None:
-        name = target.name
-        if name in self.c.pvar_index:
-            raise self._decline("assignment to the parallel index")
-        op = expr.op
-        co = self._inject("co", self.V._coercer(target.qual_type))
-        if op == "=":
-            rhs = self._emit_expr(expr.rhs)
-            value = f"{co}({rhs})"
-            if self._seq_depth == 0 and self._expr_stable(expr.rhs):
-                # A launch-invariant local (e.g. clamped stencil
-                # neighbor indices): compute its lane vector once and
-                # reuse it on every input-stable launch.
-                value = self._pc_wrap(value)
-                self._stable_locals.add(name)
-            else:
-                self._stable_locals.discard(name)
-            self._line("_charge(_lanes)")
-            self._line(f"v_{name} = {value}")
-            self._assigned.add(name)
-            return
-        base_op = self.V._COMPOUND.get(op)
-        if base_op is None:
-            raise self._decline(f"operator {op!r}")
-        fn = self._inject("vb", self.V._VEC_BINOPS[base_op])
-        rhs = self._emit_expr(expr.rhs)
-        value = f"{co}({fn}({self._local_load(name)}, {rhs}))"
-        if (
-            self._seq_depth == 0
-            and name in self._stable_locals
-            and self._expr_stable(expr.rhs)
-        ):
-            value = self._pc_wrap(value)
-        else:
-            self._stable_locals.discard(name)
-        self._line("_charge(_lanes)")
-        self._line(f"v_{name} = {value}")
-        self._assigned.add(name)
-
-    def _emit_shared_assign(
-        self, expr: A.BinaryOperator, target: A.DeclRefExpr
-    ) -> None:
-        # Only the top-level accumulator forms; everything else declines
-        # and the closure candidate handles it.
-        c, V = self.c, self.V
-        key = (
-            "scalar",
-            target.decl.node_id
-            if target.decl is not None
-            else f"name:{target.name}",
-        )
-        spec = c._slot_map.get(key)
-        if spec is None:
-            raise self._decline("unknown shared slot")
-        sidx = spec["index"]
-        self._used_slots.add(sidx)
-        op = expr.op
-        qt = target.qual_type
-        if op in ("+=", "-="):
-            if qt is None or not qt.is_floating:
-                raise self._decline("non-float shared accumulation")
-            rhs = self._emit_expr(expr.rhs)
-            if op == "-=":
-                rhs = f"(- _vbroadcast({rhs}, _lanes))"
-            else:
-                rhs = f"_vbroadcast({rhs}, _lanes)"
-            self._line("_charge(_lanes)")
-            self._line(
-                f"_s{sidx}.value = _vseqsum(float(_s{sidx}.value), {rhs})"
-            )
-            self._shared_written.add(sidx)
-            return
-        if op != "=":
-            raise self._decline(f"shared operator {op!r}")
-        co = self._inject("co", V._coercer(qt))
-        rhs = self._emit_expr(expr.rhs)
-        self._line("_charge(_lanes)")
-        self._line(f"_s{sidx}.value = {co}(_vlast({rhs}))")
-        self._shared_written.add(sidx)
-
-    def _emit_array_store(
-        self, expr: A.BinaryOperator, target: A.ArraySubscriptExpr
-    ) -> None:
-        sidx, indices = self._subscript_chain(target)
-        op = expr.op
-        idx_strs = [self._emit_expr(ix) for ix in indices]
-        rhs = self._emit_expr(expr.rhs)
-        pos = self._pos(sidx, idx_strs, indices)
-        self._line("_charge(_lanes)")
-        p = self._fresh()
-        self._line(f"{p} = {pos}")
-        if op == "=":
-            if self._seq_depth == 0 and self._expr_stable(expr.rhs):
-                # The store must still run every launch (the array may
-                # have changed), but a launch-invariant value vector is
-                # computed once.
-                rhs = self._pc_wrap(rhs)
-            self._line(f"_d{sidx}[{p}] = {rhs}")
-            return
-        base_op = self.V._COMPOUND.get(op)
-        if base_op is None:
-            raise self._decline(f"store operator {op!r}")
-        tq = getattr(target, "qual_type", None)
-        rq = getattr(expr.rhs, "qual_type", None)
-        if (
-            base_op in ("+", "-", "*")
-            and tq is not None
-            and rq is not None
-            and tq.is_floating
-            and rq.is_floating
-        ):
-            # Same passthrough argument as _emit_vbinop: float lanes
-            # never take the exact-integer escalation.
-            self._line(
-                f"_d{sidx}[{p}] = _vwiden(_d{sidx}[{p}]) {base_op} ({rhs})"
-            )
-            return
-        fn = self._inject("vb", self.V._VEC_BINOPS[base_op])
-        self._line(f"_d{sidx}[{p}] = {fn}(_vwiden(_d{sidx}[{p}]), {rhs})")
-
-    def _subscript_chain(
-        self, expr: A.ArraySubscriptExpr
-    ) -> tuple[int, list[A.Expr]]:
-        indices: list[A.Expr] = []
-        node: A.Expr = expr
-        while isinstance(node, A.ArraySubscriptExpr):
-            indices.append(node.index)
-            node = _strip(node.base)
-        if not isinstance(node, A.DeclRefExpr) or self._is_local(node):
-            raise self._decline("subscript base")
-        indices.reverse()
-        key = (
-            "array",
-            node.decl.node_id
-            if node.decl is not None
-            else f"name:{node.name}",
-        )
-        spec = self.c._slot_map.get(key)
-        if spec is None:
-            raise self._decline("unknown array slot")
-        sidx = spec["index"]
-        self._used_slots.add(sidx)
-        return sidx, indices
-
-    def _pos(
-        self, sidx: int, idx_strs: list[str], indices: list[A.Expr]
-    ) -> str:
-        if len(idx_strs) == 1:
-            pos = f"(_o{sidx} + ({idx_strs[0]}))"
-        else:
-            terms = [f"_o{sidx}"]
-            for k, ix in enumerate(idx_strs):
-                self._strides.add((sidx, k))
-                terms.append(f"({ix}) * _st{sidx}_{k}")
-            pos = "(" + " + ".join(terms) + ")"
-        if self._indices_stable(indices):
-            # Index arithmetic built only from the lane vector, shared
-            # scalars, and constants yields the exact same position
-            # vector on every launch whose inputs are unchanged — the
-            # runner hands in a persistent cache dict exactly when that
-            # holds (and a throwaway one otherwise), so the stencil's
-            # integer ops run once instead of per launch.
-            pos = self._pc_wrap(pos)
-        return pos
-
-    def _pc_wrap(self, src: str) -> str:
-        key = self._pc_keys
-        self._pc_keys += 1
-        return f"(_pc[{key}] if {key} in _pc else _pc.setdefault({key}, {src}))"
-
-    def _indices_stable(self, indices: list[A.Expr]) -> bool:
-        if self._seq_depth:
-            return False
-        return all(self._expr_stable(e) for e in indices)
-
-    def _expr_stable(self, e: A.Expr) -> bool:
-        """True when the expression is launch-invariant given stable
-        inputs: built only from the parallel lane vector, constants,
-        stable locals, and shared scalars neither assigned by the
-        kernel so far (a later read would see a mid-kernel value the
-        stability check cannot observe) nor hidden from the runner's
-        value comparison.  Array and struct contents are excluded —
-        they are validated by identity, not by value."""
-        c = self.c
-        for node in e.walk():
-            if isinstance(node, A.DeclRefExpr):
-                if isinstance(node.decl, EnumConstantDecl):
-                    continue
-                if node.name in c.pvar_index:
-                    continue
-                if self._is_local(node):
-                    if node.name in self._stable_locals:
-                        continue
-                    return False
-                qt = node.qual_type
-                if qt is None or not (qt.is_integer or qt.is_floating):
-                    return False
-                key = (
-                    "scalar",
-                    node.decl.node_id
-                    if node.decl is not None
-                    else f"name:{node.name}",
-                )
-                spec = c._slot_map.get(key)
-                if spec is None or spec["index"] in self._shared_written:
-                    return False
-            elif isinstance(
-                node,
-                (A.CallExpr, A.MemberExpr, A.ArraySubscriptExpr),
-            ):
-                return False
-            elif isinstance(node, A.BinaryOperator) and (
-                node.is_assignment or node.op == ","
-            ):
-                return False
-        return True
-
-    def _emit_seq_for(self, stmt: A.ForStmt) -> None:
-        c, V = self.c, self.V
-        # Bail on anything resembling the ragged shape: lane-varying or
-        # array-dependent bounds stay with the closure executor.
-        try:
-            header = c._loop_header(stmt, parallel=False)
-        except Exception as exc:  # noqa: BLE001 - decline, don't diagnose
-            raise self._decline(f"loop header: {exc}") from None
-        for e in (header.init_expr, header.bound_expr):
-            for r in e.walk_instances(A.DeclRefExpr):
-                if isinstance(r.decl, EnumConstantDecl):
-                    continue
-                if r.name in c._tainted:
-                    raise self._decline("lane-varying loop bound")
-            if any(e.walk_instances(A.ArraySubscriptExpr)):
-                raise self._decline("array access in a loop bound")
-        cmp_op = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "!=": "!="}.get(
-            header.op
-        )
-        if cmp_op is None:
-            raise self._decline(f"loop comparison {header.op!r}")
-        init = self._emit_expr(header.init_expr, bound=True)
-        bound = self._emit_expr(header.bound_expr, bound=True)
-        lv = self._fresh()
-        lb = self._fresh()
-        self._line("_charge(_lanes)")
-        self._line(f"{lv} = int({init})")
-        self._line(f"{lb} = int({bound})")
-        var = header.var
-        self._assigned.add(var)
-        self._stable_locals.discard(var)
-        self._line("while True:")
-        self._indent += 1
-        self._line("_charge(_lanes)")
-        self._line(f"if not ({lv} {cmp_op} {lb}): break")
-        self._line(f"v_{var} = {lv}")
-        self._seq_depth += 1
-        try:
-            for s in V._stmts_of(stmt.body):
-                self._emit_stmt(s)
-        finally:
-            self._seq_depth -= 1
-        step = header.step
-        self._line(f"{lv} += {step}")
-        self._indent -= 1
-
-    # -- expressions (vector grammar, active == None)
-
-    def _emit_expr(self, expr: A.Expr, *, bound: bool = False) -> str:
-        V = self.V
-        expr = _strip(expr)
-        folded = fold_integer_constant(expr)
-        if folded is not None:
-            return _lit(folded)
-        if isinstance(
-            expr,
-            (A.IntegerLiteral, A.FloatingLiteral, A.CharacterLiteral),
-        ):
-            return _lit(expr.value)
-        if isinstance(expr, A.DeclRefExpr):
-            return self._emit_ref(expr, bound=bound)
-        if isinstance(expr, A.ArraySubscriptExpr):
-            if bound:
-                raise self._decline("array access in a loop bound")
-            sidx, indices = self._subscript_chain(expr)
-            idx_strs = [self._emit_expr(ix) for ix in indices]
-            return f"_vwiden(_d{sidx}[{self._pos(sidx, idx_strs, indices)}])"
-        if isinstance(expr, A.MemberExpr):
-            return self._emit_vmember(expr)
-        if isinstance(expr, A.BinaryOperator):
-            return self._emit_vbinop(expr, bound=bound)
-        if isinstance(expr, A.UnaryOperator):
-            return self._emit_vunop(expr, bound=bound)
-        if isinstance(expr, A.ConditionalOperator):
-            if V._NestCompiler._branch_can_fault(
-                expr.true_expr
-            ) or V._NestCompiler._branch_can_fault(expr.false_expr):
-                raise self._decline("faulting ternary branch")
-            cond = self._emit_expr(expr.cond, bound=bound)
-            t = self._emit_expr(expr.true_expr, bound=bound)
-            f = self._emit_expr(expr.false_expr, bound=bound)
-            return f"_vwhere(({cond}), ({t}), ({f}))"
-        if isinstance(expr, A.CStyleCastExpr):
-            if expr.target_type.is_pointer:
-                raise self._decline("pointer cast")
-            co = self._inject("co", V._coercer(expr.target_type))
-            return f"{co}({self._emit_expr(expr.operand, bound=bound)})"
-        raise self._decline(f"expression {expr.class_name}")
-
-    def _emit_ref(self, ref: A.DeclRefExpr, *, bound: bool) -> str:
-        if isinstance(ref.decl, EnumConstantDecl):
-            return _lit(ref.decl.value)
-        if isinstance(ref.decl, A.FunctionDecl):
-            raise self._decline("function reference")
-        name = ref.name
-        if self._is_local(ref):
-            if bound and name in self.c._tainted:
-                raise self._decline("lane-varying loop bound")
-            return self._local_load(name)
-        qt = ref.qual_type
-        if qt is not None and (
-            qt.is_pointer or isinstance(qt.type, (ArrayType, StructType))
-        ):
-            raise self._decline("non-scalar ref")
-        key = (
-            "scalar",
-            ref.decl.node_id
-            if ref.decl is not None
-            else f"name:{name}",
-        )
-        spec = self.c._slot_map.get(key)
-        if spec is None:
-            raise self._decline("unknown scalar slot")
-        sidx = spec["index"]
-        self._used_slots.add(sidx)
-        return f"_s{sidx}.value"
-
-    def _emit_vmember(self, expr: A.MemberExpr) -> str:
-        base = _strip(expr.base)
-        if expr.is_arrow:
-            raise self._decline("pointer member access")
-        if not isinstance(base, A.DeclRefExpr) or self._is_local(base):
-            raise self._decline("member access base")
-        key = (
-            "struct",
-            base.decl.node_id
-            if base.decl is not None
-            else f"name:{base.name}",
-        )
-        spec = self.c._slot_map.get(key)
-        if spec is None:
-            raise self._decline("unknown struct slot")
-        sidx = spec["index"]
-        self._used_slots.add(sidx)
-        return f"_s{sidx}.fields[{expr.member!r}]"
-
-    def _emit_vbinop(self, expr: A.BinaryOperator, *, bound: bool) -> str:
-        op = expr.op
-        if expr.is_assignment or op in (",", "&&", "||"):
-            raise self._decline(f"operator {op!r}")
-        fn = self.V._VEC_BINOPS.get(op)
-        if fn is None:
-            raise self._decline(f"operator {op!r}")
-        lhs = self._emit_expr(expr.lhs, bound=bound)
-        rhs = self._emit_expr(expr.rhs, bound=bound)
-        if op in ("+", "-", "*") and self._both_float(expr):
-            # Float operands take ``_grow_op``'s passthrough branch (the
-            # exact-integer escalation only triggers on int lanes), so
-            # the raw operator is semantically identical — and skips a
-            # Python call plus four isinstance checks per op per launch.
-            return f"(({lhs}) {op} ({rhs}))"
-        name = self._inject("vb", fn)
-        return f"{name}(({lhs}), ({rhs}))"
-
-    @staticmethod
-    def _both_float(expr: A.BinaryOperator) -> bool:
-        lq = getattr(expr.lhs, "qual_type", None)
-        rq = getattr(expr.rhs, "qual_type", None)
-        return (
-            lq is not None
-            and rq is not None
-            and lq.is_floating
-            and rq.is_floating
-        )
-
-    def _emit_vunop(self, expr: A.UnaryOperator, *, bound: bool) -> str:
-        op = expr.op
-        if op in ("++", "--", "&", "*"):
-            raise self._decline(f"unary operator {op!r}")
-        operand = self._emit_expr(expr.operand, bound=bound)
-        if op == "-":
-            return f"(- ({operand}))"
-        if op == "+":
-            return operand
-        if op == "!":
-            return f"_vnot(({operand}))"
-        if op == "~":
-            return f"_vinv(({operand}))"
-        raise self._decline(f"unary operator {op!r}")
-
-
-def _vnot(v: Any) -> Any:
-    if isinstance(v, np.ndarray):
-        return (v == 0).astype(np.int64)
-    return int(not v)
-
-
-def _vinv(v: Any) -> Any:
-    if isinstance(v, np.ndarray):
-        from .vectorize import _as_int
-
-        return ~_as_int(v)
-    return ~int(v)
-
-
-def _vlast(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return value[-1].item() if value.ndim else value.item()
-    return value
-
-
-def _vwhere(c: Any, t: Any, f: Any) -> Any:
-    if isinstance(c, np.ndarray):
-        return np.where(c != 0, t, f)
-    return t if c else f
-
-
-#: Emitted-and-exec'd vector functions per directive statement.  The
-#: emitter consumes only AST-derived facts (slot order is deterministic
-#: for a given nest), so the compiled functions are reusable across
-#: interpreter instances — a suite run simulating the same translation
-#: unit repeatedly pays the emit/compile/exec cost once.  Keyed by
-#: ``id(stmt)`` with a strong reference to the statement held in the
-#: value, so the id can never be recycled while the entry lives.
-_VECTOR_CACHE: dict[int, tuple[Any, tuple[Any, Any, Any] | None]] = {}
-
-
-def compile_straight_candidate(
-    interp: Any,
-    stmt: Any,
-    compiler: Any,
-    label: str,
-    features: set[str],
-) -> Any:
-    """A generated-source fast path for an already-compiled nest.
-
-    Returns a ``VectorCandidate`` with strategy ``"codegen"``, or None
-    when the nest falls outside the vector emitter's grammar (the
-    closure candidate then runs exactly as before).
-    """
-    from . import vectorize as V
-
-    if label != "straight" or "merge" in features:
-        return None
-    if compiler.wavefront or len(compiler.pvars) != 1:
-        return None
-    cached = _VECTOR_CACHE.get(id(stmt))
-    if cached is not None and cached[0] is stmt:
-        funcs = cached[1]
-        if funcs is None:
-            return None
-        vinit, vbound, vbody = funcs
-    else:
-        try:
-            emitter = _VectorEmitter(compiler)
-            source, ns = emitter.emit()
-        except _CodegenDecline:
-            _VECTOR_CACHE[id(stmt)] = (stmt, None)
-            return None
-        except Exception:  # noqa: BLE001 - fallback is always correct
-            _VECTOR_CACHE[id(stmt)] = (stmt, None)
-            return None
-        ns.update(
-            {
-                "np": np,
-                "_vchk": _chk,
-                "_vwiden": V._widen,
-                "_vbroadcast": V._broadcast,
-                "_vseqsum": V._seq_sum,
-                "_vprod": _prod,
-                "_vlast": _vlast,
-                "_vwhere": _vwhere,
-                "_vnot": _vnot,
-                "_vinv": _vinv,
-            }
-        )
-        code = compile(source, "<ompdart-codegen:vector>", "exec")
-        exec(code, ns)  # noqa: S102 - our own generated source
-        vinit, vbound, vbody = ns["_vinit"], ns["_vbound"], ns["_vbody"]
-        _VECTOR_CACHE[id(stmt)] = (stmt, (vinit, vbound, vbody))
-    specs = compiler._specs
-    header = compiler.pvars[0]
-    op, step = header.op, header.step
-    stores_disjoint = compiler._stores_disjoint_fn()
-    cache: dict[str, Any] = {}
-    scalar_idx = [i for i, s in enumerate(specs) if s["kind"] == "scalar"]
-    # One launch's derived state: [slots, scalar_values, lo, t, pv, pc].
-    # Bounds, trip count, disjointness, the lane vector, and the
-    # position cache all depend only on slot identities plus scalar
-    # values, so a launch whose inputs are unchanged reuses everything.
-    # (NaN scalars compare unequal to themselves — conservatively
-    # recomputed every launch.)
-    launch_state: list[Any] = []
-
-    def run(machine: Any) -> bool:
-        slots = _preflight_memo(machine, specs, cache)
-        if slots is None:
-            return False
-        svals = tuple(slots[i].value for i in scalar_idx)
-        if launch_state and launch_state[0] is slots and launch_state[1] == svals:
-            lo, t, pv, pc = launch_state[2:]
-        else:
-            lo = int(vinit(slots))
-            bound = int(vbound(slots))
-            t = V._trip_count(lo, bound, op, step)
-            if t is None:
-                return False
-            if not stores_disjoint(slots, [t]):
-                return False
-            # The lane vector is built lazily, after the step budget
-            # has admitted the launch (see below).
-            pv, pc = None, {}
-            launch_state[:] = [slots, svals, lo, t, pv, pc]
-        ch = cache.get("charge")
-        if ch is not None and ch[0] is machine and ch[1] == machine.on_device:
-            charge = ch[2]
-        else:
-            charge = V._NestCompiler._make_charge(machine)
-            cache["charge"] = (machine, machine.on_device, charge)
-        steps0 = machine.steps
-        dev0 = machine.profiler.device_work
-        host0 = machine.profiler.host_work
-        try:
-            # Charged before the lane vector exists, as the closure
-            # tiers do: max_steps trips on a runaway bound without a
-            # giant arange.
-            charge(1 + t + 1)
-            if not t:
-                return True
-            if pv is None:
-                pv = launch_state[4] = lo + step * np.arange(t, dtype=np.int64)
-            vbody(slots, charge, t, pv, pc)
-        except V._RuntimeDecline:
-            machine.steps = steps0
-            machine.profiler.device_work = dev0
-            machine.profiler.host_work = host0
-            return False
-        return True
-
-    return V.VectorCandidate(run, "codegen")
-
-
-def render_rows(rows: dict[int, dict[str, Any]]) -> str:
-    """Human-readable dump of codegen rows (``--dump-kernel``)."""
-    out = []
-    for node_id in sorted(rows):
-        row = rows[node_id]
-        out.append(f"== kernel node {node_id} ==")
-        if row["reason"] is not None:
-            out.append(f"ineligible: {row['reason']}")
-        else:
-            out.append(f"key: {row['key']}")
-            out.append(f"schema: {row['schema']}")
-            if row["math"]:
-                out.append(f"math: {', '.join(row['math'])}")
-            out.append(row["source"].rstrip("\n"))
-        out.append("")
-    if not out:
-        return "no offload kernels found\n"
-    return "\n".join(out)

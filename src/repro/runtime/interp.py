@@ -89,9 +89,9 @@ class SimulationResult:
     #: (:mod:`repro.runtime.vectorize`); the remaining
     #: ``stats.kernel_launches - vectorized_launches`` ran interpreted.
     vectorized_launches: int = 0
-    #: Launch counts per lowering strategy ("straight", "collapse",
-    #: "masked", "ufunc", "wavefront") plus "interpreter" for launches
-    #: no strategy accepted.
+    #: Launch counts per lowering strategy ("codegen", "collapse",
+    #: "masked", "wavefront") plus "interpreter" for launches no
+    #: strategy accepted.
     strategy_launches: dict[str, int] = dataclass_field(default_factory=dict)
     #: Why any launch ran interpreted (first static ineligibility note
     #: or runtime-decline note); None when every launch vectorized.
@@ -536,7 +536,7 @@ class Interpreter:
         body = self._compile_stmt(stmt.body)
         candidates: list[Any] = []
         if self.vectorize and not self._compiling_kernel:
-            from .vectorize import compile_host_loop_candidates
+            from .vectorize import compile_host_loop_candidates, run_candidates
 
             candidates = compile_host_loop_candidates(self, stmt)
 
@@ -546,14 +546,8 @@ class Interpreter:
             # interpreted kernel body (on_device) the loop stays
             # interpreted — kernel-level candidates own that case.
             if candidates and not m.on_device:
-                if any(c.declines for c in candidates):
-                    ordered = sorted(candidates, key=lambda c: c.declines)
-                else:
-                    ordered = candidates
-                for cand in ordered:
-                    if cand.runner(m):
-                        return
-                    cand.declines += 1
+                if run_candidates(candidates, m) is not None:
+                    return
             if init is not None:
                 init(m)
             while True:
@@ -738,7 +732,7 @@ class Interpreter:
             self._compiling_kernel = False
         candidates: list[Any] = []
         if self.vectorize:
-            from .vectorize import compile_kernel_candidates
+            from .vectorize import compile_kernel_candidates, run_candidates
 
             candidates, note = compile_kernel_candidates(self, stmt)
             if note is not None:
@@ -783,16 +777,9 @@ class Interpreter:
                 # closure body) runs.  Candidates that declined before
                 # sort last, so a shape that always fails its launch
                 # checks pays the failed attempt once.
-                executed: str | None = None
-                if any(c.declines for c in candidates):
-                    ordered = sorted(candidates, key=lambda c: c.declines)
-                else:
-                    ordered = candidates
-                for cand in ordered:
-                    if cand.runner(m):
-                        executed = cand.strategy
-                        break
-                    cand.declines += 1
+                executed = (
+                    run_candidates(candidates, m) if candidates else None
+                )
                 if executed is not None:
                     m.vectorized_launches += 1
                     m.strategy_launches[executed] = (

@@ -245,3 +245,66 @@ def test_scalar_bound_change_recomputes_lanes():
     vec = run_simulation(src, "bound.c", vectorize=True)
     assert_identical(interp, vec)
     assert "s 64.0" in vec.output
+
+
+def test_struct_member_bound_change_recomputes_lanes():
+    """The launch-state cache keys on struct-member values too: a loop
+    bound read from a device-resident struct that a ``target update``
+    changed between launches must produce fresh lanes, not stale ones."""
+    src = """
+    struct P { int n; double w; };
+    struct P p;
+    double a[64];
+    int main() {
+      for (int i = 0; i < 64; i++) { a[i] = 0.0; }
+      p.w = 1.0;
+      p.n = 16;
+      #pragma omp target data map(tofrom: a[0:64]) map(to: p)
+      for (int r = 1; r < 4; r++) {
+        p.n = 16 * r;
+        #pragma omp target update to(p)
+        #pragma omp target teams distribute parallel for
+        for (int i = 0; i < p.n; i++) { a[i] = a[i] + p.w; }
+      }
+      double s = 0.0;
+      for (int i = 0; i < 64; i++) { s += a[i]; }
+      printf("s %.1f\\n", s);
+      return 0;
+    }
+    """
+    interp = run_simulation(src, "member.c", vectorize=False)
+    vec = run_simulation(src, "member.c", vectorize=True)
+    assert_identical(interp, vec)
+    assert "s 96.0" in vec.output
+    assert vec.vectorized_launches == vec.stats.kernel_launches == 3
+
+
+def test_vector_code_cache_is_bounded_and_pins_no_tu(monkeypatch):
+    """Compiled kernels are cached by generated source in a bounded LRU
+    that holds no AST: simulating more distinct translation units than
+    the bound keeps the cache within it and leaves none of them alive."""
+    import gc
+
+    from repro.frontend import ast_nodes as A
+    from repro.runtime import codegen
+
+    def live_tus():
+        gc.collect()
+        return sum(isinstance(o, A.TranslationUnit) for o in gc.get_objects())
+
+    monkeypatch.setattr(codegen, "_SOURCE_CACHE_LIMIT", 4)
+    src = """
+    double a[32];
+    int main() {
+      #pragma omp target teams distribute parallel for
+      for (int i = 0; i < 32; i++) { a[i] = i * %d.5; }
+      printf("%%.1f\\n", a[3]);
+      return 0;
+    }
+    """
+    before = live_tus()
+    for k in range(10):
+        result = run_simulation(src % k, f"tu{k}.c")
+        assert result.vector_strategy == "codegen"
+        assert len(codegen._SOURCE_CACHE) <= 4
+    assert live_tus() <= before

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -317,3 +319,205 @@ class TestInterpreterArithmeticProperties:
         q = int(a / b)
         r = a - q * b
         assert run_simulation(src).output == f"{q} {r}"
+
+
+# ---------------------------------------------------------------------------
+# Vectorized kernel nests vs the reference interpreter
+# ---------------------------------------------------------------------------
+
+_LANES = 24
+
+
+@st.composite
+def _float_expr(draw, leaves, depth=2):
+    """A double-valued expression over ``leaves`` in the kernel grammar:
+    ``+ - *`` and the exactly-rounded math calls."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from(leaves))
+    kind = draw(st.sampled_from(["+", "-", "*", "fmin", "fmax", "sqrt"]))
+    x = draw(_float_expr(leaves, depth - 1))
+    if kind == "sqrt":
+        return f"sqrt(fabs({x}))"
+    y = draw(_float_expr(leaves, depth - 1))
+    if kind in ("fmin", "fmax"):
+        return f"{kind}({x}, {y})"
+    return f"({x} {kind} {y})"
+
+
+@st.composite
+def _single_level_nest(draw):
+    """Affine stores, read-only gathers, a local and a ``+`` reduction."""
+    leaves = ["a[i]", "a[g[i]]", "(i * 0.25)", "1.5", "-0.75"]
+    body = []
+    if draw(st.booleans()):
+        body.append(f"double t = {draw(_float_expr(leaves))};")
+        leaves = leaves + ["t"]
+    scale, offset = draw(st.sampled_from([1, 2])), draw(st.integers(0, 3))
+    body.append(f"b[{scale} * i + {offset}] = {draw(_float_expr(leaves))};")
+    reduce = draw(st.booleans())
+    if reduce:
+        body.append(f"total += {draw(_float_expr(leaves))};")
+    clause = " reduction(+:total)" if reduce else ""
+    n = _LANES
+    return f"""
+    double a[{n}]; int g[{n}]; double b[{2 * n + 4}];
+    int main() {{
+      for (int k = 0; k < {n}; k++) {{
+        a[k] = (k % 7) * 0.625 - 1.5; g[k] = (k * 5 + 3) % {n};
+      }}
+      for (int k = 0; k < {2 * n + 4}; k++) {{ b[k] = 0.0; }}
+      double total = 0.25;
+      #pragma omp target teams distribute parallel for{clause}
+      for (int i = 0; i < {n}; i++) {{
+        {" ".join(body)}
+      }}
+      double s = 0.0;
+      for (int k = 0; k < {2 * n + 4}; k++) {{ s += b[k] * (k % 5 + 1); }}
+      printf("%.17g %.17g\\n", s, total);
+      return 0;
+    }}
+    """
+
+
+@st.composite
+def _collapse_nest(draw):
+    """A perfect two-level nest with an injective row-major store."""
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    leaves = ["a[i]", "a[j]", "a[i + j]", "(i * 0.5)", "(j - 1.0)", "2.0"]
+    value = draw(_float_expr(leaves))
+    target = draw(st.sampled_from([f"m[i * {cols} + j]", "m2[i][j]"]))
+    return f"""
+    double a[{rows + cols}]; double m[{rows * cols}]; double m2[{rows}][{cols}];
+    int main() {{
+      for (int k = 0; k < {rows + cols}; k++) {{ a[k] = (k % 4) * 0.375 + 0.5; }}
+      for (int k = 0; k < {rows * cols}; k++) {{ m[k] = 0.0; }}
+      for (int r = 0; r < {rows}; r++) {{
+        for (int c = 0; c < {cols}; c++) {{ m2[r][c] = 0.0; }}
+      }}
+      #pragma omp target teams distribute parallel for
+      for (int i = 0; i < {rows}; i++) {{
+        for (int j = 0; j < {cols}; j++) {{
+          {target} = {value};
+        }}
+      }}
+      double s = 0.0;
+      for (int r = 0; r < {rows}; r++) {{
+        for (int c = 0; c < {cols}; c++) {{
+          s += (m[r * {cols} + c] + m2[r][c]) * (r + 2 * c + 1);
+        }}
+      }}
+      printf("%.17g\\n", s);
+      return 0;
+    }}
+    """
+
+
+@st.composite
+def _masked_nest(draw):
+    """An ``if``/``else`` body whose guard protects an integer division,
+    with a local updated on some lanes only."""
+    guard = draw(st.sampled_from(
+        ["d[i] != 0", "d[i] > 0", "d[i] < 0", "d[i] != 0 && n[i] / d[i] > 1"]))
+    op = draw(st.sampled_from(["/", "%"]))
+    num = draw(st.sampled_from(["n[i]", "(n[i] + i)", "(n[i] - 3 * i)"]))
+    then = draw(st.sampled_from([
+        f"int q = {num} {op} d[i]; out[i] = q * q - i;",
+        f"out[i] = {num} {op} d[i];",
+        f"acc += {num} {op} d[i];",
+    ]))
+    other = draw(st.sampled_from([
+        "", "else { out[i] = -1; }", "else { out[i] = n[i] * 2 - i; }",
+        "else { acc = d[i] > 0 ? n[i] / (d[i] + 1) : n[i] - d[i]; }",
+    ]))
+    period = draw(st.integers(2, 5))
+    n = _LANES
+    return f"""
+    int n[{n}]; int d[{n}]; int out[{n}]; int out2[{n}];
+    int main() {{
+      for (int k = 0; k < {n}; k++) {{
+        n[k] = (k * 7) % 23 - 5; d[k] = k % {period} - 1; out[k] = 7;
+      }}
+      #pragma omp target teams distribute parallel for
+      for (int i = 0; i < {n}; i++) {{
+        int acc = i * 2;
+        if ({guard}) {{ {then} }} {other}
+        out2[i] = acc;
+      }}
+      int s = 0;
+      for (int k = 0; k < {n}; k++) {{ s += (out[k] + 3 * out2[k]) * (k % 3 + 1); }}
+      printf("%d\\n", s);
+      return 0;
+    }}
+    """
+
+
+@st.composite
+def _wavefront_nest(draw):
+    """nw's shape: an anti-diagonal recurrence under ``omp target``."""
+    dim = draw(st.integers(5, 9))
+    reads = draw(st.lists(
+        st.sampled_from([
+            f"g[(i - 1) * {dim} + (j - 1)]",
+            f"g[i * {dim} + (j - 1)]",
+            f"g[(i - 1) * {dim} + j]",
+        ]),
+        min_size=1, max_size=3, unique=True,
+    ))
+    body = [f"int v = {' + '.join(reads)} + r[i * {dim} + j];"]
+    if draw(st.booleans()):
+        penalty = draw(st.integers(1, 4))
+        body.append(
+            f"if (g[(i - 1) * {dim} + j] - {penalty} > v) "
+            f"v = g[(i - 1) * {dim} + j] - {penalty};"
+        )
+    body.append(f"g[i * {dim} + j] = v % 1000;")
+    size = dim * dim
+    return f"""
+    int g[{size}]; int r[{size}];
+    int main() {{
+      for (int k = 0; k < {size}; k++) {{ g[k] = k % 5; r[k] = (k * 3) % 7 - 2; }}
+      #pragma omp target
+      for (int t = 2; t < {dim}; t++) {{
+        for (int i = 1; i < t; i++) {{
+          int j = t - i;
+          {" ".join(body)}
+        }}
+      }}
+      int s = 0;
+      for (int k = 0; k < {size}; k++) {{ s += g[k] * (k % 7); }}
+      printf("%d\\n", s);
+      return 0;
+    }}
+    """
+
+
+_NEST_SHAPES = {
+    "codegen": _single_level_nest,
+    "collapse": _collapse_nest,
+    "masked": _masked_nest,
+    "wavefront": _wavefront_nest,
+}
+
+
+class TestVectorizedNestProperties:
+    """Every lowering strategy is bit-identical to the interpreter."""
+
+    @pytest.mark.parametrize("label", sorted(_NEST_SHAPES))
+    def test_nest_matches_interpreter(self, label):
+        from repro.runtime import run_simulation
+
+        @settings(max_examples=12, deadline=None, derandomize=True)
+        @given(_NEST_SHAPES[label]())
+        def check(source):
+            ref = run_simulation(source, "nest.c", vectorize=False)
+            vec = run_simulation(source, "nest.c", vectorize=True)
+            assert vec.output == ref.output
+            assert vec.return_code == ref.return_code
+            assert vec.stats == ref.stats
+            assert vec.profiler.records == ref.profiler.records
+            assert vec.profiler.device_work == ref.profiler.device_work
+            assert vec.profiler.host_work == ref.profiler.host_work
+            assert vec.vectorized_launches == vec.stats.kernel_launches == 1
+            assert vec.vector_strategy == label
+
+        check()

@@ -34,8 +34,7 @@ def assert_identical(a, b):
 
 #: Expected lowering strategy per benchmark — since phase 2, *every*
 #: corpus variant executes through a vectorized strategy (zero
-#: interpreter fallbacks).  PR 6's source generator upgrades the
-#: straight single-level nests to the compiled ``codegen`` tier.
+#: interpreter fallbacks); single-level nests report ``codegen``.
 STRATEGY = {
     "accuracy": "codegen",
     "ace": "codegen",
