@@ -117,7 +117,8 @@ class PointsToAnalysis:
         """Objects and pointer-copies a RHS may yield."""
         rhs = _strip(rhs)
         if _is_allocation(rhs):
-            return {MemoryObject("alloc", f"L{rhs.range.begin.line}", rhs.node_id)}, set()
+            line, _ = rhs.buffer.line_col(rhs.begin_offset)
+            return {MemoryObject("alloc", f"L{line}", rhs.node_id)}, set()
         if isinstance(rhs, A.ConditionalOperator):
             o1, c1 = self._rhs_objects(rhs.true_expr)
             o2, c2 = self._rhs_objects(rhs.false_expr)

@@ -117,7 +117,7 @@ class CFGBuilder:
     def _stmt_BreakStmt(self, stmt: A.BreakStmt, frontier: Frontier) -> Frontier:
         node = self._node(NodeKind.STMT, stmt, frontier)
         if not self._loop_stack:
-            raise AnalysisError(f"break outside loop/switch at {stmt.range.begin}")
+            raise AnalysisError(f"break outside loop/switch at {stmt.location()}")
         self._loop_stack[-1].break_exits.append((node, EdgeLabel.EPSILON))
         return []
 
@@ -133,7 +133,7 @@ class CFGBuilder:
                 else:
                     ctx.continue_exits.append((node, EdgeLabel.EPSILON))
                 return []
-        raise AnalysisError(f"continue outside loop at {stmt.range.begin}")
+        raise AnalysisError(f"continue outside loop at {stmt.location()}")
 
     def _stmt_IfStmt(self, stmt: A.IfStmt, frontier: Frontier) -> Frontier:
         pred = self._node(NodeKind.PRED, stmt, frontier)
@@ -197,8 +197,12 @@ class CFGBuilder:
         # Increment runs after the body and before re-testing the predicate.
         inc_node: CFGNode | None = None
         if stmt.inc is not None:
+            inc = stmt.inc
+            inc_stmt = A.ExprStmt(inc).set_span(
+                inc.begin_offset, inc.end_offset, inc.buffer
+            )
             inc_node = self.cfg.new_node(
-                NodeKind.STMT, A.ExprStmt(stmt.inc, stmt.inc.range),
+                NodeKind.STMT, inc_stmt,
                 offloaded=self._kernel is not None, kernel=self._kernel,
                 loop_depth=self._loop_depth,
             )

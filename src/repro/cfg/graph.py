@@ -85,8 +85,7 @@ class CFGNode:
         if self.ast is None:
             return self.kind.value
         name = self.ast.class_name
-        loc = self.ast.range.begin
-        where = f"@{loc.line}" if loc.offset >= 0 else ""
+        where = f"@{self.ast.location().line}" if self.ast.buffer is not None else ""
         return f"{self.kind.value}:{name}{where}"
 
     def __hash__(self) -> int:

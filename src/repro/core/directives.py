@@ -136,14 +136,14 @@ class FunctionPlan:
         for clause in self.map_clause_texts():
             lines.append(f"  {clause}")
         for upd in self.updates:
-            loc = upd.anchor.range.begin
+            line = upd.anchor.location().line
             lines.append(
-                f"  update {upd.direction}({upd.var}) {upd.position} line {loc.line}"
+                f"  update {upd.direction}({upd.var}) {upd.position} line {line}"
             )
         for fp in self.firstprivates:
-            loc = fp.kernel.range.begin
+            line = fp.kernel.location().line
             lines.append(
-                f"  firstprivate({', '.join(fp.variables)}) on kernel at line {loc.line}"
+                f"  firstprivate({', '.join(fp.variables)}) on kernel at line {line}"
             )
         if self.reduction_vars:
             lines.append(

@@ -13,7 +13,7 @@ def data_management_diagnostic(node: A.OMPExecutableDirective) -> Diagnostic:
     single-walk scan (:mod:`repro.analysis.fused`) so both paths emit
     byte-identical messages.
     """
-    loc = node.range.begin
+    loc = node.location()
     return Diagnostic(
         Severity.ERROR,
         f"input already contains a '{node.directive_kind}' "

@@ -120,7 +120,6 @@ def check_declarations_precede_region(
     which point the programmer should move the declaration."
     """
     diagnostics: list[Diagnostic] = []
-    region_loc = region.first_stmt.range.begin
 
     # Declarations actually referenced from inside offload kernels —
     # identity matters: an unrelated same-named variable declared after
@@ -144,7 +143,9 @@ def check_declarations_precede_region(
         if decl.node_id in kernel_decls and decl.begin_offset >= region.begin_offset:
             # Declared inside the kernel region itself => private, fine.
             declared_in_kernel = any(
-                k.range.contains(decl.range) for k in kernels
+                k.begin_offset <= decl.begin_offset
+                and decl.end_offset <= k.end_offset
+                for k in kernels
             )
             violates = not declared_in_kernel
         elif in_region and not region.single_kernel:
@@ -159,7 +160,8 @@ def check_declarations_precede_region(
                 }
             violates = id(decl) in referenced_after
         if violates:
-            loc = decl.range.begin
+            loc = decl.location()
+            region_loc = region.first_stmt.location()
             diagnostics.append(
                 Diagnostic(
                     Severity.ERROR,

@@ -18,7 +18,7 @@ from .dump import dump_ast  # noqa: F401
 from .lexer import Lexer, tokenize  # noqa: F401
 from .parser import Parser, fold_integer_constant, parse_file, parse_source  # noqa: F401
 from .preprocessor import Preprocessor, preprocess  # noqa: F401
-from .source import SourceBuffer, SourceLocation, SourceRange  # noqa: F401
+from .source import SourceBuffer, SourceLocation  # noqa: F401
 
 __all__ = [
     "DATA_MANAGEMENT_DIRECTIVES",
@@ -37,5 +37,4 @@ __all__ = [
     "preprocess",
     "SourceBuffer",
     "SourceLocation",
-    "SourceRange",
 ]

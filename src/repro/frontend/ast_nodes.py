@@ -5,18 +5,24 @@ terminology maps one-to-one onto this reproduction: ``ForStmt``,
 ``ArraySubscriptExpr``, ``DeclRefExpr``, ``OMPTargetDirective`` and the
 rest of Table I all appear here under the same names.
 
-Every node carries a :class:`~repro.frontend.source.SourceRange` into the
-*original* source text (macro expansions keep their use-site location),
-because the rewriter inserts directives by byte offset.
+Every node carries its half-open byte span ``[begin_offset,
+end_offset)`` in the *original* source text as two ints, plus the
+:class:`~repro.frontend.source.SourceBuffer` those offsets index,
+because the rewriter inserts directives by byte offset.  Macro
+expansions take their use-site span.  Line and column are computed from
+the buffer only when something renders a position
+(:meth:`Node.location`).  Most nodes index the translation unit's
+buffer; an expression parsed from a pragma clause indexes the clause's
+own text.  Synthesized nodes have offset -1 and no buffer.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Self
 
 from .ctypes_ import QualType
-from .source import SourceRange, UNKNOWN_RANGE
+from .source import UNKNOWN_LOCATION, SourceBuffer, SourceLocation
 
 _node_ids = itertools.count(1)
 
@@ -35,10 +41,15 @@ class Node:
     back to the generic traversal.
     """
 
-    __slots__ = ("range", "parent", "node_id", "walk_index", "walk_end")
+    __slots__ = (
+        "begin_offset", "end_offset", "buffer",
+        "parent", "node_id", "walk_index", "walk_end",
+    )
 
-    def __init__(self, range_: SourceRange = UNKNOWN_RANGE):
-        self.range = range_
+    def __init__(self):
+        self.begin_offset = -1
+        self.end_offset = -1
+        self.buffer: SourceBuffer | None = None
         self.parent: Node | None = None
         self.node_id: int = next(_node_ids)
         self.walk_index: int = -1
@@ -113,16 +124,24 @@ class Node:
     def class_name(self) -> str:
         return type(self).__name__
 
-    @property
-    def begin_offset(self) -> int:
-        return self.range.begin_offset
+    def set_span(self, begin: int, end: int, buffer: SourceBuffer | None) -> Self:
+        """Place this node at ``[begin, end)`` of ``buffer``; returns it."""
+        self.begin_offset = begin
+        self.end_offset = end
+        self.buffer = buffer
+        return self
 
-    @property
-    def end_offset(self) -> int:
-        return self.range.end_offset
+    def location(self) -> SourceLocation:
+        """Where this node begins, as file, line and column.
+
+        For rendering only: the line table lookup runs on every call.
+        """
+        if self.buffer is None:
+            return UNKNOWN_LOCATION
+        return self.buffer.location(self.begin_offset)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.class_name} #{self.node_id} {self.range.begin}>"
+        return f"<{self.class_name} #{self.node_id} @{self.begin_offset}>"
 
 
 def _flatten(*parts: object) -> list[Node]:
@@ -153,8 +172,8 @@ class TranslationUnit(Decl):
 
     __slots__ = ("decls", "filename", "_preorder")
 
-    def __init__(self, decls: list[Decl], filename: str, range_: SourceRange):
-        super().__init__(range_)
+    def __init__(self, decls: list[Decl], filename: str):
+        super().__init__()
         self.decls = decls
         self.filename = filename
         self._preorder: list[Node] | None = None
@@ -195,7 +214,9 @@ class TranslationUnit(Decl):
         # spills lean and lets indices revalidate lazily after a
         # pickle round trip.
         state = {
-            "range": self.range,
+            "begin_offset": self.begin_offset,
+            "end_offset": self.end_offset,
+            "buffer": self.buffer,
             "parent": self.parent,
             "node_id": self.node_id,
             "walk_index": self.walk_index,
@@ -252,9 +273,8 @@ class VarDecl(Decl):
         *,
         is_global: bool = False,
         storage: str = "",
-        range_: SourceRange = UNKNOWN_RANGE,
     ):
-        super().__init__(range_)
+        super().__init__()
         self.name = name
         self.qual_type = qual_type
         self.init = init
@@ -270,8 +290,8 @@ class ParmVarDecl(VarDecl):
 
     __slots__ = ("index",)
 
-    def __init__(self, name: str, qual_type: QualType, index: int, range_=UNKNOWN_RANGE):
-        super().__init__(name, qual_type, None, range_=range_)
+    def __init__(self, name: str, qual_type: QualType, index: int):
+        super().__init__(name, qual_type, None)
         self.index = index
 
 
@@ -280,8 +300,8 @@ class FieldDecl(Decl):
 
     __slots__ = ("name", "qual_type")
 
-    def __init__(self, name: str, qual_type: QualType, range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, name: str, qual_type: QualType):
+        super().__init__()
         self.name = name
         self.qual_type = qual_type
 
@@ -291,8 +311,8 @@ class RecordDecl(Decl):
 
     __slots__ = ("tag", "fields", "struct_type")
 
-    def __init__(self, tag: str, fields: list[FieldDecl], struct_type, range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, tag: str, fields: list[FieldDecl], struct_type):
+        super().__init__()
         self.tag = tag
         self.fields = fields
         self.struct_type = struct_type
@@ -304,8 +324,8 @@ class RecordDecl(Decl):
 class TypedefDecl(Decl):
     __slots__ = ("name", "qual_type")
 
-    def __init__(self, name: str, qual_type: QualType, range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, name: str, qual_type: QualType):
+        super().__init__()
         self.name = name
         self.qual_type = qual_type
 
@@ -324,9 +344,8 @@ class FunctionDecl(Decl):
         *,
         storage: str = "",
         variadic: bool = False,
-        range_: SourceRange = UNKNOWN_RANGE,
     ):
-        super().__init__(range_)
+        super().__init__()
         self.name = name
         self.return_type = return_type
         self.params = params
@@ -354,8 +373,8 @@ class Stmt(Node):
 class CompoundStmt(Stmt):
     __slots__ = ("stmts",)
 
-    def __init__(self, stmts: list[Stmt], range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, stmts: list[Stmt]):
+        super().__init__()
         self.stmts = stmts
 
     def children(self) -> list[Node]:
@@ -367,8 +386,8 @@ class DeclStmt(Stmt):
 
     __slots__ = ("decls",)
 
-    def __init__(self, decls: list[VarDecl], range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, decls: list[VarDecl]):
+        super().__init__()
         self.decls = decls
 
     def children(self) -> list[Node]:
@@ -380,8 +399,8 @@ class ExprStmt(Stmt):
 
     __slots__ = ("expr",)
 
-    def __init__(self, expr: "Expr", range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, expr: "Expr"):
+        super().__init__()
         self.expr = expr
 
     def children(self) -> list[Node]:
@@ -395,8 +414,8 @@ class NullStmt(Stmt):
 class IfStmt(Stmt):
     __slots__ = ("cond", "then_branch", "else_branch")
 
-    def __init__(self, cond, then_branch, else_branch=None, range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, cond, then_branch, else_branch=None):
+        super().__init__()
         self.cond = cond
         self.then_branch = then_branch
         self.else_branch = else_branch
@@ -410,16 +429,16 @@ class LoopStmt(Stmt):
 
     __slots__ = ("body",)
 
-    def __init__(self, body: Stmt, range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, body: Stmt):
+        super().__init__()
         self.body = body
 
 
 class ForStmt(LoopStmt):
     __slots__ = ("init", "cond", "inc")
 
-    def __init__(self, init, cond, inc, body, range_=UNKNOWN_RANGE):
-        super().__init__(body, range_)
+    def __init__(self, init, cond, inc, body):
+        super().__init__(body)
         self.init = init  # Stmt | None (DeclStmt or ExprStmt)
         self.cond = cond  # Expr | None
         self.inc = inc  # Expr | None
@@ -431,8 +450,8 @@ class ForStmt(LoopStmt):
 class WhileStmt(LoopStmt):
     __slots__ = ("cond",)
 
-    def __init__(self, cond, body, range_=UNKNOWN_RANGE):
-        super().__init__(body, range_)
+    def __init__(self, cond, body):
+        super().__init__(body)
         self.cond = cond
 
     def children(self) -> list[Node]:
@@ -442,8 +461,8 @@ class WhileStmt(LoopStmt):
 class DoStmt(LoopStmt):
     __slots__ = ("cond",)
 
-    def __init__(self, body, cond, range_=UNKNOWN_RANGE):
-        super().__init__(body, range_)
+    def __init__(self, body, cond):
+        super().__init__(body)
         self.cond = cond
 
     def children(self) -> list[Node]:
@@ -453,8 +472,8 @@ class DoStmt(LoopStmt):
 class SwitchStmt(Stmt):
     __slots__ = ("cond", "body")
 
-    def __init__(self, cond, body, range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, cond, body):
+        super().__init__()
         self.cond = cond
         self.body = body
 
@@ -465,8 +484,8 @@ class SwitchStmt(Stmt):
 class CaseStmt(Stmt):
     __slots__ = ("value", "sub_stmt")
 
-    def __init__(self, value, sub_stmt, range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, value, sub_stmt):
+        super().__init__()
         self.value = value
         self.sub_stmt = sub_stmt
 
@@ -477,8 +496,8 @@ class CaseStmt(Stmt):
 class DefaultStmt(Stmt):
     __slots__ = ("sub_stmt",)
 
-    def __init__(self, sub_stmt, range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, sub_stmt):
+        super().__init__()
         self.sub_stmt = sub_stmt
 
     def children(self) -> list[Node]:
@@ -496,8 +515,8 @@ class ContinueStmt(Stmt):
 class ReturnStmt(Stmt):
     __slots__ = ("value",)
 
-    def __init__(self, value=None, range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, value=None):
+        super().__init__()
         self.value = value
 
     def children(self) -> list[Node]:
@@ -512,40 +531,40 @@ class ReturnStmt(Stmt):
 class Expr(Node):
     __slots__ = ("qual_type",)
 
-    def __init__(self, range_=UNKNOWN_RANGE, qual_type: QualType | None = None):
-        super().__init__(range_)
+    def __init__(self, qual_type: QualType | None = None):
+        super().__init__()
         self.qual_type = qual_type
 
 
 class IntegerLiteral(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: int, range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, value: int, qual_type=None):
+        super().__init__(qual_type)
         self.value = value
 
 
 class FloatingLiteral(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: float, range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, value: float, qual_type=None):
+        super().__init__(qual_type)
         self.value = value
 
 
 class CharacterLiteral(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: int, range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, value: int, qual_type=None):
+        super().__init__(qual_type)
         self.value = value
 
 
 class StringLiteral(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: str, range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, value: str, qual_type=None):
+        super().__init__(qual_type)
         self.value = value
 
 
@@ -554,8 +573,8 @@ class DeclRefExpr(Expr):
 
     __slots__ = ("name", "decl")
 
-    def __init__(self, name: str, decl: Decl | None = None, range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, name: str, decl: Decl | None = None, qual_type=None):
+        super().__init__(qual_type)
         self.name = name
         self.decl = decl
 
@@ -563,8 +582,8 @@ class DeclRefExpr(Expr):
 class ParenExpr(Expr):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: Expr, range_=UNKNOWN_RANGE):
-        super().__init__(range_, inner.qual_type)
+    def __init__(self, inner: Expr):
+        super().__init__(inner.qual_type)
         self.inner = inner
 
     def children(self) -> list[Node]:
@@ -576,9 +595,8 @@ class UnaryOperator(Expr):
 
     __slots__ = ("op", "operand", "is_prefix")
 
-    def __init__(self, op: str, operand: Expr, is_prefix: bool = True,
-                 range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, op: str, operand: Expr, is_prefix: bool = True, qual_type=None):
+        super().__init__(qual_type)
         self.op = op
         self.operand = operand
         self.is_prefix = is_prefix
@@ -594,8 +612,8 @@ class BinaryOperator(Expr):
 
     ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
 
-    def __init__(self, op: str, lhs: Expr, rhs: Expr, range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, qual_type=None):
+        super().__init__(qual_type)
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
@@ -621,8 +639,8 @@ class CompoundAssignOperator(BinaryOperator):
 class ConditionalOperator(Expr):
     __slots__ = ("cond", "true_expr", "false_expr")
 
-    def __init__(self, cond, true_expr, false_expr, range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, cond, true_expr, false_expr, qual_type=None):
+        super().__init__(qual_type)
         self.cond = cond
         self.true_expr = true_expr
         self.false_expr = false_expr
@@ -634,8 +652,8 @@ class ConditionalOperator(Expr):
 class ArraySubscriptExpr(Expr):
     __slots__ = ("base", "index")
 
-    def __init__(self, base: Expr, index: Expr, range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, base: Expr, index: Expr, qual_type=None):
+        super().__init__(qual_type)
         self.base = base
         self.index = index
 
@@ -671,9 +689,8 @@ class ArraySubscriptExpr(Expr):
 class MemberExpr(Expr):
     __slots__ = ("base", "member", "is_arrow")
 
-    def __init__(self, base: Expr, member: str, is_arrow: bool,
-                 range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, base: Expr, member: str, is_arrow: bool, qual_type=None):
+        super().__init__(qual_type)
         self.base = base
         self.member = member
         self.is_arrow = is_arrow
@@ -685,8 +702,8 @@ class MemberExpr(Expr):
 class CallExpr(Expr):
     __slots__ = ("callee", "args")
 
-    def __init__(self, callee: Expr, args: list[Expr], range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, callee: Expr, args: list[Expr], qual_type=None):
+        super().__init__(qual_type)
         self.callee = callee
         self.args = args
 
@@ -704,8 +721,8 @@ class CallExpr(Expr):
 class CStyleCastExpr(Expr):
     __slots__ = ("target_type", "operand")
 
-    def __init__(self, target_type: QualType, operand: Expr, range_=UNKNOWN_RANGE):
-        super().__init__(range_, target_type)
+    def __init__(self, target_type: QualType, operand: Expr):
+        super().__init__(target_type)
         self.target_type = target_type
         self.operand = operand
 
@@ -717,8 +734,8 @@ class SizeOfExpr(Expr):
     __slots__ = ("arg_type", "arg_expr")
 
     def __init__(self, arg_type: QualType | None, arg_expr: Expr | None,
-                 range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+                 qual_type=None):
+        super().__init__(qual_type)
         self.arg_type = arg_type
         self.arg_expr = arg_expr
 
@@ -729,8 +746,8 @@ class SizeOfExpr(Expr):
 class InitListExpr(Expr):
     __slots__ = ("inits",)
 
-    def __init__(self, inits: list[Expr], range_=UNKNOWN_RANGE, qual_type=None):
-        super().__init__(range_, qual_type)
+    def __init__(self, inits: list[Expr], qual_type=None):
+        super().__init__(qual_type)
         self.inits = inits
 
     def children(self) -> list[Node]:
@@ -747,8 +764,8 @@ class OMPClause(Node):
 
     __slots__ = ("kind",)
 
-    def __init__(self, kind: str, range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, kind: str):
+        super().__init__()
         self.kind = kind
 
 
@@ -757,8 +774,8 @@ class OMPVarListClause(OMPClause):
 
     __slots__ = ("items",)
 
-    def __init__(self, kind: str, items: list["OMPSectionItem"], range_=UNKNOWN_RANGE):
-        super().__init__(kind, range_)
+    def __init__(self, kind: str, items: list["OMPSectionItem"]):
+        super().__init__(kind)
         self.items = items
 
     def children(self) -> list[Node]:
@@ -773,9 +790,8 @@ class OMPSectionItem(Node):
 
     __slots__ = ("name", "sections")
 
-    def __init__(self, name: str, sections: list[tuple[Expr | None, Expr | None]],
-                 range_=UNKNOWN_RANGE):
-        super().__init__(range_)
+    def __init__(self, name: str, sections: list[tuple[Expr | None, Expr | None]]):
+        super().__init__()
         self.name = name
         #: one (lower, length) pair per dimension; empty for a whole-var item
         self.sections = sections
@@ -799,8 +815,8 @@ class OMPMapClause(OMPVarListClause):
     MAP_TYPES = ("to", "from", "tofrom", "alloc", "release", "delete")
 
     def __init__(self, map_type: str, items: list[OMPSectionItem],
-                 range_=UNKNOWN_RANGE, always: bool = False):
-        super().__init__("map", items, range_)
+                 always: bool = False):
+        super().__init__("map", items)
         if map_type not in self.MAP_TYPES:
             raise ValueError(f"invalid map type {map_type!r}")
         self.map_type = map_type
@@ -812,8 +828,8 @@ class OMPToClause(OMPVarListClause):
 
     __slots__ = ()
 
-    def __init__(self, items: list[OMPSectionItem], range_=UNKNOWN_RANGE):
-        super().__init__("to", items, range_)
+    def __init__(self, items: list[OMPSectionItem]):
+        super().__init__("to", items)
 
 
 class OMPFromClause(OMPVarListClause):
@@ -821,29 +837,29 @@ class OMPFromClause(OMPVarListClause):
 
     __slots__ = ()
 
-    def __init__(self, items: list[OMPSectionItem], range_=UNKNOWN_RANGE):
-        super().__init__("from", items, range_)
+    def __init__(self, items: list[OMPSectionItem]):
+        super().__init__("from", items)
 
 
 class OMPFirstprivateClause(OMPVarListClause):
     __slots__ = ()
 
-    def __init__(self, items: list[OMPSectionItem], range_=UNKNOWN_RANGE):
-        super().__init__("firstprivate", items, range_)
+    def __init__(self, items: list[OMPSectionItem]):
+        super().__init__("firstprivate", items)
 
 
 class OMPPrivateClause(OMPVarListClause):
     __slots__ = ()
 
-    def __init__(self, items: list[OMPSectionItem], range_=UNKNOWN_RANGE):
-        super().__init__("private", items, range_)
+    def __init__(self, items: list[OMPSectionItem]):
+        super().__init__("private", items)
 
 
 class OMPReductionClause(OMPVarListClause):
     __slots__ = ("operator",)
 
-    def __init__(self, operator: str, items: list[OMPSectionItem], range_=UNKNOWN_RANGE):
-        super().__init__("reduction", items, range_)
+    def __init__(self, operator: str, items: list[OMPSectionItem]):
+        super().__init__("reduction", items)
         self.operator = operator
 
 
@@ -852,8 +868,8 @@ class OMPExprClause(OMPClause):
 
     __slots__ = ("expr",)
 
-    def __init__(self, kind: str, expr: Expr, range_=UNKNOWN_RANGE):
-        super().__init__(kind, range_)
+    def __init__(self, kind: str, expr: Expr):
+        super().__init__(kind)
         self.expr = expr
 
     def children(self) -> list[Node]:
@@ -865,8 +881,8 @@ class OMPSimpleClause(OMPClause):
 
     __slots__ = ("argument",)
 
-    def __init__(self, kind: str, argument: str = "", range_=UNKNOWN_RANGE):
-        super().__init__(kind, range_)
+    def __init__(self, kind: str, argument: str = ""):
+        super().__init__(kind)
         self.argument = argument
 
 
@@ -881,9 +897,8 @@ class OMPExecutableDirective(Stmt):
         clauses: list[OMPClause],
         associated_stmt: Stmt | None,
         pragma_text: str = "",
-        range_: SourceRange = UNKNOWN_RANGE,
     ):
-        super().__init__(range_)
+        super().__init__()
         self.directive_kind = directive_kind
         self.clauses = clauses
         self.associated_stmt = associated_stmt

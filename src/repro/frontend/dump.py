@@ -14,9 +14,9 @@ from . import ast_nodes as A
 
 def _node_summary(node: A.Node) -> str:
     parts: list[str] = [node.class_name]
-    loc = node.range.begin
-    if loc.offset >= 0:
-        parts.append(f"<line:{loc.line}, col:{loc.column}>")
+    if node.buffer is not None:
+        line, col = node.buffer.line_col(node.begin_offset)
+        parts.append(f"<line:{line}, col:{col}>")
     if isinstance(node, A.FunctionDecl):
         parts.append(f"{node.name} '{node.return_type}'")
         if not node.is_definition:

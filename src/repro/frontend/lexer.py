@@ -9,8 +9,9 @@ Design notes
   scanner walked the punctuator list per token and re-tested every
   literal class in sequence — the master pattern does the maximal-munch
   work inside the regex engine instead.
-* Every token records its byte offset in the *original* buffer; the
-  rewriter depends on this.
+* Every token records its byte span in the *original* buffer as two
+  ints; the rewriter depends on this.  Line and column are left to the
+  buffer, which computes them only when an error message renders one.
 * Preprocessor directives (``#define``, ``#include``, ``#pragma`` ...)
   are lexed as one logical line each (backslash-newline splices
   collapsed) and returned as a single :data:`TokenKind.PRAGMA` token
@@ -119,8 +120,7 @@ class Lexer:
     # -- helpers ---------------------------------------------------------
 
     def _error(self, message: str) -> ParseError:
-        line, col = self.buffer.line_col(self.pos)
-        return ParseError(f"{self.buffer.filename}:{line}:{col}: {message}")
+        return ParseError(f"{self.buffer.location(self.pos)}: {message}")
 
     def _peek(self, ahead: int = 0) -> str:
         """One character of lookahead; NUL (never ``""``) past the end.
@@ -149,7 +149,7 @@ class Lexer:
         self._at_line_start = at_line_start
 
         if pos >= len(text):
-            return Token(TokenKind.EOF, "", self.buffer.location(pos))
+            return Token(TokenKind.EOF, "", pos, pos)
         ch = text[pos]
         if ch == "/" and text.startswith("/*", pos):
             # A terminated block comment would have been consumed as
@@ -166,7 +166,7 @@ class Lexer:
             if ch == "'":
                 raise self._error("unterminated character literal")
             raise self._error(f"unexpected character {ch!r}")
-        self.pos = m.end()
+        end = self.pos = m.end()
         tok_text = m.group()
         group = m.lastgroup
         if group == "ID":
@@ -193,7 +193,7 @@ class Lexer:
             body = tok_text[1:-1]
             decoded = _ESCAPES.get(body[1], body[1]) if body[0] == "\\" else body[0]
             value = ord(decoded) if decoded else 0
-        return Token(kind, tok_text, self.buffer.location(pos), value)
+        return Token(kind, tok_text, pos, end, value)
 
     def tokenize(self) -> list[Token]:
         """Lex the whole buffer, including the trailing EOF token."""
@@ -231,13 +231,9 @@ class Lexer:
             parts.append(ch)
             self.pos += 1
         body = "".join(parts)
-        tok = Token(
-            TokenKind.PRAGMA,
-            self.text[start : self.pos],
-            self.buffer.location(start),
-            value=body,
+        return Token(
+            TokenKind.PRAGMA, self.text[start : self.pos], start, self.pos, body
         )
-        return tok
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:

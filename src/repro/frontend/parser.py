@@ -14,6 +14,8 @@ and every OpenMP directive in the pragma table.
 
 from __future__ import annotations
 
+from typing import TypeVar
+
 from ..diagnostics import ParseError
 from . import ast_nodes as A
 from .ctypes_ import (
@@ -43,7 +45,7 @@ from .ctypes_ import (
 from .lexer import Lexer
 from .preprocessor import preprocess
 from .pragma import PragmaParser
-from .source import SourceBuffer, SourceLocation, SourceRange
+from .source import SourceBuffer
 from .tokens import Token, TokenKind
 
 # Math & libc builtins the interpreter provides.  Registered lazily as
@@ -101,6 +103,8 @@ _BUILTIN_SIGNATURES: dict[str, tuple[QualType, tuple[QualType, ...], bool]] = {
 
 BUILTIN_FUNCTION_NAMES = frozenset(_BUILTIN_SIGNATURES)
 
+NodeT = TypeVar("NodeT", bound=A.Node)
+
 _KERNEL_DIRECTIVE_CLASSES: dict[str, type] = {
     "target": A.OMPTargetDirective,
     "target parallel": A.OMPTargetParallelDirective,
@@ -152,8 +156,8 @@ class EnumConstantDecl(A.Decl):
 
     __slots__ = ("name", "value", "qual_type")
 
-    def __init__(self, name: str, value: int, range_=None):
-        super().__init__(range_ or A.UNKNOWN_RANGE)
+    def __init__(self, name: str, value: int):
+        super().__init__()
         self.name = name
         self.value = value
         self.qual_type = INT.with_const()
@@ -169,7 +173,7 @@ class Parser:
         self.typedefs: dict[str, QualType] = dict(BUILTIN_TYPEDEFS)
         self.struct_tags: dict[str, StructType] = {}
         self.scope = _Scope()
-        self._pragma_parser = PragmaParser(self._parse_expr_text)
+        self._pragma_parser = PragmaParser(self._parse_expr_text, buffer)
         self._implicit_decls: dict[str, A.FunctionDecl] = {}
 
     # ------------------------------------------------------------------
@@ -219,15 +223,17 @@ class Parser:
         return self._advance()
 
     def _error(self, message: str) -> ParseError:
-        loc = self._tok().location
-        return ParseError(f"{loc}: {message}")
+        return ParseError(f"{self.buffer.location(self._tok().offset)}: {message}")
 
-    def _loc(self) -> SourceLocation:
-        return self._tok().location
+    def _offset(self) -> int:
+        return self.tokens[self.pos].offset
 
-    def _range(self, start: SourceLocation, end_tok_offset: int | None = None) -> SourceRange:
-        end_offset = end_tok_offset if end_tok_offset is not None else self._prev_end()
-        return SourceRange(start, self.buffer.location(end_offset))
+    def _span(self, node: NodeT, begin: int, end: int | None = None) -> NodeT:
+        """Place ``node`` at ``[begin, end)``; ``end`` defaults to the end
+        of the last consumed token."""
+        return node.set_span(
+            begin, self._prev_end() if end is None else end, self.buffer
+        )
 
     def _prev_end(self) -> int:
         if self.pos == 0:
@@ -239,7 +245,7 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_translation_unit(self) -> A.TranslationUnit:
-        start = self._loc()
+        start = self._offset()
         decls: list[A.Decl] = []
         while not self._check(TokenKind.EOF):
             if self._check(TokenKind.SEMI):
@@ -248,7 +254,7 @@ class Parser:
             if self._check(TokenKind.PRAGMA):
                 raise self._error("OpenMP directive outside of a function body")
             decls.extend(self._parse_external_declaration())
-        tu = A.TranslationUnit(decls, self.buffer.filename, self._range(start))
+        tu = self._span(A.TranslationUnit(decls, self.buffer.filename), start)
         # Finalize the pre-order walk indices up front: the forward-
         # reference fixup below, parent linking, and every later
         # analysis walk then iterate the cached list instead of
@@ -283,7 +289,7 @@ class Parser:
                 node.qual_type = self._call_type(node.callee)
 
     def _parse_external_declaration(self) -> list[A.Decl]:
-        start = self._loc()
+        start = self._offset()
         storage = ""
         while True:
             tok = self._accept_keyword("static", "extern", "inline", "auto", "register")
@@ -318,7 +324,7 @@ class Parser:
         out.extend(decls)
         return out
 
-    def _parse_typedef(self, start: SourceLocation) -> A.TypedefDecl:
+    def _parse_typedef(self, start: int) -> A.TypedefDecl:
         self._expect_keyword("typedef")
         base, _ = self._parse_type_specifier()
         name, qt, params, _ = self._parse_declarator(base)
@@ -326,7 +332,7 @@ class Parser:
             raise self._error("function typedefs are not supported")
         self._expect(TokenKind.SEMI)
         self.typedefs[name] = qt
-        return A.TypedefDecl(name, qt, self._range(start))
+        return self._span(A.TypedefDecl(name, qt), start)
 
     def _parse_function_tail(
         self,
@@ -335,7 +341,7 @@ class Parser:
         params: list[A.ParmVarDecl],
         variadic: bool,
         storage: str,
-        start: SourceLocation,
+        start: int,
     ) -> A.FunctionDecl:
         body: A.CompoundStmt | None = None
         if self._check(TokenKind.LBRACE):
@@ -353,10 +359,9 @@ class Parser:
         else:
             self._expect(TokenKind.SEMI)
         fn = A.FunctionDecl(
-            name, return_type, params, body,
-            storage=storage, variadic=variadic, range_=self._range(start),
+            name, return_type, params, body, storage=storage, variadic=variadic
         )
-        return fn
+        return self._span(fn, start)
 
     def _parse_init_declarators(
         self,
@@ -364,7 +369,7 @@ class Parser:
         first_type: QualType,
         base: QualType,
         storage: str,
-        start: SourceLocation,
+        start: int,
         *,
         is_global: bool,
     ) -> list[A.VarDecl]:
@@ -374,9 +379,9 @@ class Parser:
             init: A.Expr | None = None
             if self._accept(TokenKind.EQUAL):
                 init = self._parse_initializer()
-            decl = A.VarDecl(
-                name, qt, init, is_global=is_global, storage=storage,
-                range_=self._range(start),
+            decl = self._span(
+                A.VarDecl(name, qt, init, is_global=is_global, storage=storage),
+                start,
             )
             self.scope.declare(name, decl)
             decls.append(decl)
@@ -480,7 +485,7 @@ class Parser:
         return table[spelled]
 
     def _parse_struct_specifier(self) -> tuple[QualType, A.RecordDecl | None]:
-        start = self._loc()
+        start = self._offset()
         tag = ""
         if self._check(TokenKind.IDENTIFIER):
             tag = self._advance().text
@@ -500,7 +505,7 @@ class Parser:
                 fname, fqt, params, _ = self._parse_declarator(base)
                 if params is not None:
                     raise self._error("function members are not supported")
-                fields.append(A.FieldDecl(fname, fqt, self._range(start)))
+                fields.append(self._span(A.FieldDecl(fname, fqt), start))
                 if not self._accept(TokenKind.COMMA):
                     break
             self._expect(TokenKind.SEMI)
@@ -508,7 +513,7 @@ class Parser:
         st = StructType(tag, tuple((f.name, f.qual_type) for f in fields))
         if tag:
             self.struct_tags[tag] = st
-        record = A.RecordDecl(tag, fields, st, self._range(start))
+        record = self._span(A.RecordDecl(tag, fields, st), start)
         return QualType(st), record
 
     def _parse_enum_specifier(self) -> QualType:
@@ -582,7 +587,7 @@ class Parser:
             if self._accept(TokenKind.ELLIPSIS):
                 variadic = True
                 break
-            start = self._loc()
+            start = self._offset()
             base, _ = self._parse_type_specifier()
             qt = base
             while self._accept(TokenKind.STAR):
@@ -609,7 +614,7 @@ class Parser:
                     inner = array_of(inner, dim)
                 qt = pointer_to(inner)
             params.append(
-                A.ParmVarDecl(pname or f"<arg{index}>", qt, index, self._range(start))
+                self._span(A.ParmVarDecl(pname or f"<arg{index}>", qt, index), start)
             )
             index += 1
             if not self._accept(TokenKind.COMMA):
@@ -621,7 +626,7 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _parse_compound_stmt(self) -> A.CompoundStmt:
-        start = self._loc()
+        start = self._offset()
         self._expect(TokenKind.LBRACE)
         self.scope = _Scope(self.scope)
         stmts: list[A.Stmt] = []
@@ -631,11 +636,11 @@ class Parser:
             stmts.append(self._parse_statement())
         self._expect(TokenKind.RBRACE)
         self.scope = self.scope.parent  # type: ignore[assignment]
-        return A.CompoundStmt(stmts, self._range(start))
+        return self._span(A.CompoundStmt(stmts), start)
 
     def _parse_statement(self) -> A.Stmt:
         tok = self._tok()
-        start = tok.location
+        start = tok.offset
 
         if tok.kind is TokenKind.PRAGMA:
             return self._parse_omp_statement()
@@ -643,7 +648,7 @@ class Parser:
             return self._parse_compound_stmt()
         if tok.kind is TokenKind.SEMI:
             self._advance()
-            return A.NullStmt(self._range(start))
+            return self._span(A.NullStmt(), start)
         if tok.is_keyword("if"):
             return self._parse_if()
         if tok.is_keyword("for"):
@@ -659,25 +664,25 @@ class Parser:
             value = self._parse_conditional()
             self._expect(TokenKind.COLON)
             sub = self._parse_statement()
-            return A.CaseStmt(value, sub, self._range(start))
+            return self._span(A.CaseStmt(value, sub), start)
         if tok.is_keyword("default"):
             self._advance()
             self._expect(TokenKind.COLON)
             sub = self._parse_statement()
-            return A.DefaultStmt(sub, self._range(start))
+            return self._span(A.DefaultStmt(sub), start)
         if tok.is_keyword("break"):
             self._advance()
             self._expect(TokenKind.SEMI)
-            return A.BreakStmt(self._range(start))
+            return self._span(A.BreakStmt(), start)
         if tok.is_keyword("continue"):
             self._advance()
             self._expect(TokenKind.SEMI)
-            return A.ContinueStmt(self._range(start))
+            return self._span(A.ContinueStmt(), start)
         if tok.is_keyword("return"):
             self._advance()
             value = None if self._check(TokenKind.SEMI) else self._parse_expression()
             self._expect(TokenKind.SEMI)
-            return A.ReturnStmt(value, self._range(start))
+            return self._span(A.ReturnStmt(value), start)
         if tok.is_keyword("goto"):
             raise self._error("goto is not supported by the analysis (paper scope)")
         if self._starts_type(tok) or tok.is_keyword("static", "extern"):
@@ -685,10 +690,10 @@ class Parser:
 
         expr = self._parse_expression()
         self._expect(TokenKind.SEMI)
-        return A.ExprStmt(expr, self._range(start))
+        return self._span(A.ExprStmt(expr), start)
 
     def _parse_decl_stmt(self) -> A.DeclStmt:
-        start = self._loc()
+        start = self._offset()
         storage = ""
         while True:
             tok = self._accept_keyword("static", "extern", "register", "auto")
@@ -699,18 +704,18 @@ class Parser:
         base, record = self._parse_type_specifier()
         if record is not None and self._check(TokenKind.SEMI):
             self._advance()
-            return A.DeclStmt([], self._range(start))
+            return self._span(A.DeclStmt([]), start)
         name, qt, params, _ = self._parse_declarator(base)
         if params is not None:
             raise self._error("nested function declarations are not supported")
         decls = self._parse_init_declarators(
             name, qt, base, storage, start, is_global=False
         )
-        return A.DeclStmt(decls, self._range(start))
+        return self._span(A.DeclStmt(decls), start)
 
     def _parse_initializer(self) -> A.Expr:
         if self._check(TokenKind.LBRACE):
-            start = self._loc()
+            start = self._offset()
             self._advance()
             inits: list[A.Expr] = []
             while not self._check(TokenKind.RBRACE):
@@ -718,11 +723,11 @@ class Parser:
                 if not self._accept(TokenKind.COMMA):
                     break
             self._expect(TokenKind.RBRACE)
-            return A.InitListExpr(inits, self._range(start))
+            return self._span(A.InitListExpr(inits), start)
         return self._parse_assignment()
 
     def _parse_if(self) -> A.IfStmt:
-        start = self._loc()
+        start = self._offset()
         self._expect_keyword("if")
         self._expect(TokenKind.LPAREN)
         cond = self._parse_expression()
@@ -731,10 +736,10 @@ class Parser:
         else_branch = None
         if self._accept_keyword("else"):
             else_branch = self._parse_statement()
-        return A.IfStmt(cond, then_branch, else_branch, self._range(start))
+        return self._span(A.IfStmt(cond, then_branch, else_branch), start)
 
     def _parse_for(self) -> A.ForStmt:
-        start = self._loc()
+        start = self._offset()
         self._expect_keyword("for")
         self._expect(TokenKind.LPAREN)
         self.scope = _Scope(self.scope)
@@ -743,10 +748,10 @@ class Parser:
             if self._starts_type(self._tok()):
                 init = self._parse_decl_stmt()
             else:
-                init_start = self._loc()
+                init_start = self._offset()
                 expr = self._parse_expression()
                 self._expect(TokenKind.SEMI)
-                init = A.ExprStmt(expr, self._range(init_start))
+                init = self._span(A.ExprStmt(expr), init_start)
         else:
             self._advance()
         cond = None if self._check(TokenKind.SEMI) else self._parse_expression()
@@ -755,19 +760,19 @@ class Parser:
         self._expect(TokenKind.RPAREN)
         body = self._parse_statement()
         self.scope = self.scope.parent  # type: ignore[assignment]
-        return A.ForStmt(init, cond, inc, body, self._range(start))
+        return self._span(A.ForStmt(init, cond, inc, body), start)
 
     def _parse_while(self) -> A.WhileStmt:
-        start = self._loc()
+        start = self._offset()
         self._expect_keyword("while")
         self._expect(TokenKind.LPAREN)
         cond = self._parse_expression()
         self._expect(TokenKind.RPAREN)
         body = self._parse_statement()
-        return A.WhileStmt(cond, body, self._range(start))
+        return self._span(A.WhileStmt(cond, body), start)
 
     def _parse_do(self) -> A.DoStmt:
-        start = self._loc()
+        start = self._offset()
         self._expect_keyword("do")
         body = self._parse_statement()
         self._expect_keyword("while")
@@ -775,16 +780,16 @@ class Parser:
         cond = self._parse_expression()
         self._expect(TokenKind.RPAREN)
         self._expect(TokenKind.SEMI)
-        return A.DoStmt(body, cond, self._range(start))
+        return self._span(A.DoStmt(body, cond), start)
 
     def _parse_switch(self) -> A.SwitchStmt:
-        start = self._loc()
+        start = self._offset()
         self._expect_keyword("switch")
         self._expect(TokenKind.LPAREN)
         cond = self._parse_expression()
         self._expect(TokenKind.RPAREN)
         body = self._parse_statement()
-        return A.SwitchStmt(cond, body, self._range(start))
+        return self._span(A.SwitchStmt(cond, body), start)
 
     # ------------------------------------------------------------------
     # OpenMP
@@ -793,26 +798,31 @@ class Parser:
     def _parse_omp_statement(self) -> A.Stmt:
         tok = self._advance()
         assert tok.kind is TokenKind.PRAGMA
-        parsed = self._pragma_parser.parse(str(tok.value), tok.location)
+        parsed = self._pragma_parser.parse(str(tok.value), tok.offset)
         kind, category = parsed.directive_kind, parsed.category
 
         associated: A.Stmt | None = None
         if category in ("kernel", "data", "host"):
             associated = self._parse_statement()
         end_offset = associated.end_offset if associated is not None else tok.end_offset
-        rng = SourceRange(tok.location, self.buffer.location(end_offset))
 
         if category == "kernel":
             cls = _KERNEL_DIRECTIVE_CLASSES[kind]
-            return cls(kind, parsed.clauses, associated, parsed.raw_text, rng)
-        if category in ("data", "standalone-data"):
+        elif category in ("data", "standalone-data"):
             cls = _DATA_DIRECTIVE_CLASSES[kind]
-            return cls(kind, parsed.clauses, associated, parsed.raw_text, rng)
-        return A.OMPHostDirective(kind, parsed.clauses, associated, parsed.raw_text, rng)
+        else:
+            cls = A.OMPHostDirective
+        directive = cls(kind, parsed.clauses, associated, parsed.raw_text)
+        return self._span(directive, tok.offset, end_offset)
 
-    def _parse_expr_text(self, text: str, anchor: SourceLocation) -> A.Expr:
-        """Parse an expression embedded in pragma clause text."""
-        sub_buffer = SourceBuffer(text, f"<pragma@{anchor.line}>")
+    def _parse_expr_text(self, text: str, anchor: int) -> A.Expr:
+        """Parse an expression embedded in pragma clause text.
+
+        The expression gets its own buffer, named after the pragma's
+        line, so its nodes' offsets index the clause text.
+        """
+        line, _ = self.buffer.line_col(anchor)
+        sub_buffer = SourceBuffer(text, f"<pragma@{line}>")
         tokens = Lexer(sub_buffer).tokenize()
         sub = Parser(tokens, sub_buffer)
         sub.typedefs = self.typedefs
@@ -820,7 +830,10 @@ class Parser:
         sub.scope = self.scope
         expr = sub._parse_expression()
         if not sub._check(TokenKind.EOF):
-            raise ParseError(f"{anchor}: trailing tokens in pragma expression {text!r}")
+            raise ParseError(
+                f"{self.buffer.location(anchor)}: trailing tokens in pragma "
+                f"expression {text!r}"
+            )
         return expr
 
     # ------------------------------------------------------------------
@@ -832,9 +845,9 @@ class Parser:
         while self._check(TokenKind.COMMA):
             self._advance()
             rhs = self._parse_assignment()
-            expr = A.BinaryOperator(
-                ",", expr, rhs,
-                SourceRange(expr.range.begin, rhs.range.end), rhs.qual_type,
+            expr = self._span(
+                A.BinaryOperator(",", expr, rhs, rhs.qual_type),
+                expr.begin_offset, rhs.end_offset,
             )
         return expr
 
@@ -859,9 +872,10 @@ class Parser:
             return lhs
         self._advance()
         rhs = self._parse_assignment()
-        rng = SourceRange(lhs.range.begin, rhs.range.end)
         cls = A.CompoundAssignOperator if op != "=" else A.BinaryOperator
-        return cls(op, lhs, rhs, rng, lhs.qual_type)
+        return self._span(
+            cls(op, lhs, rhs, lhs.qual_type), lhs.begin_offset, rhs.end_offset
+        )
 
     def _parse_conditional(self) -> A.Expr:
         cond = self._parse_binary(0)
@@ -871,8 +885,10 @@ class Parser:
         true_expr = self._parse_expression()
         self._expect(TokenKind.COLON)
         false_expr = self._parse_conditional()
-        rng = SourceRange(cond.range.begin, false_expr.range.end)
-        return A.ConditionalOperator(cond, true_expr, false_expr, rng, true_expr.qual_type)
+        return self._span(
+            A.ConditionalOperator(cond, true_expr, false_expr, true_expr.qual_type),
+            cond.begin_offset, false_expr.end_offset,
+        )
 
     _BINARY_LEVELS: list[dict[TokenKind, str]] = [
         {TokenKind.PIPEPIPE: "||"},
@@ -913,12 +929,14 @@ class Parser:
             op_level, op = info
             self.pos += 1  # the operator token (never EOF: it is in the map)
             rhs = self._parse_binary(op_level + 1)
-            rng = SourceRange(lhs.range.begin, rhs.range.end)
-            lhs = A.BinaryOperator(op, lhs, rhs, rng, self._binary_type(op, lhs, rhs))
+            lhs = self._span(
+                A.BinaryOperator(op, lhs, rhs, self._binary_type(op, lhs, rhs)),
+                lhs.begin_offset, rhs.end_offset,
+            )
 
     def _parse_cast(self) -> A.Expr:
         if self._check(TokenKind.LPAREN) and self._starts_type(self._tok(1)):
-            start = self._loc()
+            start = self._offset()
             self._advance()
             base, _ = self._parse_type_specifier()
             qt = base
@@ -928,7 +946,7 @@ class Parser:
                     pass
             self._expect(TokenKind.RPAREN)
             operand = self._parse_cast()
-            return A.CStyleCastExpr(qt, operand, self._range(start))
+            return self._span(A.CStyleCastExpr(qt, operand), start)
         return self._parse_unary()
 
     _SIMPLE_UNARY = {
@@ -938,23 +956,23 @@ class Parser:
 
     def _parse_unary(self) -> A.Expr:
         tok = self.tokens[self.pos]
-        start = tok.location
+        start = tok.offset
         simple = self._SIMPLE_UNARY
         if tok.kind in simple:
             self._advance()
             operand = self._parse_cast()
             qt = INT if simple[tok.kind] in ("!",) else operand.qual_type
-            return A.UnaryOperator(
-                simple[tok.kind], operand, True,
-                SourceRange(start, operand.range.end), qt,
+            return self._span(
+                A.UnaryOperator(simple[tok.kind], operand, True, qt),
+                start, operand.end_offset,
             )
         if tok.kind in (TokenKind.PLUSPLUS, TokenKind.MINUSMINUS):
             self._advance()
             operand = self._parse_unary()
             op = "++" if tok.kind is TokenKind.PLUSPLUS else "--"
-            return A.UnaryOperator(
-                op, operand, True, SourceRange(start, operand.range.end),
-                operand.qual_type,
+            return self._span(
+                A.UnaryOperator(op, operand, True, operand.qual_type),
+                start, operand.end_offset,
             )
         if tok.kind is TokenKind.STAR:
             self._advance()
@@ -964,15 +982,15 @@ class Parser:
                 qt = operand.qual_type.pointee()
             elif operand.qual_type is not None and operand.qual_type.is_array:
                 qt = operand.qual_type.element()
-            return A.UnaryOperator(
-                "*", operand, True, SourceRange(start, operand.range.end), qt
+            return self._span(
+                A.UnaryOperator("*", operand, True, qt), start, operand.end_offset
             )
         if tok.kind is TokenKind.AMP:
             self._advance()
             operand = self._parse_cast()
             qt = pointer_to(operand.qual_type) if operand.qual_type else None
-            return A.UnaryOperator(
-                "&", operand, True, SourceRange(start, operand.range.end), qt
+            return self._span(
+                A.UnaryOperator("&", operand, True, qt), start, operand.end_offset
             )
         if tok.is_keyword("sizeof"):
             self._advance()
@@ -983,9 +1001,9 @@ class Parser:
                 while self._accept(TokenKind.STAR):
                     qt = pointer_to(qt)
                 self._expect(TokenKind.RPAREN)
-                return A.SizeOfExpr(qt, None, self._range(start), SIZE_T)
+                return self._span(A.SizeOfExpr(qt, None, SIZE_T), start)
             operand = self._parse_unary()
-            return A.SizeOfExpr(None, operand, self._range(start), SIZE_T)
+            return self._span(A.SizeOfExpr(None, operand, SIZE_T), start)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> A.Expr:
@@ -997,10 +1015,9 @@ class Parser:
                 index = self._parse_expression()
                 end_tok = self._expect(TokenKind.RBRACKET)
                 qt = self._subscript_type(expr)
-                expr = A.ArraySubscriptExpr(
-                    expr, index,
-                    SourceRange(expr.range.begin, self.buffer.location(end_tok.end_offset)),
-                    qt,
+                expr = self._span(
+                    A.ArraySubscriptExpr(expr, index, qt),
+                    expr.begin_offset, end_tok.end_offset,
                 )
             elif tok.kind is TokenKind.LPAREN:
                 self._advance()
@@ -1012,56 +1029,51 @@ class Parser:
                             break
                 end_tok = self._expect(TokenKind.RPAREN)
                 qt = self._call_type(expr)
-                expr = A.CallExpr(
-                    expr, args,
-                    SourceRange(expr.range.begin, self.buffer.location(end_tok.end_offset)),
-                    qt,
+                expr = self._span(
+                    A.CallExpr(expr, args, qt), expr.begin_offset, end_tok.end_offset
                 )
             elif tok.kind in (TokenKind.DOT, TokenKind.ARROW):
                 is_arrow = tok.kind is TokenKind.ARROW
                 self._advance()
                 member = self._expect(TokenKind.IDENTIFIER, "member name")
                 qt = self._member_type(expr, member.text, is_arrow)
-                expr = A.MemberExpr(
-                    expr, member.text, is_arrow,
-                    SourceRange(expr.range.begin, self.buffer.location(member.end_offset)),
-                    qt,
+                expr = self._span(
+                    A.MemberExpr(expr, member.text, is_arrow, qt),
+                    expr.begin_offset, member.end_offset,
                 )
             elif tok.kind in (TokenKind.PLUSPLUS, TokenKind.MINUSMINUS):
                 self._advance()
                 op = "++" if tok.kind is TokenKind.PLUSPLUS else "--"
-                expr = A.UnaryOperator(
-                    op, expr, False,
-                    SourceRange(expr.range.begin, self.buffer.location(tok.end_offset)),
-                    expr.qual_type,
+                expr = self._span(
+                    A.UnaryOperator(op, expr, False, expr.qual_type),
+                    expr.begin_offset, tok.end_offset,
                 )
             else:
                 return expr
 
     def _parse_primary(self) -> A.Expr:
         tok = self._tok()
-        start = tok.location
+        start = tok.offset
         # Identifiers are the most common primary by far — test first.
         if tok.kind is TokenKind.IDENTIFIER:
             self._advance()
-            rng = SourceRange(start, self.buffer.location(tok.end_offset))
             decl = self.scope.lookup(tok.text)
             if decl is None:
                 decl = self._implicit_function(tok.text)
             qt = self._decl_type(decl)
-            return A.DeclRefExpr(tok.text, decl, rng, qt)
+            return self._span(A.DeclRefExpr(tok.text, decl, qt), start, tok.end_offset)
         if tok.kind is TokenKind.INT_LITERAL:
             self._advance()
-            rng = SourceRange(start, self.buffer.location(tok.end_offset))
-            return A.IntegerLiteral(int(tok.value), rng, INT)  # type: ignore[arg-type]
+            node = A.IntegerLiteral(int(tok.value), INT)  # type: ignore[arg-type]
+            return self._span(node, start, tok.end_offset)
         if tok.kind is TokenKind.FLOAT_LITERAL:
             self._advance()
-            rng = SourceRange(start, self.buffer.location(tok.end_offset))
-            return A.FloatingLiteral(float(tok.value), rng, DOUBLE)  # type: ignore[arg-type]
+            node = A.FloatingLiteral(float(tok.value), DOUBLE)  # type: ignore[arg-type]
+            return self._span(node, start, tok.end_offset)
         if tok.kind is TokenKind.CHAR_LITERAL:
             self._advance()
-            rng = SourceRange(start, self.buffer.location(tok.end_offset))
-            return A.CharacterLiteral(int(tok.value), rng, INT)  # type: ignore[arg-type]
+            node = A.CharacterLiteral(int(tok.value), INT)  # type: ignore[arg-type]
+            return self._span(node, start, tok.end_offset)
         if tok.kind is TokenKind.STRING_LITERAL:
             self._advance()
             value = str(tok.value)
@@ -1071,15 +1083,13 @@ class Parser:
                 nxt = self._advance()
                 value += str(nxt.value)
                 end = nxt.end_offset
-            rng = SourceRange(start, self.buffer.location(end))
-            return A.StringLiteral(value, rng, pointer_to(CHAR.with_const()))
+            node = A.StringLiteral(value, pointer_to(CHAR.with_const()))
+            return self._span(node, start, end)
         if tok.kind is TokenKind.LPAREN:
             self._advance()
             inner = self._parse_expression()
             end_tok = self._expect(TokenKind.RPAREN)
-            return A.ParenExpr(
-                inner, SourceRange(start, self.buffer.location(end_tok.end_offset))
-            )
+            return self._span(A.ParenExpr(inner), start, end_tok.end_offset)
         raise self._error(f"unexpected token {tok.text or tok.kind.value!r} in expression")
 
     # ------------------------------------------------------------------

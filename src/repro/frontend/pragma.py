@@ -4,7 +4,8 @@ Turns the body of a ``#pragma omp ...`` logical line into a directive
 kind plus structured clauses.  Expression parsing inside clause
 arguments (``num_teams(n*2)``, ``map(to: a[0:N])``) is delegated to a
 callback supplied by the main parser, keeping this module free of a
-circular import.
+circular import.  Clauses and list items are placed at the pragma's
+offset in the translation unit's buffer.
 
 The directive table covers all of paper Table I, the data-management
 directives OMPDart inserts (``target data``, ``target update``,
@@ -31,7 +32,7 @@ from .ast_nodes import (
     OMPSimpleClause,
     OMPToClause,
 )
-from .source import SourceLocation, SourceRange
+from .source import SourceBuffer
 
 #: Directive spellings, longest-first so maximal munch works.
 #: Value is (canonical kind, category) where category is one of
@@ -167,19 +168,24 @@ def split_clauses(text: str) -> list[tuple[str, str | None]]:
 class PragmaParser:
     """Parses ``#pragma omp`` bodies into directives + clauses."""
 
-    def __init__(self, parse_expr: Callable[[str, SourceLocation], Expr]):
-        #: callback: (expression text, anchor location) -> Expr
+    def __init__(
+        self, parse_expr: Callable[[str, int], Expr], buffer: SourceBuffer
+    ):
+        #: callback: (expression text, pragma offset) -> Expr
         self._parse_expr = parse_expr
+        #: the buffer pragma offsets index
+        self._buffer = buffer
 
-    def parse(self, body: str, location: SourceLocation) -> ParsedPragma:
-        """Parse a pragma body (with or without the leading ``#``)."""
+    def parse(self, body: str, offset: int) -> ParsedPragma:
+        """Parse a pragma body (with or without the leading ``#``) found
+        at ``offset`` of the buffer."""
         # Collapse whitespace runs left behind by backslash-newline
         # splices so directive spellings match.
         text = " ".join(body.split()).lstrip("#").strip()
         if text.startswith("pragma"):
             text = text[len("pragma"):].strip()
         if not text.startswith("omp"):
-            raise ParseError(f"{location}: not an OpenMP pragma: {body!r}")
+            raise self._error(offset, f"not an OpenMP pragma: {body!r}")
         text = text[len("omp"):].strip()
 
         for spelling, (kind, category) in DIRECTIVE_TABLE:
@@ -190,50 +196,52 @@ class PragmaParser:
                 and text[len(spelling)] != "_"
             ):
                 clause_text = text[len(spelling):].strip()
-                clauses = self._parse_clauses(clause_text, location)
+                clauses = self._parse_clauses(clause_text, offset)
                 return ParsedPragma(kind, category, clauses, body)
-        raise ParseError(f"{location}: unrecognized OpenMP directive: {text!r}")
+        raise self._error(offset, f"unrecognized OpenMP directive: {text!r}")
+
+    def _error(self, at: int, message: str) -> ParseError:
+        return ParseError(f"{self._buffer.location(at)}: {message}")
 
     # -- clauses -----------------------------------------------------------
 
-    def _parse_clauses(self, text: str, loc: SourceLocation) -> list[OMPClause]:
-        clauses: list[OMPClause] = []
-        for name, arg in split_clauses(text):
-            clauses.append(self._build_clause(name, arg, loc))
-        return clauses
+    def _parse_clauses(self, text: str, at: int) -> list[OMPClause]:
+        return [
+            self._build_clause(name, arg, at).set_span(at, at, self._buffer)
+            for name, arg in split_clauses(text)
+        ]
 
-    def _build_clause(self, name: str, arg: str | None, loc: SourceLocation) -> OMPClause:
-        rng = SourceRange(loc, loc)
+    def _build_clause(self, name: str, arg: str | None, at: int) -> OMPClause:
         if name == "map":
-            return self._build_map_clause(arg or "", loc)
+            return self._build_map_clause(arg or "", at)
         if name == "reduction":
             if arg is None or ":" not in arg:
-                raise ParseError(f"{loc}: reduction clause needs 'op: list'")
+                raise self._error(at, "reduction clause needs 'op: list'")
             op, _, items_text = arg.partition(":")
-            items = self._parse_items(items_text, loc)
-            return OMPReductionClause(op.strip(), items, rng)
+            items = self._parse_items(items_text, at)
+            return OMPReductionClause(op.strip(), items)
         if name in _VARLIST_CLAUSES:
-            items = self._parse_items(arg or "", loc)
+            items = self._parse_items(arg or "", at)
             if name == "to":
-                return OMPToClause(items, rng)
+                return OMPToClause(items)
             if name == "from":
-                return OMPFromClause(items, rng)
+                return OMPFromClause(items)
             if name == "firstprivate":
-                return OMPFirstprivateClause(items, rng)
+                return OMPFirstprivateClause(items)
             if name == "private":
-                return OMPPrivateClause(items, rng)
+                return OMPPrivateClause(items)
             from .ast_nodes import OMPVarListClause
 
-            return OMPVarListClause(name, items, rng)
+            return OMPVarListClause(name, items)
         if name in _EXPR_CLAUSES:
             if arg is None:
-                raise ParseError(f"{loc}: clause {name!r} requires an argument")
-            return OMPExprClause(name, self._parse_expr(arg, loc), rng)
+                raise self._error(at, f"clause {name!r} requires an argument")
+            return OMPExprClause(name, self._parse_expr(arg, at))
         if name in _SIMPLE_CLAUSES:
-            return OMPSimpleClause(name, arg or "", rng)
-        raise ParseError(f"{loc}: unsupported OpenMP clause {name!r}")
+            return OMPSimpleClause(name, arg or "")
+        raise self._error(at, f"unsupported OpenMP clause {name!r}")
 
-    def _build_map_clause(self, arg: str, loc: SourceLocation) -> OMPMapClause:
+    def _build_map_clause(self, arg: str, at: int) -> OMPMapClause:
         map_type = "tofrom"  # OpenMP default map-type
         items_text = arg
         head, colon, rest = arg.partition(":")
@@ -243,27 +251,26 @@ class PragmaParser:
             if head_word:
                 map_type = head_word
             items_text = rest
-        items = self._parse_items(items_text, loc)
-        rng = SourceRange(loc, loc)
-        return OMPMapClause(map_type, items, rng, always)
+        items = self._parse_items(items_text, at)
+        return OMPMapClause(map_type, items, always)
 
-    def _parse_items(self, text: str, loc: SourceLocation) -> list[OMPSectionItem]:
+    def _parse_items(self, text: str, at: int) -> list[OMPSectionItem]:
         items: list[OMPSectionItem] = []
         for piece in _split_top_level(text, ","):
             piece = piece.strip()
             if not piece:
                 continue
-            items.append(self._parse_item(piece, loc))
+            items.append(self._parse_item(piece, at))
         return items
 
-    def _parse_item(self, text: str, loc: SourceLocation) -> OMPSectionItem:
+    def _parse_item(self, text: str, at: int) -> OMPSectionItem:
         """Parse ``name`` or ``name[lo:len]...`` (nested sections allowed)."""
         i, n = 0, len(text)
         while i < n and (text[i].isalnum() or text[i] == "_"):
             i += 1
         name = text[:i]
         if not name:
-            raise ParseError(f"{loc}: malformed OpenMP list item {text!r}")
+            raise self._error(at, f"malformed OpenMP list item {text!r}")
         sections: list[tuple[Expr | None, Expr | None]] = []
         while i < n:
             while i < n and text[i] in " \t":
@@ -271,7 +278,7 @@ class PragmaParser:
             if i >= n:
                 break
             if text[i] != "[":
-                raise ParseError(f"{loc}: malformed array section in {text!r}")
+                raise self._error(at, f"malformed array section in {text!r}")
             depth = 0
             start = i + 1
             while i < n:
@@ -283,18 +290,18 @@ class PragmaParser:
                         break
                 i += 1
             if depth != 0:
-                raise ParseError(f"{loc}: unbalanced brackets in {text!r}")
+                raise self._error(at, f"unbalanced brackets in {text!r}")
             inner = text[start:i]
             i += 1
             parts = _split_top_level(inner, ":")
             if len(parts) == 1:
                 # Single element `a[i]` == section of length 1.
-                lower = self._parse_expr(parts[0], loc) if parts[0].strip() else None
+                lower = self._parse_expr(parts[0], at) if parts[0].strip() else None
                 sections.append((lower, None))
             elif len(parts) == 2:
-                lower = self._parse_expr(parts[0], loc) if parts[0].strip() else None
-                length = self._parse_expr(parts[1], loc) if parts[1].strip() else None
+                lower = self._parse_expr(parts[0], at) if parts[0].strip() else None
+                length = self._parse_expr(parts[1], at) if parts[1].strip() else None
                 sections.append((lower, length))
             else:
-                raise ParseError(f"{loc}: too many ':' in array section {text!r}")
-        return OMPSectionItem(name, sections, SourceRange(loc, loc))
+                raise self._error(at, f"too many ':' in array section {text!r}")
+        return OMPSectionItem(name, sections).set_span(at, at, self._buffer)

@@ -10,8 +10,9 @@ need:
 * ``#pragma omp`` lines survive as :data:`TokenKind.PRAGMA` tokens; any
   other pragma is dropped.
 
-Macro-expanded tokens keep their *use-site* source location so that all
-downstream rewrites land at real positions in the original file.
+Macro-expanded tokens take the *use-site* span (the macro name, or
+through the closing ``)`` of a function-like use) so that all downstream
+rewrites land at real positions in the original file.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class MacroDefinition:
     name: str
     body: list[Token]
     params: list[str] | None = None
-    location: SourceLocation | None = None
 
     @property
     def is_function_like(self) -> bool:
@@ -122,16 +122,19 @@ class Preprocessor:
         if macro is None or tok.text in banned:
             return False
         if macro.is_function_like:
-            args = self._collect_macro_args(macro, banned)
-            if args is None:
+            collected = self._collect_macro_args(macro, banned)
+            if collected is None:
                 return False  # bare use of a function-like macro name
+            args, end = collected
             expansion = self._substitute(macro, args)
         else:
-            expansion = list(macro.body)
+            expansion = macro.body
+            end = tok.end_offset
         new_banned = banned | {macro.name}
+        begin = tok.offset
         replaced = [
             _Pending(
-                Token(t.kind, t.text, tok.location, t.value, expanded_from=macro.name),
+                Token(t.kind, t.text, begin, end, t.value, macro.name),
                 new_banned,
             )
             for t in expansion
@@ -153,7 +156,9 @@ class Preprocessor:
 
     def _collect_macro_args(
         self, macro: MacroDefinition, banned: frozenset[str]
-    ) -> list[list[Token]] | None:
+    ) -> tuple[list[list[Token]], int] | None:
+        """The arguments of a function-like use and the end offset of
+        its closing ``)``; None when no ``(`` follows the name."""
         nxt = self._peek_pending_or_lex()
         if nxt.kind is not TokenKind.LPAREN:
             return None
@@ -165,7 +170,8 @@ class Preprocessor:
             tok = pending.token
             if tok.kind is TokenKind.EOF:
                 raise ParseError(
-                    f"unterminated arguments for macro {macro.name!r} at {tok.location}"
+                    f"unterminated arguments for macro {macro.name!r} at "
+                    f"{self._where(tok)}"
                 )
             if tok.kind is TokenKind.LPAREN:
                 depth += 1
@@ -184,7 +190,7 @@ class Preprocessor:
                 f"macro {macro.name!r} expects {len(macro.params or [])} args,"
                 f" got {len(args)}"
             )
-        return args
+        return args, tok.end_offset
 
     @staticmethod
     def _substitute(macro: MacroDefinition, args: list[list[Token]]) -> list[Token]:
@@ -219,13 +225,13 @@ class Preprocessor:
             return None
         if head == "else":
             if not self._cond_stack:
-                raise ParseError(f"#else without #if at {tok.location}")
+                raise ParseError(f"#else without #if at {self._where(tok)}")
             prev = self._cond_stack.pop()
             self._cond_stack.append(self._active() and not prev)
             return None
         if head == "endif":
             if not self._cond_stack:
-                raise ParseError(f"#endif without #if at {tok.location}")
+                raise ParseError(f"#endif without #if at {self._where(tok)}")
             self._cond_stack.pop()
             return None
 
@@ -245,7 +251,13 @@ class Preprocessor:
             if kind == "omp":
                 return tok  # parser consumes OpenMP pragmas
             return None
-        raise ParseError(f"unsupported preprocessor directive #{head} at {tok.location}")
+        raise ParseError(
+            f"unsupported preprocessor directive #{head} at {self._where(tok)}"
+        )
+
+    def _where(self, tok: Token) -> SourceLocation:
+        """``tok``'s position, rendered for an error message."""
+        return self.buffer.location(tok.offset)
 
     def _eval_condition(self, expr: str, tok: Token) -> bool:
         expr = expr.strip()
@@ -256,31 +268,33 @@ class Preprocessor:
             return int(expr, 0) != 0
         except ValueError:
             raise ParseError(
-                f"unsupported #if condition {expr!r} at {tok.location} "
+                f"unsupported #if condition {expr!r} at {self._where(tok)} "
                 "(only integer literals and defined(NAME) are supported)"
             ) from None
 
     def _handle_define(self, rest: str, tok: Token) -> None:
         if not rest:
-            raise ParseError(f"empty #define at {tok.location}")
+            raise ParseError(f"empty #define at {self._where(tok)}")
         # Function-like only when '(' directly follows the name.
         name_end = 0
         while name_end < len(rest) and (rest[name_end].isalnum() or rest[name_end] == "_"):
             name_end += 1
         name = rest[:name_end]
         if not name:
-            raise ParseError(f"malformed #define at {tok.location}")
+            raise ParseError(f"malformed #define at {self._where(tok)}")
         params: list[str] | None = None
         body_text = rest[name_end:]
         if body_text.startswith("("):
             close = body_text.find(")")
             if close == -1:
-                raise ParseError(f"malformed function-like macro at {tok.location}")
+                raise ParseError(
+                    f"malformed function-like macro at {self._where(tok)}"
+                )
             param_text = body_text[1:close].strip()
             params = [p.strip() for p in param_text.split(",")] if param_text else []
             body_text = body_text[close + 1 :]
         body = _lex_fragment(body_text.strip(), f"<define:{name}>")
-        self.macros[name] = MacroDefinition(name, body, params, tok.location)
+        self.macros[name] = MacroDefinition(name, body, params)
 
 
 def preprocess(

@@ -5,8 +5,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .source import SourceLocation
-
 
 class TokenKind(enum.Enum):
     """Lexical token classes.
@@ -105,24 +103,24 @@ PUNCTUATORS: list[tuple[str, TokenKind]] = sorted(
 
 @dataclass(slots=True)
 class Token:
-    """One lexical token.
+    """One lexical token, spanning ``[offset, end_offset)``.
 
-    ``location`` always points into the *original* source text, even for
-    tokens produced by macro expansion (which keep their use-site
-    location so downstream rewrites land in the right place).
+    Both are plain byte offsets into the *original* source text; the
+    buffer renders them as line and column only when a position is
+    shown.  A token produced by macro expansion takes the span of the
+    macro use it came from (the identifier, or through the closing
+    ``)`` of a function-like use), as Clang's expansion range does, so
+    downstream rewrites land in the right place.
     """
 
     kind: TokenKind
     text: str
-    location: SourceLocation
+    offset: int
+    end_offset: int
     #: Parsed value for literals (int/float/str).
     value: object = None
     #: Name of the macro this token was expanded from, if any.
     expanded_from: str | None = field(default=None, repr=False)
-
-    @property
-    def end_offset(self) -> int:
-        return self.location.offset + len(self.text)
 
     def is_keyword(self, *names: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text in names
@@ -131,13 +129,13 @@ class Token:
         return self.kind is kind
 
     def __str__(self) -> str:
-        return f"{self.kind.name}({self.text!r}@{self.location})"
+        return f"{self.kind.name}({self.text!r}@{self.offset})"
 
     def __reduce__(self):
         # A constructor call per token instead of the default slot-state
         # dict: smaller pickles that load faster.
         return (
             Token,
-            (self.kind, self.text, self.location, self.value,
+            (self.kind, self.text, self.offset, self.end_offset, self.value,
              self.expanded_from),
         )

@@ -29,7 +29,7 @@ from typing import Any, Mapping
 MAGIC = b"OREC1\n"
 
 #: Layout version of the record and of every artifact class it pickles.
-RECORD_VERSION = 2
+RECORD_VERSION = 3
 
 #: zlib level: the record is rewritten whenever a run adds artifacts,
 #: and level 1 costs a fraction of level 6 for a few percent more bytes.

@@ -5,7 +5,9 @@ suite) answers "where does the transform frontend actually spend its
 time?" with measurements instead of guesses:
 
 * **passes** — wall-clock self-time of every pipeline pass, plus net
-  and peak allocation deltas (tracemalloc) when profiling in-process;
+  and peak allocation deltas (tracemalloc) and the cyclic collector's
+  pauses inside the pass (time and collections per generation, from
+  ``gc.callbacks``) when profiling in-process;
 * **phases** — the frontend-oriented grouping used throughout this
   repo's perf work: ``lex`` (measured standalone over the same
   source), ``macro`` (preprocess minus lex), ``parse``, ``analysis``
@@ -14,11 +16,12 @@ time?" with measurements instead of guesses:
 The payload is the ``ompdart-profile/1`` JSON artifact; aggregate
 profiles (batch/suite, where per-pass walls come from worker outcome
 timings and allocation is not observable) carry ``kind: "aggregate"``
-and null alloc columns.
+and null alloc and collector columns.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 import tracemalloc
@@ -52,26 +55,46 @@ PHASE_PASSES: dict[str, tuple[str, ...]] = {
 
 
 class PassProfiler:
-    """PassManager observer recording wall + tracemalloc deltas.
+    """PassManager observer recording wall, tracemalloc deltas and
+    collector pauses.
 
     Attach via ``manager.profiler = PassProfiler()`` around a run;
     ``rows`` then holds one entry per executed pass, in pipeline order.
+    Inside ``with PassProfiler() as profiler:`` it also hooks
+    ``gc.callbacks``, so each row carries ``gc_s`` (seconds the cyclic
+    collector paused the pass) and ``gc_collections`` (collections of
+    generations 0, 1 and 2); outside it those are None.
     """
 
     def __init__(self) -> None:
         self.rows: list[dict[str, Any]] = []
         self._snapshot: tuple[int, int] | None = None
         self._started_tracing = False
+        self._gc_hooked = False
+        self._gc_started = 0.0
+        self._gc_s = 0.0
+        self._gc_collections = [0, 0, 0]
 
     def __enter__(self) -> "PassProfiler":
         if not tracemalloc.is_tracing():
             tracemalloc.start()
             self._started_tracing = True
+        gc.callbacks.append(self._on_gc)
+        self._gc_hooked = True
         return self
 
     def __exit__(self, *exc: Any) -> None:
+        gc.callbacks.remove(self._on_gc)
+        self._gc_hooked = False
         if self._started_tracing:
             tracemalloc.stop()
+
+    def _on_gc(self, phase: str, info: Mapping[str, Any]) -> None:
+        if phase == "start":
+            self._gc_started = time.perf_counter()
+        else:
+            self._gc_s += time.perf_counter() - self._gc_started
+            self._gc_collections[info["generation"]] += 1
 
     def begin_pass(self, name: str) -> None:
         if tracemalloc.is_tracing():
@@ -79,6 +102,8 @@ class PassProfiler:
             self._snapshot = tracemalloc.get_traced_memory()
         else:
             self._snapshot = None
+        self._gc_s = 0.0
+        self._gc_collections = [0, 0, 0]
 
     def end_pass(self, name: str, wall_s: float, event: str) -> None:
         alloc_kb = peak_kb = None
@@ -87,12 +112,15 @@ class PassProfiler:
             current, peak = tracemalloc.get_traced_memory()
             alloc_kb = max(0, current - before) / 1024.0
             peak_kb = max(0, peak - before) / 1024.0
+        hooked = self._gc_hooked
         self.rows.append(
             {
                 "name": name,
                 "wall_s": wall_s,
                 "alloc_kb": alloc_kb,
                 "peak_kb": peak_kb,
+                "gc_s": self._gc_s if hooked else None,
+                "gc_collections": list(self._gc_collections) if hooked else None,
                 "cache": event,
             }
         )
@@ -211,6 +239,8 @@ def aggregate_profile(
             "wall_s": seconds,
             "alloc_kb": None,
             "peak_kb": None,
+            "gc_s": None,
+            "gc_collections": None,
             "cache": None,
         }
         for name, seconds in totals.items()
@@ -266,6 +296,10 @@ def _fmt_kb(kb: float | None) -> str:
     return "-" if kb is None else f"{kb:9.1f}"
 
 
+def _fmt_gens(counts: list[int] | None) -> str:
+    return "-" if counts is None else "/".join(str(n) for n in counts)
+
+
 def render_profile(payload: Mapping[str, Any]) -> str:
     """The ``--report`` table for one profile artifact."""
     wall = payload["wall_s"] or 0.0
@@ -274,13 +308,15 @@ def render_profile(payload: Mapping[str, Any]) -> str:
         f"{payload['count']} input(s): wall {wall * 1e3:.3f} ms",
         "",
         f"{'pass':<12} {'wall ms':>9} {'alloc KiB':>9} "
-        f"{'peak KiB':>9} {'share':>6}  cache",
+        f"{'peak KiB':>9} {'gc ms':>9} {'gc gen0/1/2':>11} {'share':>6}  cache",
     ]
     for row in payload["passes"]:
         share = row["wall_s"] / wall if wall else 0.0
         lines.append(
             f"{row['name']:<12} {_fmt_ms(row['wall_s']):>9} "
             f"{_fmt_kb(row['alloc_kb']):>9} {_fmt_kb(row.get('peak_kb')):>9} "
+            f"{_fmt_ms(row.get('gc_s')):>9} "
+            f"{_fmt_gens(row.get('gc_collections')):>11} "
             f"{share:>6.1%}  {row.get('cache') or '-'}"
         )
     lines.append("")

@@ -112,15 +112,13 @@ def synthesize_file(base_source: str, rng: random.Random) -> str:
         if tok.kind is TokenKind.IDENTIFIER:
             replacement = names.get(tok.text)
             if replacement is not None:
-                offset = tok.location.offset
-                out.append(base_source[last:offset])
+                out.append(base_source[last:tok.offset])
                 out.append(replacement)
-                last = offset + len(tok.text)
+                last = tok.end_offset
         elif tok.kind is TokenKind.PRAGMA:
-            offset = tok.location.offset
-            out.append(base_source[last:offset])
+            out.append(base_source[last:tok.offset])
             out.append(_rewrite_directive(tok.text, names, pattern))
-            last = offset + len(tok.text)
+            last = tok.end_offset
     out.append(base_source[last:])
     return "".join(out)
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.diagnostics import ToolError
 from repro.frontend.ast_nodes import Node
-from repro.frontend.source import SourceLocation
+from repro.frontend.source import SourceBuffer
 from repro.frontend.tokens import Token, TokenKind
 from repro.pipeline import artifacts as AR
 from repro.pipeline.batch import transform_batch
@@ -149,14 +149,14 @@ class TestSchemas:
 
 
     def test_tokens_and_locations_pickle_as_constructor_calls(self):
-        loc = SourceLocation(7, 2, 3, "t.c")
-        tok = Token(TokenKind.INT_LITERAL, "42", loc, 42, "N")
-        assert loc.__reduce__() == (SourceLocation, (7, 2, 3, "t.c"))
+        buf = SourceBuffer("int a;\nint b[N];\n", "t.c")
+        tok = Token(TokenKind.INT_LITERAL, "42", 13, 14, 42, "N")
+        assert buf.__reduce__() == (SourceBuffer, (buf.text, "t.c"))
         assert tok.__reduce__() == (
-            Token, (TokenKind.INT_LITERAL, "42", loc, 42, "N")
+            Token, (TokenKind.INT_LITERAL, "42", 13, 14, 42, "N")
         )
-        back = pickle.loads(pickle.dumps(tok, protocol=5))
-        assert back == tok and str(back.location) == "t.c:2:3"
+        back, back_buf = pickle.loads(pickle.dumps((tok, buf), protocol=5))
+        assert back == tok and str(back_buf.location(back.offset)) == "t.c:2:7"
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_decode_restores_the_gc_state(self, ctx, enabled):

@@ -8,6 +8,7 @@ node-id counter is reset per run so both paths see identical allocation
 state — and the canonical artifact encodings must match byte for byte.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from repro.report.batch_perf import (
 )
 from repro.report.profile import (
     SCHEMA as PROFILE_SCHEMA,
+    PassProfiler,
     aggregate_profile,
     load_profile,
     profile_source,
@@ -100,6 +102,32 @@ class TestProfileArtifact:
         assert parse["alloc_kb"] is not None and parse["alloc_kb"] > 0
         assert parse["peak_kb"] >= parse["alloc_kb"]
 
+    def test_single_profile_records_collector_pauses(self):
+        payload = profile_source(SMALL_KERNEL, "small.c")
+        for row in payload["passes"]:
+            assert 0.0 <= row["gc_s"] <= row["wall_s"], row
+            counts = row["gc_collections"]
+            assert len(counts) == 3 and all(n >= 0 for n in counts), row
+
+    def test_collector_pauses_are_charged_to_the_running_pass(self):
+        with PassProfiler() as profiler:
+            hook = profiler._on_gc
+            assert hook in gc.callbacks
+            profiler.begin_pass("full")
+            gc.collect()
+            profiler.end_pass("full", 1.0, "miss")
+            profiler.begin_pass("none")
+            profiler.end_pass("none", 1.0, "miss")
+        assert hook not in gc.callbacks
+        full, none = profiler.rows
+        assert full["gc_collections"][2] >= 1 and full["gc_s"] > 0.0
+        assert none["gc_collections"] == [0, 0, 0] and none["gc_s"] == 0.0
+        # Outside the context the hook is off and the columns are null.
+        profiler.begin_pass("unhooked")
+        profiler.end_pass("unhooked", 1.0, "miss")
+        assert profiler.rows[-1]["gc_s"] is None
+        assert profiler.rows[-1]["gc_collections"] is None
+
     def test_error_input_still_profiles(self):
         # Parses fine, rejected by the constraints pass (user-written
         # data-management directives are OMPDart input violations).
@@ -131,6 +159,7 @@ class TestProfileArtifact:
         by_name = {r["name"]: r for r in payload["passes"]}
         assert by_name["preprocess"]["wall_s"] == pytest.approx(0.4)
         assert by_name["preprocess"]["alloc_kb"] is None
+        assert by_name["preprocess"]["gc_s"] is None
         frontend = next(
             r for r in payload["phases"] if r["name"] == "frontend"
         )
@@ -141,6 +170,7 @@ class TestProfileArtifact:
         table = render_profile(payload)
         for row in payload["passes"]:
             assert row["name"] in table
+        assert "gc ms" in table and "gc gen0/1/2" in table
 
     def test_load_profile_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "notprofile.json"

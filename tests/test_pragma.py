@@ -224,7 +224,9 @@ class TestPragmaIntegration:
         """
         tu = parse_source(src, "t.c")
         (kernel,) = [n for n in tu.walk() if A.is_offload_kernel(n)]
-        assert kernel.range.contains(kernel.associated_stmt.range)
+        stmt = kernel.associated_stmt
+        assert kernel.begin_offset <= stmt.begin_offset
+        assert stmt.end_offset <= kernel.end_offset
 
     def test_pragma_text_preserved(self):
         d = parse_directive("#pragma omp target data map(to: a)")

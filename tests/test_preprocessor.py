@@ -28,7 +28,7 @@ class TestObjectMacros:
         src = "#define N 100\nint a[N];"
         toks, buf = preprocess(src)
         lit = [t for t in toks if t.kind is TokenKind.INT_LITERAL][0]
-        assert buf.text[lit.location.offset] == "N"
+        assert buf.text[lit.offset] == "N"
 
     def test_multi_token_body(self):
         assert texts("#define SZ (4 * 8)\nint a = SZ;") == [

@@ -67,7 +67,7 @@ class TestLexerProperties:
             toks = tokenize(text)
         except Exception:
             return
-        offsets = [t.location.offset for t in toks]
+        offsets = [t.offset for t in toks]
         assert offsets == sorted(offsets)
 
     @given(st.text(max_size=200))
