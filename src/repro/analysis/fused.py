@@ -18,8 +18,10 @@ pre-order list:
 The result is handed from the constraints pass to the effects pass via
 ``PipelineContext.scratch`` — never cached, never pickled — so the
 artifact bytes of both passes stay bit-identical to the legacy
-traversals (``ToolOptions.legacy_analysis`` keeps the old path
-selectable for the identity tests).
+traversals.  Those stay as the reference: ``check_input_constraints``
+and ``InterproceduralAnalysis(tu)`` without ``prepared`` walk the tree
+the old way, and an identity test runs them through its own pass list
+against this scan.
 """
 
 from __future__ import annotations

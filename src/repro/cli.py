@@ -86,7 +86,7 @@ run, on batch and on suite records the same breakdown for those
 workloads (aggregate kind, per-pass walls from worker outcomes)::
 
     ompdart profile input.c
-    ompdart profile input.c --json profile.json --legacy-analysis
+    ompdart profile input.c --json profile.json
     ompdart input.c --profile profile.json -o out.c
     ompdart batch src/*.c -j 4 --profile batch_profile.json --report
     ompdart suite --profile suite_profile.json
@@ -403,14 +403,6 @@ def build_profile_arg_parser() -> argparse.ArgumentParser:
         dest="json_path",
         metavar="PATH",
         help="write the ompdart-profile/1 artifact here",
-    )
-    parser.add_argument(
-        "--legacy-analysis",
-        action="store_true",
-        help=(
-            "profile the legacy multi-traversal analysis passes instead "
-            "of the fused single-walk scan (before/after comparisons)"
-        ),
     )
     return parser
 
@@ -1298,10 +1290,7 @@ def _run_profile(argv: list[str]) -> int:
         write_profile_json,
     )
 
-    options = ToolOptions(
-        predefined_macros=_parse_defines(args.defines),
-        legacy_analysis=args.legacy_analysis,
-    )
+    options = ToolOptions(predefined_macros=_parse_defines(args.defines))
     payload = profile_source(source, args.input, options)
     print(render_profile(payload))
     if args.json_path:

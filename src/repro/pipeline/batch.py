@@ -17,44 +17,19 @@ is what the CLI's ``--report`` sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Sequence
 
 # Re-exported public surface: the worker runtime lives in the service
-# layer now; callers keep importing it from here.
+# layer; callers keep importing these from here.
 from ..service.core import (  # noqa: F401
     BatchOutcome,
     BatchWorkerError,
-    describe_exception,
     dispatch_map,
     transform_one,
-    worker_init,
-    worker_manager,
-    _WORKER_MANAGERS,
 )
 from .cache import ArtifactCache, fingerprint
 from .context import ToolOptions
 from .manager import PassManager
-
-#: Backwards-compatible aliases (the worker runtime moved to the
-#: service layer; the batch driver is a thin client of it).
-_worker_init = worker_init
-_worker_manager = worker_manager
-_transform_one = transform_one
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    *,
-    jobs: int = 1,
-    label: Callable[[Any], str] | None = None,
-) -> list[Any]:
-    """Order-preserving map used by the evaluation harness.
-
-    Thin alias of :func:`repro.service.core.dispatch_map` — kept here
-    because the harness and tests import it from the pipeline package.
-    """
-    return dispatch_map(fn, items, jobs=jobs, label=label)
 
 
 @dataclass
@@ -76,6 +51,16 @@ def _worker_transform(job: tuple[str, str, ToolOptions]) -> BatchOutcome:
     from ..service.core import _runtime_manager
 
     return transform_one(_runtime_manager(), source, filename, options)
+
+
+def _failed_transform(
+    job: tuple[str, str, ToolOptions], cause: str
+) -> BatchOutcome:
+    """The outcome of an input whose worker kept dying on it."""
+    _, filename, _ = job
+    return BatchOutcome(
+        filename=filename, ok=False, error=f"{filename}: {cause}"
+    )
 
 
 def _retag(text: str | None, old: str, new: str) -> str | None:
@@ -128,8 +113,10 @@ def transform_batch(
     set.
 
     ``jobs <= 1`` runs serially through one shared manager (and shared
-    artifact cache); ``jobs > 1`` fans out over a process pool.  Either
-    way the k-th outcome corresponds to the k-th input.
+    artifact cache); ``jobs > 1`` fans out over a supervised process
+    pool, where an input that keeps killing its worker comes back as
+    an ``ok=False`` outcome naming it.  Either way the k-th outcome
+    corresponds to the k-th input.
 
     In-process ``cache``/``manager`` objects cannot cross the process
     boundary, so combining them with ``jobs > 1`` is an error — use
@@ -214,6 +201,7 @@ def transform_batch(
         _worker_transform,
         payload,
         jobs=jobs,
+        on_failure=_failed_transform,
         cache_dir=cache_dir,
         store_url=store_url,
         remote_counters=counters,

@@ -21,20 +21,10 @@ class ToolOptions:
     predefined_macros: dict[str, object] = field(default_factory=dict)
     #: When False, diagnostics of WARNING severity do not fail the run.
     werror: bool = False
-    #: When True, run the historical separate-traversal constraints and
-    #: effects passes instead of the fused single-walk scan.  Artifacts
-    #: are bit-identical either way (the identity tests prove it), but
-    #: the flag is part of the fingerprint so the two paths never share
-    #: cache entries by fiat.
-    legacy_analysis: bool = False
 
     def fingerprint_parts(self) -> tuple[Any, ...]:
         """The option values that affect pipeline artifacts."""
-        return (
-            sorted(self.predefined_macros.items()),
-            self.werror,
-            self.legacy_analysis,
-        )
+        return (sorted(self.predefined_macros.items()), self.werror)
 
 
 @dataclass

@@ -5,12 +5,14 @@ The pipeline's execution surface is split in five:
 * :mod:`repro.service.core` — the worker runtime shared by every
   concurrent driver: per-process pass managers bound to a cache
   directory (and optionally a remote store node), typed job specs
-  keyed by content hash, and the ordered dispatch helpers ``ompdart
-  batch`` and the evaluation suite fan out through.
-* :mod:`repro.service.supervisor` — the fault-tolerant process pool:
-  worker crash detection and respawn under a restart budget, in-flight
-  job retry with exponential backoff, poison-job quarantine, and hard
-  cancellation (SIGINT, then SIGKILL after a grace period).
+  keyed by content hash, and :func:`~repro.service.core.dispatch_map`,
+  the ordered map ``ompdart batch`` and the evaluation suite fan out
+  through.
+* :mod:`repro.service.supervisor` — the one process pool, behind
+  serve, ``batch -j`` and ``suite -j`` alike: worker crash detection
+  and respawn under a restart budget, in-flight job retry with
+  exponential backoff, poison-job quarantine, and hard cancellation
+  (SIGINT, then SIGKILL after a grace period).
 * :mod:`repro.service.faults` — deterministic seed-driven fault
   injection (worker kills, spill corruption, wedged workers) threaded
   through worker init; drives the ``ompdart chaos`` harness.
@@ -23,7 +25,7 @@ The pipeline's execution surface is split in five:
 
 ``repro.pipeline.batch`` and ``repro.suite.runner`` are thin clients
 of the same core, so a batch run, a suite sweep and a served job all
-execute through identical worker code paths — and share artifacts
+execute in the same supervised worker loop — and share artifacts
 through the same cache directory.
 """
 

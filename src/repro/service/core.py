@@ -3,11 +3,12 @@
 One process-global :class:`~repro.pipeline.manager.PassManager` per
 ``(cache_dir)`` serves every job a worker process executes; sibling
 workers share artifacts through that cache directory's spills (and,
-with a store URL, through a remote store node).  The batch driver,
-the evaluation suite's process pool and the asyncio scheduler all
-dispatch through :func:`dispatch_map` / :func:`open_pool` and execute
-via the same top-level entry points, so a transform is bit-identical
-no matter which front submitted it.
+with a store URL, through a remote store node).  The batch driver and
+``suite -j`` dispatch through :func:`dispatch_map`, which sends chunk
+jobs to a :class:`~repro.service.supervisor.SupervisedPool`; the
+asyncio scheduler submits its specs to the same pool.  Every process
+worker runs one loop into :func:`execute_job`, so a transform is
+bit-identical no matter which front submitted it.
 
 Job specs are frozen, picklable and content-addressed:
 :meth:`JobSpec.key` fingerprints the spec together with the package
@@ -17,10 +18,8 @@ uses as the job id.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable
 
 from .._version import __version__
@@ -33,10 +32,10 @@ from ..pipeline.manager import PassManager
 class BatchWorkerError(RuntimeError):
     """A worker failure, labelled with the input that caused it.
 
-    Process pools re-raise worker exceptions as bare pickled tracebacks
-    with no hint of *which* submitted item failed; the dispatch layer
-    wraps them so the failing source filename (or benchmark name) is in
-    the message.  ``label`` and ``cause`` survive pickling.
+    A pooled worker reports each failed item as a one-line cause;
+    :func:`dispatch_map`'s failure hook wraps it so the failing input
+    (the suite's benchmark name) is in the message.  ``label`` and
+    ``cause`` survive pickling.
     """
 
     def __init__(self, label: str, cause: str):
@@ -219,42 +218,10 @@ def _runtime_manager() -> PassManager:
     return worker_manager(_WORKER_CACHE_DIR)
 
 
-def _warmup() -> int:
-    """No-op worker task; submitting it forces the process to spawn."""
-    return os.getpid()
-
-
-def open_pool(
-    jobs: int,
-    *,
-    cache_dir: str | None = None,
-    store_url: str | None = None,
-    remote_counters: "Any | None" = None,
-    prespawn: bool = False,
-) -> ProcessPoolExecutor:
-    """A worker pool wired to the shared runtime (cache dir + remote tier).
-
-    ``prespawn`` forks every worker immediately (and surfaces sandbox
-    failures as exceptions *now*).  Long-lived fronts like the serve
-    scheduler need this: a worker forked lazily mid-request would
-    inherit the open connection sockets and hold them past the
-    parent's close.
-    """
-    pool = ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=worker_init,
-        initargs=(cache_dir, store_url, remote_counters),
-    )
-    if prespawn:
-        try:
-            # One submit per worker: the executor spawns a process per
-            # pending item while below max_workers.
-            for future in [pool.submit(_warmup) for _ in range(jobs)]:
-                future.result(timeout=60)
-        except Exception:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-    return pool
+def flush_worker_remote(timeout: float) -> None:
+    """Let this worker's write-behind publishes land before it exits."""
+    if _WORKER_REMOTE is not None:
+        _WORKER_REMOTE.flush(timeout=timeout)
 
 
 def dispatch_map(
@@ -262,67 +229,93 @@ def dispatch_map(
     items: Iterable[Any],
     *,
     jobs: int = 1,
-    label: Callable[[Any], str] | None = None,
+    on_failure: Callable[[Any, str], Any] | None = None,
     cache_dir: str | None = None,
     store_url: str | None = None,
     remote_counters: "Any | None" = None,
     chunksize: int = 1,
 ) -> list[Any]:
-    """Order-preserving map — the dispatch seam every driver shares.
+    """Order-preserving map — the dispatch seam batch and suite share.
 
-    ``fn`` must be a picklable top-level callable when ``jobs > 1``.
-    Results always come back in input order (``ProcessPoolExecutor.map``
-    preserves ordering by construction), so parallel runs are
-    bit-identical to serial ones for deterministic workloads.
+    ``jobs > 1`` runs ``fn`` on a
+    :class:`~repro.service.supervisor.SupervisedPool` built for this
+    call over ``cache_dir``, ``store_url`` and ``remote_counters``, so
+    ``fn`` must be a picklable top-level callable.  Items travel in
+    :class:`ChunkJobSpec` jobs of up to ``chunksize`` items, which
+    amortizes pipe IPC over long queues.  Results always come back in
+    input order, so parallel runs are bit-identical to serial ones for
+    deterministic workloads.
 
-    ``label`` names each item for error reporting: when a worker
-    raises, the exception is re-raised as :class:`BatchWorkerError`
-    carrying ``label(item)`` — instead of a bare pickled traceback
-    that never says which input failed.  The labelling happens on the
-    driver side (result order identifies the faulty item), so ``label``
-    need not be picklable.
+    A dead worker costs one retried chunk.  A chunk that keeps killing
+    workers is quarantined by the pool; its items then rerun one per
+    job, so only an item quarantined in its own job fails.
 
-    ``chunksize`` batches IPC: at 10k-item scale, per-item submission
-    dominates supervisor overhead, so callers with many small jobs pass
-    a larger chunk.  With chunks, a raised exception is attributed to
-    the first unfilled slot — its chunk's first item — which is why
-    job functions that can fail per-item (``transform_one``) report
-    failure in-band instead of raising.
+    ``on_failure(item, cause)`` settles a failed item — one whose
+    ``fn`` raised, or that was quarantined — where ``cause`` is a
+    one-line description.  Its return value becomes the item's result,
+    or it raises.  Without it, the serial path re-raises the original
+    exception and the pooled path raises :class:`BatchWorkerError`
+    labelled with the item's index.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        results: list[Any] = []
-        for item in items:
-            try:
-                results.append(fn(item))
-            except Exception as exc:
-                if label is None:
-                    raise
-                raise BatchWorkerError(
-                    label(item), describe_exception(exc)
-                ) from exc
-        return results
-    with open_pool(
-        min(jobs, len(items)),
-        cache_dir=cache_dir,
-        store_url=store_url,
-        remote_counters=remote_counters,
-    ) as pool:
-        results = []
-        result_iter = pool.map(fn, items, chunksize=max(1, chunksize))
-        while True:
-            try:
-                results.append(next(result_iter))
-            except StopIteration:
-                return results
-            except Exception as exc:
-                if label is None:
-                    raise
-                # pool.map yields in submission order, so the first
-                # failure corresponds to the next unfilled slot.
-                raise BatchWorkerError(
-                    label(items[len(results)]), describe_exception(exc)
-                ) from exc
+        if on_failure is None:
+            return [fn(item) for item in items]
+        settled = [_apply(fn, item) for item in items]
+    else:
+        from .supervisor import SupervisedPool
+
+        pool = SupervisedPool(
+            min(jobs, len(items)),
+            cache_dir=cache_dir,
+            store_url=store_url,
+            remote_counters=remote_counters,
+        )
+        try:
+            step = max(1, chunksize)
+            submitted = [
+                _submit_chunk(pool, fn, items[start:start + step])
+                for start in range(0, len(items), step)
+            ]
+            settled = [
+                pair for job in submitted for pair in _settle_chunk(pool, job)
+            ]
+        finally:
+            pool.shutdown()
+    results = []
+    for index, (item, (ok, value)) in enumerate(zip(items, settled)):
+        if ok:
+            results.append(value)
+        elif on_failure is not None:
+            results.append(on_failure(item, value))
+        else:
+            raise BatchWorkerError(f"item {index}", value)
+    return results
+
+
+def _submit_chunk(pool: Any, fn: Callable[[Any], Any], chunk: list) -> Any:
+    return pool.submit_spec(ChunkJobSpec(fn, tuple(chunk)))
+
+
+def _settle_chunk(pool: Any, job: Any) -> list[tuple[bool, Any]]:
+    """``(ok, result or cause)`` per item of a submitted chunk job."""
+    from .supervisor import PoisonJobError, PoolExhausted
+
+    chunk = job.spec.items
+    try:
+        return job.future.result()
+    except PoisonJobError as exc:
+        if len(chunk) == 1:
+            return [(False, describe_exception(exc))]
+    except Exception as exc:  # noqa: BLE001 - e.g. the pool is exhausted
+        return [(False, describe_exception(exc))] * len(chunk)
+    # One of the items keeps killing workers: rerun each alone, so that
+    # only the culprit fails.
+    try:
+        singles = [_submit_chunk(pool, job.spec.fn, [item]) for item in chunk]
+    except PoolExhausted as exc:
+        return [(False, describe_exception(exc))] * len(chunk)
+    return [pair for single in singles for pair in _settle_chunk(pool, single)]
 
 
 # ===========================================================================
@@ -433,7 +426,31 @@ class PingJobSpec:
         )
 
 
-JobSpec = TransformJobSpec | BenchmarkJobSpec | SuiteJobSpec | PingJobSpec
+@dataclass(frozen=True)
+class ChunkJobSpec:
+    """Apply ``fn`` to a chunk of items in one worker (batch, ``suite -j``).
+
+    :func:`dispatch_map` builds these; ``fn`` crosses the pipe by
+    reference, so no HTTP body can name this kind (it stays out of
+    ``_SPEC_KINDS``).
+    """
+
+    fn: Callable[[Any], Any]
+    items: tuple[Any, ...]
+
+    kind = "chunk"
+
+    def key(self) -> str:
+        return _memoized_key(
+            self, __version__, self.kind,
+            f"{self.fn.__module__}.{self.fn.__qualname__}", self.items,
+        )
+
+
+JobSpec = (
+    TransformJobSpec | BenchmarkJobSpec | SuiteJobSpec | PingJobSpec
+    | ChunkJobSpec
+)
 
 _SPEC_KINDS: dict[str, type] = {
     "transform": TransformJobSpec,
@@ -495,14 +512,18 @@ def spec_to_dict(spec: JobSpec) -> dict[str, Any]:
 # ===========================================================================
 
 
-def execute_job(spec: JobSpec) -> dict[str, Any]:
-    """Execute one spec on this process's runtime; JSON-safe result.
+def execute_job(spec: JobSpec) -> Any:
+    """Execute one spec on this process's runtime.
 
-    This is the single execution path behind the asyncio scheduler —
-    the results are produced by exactly the code ``ompdart batch`` and
-    ``ompdart suite`` run, so a served job is bit-identical to its CLI
-    counterpart.
+    This is the single execution path behind every process worker: the
+    asyncio scheduler's specs get a JSON-safe result, produced by
+    exactly the code ``ompdart batch`` and ``ompdart suite`` run, so a
+    served job is bit-identical to its CLI counterpart.  A chunk job
+    returns ``(ok, result or cause)`` per item, so an item that raises
+    is reported as itself, not as its chunk.
     """
+    if isinstance(spec, ChunkJobSpec):
+        return [_apply(spec.fn, item) for item in spec.items]
     if isinstance(spec, PingJobSpec):
         # No pipeline, no manager: the answer is the round trip.
         if spec.sleep_s > 0:
@@ -529,7 +550,6 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
             platform=platform,
             verify=spec.verify,
             manager=manager,
-            concurrent_variants=False,
             vectorize=spec.vectorize,
         )
         return {"platform": platform.name, "run": run_to_dict(run)}
@@ -543,7 +563,6 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
             verify=spec.verify,
             names=list(spec.benchmarks) or None,
             manager=manager,
-            concurrent_variants=False,
             vectorize=spec.vectorize,
         )
         # No artifact_store block here: the worker runtime is long-lived
@@ -553,3 +572,10 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
         # manager per invocation) does attach its stats.
         return sweep_to_dict(sweep)
     raise TypeError(f"unknown job spec {type(spec).__name__}")
+
+
+def _apply(fn: Callable[[Any], Any], item: Any) -> tuple[bool, Any]:
+    try:
+        return True, fn(item)
+    except Exception as exc:  # noqa: BLE001 - reported per item
+        return False, describe_exception(exc)

@@ -198,8 +198,14 @@ def install(plan: FaultPlan | None) -> None:
     path and the network rules into the remote-store client's request/
     payload seams; the kill/wedge rules are invoked explicitly by the
     worker loop around job execution.
+
+    ``install(None)`` in a process that never installed a plan returns
+    at once: no hook is set, and importing the remote client would
+    cost every forked worker the HTTP stack.
     """
     global _ACTIVE
+    if plan is None and _ACTIVE is None:
+        return
     _ACTIVE = plan
     from ..pipeline import cache as cache_module
     from ..pipeline import remote as remote_module

@@ -1,10 +1,10 @@
 """Supervised worker pool: crash detection, respawn, retry, hard cancel.
 
-``ProcessPoolExecutor`` treats one dead worker as a dead pool: every
-pending future breaks and the executor is unusable.  The serve runtime
-needs the opposite — a worker segfault, OOM kill, or injected fault
-must cost at most one retried job.  :class:`SupervisedPool` owns its
-workers directly:
+The standard library's process executor treats one dead worker as a
+dead pool: every pending future breaks and the executor is unusable.
+Serve, batch and suite need the opposite — a worker segfault, OOM
+kill, or injected fault must cost at most one retried job.
+:class:`SupervisedPool` owns its workers directly:
 
 * One :mod:`multiprocessing` process per worker, each with a private
   duplex pipe.  A supervisor thread multiplexes every pipe *and* every
@@ -24,10 +24,12 @@ workers directly:
   the grace period for wedged workers.  Cancel kills respawn without
   consuming the restart budget.
 
-The worker processes run exactly the :func:`repro.service.core.worker_init`
-/ :func:`repro.service.core.execute_job` runtime the old executor ran,
-so results are bit-identical — supervision changes who watches the
-workers, not what they compute.
+Every process worker — serve's, ``ompdart batch -j``'s and ``ompdart
+suite -j``'s (through :func:`repro.service.core.dispatch_map`) — runs
+one loop, :func:`_worker_main`, into the
+:func:`repro.service.core.worker_init` /
+:func:`repro.service.core.execute_job` runtime, so results are
+bit-identical whichever front submitted them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,13 @@ from typing import Any
 
 from ..pipeline.store import sweep_dead_tmp
 from . import faults as faults_module
-from .core import JobSpec, describe_exception, execute_job, worker_init
+from .core import (
+    JobSpec,
+    describe_exception,
+    execute_job,
+    flush_worker_remote,
+    worker_init,
+)
 
 __all__ = [
     "JobCancelled",
@@ -69,6 +77,10 @@ class PoolExhausted(RuntimeError):
 
 #: Worker spawn/respawn readiness timeout (imports + manager init).
 _READY_TIMEOUT = 60.0
+
+#: How long a stopped worker may spend publishing its write-behind
+#: queue to the store node before the supervisor kills it.
+_STOP_GRACE = 1.0
 
 #: Supervisor idle tick: bounds how stale a missed wakeup can get and
 #: doubles as the liveness heartbeat for the paranoid ``is_alive`` sweep.
@@ -121,6 +133,7 @@ def _worker_main(
         except (EOFError, OSError):
             os._exit(0)
         if msg[0] == "stop":
+            flush_worker_remote(_STOP_GRACE)
             os._exit(0)
         _, seq, spec, attempt = msg
         key = spec.key()
@@ -267,7 +280,11 @@ class SupervisedPool:
         self._wake_r, self._wake_w = os.pipe()
         try:
             for _ in range(self._max_workers):
-                self._spawn(wait_ready=True)
+                self._spawn()
+            # Fork every worker before awaiting any, so their start-ups
+            # overlap.
+            for worker in self._workers:
+                self._await_ready(worker)
         except BaseException:
             self._kill_all()
             os.close(self._wake_r)
@@ -578,7 +595,7 @@ class SupervisedPool:
                 return
             self._restarts += 1
         try:
-            self._spawn(wait_ready=False)
+            self._spawn()
         except Exception:  # noqa: BLE001 - spawn failure = budget burned
             self._check_exhausted()
 
@@ -604,7 +621,7 @@ class SupervisedPool:
             pass
         worker.proc.join(timeout=0.1)
 
-    def _spawn(self, wait_ready: bool) -> _Worker:
+    def _spawn(self) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -616,18 +633,16 @@ class SupervisedPool:
         )
         proc.start()
         child_conn.close()
-        worker = _Worker(proc, parent_conn)
-        if wait_ready:
-            if not parent_conn.poll(_READY_TIMEOUT):
-                proc.kill()
-                raise RuntimeError("worker failed to start (timeout)")
-            msg = parent_conn.recv()
-            if msg[0] != "ready":
-                proc.kill()
-                raise RuntimeError(f"worker init failed: {msg[-1]}")
-            worker.ready = True
-        self._workers.append(worker)
-        return worker
+        self._workers.append(_Worker(proc, parent_conn))
+
+    @staticmethod
+    def _await_ready(worker: _Worker) -> None:
+        if not worker.conn.poll(_READY_TIMEOUT):
+            raise RuntimeError("worker failed to start (timeout)")
+        msg = worker.conn.recv()
+        if msg[0] != "ready":
+            raise RuntimeError(f"worker init failed: {msg[-1]}")
+        worker.ready = True
 
     def _shutdown_workers(self) -> None:
         for worker in list(self._workers):
@@ -643,7 +658,7 @@ class SupervisedPool:
                 self._pending.popleft().future,
                 JobCancelled("pool shut down"),
             )
-        deadline = time.monotonic() + 1.0
+        deadline = time.monotonic() + _STOP_GRACE
         for worker in list(self._workers):
             worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
         self._kill_all()

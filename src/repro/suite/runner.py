@@ -11,16 +11,11 @@ For each application the harness:
    a wrong mapping yields observably different results);
 5. returns the per-variant transfer profiles for the Fig. 3-6 metrics.
 
-The three variant simulations of one benchmark run **concurrently on a
-process pool** (each worker has its own interpreter, profiler and
-device environment; workers receive only the picklable source text and
-cost model).  Results are bit-identical to the serial path — the
-workload is deterministic and the variants share no state — but unlike
-the GIL-bound thread pool an earlier revision used, the variants now
-simulate on real cores.  The pool is created lazily, reused across
-benchmarks, and degrades to the serial path when process creation is
-unavailable (sandboxes) or when ``jobs > 1`` benchmark-level process
-workers are already saturating the host.  Each
+The three variants of one benchmark simulate in-process, one after
+another, through the caller's pass manager, so each source is parsed
+once however many platforms consume it.  ``jobs > 1`` fans whole
+benchmarks out over the supervised worker pool of
+:func:`repro.service.core.dispatch_map` instead.  Each
 :class:`~repro.runtime.interp.SimulationResult` comes back stamped with
 its ``wall_time_s`` so the suite JSON artifact records real per-variant
 simulation time alongside the modelled metrics.
@@ -36,18 +31,13 @@ source, not once per platform.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..core.tool import OMPDart, ToolOptions, TransformResult
 from ..pipeline.cache import ArtifactCache
 from ..pipeline.manager import PassManager
-from ..service.core import dispatch_map
+from ..service.core import BatchWorkerError, dispatch_map
 from ..runtime.costmodel import CostModel
 from ..runtime.interp import SimulationResult, run_simulation
 from ..runtime.platform import Platform, resolve_platform
@@ -126,90 +116,6 @@ class BenchmarkRun:
         )
 
 
-# -- process-based variant pool ---------------------------------------------
-
-#: Lazily created, reused across benchmarks.  None until first use;
-#: False once process creation failed (serial fallback from then on).
-_VARIANT_POOL: "ProcessPoolExecutor | None | bool" = None
-
-_VARIANT_COUNT = 3  # unoptimized / ompdart / expert
-
-
-#: Per-worker-process parse pipeline.  The pool workers are long-lived
-#: (the pool is shared across benchmarks), so a cross-platform sweep
-#: parses each variant source once per *worker*, not once per platform
-#: — the same artifact reuse the serial path gets from its shared
-#: manager, relocated to where the simulation now runs.
-_WORKER_PARSER: PassManager | None = None
-
-
-def _simulate_variant(job: tuple) -> SimulationResult:
-    """Top-level worker: simulate one variant from picklable inputs.
-
-    Workers re-parse the source themselves (through a process-global
-    cached pipeline) — shipping the translation unit would mean
-    pickling the whole AST per variant, which costs more than the
-    cached parse.  The returned result is stamped with the real
-    wall-clock seconds the simulation took.
-    """
-    global _WORKER_PARSER
-    source, filename, cost_model, vectorize = job
-    if _WORKER_PARSER is None:
-        _WORKER_PARSER = PassManager()
-    # Parse and codegen outside the timed section: the serial path
-    # times only the simulation, and sim_wall_s must mean the same
-    # thing on both.  Running ``until="codegen"`` hands the simulator
-    # precompiled kernel rows through the same cached pipeline.
-    ctx = _WORKER_PARSER.run(source, filename, until="codegen")
-    tu = ctx.artifact("parse")
-    start = time.perf_counter()
-    result = run_simulation(
-        source,
-        filename,
-        cost_model=cost_model,
-        vectorize=vectorize,
-        tu=tu,
-        codegen_rows=ctx.artifact("codegen"),
-    )
-    result.wall_time_s = time.perf_counter() - start
-    return result
-
-
-def _variant_pool() -> "ProcessPoolExecutor | None":
-    """The shared 3-worker process pool, or None when unavailable."""
-    global _VARIANT_POOL
-    if _VARIANT_POOL is False:
-        return None
-    if _VARIANT_POOL is None:
-        if (os.cpu_count() or 1) <= 1:
-            # A single core gains nothing from concurrent variants and
-            # pays fork latency plus per-worker re-parsing; the serial
-            # path shares one pass manager (and its parse artifacts).
-            _VARIANT_POOL = False
-            return None
-        try:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            _VARIANT_POOL = ProcessPoolExecutor(
-                max_workers=_VARIANT_COUNT, mp_context=ctx
-            )
-        except (OSError, ValueError, PermissionError):
-            _VARIANT_POOL = False
-            return None
-    return _VARIANT_POOL
-
-
-def _discard_variant_pool() -> None:
-    """Drop a broken pool so later runs fall back to the serial path."""
-    global _VARIANT_POOL
-    pool = _VARIANT_POOL
-    _VARIANT_POOL = False
-    if isinstance(pool, ProcessPoolExecutor):
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 def run_benchmark(
     name: str,
     *,
@@ -217,7 +123,6 @@ def run_benchmark(
     cost_model: CostModel | None = None,
     verify: bool = True,
     manager: PassManager | None = None,
-    concurrent_variants: bool = True,
     vectorize: bool = True,
 ) -> BenchmarkRun:
     """Run one application's three variants through the simulator.
@@ -228,13 +133,6 @@ def run_benchmark(
     ``manager`` to extend that reuse across benchmarks (and across
     platforms: the transform does not depend on the platform, only the
     simulation does).
-
-    The three variant simulations run concurrently on a shared
-    3-worker **process pool** unless ``concurrent_variants=False`` (the
-    process-pool paths of :func:`run_all`/:func:`run_sweep` disable it:
-    ``jobs > 1`` process workers would oversubscribe the host with
-    nested pools).  If the pool cannot be created or dies, the serial
-    path runs instead — results are identical either way.
 
     ``vectorize=False`` forces every kernel through the closure
     interpreter (CLI ``--no-vectorize``).
@@ -260,66 +158,31 @@ def run_benchmark(
         (expert_src, f"{name}_expert.c"),
     ]
 
-    def simulate_serial() -> list[SimulationResult]:
-        # The tool's parse artifact is the simulator's input: one parse
-        # per source total, shared through the manager's artifact cache.
-        # The codegen pass rides the same cache, so each variant's
-        # kernels are compiled to NumPy source once, outside the timed
-        # section (for the unoptimized source they are cache hits from
-        # the tool run above).
-        contexts = [
-            manager.run(source, filename, until="codegen")
-            for source, filename in sources
-        ]
-        tus = [transform.translation_unit] + [
-            ctx.artifact("parse") for ctx in contexts[1:]
-        ]
-        results = []
-        for (source, filename), tu, ctx in zip(sources, tus, contexts):
-            start = time.perf_counter()
-            result = run_simulation(
-                source,
-                filename,
-                cost_model=cost_model,
-                tu=tu,
-                vectorize=vectorize,
-                codegen_rows=ctx.artifact("codegen"),
-            )
-            result.wall_time_s = time.perf_counter() - start
-            results.append(result)
-        return results
-
-    results: list[SimulationResult] | None = None
-    if concurrent_variants:
-        pool = _variant_pool()
-        if pool is not None:
-            # An unpicklable cost model (e.g. a subclass defined in
-            # __main__) can't cross the process boundary; checking up
-            # front keeps the except clause below narrow enough that
-            # genuine worker-side simulation errors propagate once
-            # instead of triggering a redundant serial re-run.
-            try:
-                pickle.dumps(cost_model)
-            except Exception:  # noqa: BLE001 - any pickling failure
-                pool = None
-        if pool is not None:
-            jobs = [
-                (source, filename, cost_model, vectorize)
-                for source, filename in sources
-            ]
-            try:
-                results = list(pool.map(_simulate_variant, jobs))
-            except (BrokenProcessPool, OSError):
-                # ProcessPoolExecutor spawns workers lazily at submit
-                # time, so a sandbox that blocks process creation fails
-                # *here* (OSError/PermissionError), not in the
-                # constructor _variant_pool guards.  Genuine simulation
-                # errors raised inside a worker (SimulationError and
-                # friends) are not OSErrors and propagate untouched.
-                _discard_variant_pool()
-                results = None
-    if results is None:
-        results = simulate_serial()
+    # The tool's parse artifact is the simulator's input: one parse per
+    # source total, shared through the manager's artifact cache.  The
+    # codegen pass rides the same cache, so each variant's kernels are
+    # compiled to NumPy source once, outside the timed section (for the
+    # unoptimized source they are cache hits from the tool run above).
+    contexts = [
+        manager.run(source, filename, until="codegen")
+        for source, filename in sources
+    ]
+    tus = [transform.translation_unit] + [
+        ctx.artifact("parse") for ctx in contexts[1:]
+    ]
+    results = []
+    for (source, filename), tu, ctx in zip(sources, tus, contexts):
+        start = time.perf_counter()
+        result = run_simulation(
+            source,
+            filename,
+            cost_model=cost_model,
+            tu=tu,
+            vectorize=vectorize,
+            codegen_rows=ctx.artifact("codegen"),
+        )
+        result.wall_time_s = time.perf_counter() - start
+        results.append(result)
     unopt, ompdart, expert = results
 
     run = BenchmarkRun(
@@ -345,13 +208,12 @@ def _benchmark_job(
         if isinstance(machine, CostModel)
         else {"platform": machine}
     )
-    return run_benchmark(
-        name,
-        verify=verify,
-        concurrent_variants=False,
-        vectorize=vectorize,
-        **kwargs,
-    )
+    return run_benchmark(name, verify=verify, vectorize=vectorize, **kwargs)
+
+
+def _benchmark_failed(job: tuple, cause: str) -> None:
+    """Pool failure hook: name the benchmark whose worker failed."""
+    raise BatchWorkerError(f"benchmark {job[0]!r}", cause)
 
 
 def _serial_runtime(
@@ -386,8 +248,6 @@ def _close_serial_runtime(remote: "object | None") -> None:
         remote.close()
 
 
-
-
 def run_all(
     *,
     platform: Platform | str | None = None,
@@ -397,7 +257,6 @@ def run_all(
     jobs: int = 1,
     manager: PassManager | None = None,
     names: "list[str] | None" = None,
-    concurrent_variants: bool = True,
     vectorize: bool = True,
     cache_dir: str | None = None,
     store_url: str | None = None,
@@ -410,8 +269,8 @@ def run_all(
     for the single requested ``platform`` (default: the paper's
     A100/PCIe4 testbed).
 
-    ``jobs > 1`` fans the benchmarks out over the batch driver's
-    process pool; ordering (and, for this deterministic workload, every
+    ``jobs > 1`` fans the benchmarks out over the supervised worker
+    pool; ordering (and, for this deterministic workload, every
     metric) is identical to the serial path.  The serial path shares
     one pass manager — and thus one artifact cache — across all nine
     applications.
@@ -427,7 +286,6 @@ def run_all(
             jobs=jobs,
             manager=manager,
             names=names,
-            concurrent_variants=concurrent_variants,
             vectorize=vectorize,
             cache_dir=cache_dir,
             store_url=store_url,
@@ -443,7 +301,6 @@ def run_all(
                     cost_model=cost_model,
                     verify=verify,
                     manager=manager,
-                    concurrent_variants=concurrent_variants,
                     vectorize=vectorize,
                 )
                 for name in names
@@ -460,7 +317,7 @@ def run_all(
         _benchmark_job,
         [(name, machine, verify, vectorize) for name in names],
         jobs=jobs,
-        label=lambda job: f"benchmark {job[0]!r}",
+        on_failure=_benchmark_failed,
         cache_dir=cache_dir,
         store_url=store_url,
     )
@@ -553,7 +410,6 @@ def _sweep_job(
             platform=p,
             verify=verify,
             manager=manager,
-            concurrent_variants=False,
             vectorize=vectorize,
         )
         for p in platforms
@@ -567,7 +423,6 @@ def run_sweep(
     jobs: int = 1,
     manager: PassManager | None = None,
     names: "list[str] | None" = None,
-    concurrent_variants: bool = True,
     vectorize: bool = True,
     cache_dir: str | None = None,
     store_url: str | None = None,
@@ -604,7 +459,6 @@ def run_sweep(
                         platform=p,
                         verify=verify,
                         manager=manager,
-                        concurrent_variants=concurrent_variants,
                         vectorize=vectorize,
                     )
         finally:
@@ -620,7 +474,7 @@ def run_sweep(
         _sweep_job,
         [(name, tuple(resolved), verify, vectorize) for name in names],
         jobs=jobs,
-        label=lambda job: f"benchmark {job[0]!r}",
+        on_failure=_benchmark_failed,
         cache_dir=cache_dir,
         store_url=store_url,
     )

@@ -186,14 +186,30 @@ class TestProfileArtifact:
 
 _IDENTITY_DRIVER = textwrap.dedent(
     """
-    import hashlib, io, itertools, json, pickle, sys
+    import dataclasses, hashlib, io, itertools, json, pickle, sys
 
+    from repro.analysis.effects import InterproceduralAnalysis
     from repro.cfg import graph as cfg_graph
+    from repro.core.errors import check_input_constraints
     from repro.diagnostics import ToolError
     from repro.frontend import ast_nodes
-    from repro.pipeline.context import ToolOptions
     from repro.pipeline.manager import PassManager
+    from repro.pipeline.passes import DEFAULT_PASSES
     from repro.suite.registry import BENCHMARK_ORDER, get_benchmark
+
+
+    # The legacy walkers: a whole-tree constraints scan, then effects
+    # discovering definitions and call depth by walking again.
+    LEGACY_BUILDS = {
+        "constraints": lambda ctx: check_input_constraints(
+            ctx.artifact("parse")
+        ),
+        "effects": lambda ctx: InterproceduralAnalysis(ctx.artifact("parse")),
+    }
+    LEGACY_PASSES = [
+        dataclasses.replace(p, build=LEGACY_BUILDS.get(p.name, p.build))
+        for p in DEFAULT_PASSES
+    ]
 
 
     class WalkIndexPickler(pickle.Pickler):
@@ -221,11 +237,9 @@ _IDENTITY_DRIVER = textwrap.dedent(
         # identical too.
         ast_nodes._node_ids = itertools.count()
         cfg_graph._cfg_node_ids = itertools.count(1)
-        manager = PassManager(cache=None)
+        manager = PassManager(passes=LEGACY_PASSES if legacy else None)
         try:
-            ctx = manager.run(
-                source, filename, ToolOptions(legacy_analysis=legacy)
-            )
+            ctx = manager.run(source, filename)
         except ToolError as exc:
             return {"error": str(exc) + "|" + repr(exc.diagnostics)}
         tu = ctx.artifact("parse")

@@ -5,6 +5,10 @@ contract."""
 
 import asyncio
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -436,6 +440,117 @@ class TestServerFaultRoutes:
                 await server.aclose()
 
         asyncio.run(run())
+
+
+def _batch_fields(outcome):
+    """What a retried chunk must reproduce (cache events and timings
+    may differ: the dead worker can have committed records)."""
+    return (
+        outcome.filename, outcome.ok, outcome.output_source, outcome.error,
+        outcome.diagnostics, outcome.directive_count,
+    )
+
+
+class TestBatchWorkerDeath:
+    """``transform_batch(jobs=2)`` over a supervised pool: a worker
+    that dies on an input costs a retried chunk, and an input that
+    kills every worker fails alone."""
+
+    @pytest.fixture
+    def corpus(self):
+        from repro.suite.synth import generate_corpus
+
+        items = [(s, f) for f, s in generate_corpus(60, seed=0)]
+        counts = {}
+        for source, _ in items:
+            counts[source] = counts.get(source, 0) + 1
+        # A victim with no duplicate, so no other input shares its fate.
+        victim = next(f for s, f in items[5:] if counts[s] == 1)
+        return items, victim
+
+    @staticmethod
+    def _kill_on(monkeypatch, victim, marker, always):
+        from repro.pipeline import batch
+
+        real = batch.transform_one
+
+        def dying(manager, source, filename, options):
+            if filename == victim and (always or not marker.exists()):
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(manager, source, filename, options)
+
+        # Workers fork from this process, so they inherit the patch.
+        monkeypatch.setattr(batch, "transform_one", dying)
+
+    def test_a_worker_killed_once_costs_one_retried_chunk(
+        self, corpus, monkeypatch, tmp_path
+    ):
+        from repro.pipeline.batch import transform_batch
+
+        items, victim = corpus
+        clean = transform_batch(items, jobs=2)
+        marker = tmp_path / "killed-once"
+        self._kill_on(monkeypatch, victim, marker, always=False)
+        faulted = transform_batch(items, jobs=2)
+        assert marker.exists()  # the fault really fired
+        assert [_batch_fields(o) for o in faulted] == [
+            _batch_fields(o) for o in clean
+        ]
+
+    def test_an_input_that_always_kills_fails_alone(
+        self, corpus, monkeypatch, tmp_path
+    ):
+        from repro.pipeline.batch import transform_batch
+
+        items, victim = corpus
+        clean = transform_batch(items, jobs=2)
+        self._kill_on(monkeypatch, victim, tmp_path / "m", always=True)
+        faulted = transform_batch(items, jobs=2)
+        for before, after in zip(clean, faulted):
+            if after.filename == victim:
+                assert not after.ok
+                assert victim in after.error
+                assert "quarantined" in after.error
+            else:
+                assert _batch_fields(after) == _batch_fields(before)
+
+
+_WORKER_IMPORT_PROBE = textwrap.dedent(
+    """
+    import sys
+    from repro.pipeline import ToolOptions
+    from repro.pipeline.batch import transform_batch
+    from repro.service.core import dispatch_map
+
+    HEAVY = ("http.client", "repro.pipeline.remote")
+
+    def loaded(_):
+        return [name for name in HEAVY if name in sys.modules]
+
+    assert not loaded(None), loaded(None)
+    print(sorted({n for seen in dispatch_map(loaded, range(8), jobs=2)
+                  for n in seen}))
+    """
+)
+
+
+def test_pool_workers_of_a_transform_process_skip_the_http_stack():
+    """Starting a worker must not import the remote-store client: a
+    process that made only the transform imports never needs it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(
+        os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_IMPORT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestStoreCrashSafety:

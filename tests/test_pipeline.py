@@ -255,12 +255,12 @@ class TestBatchDriver:
 class TestRunAllBatch:
     def test_parallel_benchmarks_match_serial(self):
         from repro.suite.runner import _benchmark_job, run_benchmark
-        from repro.pipeline.batch import parallel_map
+        from repro.service.core import dispatch_map
         from repro.runtime.costmodel import A100_PCIE4
 
         names = ["accuracy", "nw"]
         serial = [run_benchmark(n) for n in names]
-        parallel = parallel_map(
+        parallel = dispatch_map(
             _benchmark_job,
             [(n, A100_PCIE4, True, True) for n in names],
             jobs=2,
@@ -331,45 +331,3 @@ class TestCLIAdditions:
         bad = tmp_path / "syntax.c"
         bad.write_text("double f( {}\n")
         assert main([str(bad), "--dump-cfg"]) == 3
-
-
-class TestSingleCoreVariantPoolBypass:
-    """On a single-core host the 3-worker variant pool is skipped: fork
-    latency plus per-worker re-parsing buys nothing, and the serial
-    path shares one pass manager (and its parse artifacts)."""
-
-    def test_variant_pool_declines_on_one_core(self, monkeypatch):
-        from repro.suite import runner
-
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(runner, "_VARIANT_POOL", None)
-        assert runner._variant_pool() is None
-        # The decision is latched: later calls stay on the serial path
-        # without re-probing the host.
-        assert runner._VARIANT_POOL is False
-        assert runner._variant_pool() is None
-
-    def test_cpu_count_none_counts_as_one_core(self, monkeypatch):
-        from repro.suite import runner
-
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
-        monkeypatch.setattr(runner, "_VARIANT_POOL", None)
-        assert runner._variant_pool() is None
-
-    def test_benchmark_runs_serial_when_pool_bypassed(self, monkeypatch):
-        from repro.suite import runner
-
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(runner, "_VARIANT_POOL", None)
-        run = runner.run_benchmark("accuracy", concurrent_variants=True)
-        assert run.outputs_match
-        # The pool was asked for and declined, not silently unused.
-        assert runner._VARIANT_POOL is False
-
-    def test_discard_variant_pool_latches_serial_fallback(self, monkeypatch):
-        from repro.suite import runner
-
-        monkeypatch.setattr(runner, "_VARIANT_POOL", None)
-        runner._discard_variant_pool()
-        assert runner._VARIANT_POOL is False
-        assert runner._variant_pool() is None

@@ -7,8 +7,6 @@ The invariants the refactor must keep (ISSUE 2):
   premise behind the paper's Fig. 5/6 wins;
 * ``gh200-unified`` (coherent memory) yields speedup ~= 1.0 with no
   divide-by-zero anywhere in the metric chain;
-* concurrent per-variant simulation is bit-identical to the serial
-  path;
 * a multi-platform sweep parses/transforms each benchmark exactly once
   (observable via the shared cache's hit/miss counters).
 
@@ -21,9 +19,9 @@ import json
 
 import pytest
 
-from repro.pipeline.batch import BatchWorkerError, parallel_map
 from repro.pipeline.manager import PassManager
 from repro.runtime import A100_PCIE4, CostModel
+from repro.service.core import BatchWorkerError, dispatch_map
 from repro.runtime.platform import (
     DEFAULT_PLATFORM,
     PLATFORMS,
@@ -153,31 +151,11 @@ class TestPlatformInvariants:
             run_benchmark("bfs", platform="a100-pcie4", cost_model=A100_PCIE4)
 
 
-class TestConcurrentVariants:
-    def test_concurrent_bit_identical_to_serial(self):
-        serial = run_benchmark("backprop", concurrent_variants=False)
-        threaded = run_benchmark("backprop", concurrent_variants=True)
-        for variant in ("unoptimized", "ompdart", "expert"):
-            a, b = getattr(serial, variant), getattr(threaded, variant)
-            assert a.stats == b.stats, variant
-            assert a.output == b.output, variant
-            assert a.return_code == b.return_code, variant
-
-
 class TestSweep:
     def test_sweep_reuses_parse_and_transform_across_platforms(self):
         manager = PassManager()
         names = ["bfs", "backprop"]
-        # concurrent_variants=False keeps every simulation in-process so
-        # the shared manager observes all parse traffic; the process-pool
-        # path moves the variant parses into long-lived workers with
-        # their own cached pipeline (same reuse, different process).
-        sweep = run_sweep(
-            list(PLATFORMS),
-            names=names,
-            manager=manager,
-            concurrent_variants=False,
-        )
+        sweep = run_sweep(list(PLATFORMS), names=names, manager=manager)
         stats = manager.cache.stats
         # 3 sources per benchmark (unoptimized, ompdart output, expert),
         # each parsed exactly once no matter how many platforms ran.
@@ -246,25 +224,50 @@ def _explode(item):
     return item.upper()
 
 
+def _label(item, cause):
+    raise BatchWorkerError(f"input {item!r}", cause)
+
+
 class TestWorkerErrorLabels:
     def test_serial_label(self):
         with pytest.raises(BatchWorkerError) as exc:
-            parallel_map(
-                _explode, ["ok", "bad"], label=lambda i: f"input {i!r}"
-            )
+            dispatch_map(_explode, ["ok", "bad"], on_failure=_label)
         assert "input 'bad'" in str(exc.value)
         assert "kaboom" in str(exc.value)
 
     def test_process_pool_label(self):
         with pytest.raises(BatchWorkerError) as exc:
-            parallel_map(
+            dispatch_map(
                 _explode,
                 ["ok", "fine", "bad", "ok2"],
                 jobs=2,
-                label=lambda i: f"input {i!r}",
+                on_failure=_label,
             )
         assert "input 'bad'" in str(exc.value)
         assert "kaboom" in str(exc.value)
+
+    def test_chunked_pool_labels_the_item_that_raised(self):
+        # One chunk holds all four items; the worker reports each
+        # item's failure as its own, not as its chunk's first item.
+        with pytest.raises(BatchWorkerError) as exc:
+            dispatch_map(
+                _explode,
+                ["ok", "fine", "bad", "ok2"],
+                jobs=2,
+                chunksize=4,
+                on_failure=_label,
+            )
+        assert "input 'bad'" in str(exc.value)
+        assert "kaboom" in str(exc.value)
+
+    def test_failure_hook_result_fills_the_slot(self):
+        results = dispatch_map(
+            _explode,
+            ["ok", "bad", "ok2"],
+            jobs=2,
+            on_failure=lambda item, cause: cause,
+        )
+        assert results == ["OK", "RuntimeError: kaboom", "OK2"]
 
     def test_error_survives_pickling(self):
         import pickle
@@ -276,7 +279,7 @@ class TestWorkerErrorLabels:
 
     def test_without_label_original_exception_propagates(self):
         with pytest.raises(RuntimeError, match="kaboom"):
-            parallel_map(_explode, ["bad"])
+            dispatch_map(_explode, ["bad"])
 
     def test_batch_outcome_reports_filename_for_internal_errors(self):
         from repro.pipeline.batch import transform_batch

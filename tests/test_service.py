@@ -332,7 +332,7 @@ class TestServedSuite:
                 return await sched.run(BenchmarkJobSpec(benchmark="nw"))
 
         served = asyncio.run(run())
-        direct = run_to_dict(run_benchmark("nw", concurrent_variants=False))
+        direct = run_to_dict(run_benchmark("nw"))
         assert served["platform"] == "a100-pcie4"
         assert _strip_observability(served["run"]) == _strip_observability(direct)
 
