@@ -16,6 +16,7 @@ Usage::
                                     # (file path or suite benchmark name)
     ompdart --list-platforms        # registered simulation platforms
     ompdart --version               # print the package version
+    ompdart --help                  # flags, and the list of commands
 
 Batch mode drives many translation units through the staged pipeline
 concurrently (deterministic output ordering, shared artifact cache)::
@@ -103,14 +104,19 @@ baseline::
     ompdart bench-batch --count 100 --corpus-dir /tmp/corpus  # via disk
 
 Exit codes: 0 success, 1 tool/analysis error, 2 unreadable input or
-bad usage, 3 parse error in ``--dump-ast``/``--dump-cfg``.  Batch mode
-exits 0 only when every input transformed cleanly; suite mode exits 1
-when any benchmark's variants diverge; suite-diff exits 1 when the
-candidate regresses beyond the tolerance; bench-history exits 2 on a
-non-artifact input; load mode exits 1 when a gate (failed requests,
-p99 budget, baseline regression) trips and 2 when the server is
-unreachable; chaos mode exits 1 when any fault-tolerance gate
-(divergence, server death, cancel overrun) trips.
+bad usage, 3 parse error in ``--dump-ast``/``--dump-cfg``.  Bad usage
+prints ``ompdart CMD: error: ...``; it covers ``--store-url`` without
+``--cache-dir``, a negative ``--tolerance`` and a count below 1
+(``-j/--jobs``, ``--workers``, ``--max-jobs``, ``--clients``,
+``--requests``, ``--pipeline-depth``, ``--count``), so ``batch -j 0``
+and ``suite -j 0`` exit 2.  Batch mode exits 0 only when every input
+transformed cleanly; suite mode exits 1 when any benchmark's variants
+diverge; suite-diff exits 1 when the candidate regresses beyond the
+tolerance; bench-history exits 2 on a non-artifact input; load mode
+exits 1 when a gate (failed requests, p99 budget, baseline regression)
+trips and 2 when the server is unreachable; chaos mode exits 1 when
+any fault-tolerance gate (divergence, server death, cancel overrun)
+trips.
 """
 
 from __future__ import annotations
@@ -129,23 +135,7 @@ from ._version import __version__
 from .diagnostics import ToolError
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart",
-        description=(
-            "OMPDart: static generation of efficient OpenMP offload data "
-            "mappings (SC24 reproduction)"
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    parser.add_argument(
-        "input",
-        nargs="?",
-        help="C source file with OpenMP offload kernels",
-    )
-    parser.add_argument("-o", "--output", help="write transformed source here")
+def _add_defines(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "-D",
         dest="defines",
@@ -154,43 +144,58 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="NAME[=VALUE]",
         help="predefine a macro (like the compiler's -D)",
     )
+
+
+def _add_jobs(
+    parser: argparse.ArgumentParser,
+    help: str = "worker processes (default 1 = serial with a shared cache)",
+) -> None:
     parser.add_argument(
-        "--report", action="store_true", help="print the per-function plan"
+        "-j", "--jobs", type=int, default=1, metavar="N", help=help
     )
+
+
+def _add_json(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--json", dest="json_path", metavar="PATH", help=help)
+
+
+def _add_profile(parser: argparse.ArgumentParser, help: str) -> None:
     parser.add_argument(
-        "--dump-ast", action="store_true", help="print the AST and exit"
+        "--profile", dest="profile_path", metavar="PATH", help=help
     )
+
+
+def _add_cache_dir(
+    parser: argparse.ArgumentParser, cache_help: str, store_help: str
+) -> None:
+    """``--cache-dir`` and the remote tier behind it, ``--store-url``."""
+    parser.add_argument("--cache-dir", help=cache_help)
     parser.add_argument(
-        "--dump-cfg", action="store_true", help="print AST-CFG DOT graphs and exit"
+        "--store-url",
+        metavar="URL",
+        help=f"{store_help}; requires --cache-dir",
     )
+
+
+def _add_baseline(
+    parser: argparse.ArgumentParser, schema: str, metrics: str, tolerance: float
+) -> None:
+    """``--baseline PATH`` with the ``--tolerance`` it is gated at."""
     parser.add_argument(
-        "--dump-kernel",
-        action="store_true",
-        help=(
-            "print each offload nest's generated NumPy kernel source "
-            "(with its content-hash key) and exit; the input may be a C "
-            "file or, when no such file exists, a suite benchmark name"
-        ),
-    )
-    _add_platform_arguments(parser)
-    parser.add_argument(
-        "--simulate",
-        action="store_true",
-        help=(
-            "simulate the program before and after transformation on the "
-            "selected --platform and report the modelled speedup"
-        ),
-    )
-    parser.add_argument(
-        "--profile",
-        dest="profile_path",
+        "--baseline",
         metavar="PATH",
         help=(
-            "also run one cold instrumented transform and write its "
-            "per-pass/per-phase ompdart-profile/1 artifact here"
+            f"gate against a prior {schema} artifact: fail on {metrics} "
+            "regressions beyond --tolerance"
         ),
     )
-    return parser
+    parser.add_argument(
+        "--tolerance",
+        type=float,
+        default=tolerance,
+        metavar="FRAC",
+        help=f"relative regression tolerated vs --baseline (default {tolerance})",
+    )
 
 
 def _add_platform_arguments(
@@ -232,42 +237,294 @@ def _add_platform_arguments(
     )
 
 
-def build_batch_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart batch",
-        description=(
-            "Transform many C translation units through the staged "
-            "pipeline with deterministic result ordering."
+def _read_input(path: str, prog: str) -> str | None:
+    """The text of ``path``, or None after reporting why it is unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        print(f"{prog}: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def _print_tool_error(message: str, exc: ToolError) -> None:
+    print(message, file=sys.stderr)
+    for diag in exc.diagnostics:
+        print(diag.render(), file=sys.stderr)
+
+
+def _parse_defines(defines: list[str]) -> dict[str, object]:
+    out: dict[str, object] = {}
+    for item in defines:
+        name, _, value = item.partition("=")
+        out[name] = value if value else 1
+    return out
+
+
+def _resolve_platform_arg(name: str):
+    """Look up a --platform value, printing a CLI-style error on failure."""
+    from .runtime.platform import get_platform
+
+    try:
+        return get_platform(name)
+    except KeyError as exc:
+        print(f"ompdart: {exc.args[0]}", file=sys.stderr)
+        return None
+
+
+def _simulate_pair(
+    original: str,
+    transformed: str,
+    filename: str,
+    platform,
+    macros: dict[str, object],
+    *,
+    vectorize: bool = True,
+) -> str:
+    """Modelled before/after comparison line for ``--simulate``."""
+    from .runtime.interp import run_simulation
+
+    try:
+        before = run_simulation(
+            original, filename, platform=platform, predefined_macros=macros,
+            vectorize=vectorize,
+        )
+        after = run_simulation(
+            transformed, filename, platform=platform, predefined_macros=macros,
+            vectorize=vectorize,
+        )
+    except Exception as exc:  # noqa: BLE001 - advisory estimate only
+        return f"simulation on {platform.name} failed: {exc}"
+    speedup = after.stats.speedup_over(before.stats)
+    return (
+        f"simulated on {platform.name} ({platform.interconnect}): "
+        f"{before.stats.total_time_s * 1e3:.3f}ms -> "
+        f"{after.stats.total_time_s * 1e3:.3f}ms "
+        f"({speedup:.2f}x, transfer "
+        f"{before.stats.transfer_time_s * 1e3:.3f}ms -> "
+        f"{after.stats.transfer_time_s * 1e3:.3f}ms, "
+        f"{before.stats.total_bytes} -> {after.stats.total_bytes} bytes)"
+    )
+
+
+def _unique_basenames(paths: list[str]) -> dict[str, str]:
+    """Map each input path to a collision-free output file name.
+
+    Inputs from different directories may share a basename; later ones
+    get a numeric suffix (``foo.c``, ``foo.1.c``, ...) instead of
+    silently overwriting earlier results.
+    """
+    names: dict[str, str] = {}
+    used: set[str] = set()
+    for path in paths:
+        if path in names:
+            continue
+        base = os.path.basename(path)
+        candidate = base
+        serial = 0
+        while candidate in used:
+            serial += 1
+            stem, dot, ext = base.rpartition(".")
+            candidate = f"{stem}.{serial}.{ext}" if dot else f"{base}.{serial}"
+        names[path] = candidate
+        used.add(candidate)
+    return names
+
+
+def _declare_transform(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "input",
+        nargs="?",
+        help="C source file with OpenMP offload kernels",
+    )
+    parser.add_argument("-o", "--output", help="write transformed source here")
+    _add_defines(parser)
+    parser.add_argument(
+        "--report", action="store_true", help="print the per-function plan"
+    )
+    parser.add_argument(
+        "--dump-ast", action="store_true", help="print the AST and exit"
+    )
+    parser.add_argument(
+        "--dump-cfg", action="store_true", help="print AST-CFG DOT graphs and exit"
+    )
+    parser.add_argument(
+        "--dump-kernel",
+        action="store_true",
+        help=(
+            "print each offload nest's generated NumPy kernel source "
+            "(with its content-hash key) and exit; the input may be a C "
+            "file or, when no such file exists, a suite benchmark name"
         ),
     )
+    _add_platform_arguments(parser)
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
+        "--simulate",
+        action="store_true",
+        help=(
+            "simulate the program before and after transformation on the "
+            "selected --platform and report the modelled speedup"
+        ),
     )
+    _add_profile(
+        parser,
+        "also run one cold instrumented transform and write its "
+        "per-pass/per-phase ompdart-profile/1 artifact here",
+    )
+
+
+def _run_transform(args: argparse.Namespace) -> int:
+    if args.input is None:
+        print(
+            "ompdart: error: an input file is required\n"
+            f"{build_parser().format_usage()}",
+            file=sys.stderr,
+        )
+        return 2
+    macros = _parse_defines(args.defines)
+    if args.dump_kernel:
+        # Resolves its own input (file or suite benchmark name) — the
+        # generic "readable file" requirement below does not apply.
+        return _run_dump_kernel(args.input, macros)
+    source = _read_input(args.input, "ompdart")
+    if source is None:
+        return 2
+
+    if args.dump_ast or args.dump_cfg:
+        # Parse-only: never touches the planner or simulator modules
+        # (and so never validates --platform, which it does not use).
+        from .frontend import dump_ast, parse_source
+
+        try:
+            tu = parse_source(source, args.input, macros)
+        except ToolError as exc:
+            _print_tool_error(f"ompdart: {args.input}: parse error: {exc}", exc)
+            return 3
+        if args.dump_ast:
+            print(dump_ast(tu))
+        if args.dump_cfg:
+            from .cfg import build_astcfgs, astcfg_to_dot
+
+            for name, astcfg in build_astcfgs(tu).items():
+                print(astcfg_to_dot(astcfg))
+        return 0
+
+    platform = _resolve_platform_arg(args.platform)
+    if platform is None:
+        return 2
+    from .core.tool import OMPDart, ToolOptions
+
+    if args.profile_path:
+        from .report.artifact import write_artifact
+        from .report.profile import profile_source
+
+        write_artifact(
+            profile_source(
+                source, args.input, ToolOptions(predefined_macros=macros)
+            ),
+            args.profile_path,
+        )
+
+    tool = OMPDart(ToolOptions(predefined_macros=macros))
+    try:
+        result = tool.run(source, args.input)
+    except ToolError as exc:
+        _print_tool_error(f"ompdart: error: {exc}", exc)
+        return 1
+
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(result.output_source)
+    else:
+        sys.stdout.write(result.output_source)
+    if args.report:
+        print(result.report(), file=sys.stderr)
+    if args.simulate:
+        print(
+            _simulate_pair(
+                source, result.output_source, args.input, platform, macros,
+                vectorize=not args.no_vectorize,
+            ),
+            file=sys.stderr,
+        )
+    return 0
+
+
+def _run_dump_kernel(input_arg: str, macros: "dict[str, object]") -> int:
+    """``--dump-kernel``: print each offload nest's generated source.
+
+    The argument is a C file or — when no such file exists — a
+    benchmark name from the evaluation suite, so miscompiles in a suite
+    application can be inspected without locating its source on disk.
+    """
+    from .pipeline.context import ToolOptions
+    from .pipeline.manager import PassManager
+
+    filename = input_arg
+    if os.path.exists(input_arg):
+        source = _read_input(input_arg, "ompdart")
+        if source is None:
+            return 2
+    else:
+        from .suite.registry import BENCHMARK_ORDER, get_benchmark
+
+        try:
+            bench = get_benchmark(input_arg)
+        except KeyError:
+            print(
+                f"ompdart: {input_arg!r} is neither a readable file nor a "
+                f"suite benchmark (known: {', '.join(BENCHMARK_ORDER)})",
+                file=sys.stderr,
+            )
+            return 2
+        source = bench.unoptimized_source()
+        filename = f"{bench.name}_unoptimized.c"
+
+    manager = PassManager()
+    try:
+        ctx = manager.run(
+            source,
+            filename,
+            ToolOptions(predefined_macros=macros),
+            until="codegen",
+        )
+    except ToolError as exc:
+        _print_tool_error(f"ompdart: {filename}: parse error: {exc}", exc)
+        return 3
+    rows = ctx.artifact("codegen")
+    if not rows:
+        print(f"// {filename}: no offload kernels")
+        return 0
+    for node_id in sorted(rows):
+        row = rows[node_id]
+        if row["reason"] is None:
+            print(f"// {filename} kernel node {node_id} key={row['key']}")
+            print(row["source"].rstrip("\n"))
+        else:
+            print(
+                f"// {filename} kernel node {node_id} "
+                f"declined: {row['reason']}"
+            )
+        print()
+    return 0
+
+
+def _declare_batch(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("inputs", nargs="*", help="C source files to transform")
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1 = serial with a shared cache)",
-    )
+    _add_jobs(parser)
     parser.add_argument(
         "-o",
         "--output-dir",
         help="write each transformed source to this directory",
     )
-    parser.add_argument(
-        "-D",
-        dest="defines",
-        action="append",
-        default=[],
-        metavar="NAME[=VALUE]",
-        help="predefine a macro (like the compiler's -D)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        help="persist pipeline artifacts here (shared across workers/runs)",
+    _add_defines(parser)
+    _add_cache_dir(
+        parser,
+        "persist pipeline artifacts here (shared across workers/runs)",
+        "remote artifact store node (an ompdart serve --cache-dir "
+        "instance): local cache misses read through to its "
+        "/artifacts routes and fresh spills publish back "
+        "write-behind",
     )
     parser.add_argument(
         "--report",
@@ -275,16 +532,6 @@ def build_batch_arg_parser() -> argparse.ArgumentParser:
         help=(
             "print per-input pass timings and cache events, and per-pass "
             "cache hits by tier (memory/disk/remote)"
-        ),
-    )
-    parser.add_argument(
-        "--store-url",
-        metavar="URL",
-        help=(
-            "remote artifact store node (an ompdart serve --cache-dir "
-            "instance): local cache misses read through to its "
-            "/artifacts routes and fresh spills publish back "
-            "write-behind; requires --cache-dir"
         ),
     )
     _add_platform_arguments(parser)
@@ -296,29 +543,190 @@ def build_batch_arg_parser() -> argparse.ArgumentParser:
             "selected --platform and append the modelled speedup"
         ),
     )
-    parser.add_argument(
-        "--profile",
-        dest="profile_path",
-        metavar="PATH",
-        help=(
-            "write an aggregate ompdart-profile/1 artifact (per-pass "
-            "wall totals over the inputs that ran) here"
-        ),
+    _add_profile(
+        parser,
+        "write an aggregate ompdart-profile/1 artifact (per-pass "
+        "wall totals over the inputs that ran) here",
     )
-    return parser
 
 
-def build_suite_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart suite",
-        description=(
-            "Run the paper's nine-benchmark evaluation, optionally as a "
-            "cross-platform sweep with a machine-readable JSON artifact."
-        ),
+def _run_batch(args: argparse.Namespace) -> int:
+    if not args.inputs:
+        print("ompdart batch: error: no input files", file=sys.stderr)
+        return 2
+    platform = _resolve_platform_arg(args.platform)
+    if platform is None:
+        return 2
+    from .pipeline.batch import BatchRunStats, transform_paths
+    from .pipeline.context import ToolOptions
+
+    macros = _parse_defines(args.defines)
+    options = ToolOptions(predefined_macros=macros)
+    run_stats = BatchRunStats() if args.store_url and args.report else None
+    import time
+
+    batch_start = time.perf_counter()
+    outcomes = transform_paths(
+        args.inputs,
+        options,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        run_stats=run_stats,
+        store_url=args.store_url,
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
+    batch_wall = time.perf_counter() - batch_start
+
+    if args.output_dir:
+        os.makedirs(args.output_dir, exist_ok=True)
+
+    dest_names = _unique_basenames([o.filename for o in outcomes])
+    failures = 0
+    for outcome in outcomes:
+        if not outcome.ok:
+            failures += 1
+            print(f"ompdart: {outcome.filename}: error: {outcome.error}",
+                  file=sys.stderr)
+            for diag in outcome.diagnostics:
+                print(diag, file=sys.stderr)
+            continue
+        hits = sum(1 for e in outcome.cache_events.values() if e == "hit")
+        print(
+            f"ompdart: {outcome.filename}: {outcome.directive_count} "
+            f"construct(s) in {outcome.elapsed_seconds * 1e3:.1f}ms "
+            f"({hits}/{len(outcome.cache_events)} passes cached)"
+        )
+        if args.report:
+            if outcome.deduped_from:
+                print(
+                    "  deduplicated: identical content, result shared "
+                    f"from {outcome.deduped_from}"
+                )
+            for name, seconds in outcome.timings.items():
+                event = outcome.cache_events.get(name, "uncached")
+                print(f"  {name:<11s} {seconds * 1e3:8.3f}ms  [{event}]")
+        if args.simulate:
+            # Re-read for the before/after comparison; the file may have
+            # changed (or vanished) since the worker transformed it.
+            try:
+                with open(outcome.filename, "r", encoding="utf-8") as fh:
+                    original = fh.read()
+            except OSError as exc:
+                print(f"  simulation skipped: cannot re-read input: {exc}")
+            else:
+                print(
+                    "  "
+                    + _simulate_pair(
+                        original,
+                        outcome.output_source or original,
+                        outcome.filename,
+                        platform,
+                        macros,
+                        vectorize=not args.no_vectorize,
+                    )
+                )
+        if args.output_dir:
+            dest = os.path.join(args.output_dir, dest_names[outcome.filename])
+            with open(dest, "w", encoding="utf-8") as fh:
+                fh.write(outcome.output_source or "")
+    if args.report:
+        _print_cache_report(outcomes)
+        if args.store_url:
+            _print_remote_report(args.store_url, run_stats)
+        if args.cache_dir:
+            from .pipeline.store import spill_stats
+
+            print(
+                f"ompdart: disk cache {args.cache_dir}: "
+                f"{spill_stats(args.cache_dir)['bytes']} byte(s) in spill files"
+            )
+    deduped = sum(1 for o in outcomes if o.deduped_from)
+    if args.report and deduped:
+        print(
+            f"ompdart: batch dedup: {len(outcomes) - deduped} unique "
+            f"input(s), {deduped} duplicate(s) served from a "
+            "representative's result"
+        )
+    if args.profile_path:
+        from .report.artifact import write_artifact
+        from .report.profile import aggregate_profile, render_profile
+
+        payload = aggregate_profile(
+            (o.timings for o in outcomes if o.timings and not o.deduped_from),
+            [o.filename for o in outcomes],
+            wall_s=batch_wall,
+        )
+        write_artifact(payload, args.profile_path)
+        if args.report:
+            print(render_profile(payload))
+    return 1 if failures else 0
+
+
+def _print_cache_report(outcomes) -> None:
+    """Per-pass cache hits by serving tier, and misses.
+
+    Summed over the inputs that ran: a deduplicated input shares its
+    representative's lookups instead of making its own (a repeated path
+    shares the very outcome object).
+    """
+    from .pipeline.cache import ORIGIN_DISK, ORIGIN_MEMORY, ORIGIN_REMOTE
+
+    tiers = (ORIGIN_MEMORY, ORIGIN_DISK, ORIGIN_REMOTE)
+    ran = {id(o): o for o in outcomes if not o.deduped_from}
+    rows: dict[str, dict[str, int]] = {}
+    for outcome in ran.values():
+        for name, event in outcome.cache_events.items():
+            row = rows.setdefault(name, dict.fromkeys((*tiers, "miss"), 0))
+            if event == "hit":
+                row[outcome.cache_origins[name]] += 1
+            elif event == "miss":
+                row["miss"] += 1
+    for name, row in rows.items():
+        by_tier = ", ".join(f"{tier} {row[tier]}" for tier in tiers)
+        print(
+            f"  cache {name:<11s} {sum(row[t] for t in tiers)} hit(s) "
+            f"({by_tier}) / {row['miss']} miss(es)"
+        )
+
+
+def _print_remote_report(store_url: str, run_stats) -> None:
+    """The --report line for the run's remote-store traffic."""
+    remote = run_stats.remote
+    if remote is None:
+        print(f"ompdart: remote store {store_url}: no traffic recorded")
+        return
+    line = (
+        f"ompdart: remote store {store_url}: "
+        f"{remote['hits']} remote hit(s), {remote['misses']} miss(es), "
+        f"{remote['puts']} publish(es), {remote['errors']} error(s)"
     )
+    if remote["degraded"]:
+        line += f", {remote['degraded']} degraded op(s) served locally"
+    print(line)
+
+
+def _declare_profile(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("input", help="C source file to profile")
+    _add_defines(parser)
+    _add_json(parser, "write the ompdart-profile/1 artifact here")
+
+
+def _run_profile(args: argparse.Namespace) -> int:
+    source = _read_input(args.input, "ompdart profile")
+    if source is None:
+        return 2
+    from .pipeline.context import ToolOptions
+    from .report.artifact import write_artifact
+    from .report.profile import profile_source, render_profile
+
+    options = ToolOptions(predefined_macros=_parse_defines(args.defines))
+    payload = profile_source(source, args.input, options)
+    print(render_profile(payload))
+    if args.json_path:
+        write_artifact(payload, args.json_path)
+    return 1 if payload["error"] else 0
+
+
+def _declare_suite(parser: argparse.ArgumentParser) -> None:
     _add_platform_arguments(parser, repeatable=True)
     parser.add_argument(
         "--benchmarks",
@@ -326,152 +734,167 @@ def build_suite_arg_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="run only these benchmarks (default: all nine)",
     )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1 = serial with a shared cache)",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="PATH",
-        help="write the machine-readable perf artifact here",
-    )
+    _add_jobs(parser)
+    _add_json(parser, "write the machine-readable perf artifact here")
     parser.add_argument(
         "--no-verify",
         action="store_true",
         help="skip the three-variant output-equivalence check",
     )
-    parser.add_argument(
-        "--cache-dir",
-        help=(
-            "persist pipeline artifacts here (shared across "
-            "workers/runs, like ompdart batch)"
-        ),
-    )
-    parser.add_argument(
-        "--store-url",
-        metavar="URL",
-        help=(
-            "remote artifact store node: cache misses read through, "
-            "fresh spills publish back; requires --cache-dir"
-        ),
+    _add_cache_dir(
+        parser,
+        "persist pipeline artifacts here (shared across "
+        "workers/runs, like ompdart batch)",
+        "remote artifact store node: cache misses read through, "
+        "fresh spills publish back",
     )
     parser.add_argument(
         "--report",
         action="store_true",
         help="print the full Figure 3-6 tables per platform",
     )
-    parser.add_argument(
-        "--profile",
-        dest="profile_path",
-        metavar="PATH",
-        help=(
-            "write an aggregate ompdart-profile/1 artifact (per-pass "
-            "transform wall totals over the benchmarks) here"
-        ),
+    _add_profile(
+        parser,
+        "write an aggregate ompdart-profile/1 artifact (per-pass "
+        "transform wall totals over the benchmarks) here",
     )
-    return parser
 
 
-def build_profile_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart profile",
-        description=(
-            "Run one cold, uncached, instrumented transform and print a "
-            "per-pass / per-phase self-time and allocation breakdown "
-            "(lex, macro, parse, analysis, plan, codegen, rewrite)."
-        ),
+def _run_suite(args: argparse.Namespace) -> int:
+    from .runtime.platform import DEFAULT_PLATFORM
+    from .suite.registry import BENCHMARK_ORDER, BENCHMARKS
+    from .suite.runner import run_sweep
+
+    platform_names = list(dict.fromkeys(args.platforms or [DEFAULT_PLATFORM]))
+    platforms = []
+    for name in platform_names:
+        platform = _resolve_platform_arg(name)
+        if platform is None:
+            return 2
+        platforms.append(platform)
+    names = args.benchmarks or list(BENCHMARK_ORDER)
+    unknown = [n for n in names if n not in BENCHMARKS]
+    if unknown:
+        print(
+            f"ompdart suite: unknown benchmark(s): {', '.join(unknown)}; "
+            f"available: {', '.join(BENCHMARK_ORDER)}",
+            file=sys.stderr,
+        )
+        return 2
+
+    if args.json_path:
+        # Fail on an unwritable artifact directory *before* paying for
+        # the sweep, not after.
+        parent = os.path.dirname(args.json_path)
+        if parent:
+            try:
+                os.makedirs(parent, exist_ok=True)
+            except OSError as exc:
+                print(
+                    f"ompdart suite: cannot create {parent}: {exc}",
+                    file=sys.stderr,
+                )
+                return 2
+
+    from .pipeline.batch import BatchWorkerError
+
+    manager = None
+    if args.jobs == 1 and not args.cache_dir:
+        # Keep a handle on the shared manager so the JSON artifact can
+        # record the run's per-pass artifact-store traffic.  With a
+        # --cache-dir the runner builds its own disk-backed (and
+        # optionally remote-tiered) runtime instead.
+        from .pipeline.manager import PassManager
+
+        manager = PassManager()
+    try:
+        sweep = run_sweep(
+            platforms,
+            verify=not args.no_verify,
+            jobs=args.jobs,
+            manager=manager,
+            names=names,
+            vectorize=not args.no_vectorize,
+            cache_dir=args.cache_dir,
+            store_url=args.store_url,
+        )
+    except ToolError as exc:
+        print(f"ompdart suite: error: {exc}", file=sys.stderr)
+        return 1
+    except AssertionError as exc:
+        print(f"ompdart suite: verification failed: {exc}", file=sys.stderr)
+        return 1
+    except BatchWorkerError as exc:
+        # jobs > 1: worker exceptions (ToolError, verification failures)
+        # arrive pre-labelled with the failing benchmark's name.
+        print(f"ompdart suite: error: {exc}", file=sys.stderr)
+        return 1
+
+    from .report.figures import (
+        figure3,
+        figure4,
+        figure5,
+        figure6,
+        figure_coverage,
+        figure_cross_platform,
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    parser.add_argument("input", help="C source file to profile")
-    parser.add_argument(
-        "-D",
-        dest="defines",
-        action="append",
-        default=[],
-        metavar="NAME[=VALUE]",
-        help="predefine a macro (like the compiler's -D)",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="PATH",
-        help="write the ompdart-profile/1 artifact here",
-    )
-    return parser
+
+    for platform_sweep in sweep:
+        p = platform_sweep.platform
+        geo = platform_sweep.geomeans()
+        variants = [
+            result
+            for run in platform_sweep.runs.values()
+            for result in (run.unoptimized, run.ompdart, run.expert)
+        ]
+        covered = sum(
+            1 for r in variants
+            if r.vectorized_launches == r.stats.kernel_launches
+        )
+        print(
+            f"{p.name}: geomean speedup {geo['speedup_x']:.2f}x, "
+            f"transfer reduction {geo['transfer_reduction_x']:.1f}x, "
+            f"transfer-time improvement "
+            f"{geo['transfer_time_improvement_x']:.1f}x "
+            f"over {len(platform_sweep.runs)} benchmark(s); "
+            f"vectorizer coverage {covered}/{len(variants)} variant(s)"
+        )
+        if args.report:
+            for figure in (figure3, figure4, figure5, figure6,
+                           figure_coverage):
+                print(figure(platform_sweep.runs)[1])
+            print()
+    if len(platforms) > 1:
+        print(figure_cross_platform(sweep)[1])
+    from .report.artifact import write_artifact
+
+    if args.json_path:
+        from .report.perf import sweep_to_dict
+
+        write_artifact(
+            sweep_to_dict(
+                sweep,
+                store_stats=manager.cache.stats if manager is not None else None,
+            ),
+            args.json_path,
+        )
+    if args.profile_path:
+        from .report.profile import aggregate_profile
+
+        # The transform is platform-independent; the first platform's
+        # sweep carries every benchmark's per-pass transform walls.
+        first = next(iter(sweep))
+        write_artifact(
+            aggregate_profile(
+                (run.transform.pass_timings for run in first.runs.values()),
+                list(first.runs),
+            ),
+            args.profile_path,
+        )
+    return 0
 
 
-def build_bench_batch_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart bench-batch",
-        description=(
-            "Measure batch transform throughput (files/sec) over a "
-            "deterministic synthetic corpus and emit an "
-            "ompdart-batch-perf/1 artifact, optionally gated against a "
-            "committed baseline."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    parser.add_argument(
-        "--count", type=int, default=1000, metavar="N",
-        help="synthetic corpus size (default 1000)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="corpus seed; same (count, seed) = same corpus (default 0)",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1 = serial, the gated config)",
-    )
-    parser.add_argument(
-        "--corpus-dir", metavar="DIR",
-        help=(
-            "materialize the corpus here and transform it from disk "
-            "(default: in-memory; disk adds I/O but matches real usage)"
-        ),
-    )
-    parser.add_argument(
-        "--json", dest="json_path", metavar="PATH",
-        help="write the ompdart-batch-perf/1 artifact here",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH",
-        help=(
-            "gate against a prior ompdart-batch-perf artifact: fail on "
-            "files/sec regressions beyond --tolerance"
-        ),
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.2, metavar="FRAC",
-        help="relative regression tolerated vs --baseline (default 0.2)",
-    )
-    parser.add_argument(
-        "--min-files-per-sec", type=float, default=None, metavar="X",
-        help="fail (exit 1) when throughput falls below this floor",
-    )
-    return parser
-
-
-def build_suite_diff_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart suite-diff",
-        description=(
-            "Compare two ompdart-suite-perf artifacts and fail on metric "
-            "regressions beyond the tolerance (CI regression gate)."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+def _declare_suite_diff(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("baseline", help="baseline suite JSON artifact")
     parser.add_argument("candidate", help="candidate suite JSON artifact")
     parser.add_argument(
@@ -490,20 +913,27 @@ def build_suite_diff_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also list improved metrics",
     )
-    return parser
 
 
-def build_bench_history_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart bench-history",
-        description=(
-            "Fold accumulated suite perf artifacts (oldest first) into an "
-            "ASCII per-variant sim-wall trend table with sparklines."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+def _run_suite_diff(args: argparse.Namespace) -> int:
+    from .report.diff import diff_files, render_diff
+
+    try:
+        result = diff_files(
+            args.baseline, args.candidate, tolerance=args.tolerance
+        )
+    except (OSError, ValueError, TypeError, AttributeError, KeyError) as exc:
+        # ValueError covers unreadable JSON and the schema/shape
+        # problems diff_payloads detects itself; the rest guard against
+        # artifacts malformed in ways it cannot anticipate — bad input
+        # is exit 2, never a traceback.
+        print(f"ompdart suite-diff: {exc}", file=sys.stderr)
+        return 2
+    print(render_diff(result, verbose=args.verbose))
+    return 0 if result.ok else 1
+
+
+def _declare_bench_history(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "artifacts", nargs="*", help="suite JSON artifacts, oldest first"
     )
@@ -518,21 +948,101 @@ def build_bench_history_arg_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="restrict the table to these benchmarks",
     )
-    return parser
 
 
-def build_serve_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart serve",
-        description=(
-            "Run the asyncio job service: submit/await transform and "
-            "evaluation jobs over the shared artifact store, with "
-            "dedup by content hash and bounded concurrency."
-        ),
+def _run_bench_history(args: argparse.Namespace) -> int:
+    from .report.history import load_artifact, render_history
+
+    payloads = []
+    paths = []
+    for path in args.artifacts:
+        try:
+            payload = load_artifact(path)
+        except (OSError, ValueError) as exc:
+            print(f"ompdart bench-history: {exc}", file=sys.stderr)
+            return 2
+        if payload is None:
+            continue  # empty placeholder — not a data point yet
+        payloads.append(payload)
+        paths.append(path)
+    if not payloads:
+        print(
+            "bench-history: no data points yet — record one with "
+            "`ompdart suite --json benchmarks/BENCH_<date>.json`"
+        )
+        return 0
+    labels = _unique_basenames(paths)
+    print(render_history(
+        payloads,
+        [os.path.splitext(labels[p])[0] for p in paths],
+        platform=args.platform,
+        benchmarks=args.benchmarks,
+    ))
+    return 0
+
+
+def _declare_bench_batch(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--count", type=int, default=1000, metavar="N",
+        help="synthetic corpus size (default 1000)",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
+        "--seed", type=int, default=0, metavar="N",
+        help="corpus seed; same (count, seed) = same corpus (default 0)",
     )
+    _add_jobs(parser, "worker processes (default 1 = serial, the gated config)")
+    parser.add_argument(
+        "--corpus-dir", metavar="DIR",
+        help=(
+            "materialize the corpus here and transform it from disk "
+            "(default: in-memory; disk adds I/O but matches real usage)"
+        ),
+    )
+    _add_json(parser, "write the ompdart-batch-perf/1 artifact here")
+    _add_baseline(parser, "ompdart-batch-perf", "files/sec", 0.2)
+    parser.add_argument(
+        "--min-files-per-sec", type=float, default=None, metavar="X",
+        help="fail (exit 1) when throughput falls below this floor",
+    )
+
+
+def _run_bench_batch(args: argparse.Namespace) -> int:
+    from .report.artifact import read_artifact, write_artifact
+    from .report.batch_perf import (
+        gate_batch_perf,
+        render_batch_perf,
+        run_bench_batch,
+    )
+
+    baseline = None
+    if args.baseline:
+        try:
+            baseline = read_artifact(args.baseline, "ompdart-batch-perf/")
+        except (OSError, ValueError) as exc:
+            print(f"ompdart bench-batch: cannot read baseline: {exc}",
+                  file=sys.stderr)
+            return 2
+    payload = run_bench_batch(
+        args.count,
+        seed=args.seed,
+        jobs=args.jobs,
+        corpus_dir=args.corpus_dir,
+    )
+    print(render_batch_perf(payload))
+    if args.json_path:
+        write_artifact(payload, args.json_path)
+    problems = gate_batch_perf(
+        payload,
+        baseline=baseline,
+        tolerance=args.tolerance,
+        min_files_per_sec=args.min_files_per_sec,
+    )
+    for problem in problems:
+        print(f"REGRESSION {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def _declare_serve(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
     )
@@ -548,28 +1058,19 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         "--max-jobs", type=int, default=8, metavar="N",
         help="jobs in flight at once (default 8); excess queue",
     )
-    parser.add_argument(
-        "--cache-dir",
-        help=(
-            "artifact cache directory (jobs then share pipeline "
-            "artifacts across workers and runs)"
-        ),
+    _add_cache_dir(
+        parser,
+        "artifact cache directory (jobs then share pipeline "
+        "artifacts across workers and runs)",
+        "remote artifact store node backing this server's workers: "
+        "local cache misses read through to its /artifacts routes, "
+        "fresh spills publish back write-behind (a down node "
+        "degrades to local tiers; see /healthz)",
     )
     parser.add_argument(
         "--threads",
         action="store_true",
         help="execute jobs on in-process threads instead of processes",
-    )
-    parser.add_argument(
-        "--store-url",
-        metavar="URL",
-        help=(
-            "remote artifact store node backing this server's workers: "
-            "local cache misses read through to its /artifacts routes, "
-            "fresh spills publish back write-behind (a down node "
-            "degrades to local tiers; see /healthz); requires "
-            "--cache-dir"
-        ),
     )
     parser.add_argument(
         "--peer",
@@ -672,413 +1173,9 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         "--max-requests", type=int, default=1000, metavar="N",
         help="requests served per connection before close (default 1000)",
     )
-    return parser
 
 
-def build_load_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart load",
-        description=(
-            "Drive a running ompdart serve with N concurrent keep-alive "
-            "clients and a mixed job workload; measure throughput and "
-            "p50/p99 latency, emit an ompdart-load-perf/1 artifact, and "
-            "optionally gate against a budget or baseline."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    parser.add_argument(
-        "--host", default="127.0.0.1", help="server host (default 127.0.0.1)"
-    )
-    parser.add_argument(
-        "--port", type=int, default=8571, help="server port (default 8571)"
-    )
-    parser.add_argument(
-        "-c", "--clients", type=int, default=8, metavar="N",
-        help="concurrent clients (default 8)",
-    )
-    parser.add_argument(
-        "-n", "--requests", type=int, default=400, metavar="N",
-        help="total requests across all clients (default 400)",
-    )
-    parser.add_argument(
-        "--mode", choices=("keepalive", "close", "both"), default="both",
-        help=(
-            "transport mode: keepalive (persistent pipelined "
-            "connections), close (one connection per request — the "
-            "legacy baseline), or both for an in-artifact comparison "
-            "(default both)"
-        ),
-    )
-    parser.add_argument(
-        "--mix", default=None, metavar="SLOT=W,...",
-        help=(
-            "workload mix weights over ping,transform,stats,jobs "
-            "(default ping=4,transform=4,stats=1,jobs=1)"
-        ),
-    )
-    parser.add_argument(
-        "--pipeline-depth", type=int, default=4, metavar="N",
-        help="requests in flight per keep-alive connection (default 4)",
-    )
-    parser.add_argument(
-        "--no-warmup", action="store_true",
-        help="skip the cache-priming pass (measure cold-path latency)",
-    )
-    parser.add_argument(
-        "--json", dest="json_path", metavar="PATH",
-        help="write the ompdart-load-perf/1 artifact here",
-    )
-    parser.add_argument(
-        "--max-p99", type=float, default=None, metavar="SECONDS",
-        help="fail (exit 1) when any mode's p99 exceeds this budget",
-    )
-    parser.add_argument(
-        "--max-connection-errors", type=int, default=None, metavar="N",
-        help=(
-            "fail when any mode sees more than N connection-level "
-            "failures (refused, reset, closed mid-response)"
-        ),
-    )
-    parser.add_argument(
-        "--max-timeouts", type=int, default=None, metavar="N",
-        help="fail when any mode sees more than N request timeouts",
-    )
-    parser.add_argument(
-        "--max-http-errors", type=int, default=None, metavar="N",
-        help="fail when any mode sees more than N non-2xx responses",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH",
-        help=(
-            "gate against a prior ompdart-load-perf artifact: fail on "
-            "throughput/p99 regressions beyond --tolerance"
-        ),
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.25, metavar="FRAC",
-        help="relative regression tolerated vs --baseline (default 0.25)",
-    )
-    return parser
-
-
-def build_chaos_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart chaos",
-        description=(
-            "Fault-injection harness: serve one seeded job mix twice "
-            "— under a deterministic fault plan and fault-free — and "
-            "fail unless the served results are byte-identical, the "
-            "server survives every worker crash, and a DELETEd job "
-            "dies within the kill grace."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    parser.add_argument(
-        "-n", "--jobs", type=int, default=200, metavar="N",
-        help="jobs in the workload (default 200)",
-    )
-    parser.add_argument(
-        "-w", "--workers", type=int, default=2, metavar="N",
-        help="worker processes per server (default 2)",
-    )
-    parser.add_argument(
-        "-c", "--clients", type=int, default=4, metavar="N",
-        help="concurrent submitting clients (default 4)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="fault-plan seed; same seed, same kills (default 0)",
-    )
-    parser.add_argument(
-        "--plan", default=None, metavar="PLAN",
-        help=(
-            "fault plan (default 'kill-worker:p=0.05,"
-            "corrupt-spill:p=0.02')"
-        ),
-    )
-    parser.add_argument(
-        "--job-retries", type=int, default=2, metavar="N",
-        help="crash retries per job before poison (default 2)",
-    )
-    parser.add_argument(
-        "--cancel-grace", type=float, default=1.0, metavar="SECONDS",
-        help="SIGINT-to-SIGKILL grace for the DELETE probe (default 1)",
-    )
-    parser.add_argument(
-        "--no-cancel-probe", action="store_true",
-        help="skip the DELETE-a-running-job probe",
-    )
-    parser.add_argument(
-        "--store", action="store_true",
-        help=(
-            "boot an in-process remote store node per variant and "
-            "point the workers at it (tests the remote artifact tier)"
-        ),
-    )
-    parser.add_argument(
-        "--kill-store", action="store_true",
-        help=(
-            "abruptly kill the faulted variant's store node halfway "
-            "through: the remote breaker must open and results must "
-            "stay bit-identical (requires --store)"
-        ),
-    )
-    parser.add_argument(
-        "--json", dest="json_path", metavar="PATH",
-        help="write the ompdart-chaos/1 artifact here",
-    )
-    return parser
-
-
-def build_store_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ompdart store",
-        description=(
-            "Inspect and garbage-collect an artifact cache directory: "
-            "'stats' prints a spill census, 'gc' evicts "
-            "spills least-recently-used-first to fit a size budget "
-            "and/or TTL (quarantined .bad files and dead writers' "
-            ".tmp orphans are always swept)."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    parser.add_argument(
-        "action", choices=("stats", "gc"),
-        help="stats: spill census; gc: bounded eviction sweep",
-    )
-    parser.add_argument(
-        "--cache-dir", required=True,
-        help="artifact cache directory to inspect/sweep",
-    )
-    parser.add_argument(
-        "--max-bytes", type=int, default=None, metavar="N",
-        help="gc: evict oldest spills until the directory fits under N",
-    )
-    parser.add_argument(
-        "--max-age", type=float, default=None, metavar="SECONDS",
-        help="gc: evict spills not rewritten in the last N seconds",
-    )
-    parser.add_argument(
-        "--dry-run", action="store_true",
-        help="gc: count what would be evicted without unlinking",
-    )
-    parser.add_argument(
-        "--json", dest="json_path", metavar="PATH",
-        help="write the census/report as JSON here",
-    )
-    return parser
-
-
-def _run_store(argv: list[str]) -> int:
-    args = build_store_arg_parser().parse_args(argv)
-    import json
-
-    from .pipeline.store import gc_spills, spill_stats
-
-    if not os.path.isdir(args.cache_dir):
-        print(
-            f"ompdart store: {args.cache_dir}: not a directory",
-            file=sys.stderr,
-        )
-        return 2
-    if args.action == "stats":
-        census = spill_stats(args.cache_dir)
-        print(
-            f"ompdart store: {census['directory']}: {census['files']} "
-            f"spill(s) ({census['records']} current record(s)), "
-            f"{census['bytes']} byte(s), "
-            f"{census['quarantined']} quarantined, {census['tmp']} tmp"
-        )
-        payload = census
-    else:
-        if args.max_bytes is None and args.max_age is None:
-            print(
-                "ompdart store: gc needs --max-bytes and/or --max-age "
-                "(otherwise only quarantine/.tmp orphans are swept)",
-                file=sys.stderr,
-            )
-        report = gc_spills(
-            args.cache_dir,
-            max_bytes=args.max_bytes,
-            max_age_s=args.max_age,
-            dry_run=args.dry_run,
-        )
-        verb = "would evict" if args.dry_run else "evicted"
-        print(
-            f"ompdart store: {report.directory}: {verb} "
-            f"{report.evicted_files} of {report.files_scanned} "
-            f"spill(s) ({report.evicted_bytes} byte(s); "
-            f"{report.ttl_evicted} by TTL, {report.size_evicted} by "
-            f"size), swept {report.quarantine_swept} quarantine / "
-            f"{report.tmp_swept} tmp file(s); "
-            f"{report.remaining_files} file(s) / "
-            f"{report.remaining_bytes} byte(s) remain"
-        )
-        payload = report.as_dict()
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json_path}", file=sys.stderr)
-    return 0
-
-
-def _run_chaos(argv: list[str]) -> int:
-    args = build_chaos_arg_parser().parse_args(argv)
-    if args.jobs < 1 or args.workers < 1 or args.clients < 1:
-        print(
-            "ompdart chaos: --jobs, --workers and --clients must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
-    import asyncio
-    import json
-
-    from .service.chaos import (
-        DEFAULT_PLAN,
-        ChaosConfig,
-        gate_chaos,
-        render_chaos,
-        run_chaos,
-    )
-
-    config = ChaosConfig(
-        jobs=args.jobs,
-        workers=args.workers,
-        clients=args.clients,
-        seed=args.seed,
-        plan=args.plan if args.plan is not None else DEFAULT_PLAN,
-        job_retries=args.job_retries,
-        cancel_grace=args.cancel_grace,
-        cancel_probe=not args.no_cancel_probe,
-        store=args.store,
-        kill_store=args.kill_store,
-    )
-    try:
-        payload = asyncio.run(run_chaos(config))
-    except ValueError as exc:
-        print(f"ompdart chaos: {exc}", file=sys.stderr)
-        return 2
-    print(render_chaos(payload))
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json_path}", file=sys.stderr)
-    problems = gate_chaos(payload)
-    for problem in problems:
-        print(f"CHAOS {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def _run_load(argv: list[str]) -> int:
-    args = build_load_arg_parser().parse_args(argv)
-    if args.clients < 1 or args.requests < 1 or args.pipeline_depth < 1:
-        print(
-            "ompdart load: --clients, --requests and --pipeline-depth "
-            "must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
-    import asyncio
-    import json
-
-    from .service.loadgen import (
-        DEFAULT_MIX,
-        LoadConfig,
-        gate_load,
-        render_load,
-        run_load,
-    )
-
-    mix = dict(DEFAULT_MIX)
-    if args.mix:
-        try:
-            mix = {
-                name: int(weight)
-                for name, _, weight in (
-                    item.partition("=") for item in args.mix.split(",")
-                )
-            }
-        except ValueError:
-            print(
-                f"ompdart load: bad --mix {args.mix!r} "
-                "(expected slot=weight,...)",
-                file=sys.stderr,
-            )
-            return 2
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"ompdart load: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        if not str(baseline.get("schema", "")).startswith("ompdart-load-perf/"):
-            print(
-                f"ompdart load: {args.baseline} is not an "
-                "ompdart-load-perf artifact",
-                file=sys.stderr,
-            )
-            return 2
-    config = LoadConfig(
-        host=args.host,
-        port=args.port,
-        clients=args.clients,
-        requests=args.requests,
-        mix=mix,
-        pipeline_depth=args.pipeline_depth,
-        warmup=not args.no_warmup,
-    )
-    modes = (
-        ("close", "keepalive") if args.mode == "both" else (args.mode,)
-    )
-    try:
-        payload = asyncio.run(run_load(config, modes=modes))
-    except ValueError as exc:
-        print(f"ompdart load: {exc}", file=sys.stderr)
-        return 2
-    except (ConnectionError, OSError) as exc:
-        print(
-            f"ompdart load: cannot reach {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    print(render_load(payload))
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json_path}", file=sys.stderr)
-    problems = gate_load(
-        payload,
-        max_p99=args.max_p99,
-        baseline=baseline,
-        tolerance=args.tolerance,
-        max_connection_errors=args.max_connection_errors,
-        max_timeouts=args.max_timeouts,
-        max_http_errors=args.max_http_errors,
-    )
-    for problem in problems:
-        print(f"REGRESSION {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def _run_serve(argv: list[str]) -> int:
-    args = build_serve_arg_parser().parse_args(argv)
-    if args.workers < 1 or args.max_jobs < 1:
-        print(
-            "ompdart serve: --workers and --max-jobs must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
+def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .service.faults import parse_fault_plan
@@ -1096,13 +1193,6 @@ def _run_serve(argv: list[str]) -> int:
                 f"ompdart serve: bad --fault-inject: {exc}", file=sys.stderr
             )
             return 2
-    if args.store_url and not args.cache_dir:
-        print(
-            "ompdart serve: --store-url requires --cache-dir "
-            "(remote artifacts land as local spills)",
-            file=sys.stderr,
-        )
-        return 2
 
     async def _serve() -> int:
         router = None
@@ -1175,707 +1265,453 @@ def _run_serve(argv: list[str]) -> int:
         return 0
 
 
-def _run_bench_history(argv: list[str]) -> int:
-    args = build_bench_history_arg_parser().parse_args(argv)
-    import json
-    import os
+def _declare_load(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--host", default="127.0.0.1", help="server host (default 127.0.0.1)"
+    )
+    parser.add_argument(
+        "--port", type=int, default=8571, help="server port (default 8571)"
+    )
+    parser.add_argument(
+        "-c", "--clients", type=int, default=8, metavar="N",
+        help="concurrent clients (default 8)",
+    )
+    parser.add_argument(
+        "-n", "--requests", type=int, default=400, metavar="N",
+        help="total requests across all clients (default 400)",
+    )
+    parser.add_argument(
+        "--mode", choices=("keepalive", "close", "both"), default="both",
+        help=(
+            "transport mode: keepalive (persistent pipelined "
+            "connections), close (one connection per request — the "
+            "legacy baseline), or both for an in-artifact comparison "
+            "(default both)"
+        ),
+    )
+    parser.add_argument(
+        "--mix", default=None, metavar="SLOT=W,...",
+        help=(
+            "workload mix weights over ping,transform,stats,jobs "
+            "(default ping=4,transform=4,stats=1,jobs=1)"
+        ),
+    )
+    parser.add_argument(
+        "--pipeline-depth", type=int, default=4, metavar="N",
+        help="requests in flight per keep-alive connection (default 4)",
+    )
+    parser.add_argument(
+        "--no-warmup", action="store_true",
+        help="skip the cache-priming pass (measure cold-path latency)",
+    )
+    _add_json(parser, "write the ompdart-load-perf/1 artifact here")
+    parser.add_argument(
+        "--max-p99", type=float, default=None, metavar="SECONDS",
+        help="fail (exit 1) when any mode's p99 exceeds this budget",
+    )
+    parser.add_argument(
+        "--max-connection-errors", type=int, default=None, metavar="N",
+        help=(
+            "fail when any mode sees more than N connection-level "
+            "failures (refused, reset, closed mid-response)"
+        ),
+    )
+    parser.add_argument(
+        "--max-timeouts", type=int, default=None, metavar="N",
+        help="fail when any mode sees more than N request timeouts",
+    )
+    parser.add_argument(
+        "--max-http-errors", type=int, default=None, metavar="N",
+        help="fail when any mode sees more than N non-2xx responses",
+    )
+    _add_baseline(parser, "ompdart-load-perf", "throughput/p99", 0.25)
 
-    from .report.history import load_artifact, render_history
 
-    payloads = []
-    paths = []
-    for path in args.artifacts:
+def _run_load(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from .report.artifact import read_artifact, write_artifact
+    from .service.loadgen import (
+        DEFAULT_MIX,
+        LoadConfig,
+        gate_load,
+        render_load,
+        run_load,
+    )
+
+    mix = dict(DEFAULT_MIX)
+    if args.mix:
         try:
-            payload = load_artifact(path)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            print(f"ompdart bench-history: {exc}", file=sys.stderr)
-            return 2
-        if payload is None:
-            continue  # empty placeholder — not a data point yet
-        payloads.append(payload)
-        paths.append(path)
-    if not payloads:
-        print(
-            "bench-history: no data points yet — record one with "
-            "`ompdart suite --json benchmarks/BENCH_<date>.json`"
-        )
-        return 0
-    labels = _unique_basenames(paths)
-    print(render_history(
-        payloads,
-        [os.path.splitext(labels[p])[0] for p in paths],
-        platform=args.platform,
-        benchmarks=args.benchmarks,
-    ))
-    return 0
-
-
-def _run_dump_kernel(input_arg: str, macros: "dict[str, object]") -> int:
-    """``--dump-kernel``: print each offload nest's generated source.
-
-    The argument is a C file or — when no such file exists — a
-    benchmark name from the evaluation suite, so miscompiles in a suite
-    application can be inspected without locating its source on disk.
-    """
-    from .pipeline.context import ToolOptions
-    from .pipeline.manager import PassManager
-
-    filename = input_arg
-    if os.path.exists(input_arg):
-        try:
-            with open(input_arg, "r", encoding="utf-8") as fh:
-                source = fh.read()
-        except OSError as exc:
-            print(f"ompdart: cannot read {input_arg}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        from .suite.registry import BENCHMARK_ORDER, get_benchmark
-
-        try:
-            bench = get_benchmark(input_arg)
-        except KeyError:
+            mix = {
+                name: int(weight)
+                for name, _, weight in (
+                    item.partition("=") for item in args.mix.split(",")
+                )
+            }
+        except ValueError:
             print(
-                f"ompdart: {input_arg!r} is neither a readable file nor a "
-                f"suite benchmark (known: {', '.join(BENCHMARK_ORDER)})",
+                f"ompdart load: bad --mix {args.mix!r} "
+                "(expected slot=weight,...)",
                 file=sys.stderr,
             )
             return 2
-        source = bench.unoptimized_source()
-        filename = f"{bench.name}_unoptimized.c"
-
-    manager = PassManager()
-    try:
-        ctx = manager.run(
-            source,
-            filename,
-            ToolOptions(predefined_macros=macros),
-            until="codegen",
-        )
-    except ToolError as exc:
-        print(f"ompdart: {filename}: parse error: {exc}", file=sys.stderr)
-        for diag in exc.diagnostics:
-            print(diag.render(), file=sys.stderr)
-        return 3
-    rows = ctx.artifact("codegen")
-    if not rows:
-        print(f"// {filename}: no offload kernels")
-        return 0
-    for node_id in sorted(rows):
-        row = rows[node_id]
-        if row["reason"] is None:
-            print(f"// {filename} kernel node {node_id} key={row['key']}")
-            print(row["source"].rstrip("\n"))
-        else:
-            print(
-                f"// {filename} kernel node {node_id} "
-                f"declined: {row['reason']}"
-            )
-        print()
-    return 0
-
-
-def _run_profile(argv: list[str]) -> int:
-    args = build_profile_arg_parser().parse_args(argv)
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
-        print(f"ompdart profile: cannot read {args.input}: {exc}",
-              file=sys.stderr)
-        return 2
-    from .pipeline.context import ToolOptions
-    from .report.profile import (
-        profile_source,
-        render_profile,
-        write_profile_json,
-    )
-
-    options = ToolOptions(predefined_macros=_parse_defines(args.defines))
-    payload = profile_source(source, args.input, options)
-    print(render_profile(payload))
-    if args.json_path:
-        write_profile_json(payload, args.json_path)
-        print(f"wrote {args.json_path}", file=sys.stderr)
-    return 1 if payload["error"] else 0
-
-
-def _run_bench_batch(argv: list[str]) -> int:
-    args = build_bench_batch_arg_parser().parse_args(argv)
-    if args.count < 1 or args.jobs < 1:
-        print(
-            "ompdart bench-batch: --count and --jobs must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
-    if args.tolerance < 0:
-        print("ompdart bench-batch: --tolerance must be >= 0", file=sys.stderr)
-        return 2
-    from .report.batch_perf import (
-        gate_batch_perf,
-        load_batch_perf,
-        render_batch_perf,
-        run_bench_batch,
-        write_batch_json,
-    )
-
     baseline = None
     if args.baseline:
         try:
-            baseline = load_batch_perf(args.baseline)
+            baseline = read_artifact(args.baseline, "ompdart-load-perf/")
         except (OSError, ValueError) as exc:
-            print(f"ompdart bench-batch: cannot read baseline: {exc}",
-                  file=sys.stderr)
+            print(f"ompdart load: cannot read baseline: {exc}", file=sys.stderr)
             return 2
-    payload = run_bench_batch(
-        args.count,
-        seed=args.seed,
-        jobs=args.jobs,
-        corpus_dir=args.corpus_dir,
+    config = LoadConfig(
+        host=args.host,
+        port=args.port,
+        clients=args.clients,
+        requests=args.requests,
+        mix=mix,
+        pipeline_depth=args.pipeline_depth,
+        warmup=not args.no_warmup,
     )
-    print(render_batch_perf(payload))
+    modes = (
+        ("close", "keepalive") if args.mode == "both" else (args.mode,)
+    )
+    try:
+        payload = asyncio.run(run_load(config, modes=modes))
+    except ValueError as exc:
+        print(f"ompdart load: {exc}", file=sys.stderr)
+        return 2
+    except (ConnectionError, OSError) as exc:
+        print(
+            f"ompdart load: cannot reach {args.host}:{args.port}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
+    print(render_load(payload))
     if args.json_path:
-        write_batch_json(payload, args.json_path)
-        print(f"wrote {args.json_path}", file=sys.stderr)
-    problems = gate_batch_perf(
+        write_artifact(payload, args.json_path)
+    problems = gate_load(
         payload,
+        max_p99=args.max_p99,
         baseline=baseline,
         tolerance=args.tolerance,
-        min_files_per_sec=args.min_files_per_sec,
+        max_connection_errors=args.max_connection_errors,
+        max_timeouts=args.max_timeouts,
+        max_http_errors=args.max_http_errors,
     )
     for problem in problems:
         print(f"REGRESSION {problem}", file=sys.stderr)
     return 1 if problems else 0
 
 
-def _run_suite_diff(argv: list[str]) -> int:
-    args = build_suite_diff_arg_parser().parse_args(argv)
-    if args.tolerance < 0:
-        print("ompdart suite-diff: tolerance must be >= 0", file=sys.stderr)
-        return 2
-    import json
+def _declare_chaos(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "-n", "--jobs", type=int, default=200, metavar="N",
+        help="jobs in the workload (default 200)",
+    )
+    parser.add_argument(
+        "-w", "--workers", type=int, default=2, metavar="N",
+        help="worker processes per server (default 2)",
+    )
+    parser.add_argument(
+        "-c", "--clients", type=int, default=4, metavar="N",
+        help="concurrent submitting clients (default 4)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, metavar="N",
+        help="fault-plan seed; same seed, same kills (default 0)",
+    )
+    parser.add_argument(
+        "--plan", default=None, metavar="PLAN",
+        help=(
+            "fault plan (default 'kill-worker:p=0.05,"
+            "corrupt-spill:p=0.02')"
+        ),
+    )
+    parser.add_argument(
+        "--job-retries", type=int, default=2, metavar="N",
+        help="crash retries per job before poison (default 2)",
+    )
+    parser.add_argument(
+        "--cancel-grace", type=float, default=1.0, metavar="SECONDS",
+        help="SIGINT-to-SIGKILL grace for the DELETE probe (default 1)",
+    )
+    parser.add_argument(
+        "--no-cancel-probe", action="store_true",
+        help="skip the DELETE-a-running-job probe",
+    )
+    parser.add_argument(
+        "--store", action="store_true",
+        help=(
+            "boot an in-process remote store node per variant and "
+            "point the workers at it (tests the remote artifact tier)"
+        ),
+    )
+    parser.add_argument(
+        "--kill-store", action="store_true",
+        help=(
+            "abruptly kill the faulted variant's store node halfway "
+            "through: the remote breaker must open and results must "
+            "stay bit-identical (requires --store)"
+        ),
+    )
+    _add_json(parser, "write the ompdart-chaos/1 artifact here")
 
-    from .report.diff import diff_files, render_diff
 
-    try:
-        result = diff_files(
-            args.baseline, args.candidate, tolerance=args.tolerance
-        )
-    except (OSError, json.JSONDecodeError, ValueError, TypeError,
-            AttributeError, KeyError) as exc:
-        # ValueError covers schema/shape problems diff_payloads detects
-        # itself; the rest guard against artifacts malformed in ways it
-        # cannot anticipate — bad input is exit 2, never a traceback.
-        print(f"ompdart suite-diff: {exc}", file=sys.stderr)
-        return 2
-    print(render_diff(result, verbose=args.verbose))
-    return 0 if result.ok else 1
+def _run_chaos(args: argparse.Namespace) -> int:
+    import asyncio
 
-
-def _parse_defines(defines: list[str]) -> dict[str, object]:
-    out: dict[str, object] = {}
-    for item in defines:
-        name, _, value = item.partition("=")
-        out[name] = value if value else 1
-    return out
-
-
-def _resolve_platform_arg(name: str):
-    """Look up a --platform value, printing a CLI-style error on failure."""
-    from .runtime.platform import get_platform
-
-    try:
-        return get_platform(name)
-    except KeyError as exc:
-        print(f"ompdart: {exc.args[0]}", file=sys.stderr)
-        return None
-
-
-def _simulate_pair(
-    original: str,
-    transformed: str,
-    filename: str,
-    platform,
-    macros: dict[str, object],
-    *,
-    vectorize: bool = True,
-) -> str:
-    """Modelled before/after comparison line for ``--simulate``."""
-    from .runtime.interp import run_simulation
-
-    try:
-        before = run_simulation(
-            original, filename, platform=platform, predefined_macros=macros,
-            vectorize=vectorize,
-        )
-        after = run_simulation(
-            transformed, filename, platform=platform, predefined_macros=macros,
-            vectorize=vectorize,
-        )
-    except Exception as exc:  # noqa: BLE001 - advisory estimate only
-        return f"simulation on {platform.name} failed: {exc}"
-    speedup = after.stats.speedup_over(before.stats)
-    return (
-        f"simulated on {platform.name} ({platform.interconnect}): "
-        f"{before.stats.total_time_s * 1e3:.3f}ms -> "
-        f"{after.stats.total_time_s * 1e3:.3f}ms "
-        f"({speedup:.2f}x, transfer "
-        f"{before.stats.transfer_time_s * 1e3:.3f}ms -> "
-        f"{after.stats.transfer_time_s * 1e3:.3f}ms, "
-        f"{before.stats.total_bytes} -> {after.stats.total_bytes} bytes)"
+    from .report.artifact import write_artifact
+    from .service.chaos import (
+        DEFAULT_PLAN,
+        ChaosConfig,
+        gate_chaos,
+        render_chaos,
+        run_chaos,
     )
 
-
-def _run_batch(argv: list[str]) -> int:
-    args = build_batch_arg_parser().parse_args(argv)
-    if args.list_platforms:
-        from .runtime.platform import platform_table
-
-        print(platform_table())
-        return 0
-    if not args.inputs:
-        print("ompdart batch: error: no input files", file=sys.stderr)
-        return 2
-    platform = _resolve_platform_arg(args.platform)
-    if platform is None:
-        return 2
-    from .pipeline.batch import BatchRunStats, transform_paths
-    from .pipeline.context import ToolOptions
-
-    macros = _parse_defines(args.defines)
-    options = ToolOptions(predefined_macros=macros)
-    if args.store_url and not args.cache_dir:
-        print(
-            "ompdart batch: error: --store-url requires --cache-dir "
-            "(remote artifacts land as local spills)",
-            file=sys.stderr,
-        )
-        return 2
-    run_stats = BatchRunStats() if args.store_url and args.report else None
-    import time
-
-    batch_start = time.perf_counter()
-    outcomes = transform_paths(
-        args.inputs,
-        options,
+    config = ChaosConfig(
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        run_stats=run_stats,
-        store_url=args.store_url,
+        workers=args.workers,
+        clients=args.clients,
+        seed=args.seed,
+        plan=args.plan if args.plan is not None else DEFAULT_PLAN,
+        job_retries=args.job_retries,
+        cancel_grace=args.cancel_grace,
+        cancel_probe=not args.no_cancel_probe,
+        store=args.store,
+        kill_store=args.kill_store,
     )
-    batch_wall = time.perf_counter() - batch_start
-
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-
-    dest_names = _unique_basenames([o.filename for o in outcomes])
-    failures = 0
-    for outcome in outcomes:
-        if not outcome.ok:
-            failures += 1
-            print(f"ompdart: {outcome.filename}: error: {outcome.error}",
-                  file=sys.stderr)
-            for diag in outcome.diagnostics:
-                print(diag, file=sys.stderr)
-            continue
-        hits = sum(1 for e in outcome.cache_events.values() if e == "hit")
-        print(
-            f"ompdart: {outcome.filename}: {outcome.directive_count} "
-            f"construct(s) in {outcome.elapsed_seconds * 1e3:.1f}ms "
-            f"({hits}/{len(outcome.cache_events)} passes cached)"
-        )
-        if args.report:
-            if outcome.deduped_from:
-                print(
-                    "  deduplicated: identical content, result shared "
-                    f"from {outcome.deduped_from}"
-                )
-            for name, seconds in outcome.timings.items():
-                event = outcome.cache_events.get(name, "uncached")
-                print(f"  {name:<11s} {seconds * 1e3:8.3f}ms  [{event}]")
-        if args.simulate:
-            # Re-read for the before/after comparison; the file may have
-            # changed (or vanished) since the worker transformed it.
-            try:
-                with open(outcome.filename, "r", encoding="utf-8") as fh:
-                    original = fh.read()
-            except OSError as exc:
-                print(f"  simulation skipped: cannot re-read input: {exc}")
-            else:
-                print(
-                    "  "
-                    + _simulate_pair(
-                        original,
-                        outcome.output_source or original,
-                        outcome.filename,
-                        platform,
-                        macros,
-                        vectorize=not args.no_vectorize,
-                    )
-                )
-        if args.output_dir:
-            dest = os.path.join(args.output_dir, dest_names[outcome.filename])
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(outcome.output_source or "")
-    if args.report:
-        _print_cache_report(outcomes)
-        if args.store_url:
-            _print_remote_report(args.store_url, run_stats)
-        if args.cache_dir:
-            from .pipeline.store import spill_stats
-
-            print(
-                f"ompdart: disk cache {args.cache_dir}: "
-                f"{spill_stats(args.cache_dir)['bytes']} byte(s) in spill files"
-            )
-    deduped = sum(1 for o in outcomes if o.deduped_from)
-    if args.report and deduped:
-        print(
-            f"ompdart: batch dedup: {len(outcomes) - deduped} unique "
-            f"input(s), {deduped} duplicate(s) served from a "
-            "representative's result"
-        )
-    if args.profile_path:
-        from .report.profile import (
-            aggregate_profile,
-            render_profile,
-            write_profile_json,
-        )
-
-        payload = aggregate_profile(
-            (o.timings for o in outcomes if o.timings and not o.deduped_from),
-            [o.filename for o in outcomes],
-            wall_s=batch_wall,
-        )
-        write_profile_json(payload, args.profile_path)
-        print(f"wrote {args.profile_path}", file=sys.stderr)
-        if args.report:
-            print(render_profile(payload))
-    return 1 if failures else 0
-
-
-def _print_cache_report(outcomes) -> None:
-    """Per-pass cache hits by serving tier, and misses.
-
-    Summed over the inputs that ran: a deduplicated input shares its
-    representative's lookups instead of making its own (a repeated path
-    shares the very outcome object).
-    """
-    from .pipeline.cache import ORIGIN_DISK, ORIGIN_MEMORY, ORIGIN_REMOTE
-
-    tiers = (ORIGIN_MEMORY, ORIGIN_DISK, ORIGIN_REMOTE)
-    ran = {id(o): o for o in outcomes if not o.deduped_from}
-    rows: dict[str, dict[str, int]] = {}
-    for outcome in ran.values():
-        for name, event in outcome.cache_events.items():
-            row = rows.setdefault(name, dict.fromkeys((*tiers, "miss"), 0))
-            if event == "hit":
-                row[outcome.cache_origins[name]] += 1
-            elif event == "miss":
-                row["miss"] += 1
-    for name, row in rows.items():
-        by_tier = ", ".join(f"{tier} {row[tier]}" for tier in tiers)
-        print(
-            f"  cache {name:<11s} {sum(row[t] for t in tiers)} hit(s) "
-            f"({by_tier}) / {row['miss']} miss(es)"
-        )
-
-
-def _print_remote_report(store_url: str, run_stats) -> None:
-    """The --report line for the run's remote-store traffic."""
-    remote = run_stats.remote
-    if remote is None:
-        print(f"ompdart: remote store {store_url}: no traffic recorded")
-        return
-    line = (
-        f"ompdart: remote store {store_url}: "
-        f"{remote['hits']} remote hit(s), {remote['misses']} miss(es), "
-        f"{remote['puts']} publish(es), {remote['errors']} error(s)"
-    )
-    if remote["degraded"]:
-        line += f", {remote['degraded']} degraded op(s) served locally"
-    print(line)
-
-
-def _run_suite(argv: list[str]) -> int:
-    args = build_suite_arg_parser().parse_args(argv)
-    if args.list_platforms:
-        from .runtime.platform import platform_table
-
-        print(platform_table())
-        return 0
-    from .runtime.platform import DEFAULT_PLATFORM
-    from .suite.registry import BENCHMARK_ORDER, BENCHMARKS
-    from .suite.runner import run_sweep
-
-    platform_names = list(dict.fromkeys(args.platforms or [DEFAULT_PLATFORM]))
-    platforms = []
-    for name in platform_names:
-        platform = _resolve_platform_arg(name)
-        if platform is None:
-            return 2
-        platforms.append(platform)
-    names = args.benchmarks or list(BENCHMARK_ORDER)
-    unknown = [n for n in names if n not in BENCHMARKS]
-    if unknown:
-        print(
-            f"ompdart suite: unknown benchmark(s): {', '.join(unknown)}; "
-            f"available: {', '.join(BENCHMARK_ORDER)}",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.json_path:
-        # Fail on an unwritable artifact directory *before* paying for
-        # the sweep, not after.
-        parent = os.path.dirname(args.json_path)
-        if parent:
-            try:
-                os.makedirs(parent, exist_ok=True)
-            except OSError as exc:
-                print(
-                    f"ompdart suite: cannot create {parent}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-
-    from .pipeline.batch import BatchWorkerError
-
-    if args.store_url and not args.cache_dir:
-        print(
-            "ompdart suite: --store-url requires --cache-dir "
-            "(remote artifacts land as local spills)",
-            file=sys.stderr,
-        )
-        return 2
-    manager = None
-    if args.jobs <= 1 and not args.cache_dir:
-        # Keep a handle on the shared manager so the JSON artifact can
-        # record the run's per-pass artifact-store traffic.  With a
-        # --cache-dir the runner builds its own disk-backed (and
-        # optionally remote-tiered) runtime instead.
-        from .pipeline.manager import PassManager
-
-        manager = PassManager()
     try:
-        sweep = run_sweep(
-            platforms,
-            verify=not args.no_verify,
-            jobs=args.jobs,
-            manager=manager,
-            names=names,
-            vectorize=not args.no_vectorize,
-            cache_dir=args.cache_dir,
-            store_url=args.store_url,
-        )
-    except ToolError as exc:
-        print(f"ompdart suite: error: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
-        print(f"ompdart suite: verification failed: {exc}", file=sys.stderr)
-        return 1
-    except BatchWorkerError as exc:
-        # jobs > 1: worker exceptions (ToolError, verification failures)
-        # arrive pre-labelled with the failing benchmark's name.
-        print(f"ompdart suite: error: {exc}", file=sys.stderr)
-        return 1
-
-    from .report.figures import (
-        figure3,
-        figure4,
-        figure5,
-        figure6,
-        figure_coverage,
-        figure_cross_platform,
-    )
-
-    for platform_sweep in sweep:
-        p = platform_sweep.platform
-        geo = platform_sweep.geomeans()
-        variants = [
-            result
-            for run in platform_sweep.runs.values()
-            for result in (run.unoptimized, run.ompdart, run.expert)
-        ]
-        covered = sum(
-            1 for r in variants
-            if r.vectorized_launches == r.stats.kernel_launches
-        )
-        print(
-            f"{p.name}: geomean speedup {geo['speedup_x']:.2f}x, "
-            f"transfer reduction {geo['transfer_reduction_x']:.1f}x, "
-            f"transfer-time improvement "
-            f"{geo['transfer_time_improvement_x']:.1f}x "
-            f"over {len(platform_sweep.runs)} benchmark(s); "
-            f"vectorizer coverage {covered}/{len(variants)} variant(s)"
-        )
-        if args.report:
-            for figure in (figure3, figure4, figure5, figure6,
-                           figure_coverage):
-                print(figure(platform_sweep.runs)[1])
-            print()
-    if len(platforms) > 1:
-        print(figure_cross_platform(sweep)[1])
+        payload = asyncio.run(run_chaos(config))
+    except ValueError as exc:
+        print(f"ompdart chaos: {exc}", file=sys.stderr)
+        return 2
+    print(render_chaos(payload))
     if args.json_path:
-        from .report.perf import write_suite_json
+        write_artifact(payload, args.json_path)
+    problems = gate_chaos(payload)
+    for problem in problems:
+        print(f"CHAOS {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
-        write_suite_json(
-            sweep,
-            args.json_path,
-            store_stats=manager.cache.stats if manager is not None else None,
-        )
-        print(f"wrote {args.json_path}", file=sys.stderr)
-    if args.profile_path:
-        from .report.profile import aggregate_profile, write_profile_json
 
-        # The transform is platform-independent; the first platform's
-        # sweep carries every benchmark's per-pass transform walls.
-        first = next(iter(sweep))
-        write_profile_json(
-            aggregate_profile(
-                (run.transform.pass_timings for run in first.runs.values()),
-                list(first.runs),
-            ),
-            args.profile_path,
+def _declare_store(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "action", choices=("stats", "gc"),
+        help="stats: spill census; gc: bounded eviction sweep",
+    )
+    parser.add_argument(
+        "--cache-dir", required=True,
+        help="artifact cache directory to inspect/sweep",
+    )
+    parser.add_argument(
+        "--max-bytes", type=int, default=None, metavar="N",
+        help="gc: evict oldest spills until the directory fits under N",
+    )
+    parser.add_argument(
+        "--max-age", type=float, default=None, metavar="SECONDS",
+        help="gc: evict spills not rewritten in the last N seconds",
+    )
+    parser.add_argument(
+        "--dry-run", action="store_true",
+        help="gc: count what would be evicted without unlinking",
+    )
+    _add_json(parser, "write the census/report as JSON here")
+
+
+def _run_store(args: argparse.Namespace) -> int:
+    from .pipeline.store import gc_spills, spill_stats
+
+    if not os.path.isdir(args.cache_dir):
+        print(
+            f"ompdart store: {args.cache_dir}: not a directory",
+            file=sys.stderr,
         )
-        print(f"wrote {args.profile_path}", file=sys.stderr)
+        return 2
+    if args.action == "stats":
+        census = spill_stats(args.cache_dir)
+        print(
+            f"ompdart store: {census['directory']}: {census['files']} "
+            f"spill(s) ({census['records']} current record(s)), "
+            f"{census['bytes']} byte(s), "
+            f"{census['quarantined']} quarantined, {census['tmp']} tmp"
+        )
+        payload = census
+    else:
+        if args.max_bytes is None and args.max_age is None:
+            print(
+                "ompdart store: gc needs --max-bytes and/or --max-age "
+                "(otherwise only quarantine/.tmp orphans are swept)",
+                file=sys.stderr,
+            )
+        report = gc_spills(
+            args.cache_dir,
+            max_bytes=args.max_bytes,
+            max_age_s=args.max_age,
+            dry_run=args.dry_run,
+        )
+        verb = "would evict" if args.dry_run else "evicted"
+        print(
+            f"ompdart store: {report.directory}: {verb} "
+            f"{report.evicted_files} of {report.files_scanned} "
+            f"spill(s) ({report.evicted_bytes} byte(s); "
+            f"{report.ttl_evicted} by TTL, {report.size_evicted} by "
+            f"size), swept {report.quarantine_swept} quarantine / "
+            f"{report.tmp_swept} tmp file(s); "
+            f"{report.remaining_files} file(s) / "
+            f"{report.remaining_bytes} byte(s) remain"
+        )
+        payload = report.as_dict()
+    if args.json_path:
+        from .report.artifact import write_artifact
+
+        write_artifact(payload, args.json_path)
     return 0
 
 
-def _unique_basenames(paths: list[str]) -> dict[str, str]:
-    """Map each input path to a collision-free output file name.
+#: Command name -> (description, declare_arguments, run).  The None
+#: entry is the bare ``ompdart FILE`` transform.
+COMMANDS = {
+    None: (
+        "OMPDart: static generation of efficient OpenMP offload data "
+        "mappings (SC24 reproduction)",
+        _declare_transform,
+        _run_transform,
+    ),
+    "batch": (
+        "Transform many C translation units through the staged "
+        "pipeline with deterministic result ordering.",
+        _declare_batch,
+        _run_batch,
+    ),
+    "profile": (
+        "Run one cold, uncached, instrumented transform and print a "
+        "per-pass / per-phase self-time and allocation breakdown "
+        "(lex, macro, parse, analysis, plan, codegen, rewrite).",
+        _declare_profile,
+        _run_profile,
+    ),
+    "suite": (
+        "Run the paper's nine-benchmark evaluation, optionally as a "
+        "cross-platform sweep with a machine-readable JSON artifact.",
+        _declare_suite,
+        _run_suite,
+    ),
+    "suite-diff": (
+        "Compare two ompdart-suite-perf artifacts and fail on metric "
+        "regressions beyond the tolerance (CI regression gate).",
+        _declare_suite_diff,
+        _run_suite_diff,
+    ),
+    "bench-history": (
+        "Fold accumulated suite perf artifacts (oldest first) into an "
+        "ASCII per-variant sim-wall trend table with sparklines.",
+        _declare_bench_history,
+        _run_bench_history,
+    ),
+    "bench-batch": (
+        "Measure batch transform throughput (files/sec) over a "
+        "deterministic synthetic corpus and emit an "
+        "ompdart-batch-perf/1 artifact, optionally gated against a "
+        "committed baseline.",
+        _declare_bench_batch,
+        _run_bench_batch,
+    ),
+    "serve": (
+        "Run the asyncio job service: submit/await transform and "
+        "evaluation jobs over the shared artifact store, with "
+        "dedup by content hash and bounded concurrency.",
+        _declare_serve,
+        _run_serve,
+    ),
+    "load": (
+        "Drive a running ompdart serve with N concurrent keep-alive "
+        "clients and a mixed job workload; measure throughput and "
+        "p50/p99 latency, emit an ompdart-load-perf/1 artifact, and "
+        "optionally gate against a budget or baseline.",
+        _declare_load,
+        _run_load,
+    ),
+    "chaos": (
+        "Fault-injection harness: serve one seeded job mix twice "
+        "— under a deterministic fault plan and fault-free — and "
+        "fail unless the served results are byte-identical, the "
+        "server survives every worker crash, and a DELETEd job "
+        "dies within the kill grace.",
+        _declare_chaos,
+        _run_chaos,
+    ),
+    "store": (
+        "Inspect and garbage-collect an artifact cache directory: "
+        "'stats' prints a spill census, 'gc' evicts "
+        "spills least-recently-used-first to fit a size budget "
+        "and/or TTL (quarantined .bad files and dead writers' "
+        ".tmp orphans are always swept).",
+        _declare_store,
+        _run_store,
+    ),
+}
 
-    Inputs from different directories may share a basename; later ones
-    get a numeric suffix (``foo.c``, ``foo.1.c``, ...) instead of
-    silently overwriting earlier results.
-    """
-    names: dict[str, str] = {}
-    used: set[str] = set()
-    for path in paths:
-        if path in names:
-            continue
-        base = os.path.basename(path)
-        candidate = base
-        serial = 0
-        while candidate in used:
-            serial += 1
-            stem, dot, ext = base.rpartition(".")
-            candidate = f"{stem}.{serial}.{ext}" if dot else f"{base}.{serial}"
-        names[path] = candidate
-        used.add(candidate)
-    return names
+#: Count options that must be >= 1, by dest, in whichever command
+#: declares them.
+_COUNTS = (
+    "jobs", "workers", "max_jobs", "clients", "requests", "pipeline_depth",
+    "count",
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of one :data:`COMMANDS` entry."""
+    description, declare_arguments, _ = COMMANDS[command]
+    parser = argparse.ArgumentParser(
+        prog="ompdart" if command is None else f"ompdart {command}",
+        description=description,
+    )
+    if command is None:
+        # Raw, so no command name is wrapped at its hyphen.
+        parser.formatter_class = argparse.RawDescriptionHelpFormatter
+        parser.epilog = (
+            "commands: " + ", ".join(name for name in COMMANDS if name)
+            + "\nrun `ompdart COMMAND --help` for the options of one"
+        )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    declare_arguments(parser)
+    return parser
+
+
+def _usage_error(args: argparse.Namespace) -> str | None:
+    """The first usage rule shared by several commands that ``args`` break."""
+    if getattr(args, "store_url", None) and not args.cache_dir:
+        return (
+            "--store-url requires --cache-dir "
+            "(remote artifacts land as local spills)"
+        )
+    for dest in _COUNTS:
+        if getattr(args, dest, 1) < 1:
+            return f"--{dest.replace('_', '-')} must be >= 1"
+    if getattr(args, "tolerance", 0.0) < 0:
+        return "--tolerance must be >= 0"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command ``argv`` names (``ompdart FILE`` when it names
+    none) and return its exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "batch":
-        return _run_batch(argv[1:])
-    if argv and argv[0] == "suite":
-        return _run_suite(argv[1:])
-    if argv and argv[0] == "suite-diff":
-        return _run_suite_diff(argv[1:])
-    if argv and argv[0] == "bench-history":
-        return _run_bench_history(argv[1:])
-    if argv and argv[0] == "serve":
-        return _run_serve(argv[1:])
-    if argv and argv[0] == "load":
-        return _run_load(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _run_chaos(argv[1:])
-    if argv and argv[0] == "store":
-        return _run_store(argv[1:])
-    if argv and argv[0] == "profile":
-        return _run_profile(argv[1:])
-    if argv and argv[0] == "bench-batch":
-        return _run_bench_batch(argv[1:])
-
-    parser = build_arg_parser()
+    command = argv.pop(0) if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
     args = parser.parse_args(argv)
-    if args.list_platforms:
+    if getattr(args, "list_platforms", False):
         from .runtime.platform import platform_table
 
         print(platform_table())
         return 0
-    if args.input is None:
-        print(
-            f"ompdart: error: an input file is required\n{parser.format_usage()}",
-            file=sys.stderr,
-        )
+    problem = _usage_error(args)
+    if problem is not None:
+        print(f"{parser.prog}: error: {problem}", file=sys.stderr)
         return 2
-    if args.dump_kernel:
-        # Resolves its own input (file or suite benchmark name) — the
-        # generic "readable file" requirement below does not apply.
-        return _run_dump_kernel(args.input, _parse_defines(args.defines))
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
-        print(f"ompdart: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 2
-
-    macros = _parse_defines(args.defines)
-
-    if args.dump_ast or args.dump_cfg:
-        # Parse-only: never touches the planner or simulator modules
-        # (and so never validates --platform, which it does not use).
-        from .frontend import dump_ast, parse_source
-
-        try:
-            tu = parse_source(source, args.input, macros)
-        except ToolError as exc:
-            print(f"ompdart: {args.input}: parse error: {exc}", file=sys.stderr)
-            for diag in exc.diagnostics:
-                print(diag.render(), file=sys.stderr)
-            return 3
-        if args.dump_ast:
-            print(dump_ast(tu))
-        if args.dump_cfg:
-            from .cfg import build_astcfgs, astcfg_to_dot
-
-            for name, astcfg in build_astcfgs(tu).items():
-                print(astcfg_to_dot(astcfg))
-        return 0
-
-    platform = _resolve_platform_arg(args.platform)
-    if platform is None:
-        return 2
-    from .core.tool import OMPDart, ToolOptions
-
-    if args.profile_path:
-        from .report.profile import profile_source, write_profile_json
-
-        write_profile_json(
-            profile_source(
-                source, args.input, ToolOptions(predefined_macros=macros)
-            ),
-            args.profile_path,
-        )
-        print(f"wrote {args.profile_path}", file=sys.stderr)
-
-    tool = OMPDart(ToolOptions(predefined_macros=macros))
-    try:
-        result = tool.run(source, args.input)
-    except ToolError as exc:
-        print(f"ompdart: error: {exc}", file=sys.stderr)
-        for diag in exc.diagnostics:
-            print(diag.render(), file=sys.stderr)
-        return 1
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(result.output_source)
-    else:
-        sys.stdout.write(result.output_source)
-    if args.report:
-        print(result.report(), file=sys.stderr)
-    if args.simulate:
-        print(
-            _simulate_pair(
-                source, result.output_source, args.input, platform, macros,
-                vectorize=not args.no_vectorize,
-            ),
-            file=sys.stderr,
-        )
-    return 0
+    return COMMANDS[command][2](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,7 +22,6 @@ trajectory table as per-file wall time under the pseudo-platform
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Mapping
 
@@ -33,8 +32,6 @@ __all__ = [
     "run_bench_batch",
     "gate_batch_perf",
     "render_batch_perf",
-    "load_batch_perf",
-    "write_batch_json",
 ]
 
 #: Artifact schema identifier; bump on incompatible layout changes.
@@ -133,24 +130,6 @@ def gate_batch_perf(
                 f"tolerance {tolerance:.0%})"
             )
     return problems
-
-
-def load_batch_perf(path: str) -> dict[str, Any]:
-    """Read + schema-check an ``ompdart-batch-perf`` artifact."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    schema = payload.get("schema", "") if isinstance(payload, dict) else ""
-    if not str(schema).startswith("ompdart-batch-perf/"):
-        raise ValueError(
-            f"{path} is not an ompdart-batch-perf artifact (schema={schema!r})"
-        )
-    return payload
-
-
-def write_batch_json(payload: Mapping[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def render_batch_perf(payload: Mapping[str, Any]) -> str:

@@ -33,11 +33,11 @@ machine-dependent observability fields, not modelled metrics) and the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..runtime.vectorize import STRATEGY_RANK
+from .artifact import read_artifact
 
 __all__ = ["DiffResult", "MetricDelta", "diff_payloads", "diff_files", "render_diff"]
 
@@ -320,11 +320,11 @@ def diff_payloads(
 def diff_files(
     baseline_path: str, candidate_path: str, *, tolerance: float = 0.01
 ) -> DiffResult:
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    with open(candidate_path, "r", encoding="utf-8") as fh:
-        candidate = json.load(fh)
-    return diff_payloads(baseline, candidate, tolerance=tolerance)
+    return diff_payloads(
+        read_artifact(baseline_path, "ompdart-suite-perf/"),
+        read_artifact(candidate_path, "ompdart-suite-perf/"),
+        tolerance=tolerance,
+    )
 
 
 def render_diff(result: DiffResult, *, verbose: bool = False) -> str:

@@ -24,9 +24,9 @@ as usual.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
+from .artifact import read_artifact
 from .ascii import render_table
 
 __all__ = ["load_artifact", "history_rows", "render_history"]
@@ -45,20 +45,16 @@ def load_artifact(path: str) -> dict[str, Any] | None:
     upload, and an empty data point means "nothing recorded yet", not
     a malformed artifact.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.strip():
-        return None
-    payload = json.loads(text)
-    schema = payload.get("schema", "") if isinstance(payload, dict) else ""
-    if not str(schema).startswith(
-        ("ompdart-suite-perf/", "ompdart-load-perf/", "ompdart-batch-perf/")
-    ):
-        raise ValueError(
-            f"{path} is not an ompdart-suite-perf, ompdart-load-perf or "
-            f"ompdart-batch-perf artifact (schema={schema!r})"
+    try:
+        return read_artifact(
+            path, "ompdart-suite-perf/", "ompdart-load-perf/",
+            "ompdart-batch-perf/",
         )
-    return payload
+    except ValueError:
+        with open(path, "r", encoding="utf-8") as fh:
+            if not fh.read().strip():
+                return None
+        raise
 
 
 def _load_cells(payload: dict[str, Any]) -> dict[tuple[str, str, str], float]:

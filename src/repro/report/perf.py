@@ -10,7 +10,6 @@ diff against — schema changes bump ``SCHEMA``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 from typing import Any
 
@@ -19,7 +18,7 @@ from ..runtime.platform import Platform
 from ..runtime.profiler import TransferStats
 from ..suite.runner import BenchmarkRun, SweepResult
 
-__all__ = ["SCHEMA", "run_to_dict", "sweep_to_dict", "write_suite_json"]
+__all__ = ["SCHEMA", "run_to_dict", "sweep_to_dict"]
 
 #: Artifact schema identifier; bump on incompatible layout changes.
 #: /2 adds the vectorizer-coverage fields (``vector_strategy``,
@@ -160,18 +159,4 @@ def sweep_to_dict(
     store_block = _store_dict(store_stats)
     if store_block:
         payload["artifact_store"] = store_block
-    return payload
-
-
-def write_suite_json(
-    sweep: SweepResult,
-    path: str,
-    *,
-    store_stats: Any = None,
-) -> dict[str, Any]:
-    """Write the artifact to ``path``; returns the serialized dict."""
-    payload = sweep_to_dict(sweep, store_stats=store_stats)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
     return payload

@@ -22,12 +22,12 @@ and null alloc and collector columns.
 from __future__ import annotations
 
 import gc
-import json
 import time
 import tracemalloc
 from typing import Any, Iterable, Mapping
 
 from .._version import __version__
+from .artifact import read_artifact
 
 __all__ = [
     "SCHEMA",
@@ -36,7 +36,6 @@ __all__ = [
     "aggregate_profile",
     "load_profile",
     "render_profile",
-    "write_profile_json",
 ]
 
 #: Artifact schema identifier; bump on incompatible layout changes.
@@ -271,21 +270,11 @@ def aggregate_profile(
 
 def load_profile(path: str) -> dict[str, Any]:
     """Read + validate an ``ompdart-profile/1`` artifact."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    schema = payload.get("schema", "")
-    if not isinstance(schema, str) or not schema.startswith("ompdart-profile/"):
-        raise ValueError(f"{path}: not an ompdart-profile artifact ({schema!r})")
+    payload = read_artifact(path, "ompdart-profile/")
     for field in ("passes", "phases", "wall_s", "count"):
         if field not in payload:
             raise ValueError(f"{path}: profile artifact missing {field!r}")
     return payload
-
-
-def write_profile_json(payload: Mapping[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _fmt_ms(seconds: float | None) -> str:

@@ -18,6 +18,7 @@ it::
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -26,20 +27,8 @@ from repro import cli
 
 GOLDEN = Path(__file__).with_name("data") / "cli_contract.json"
 
-#: Command name (None: the bare ``ompdart FILE`` form) -> its parser.
-PARSERS = {
-    None: cli.build_arg_parser,
-    "batch": cli.build_batch_arg_parser,
-    "suite": cli.build_suite_arg_parser,
-    "profile": cli.build_profile_arg_parser,
-    "bench-batch": cli.build_bench_batch_arg_parser,
-    "suite-diff": cli.build_suite_diff_arg_parser,
-    "bench-history": cli.build_bench_history_arg_parser,
-    "serve": cli.build_serve_arg_parser,
-    "load": cli.build_load_arg_parser,
-    "chaos": cli.build_chaos_arg_parser,
-    "store": cli.build_store_arg_parser,
-}
+#: Command names; None is the bare ``ompdart FILE`` form.
+COMMANDS = list(cli.COMMANDS)
 
 
 def _action_record(action) -> dict:
@@ -62,7 +51,7 @@ def _contract() -> dict:
             "prog": parser.prog,
             "actions": [_action_record(a) for a in parser._actions],
         }
-        for name, parser in ((name, build()) for name, build in PARSERS.items())
+        for name, parser in ((n, cli.build_parser(n)) for n in COMMANDS)
     }
 
 
@@ -87,13 +76,13 @@ def test_every_command_is_pinned(golden):
 
 
 @pytest.mark.parametrize(
-    "name", ["ompdart" if n is None else n for n in PARSERS]
+    "name", ["ompdart" if n is None else n for n in COMMANDS]
 )
 def test_parser_matches_golden(golden, name):
     assert _canonical(_contract()[name]) == _canonical(golden[name])
 
 
-@pytest.mark.parametrize("name", list(PARSERS))
+@pytest.mark.parametrize("name", COMMANDS)
 def test_version_names_the_command(name, capsys):
     argv = ["--version"] if name is None else [name, "--version"]
     with pytest.raises(SystemExit) as exc:
@@ -101,6 +90,32 @@ def test_version_names_the_command(name, capsys):
     assert exc.value.code == 0
     prog = "ompdart" if name is None else f"ompdart {name}"
     assert capsys.readouterr().out == f"{prog} {cli.__version__}\n"
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in COMMANDS[1:]:
+        assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out), name
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["batch", "x.c", "-j", "0"], "--jobs"),
+        (["suite", "-j", "0"], "--jobs"),
+        (["load", "--port", "1", "--tolerance", "-1"], "--tolerance"),
+        (["suite", "--store-url", "http://127.0.0.1:1"], "--cache-dir"),
+    ],
+)
+def test_shared_usage_checks_exit_2(argv, flag, capsys):
+    """Checked in ``main`` before the command runs: no input is read,
+    no suite runs and no connection opens."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ompdart {argv[0]}: error: ") and flag in err
 
 
 def _regenerate() -> None:

@@ -17,12 +17,11 @@ import textwrap
 
 import pytest
 
+from repro.report.artifact import read_artifact, write_artifact
 from repro.report.batch_perf import (
     gate_batch_perf,
-    load_batch_perf,
     render_batch_perf,
     run_bench_batch,
-    write_batch_json,
 )
 from repro.report.profile import (
     SCHEMA as PROFILE_SCHEMA,
@@ -31,7 +30,6 @@ from repro.report.profile import (
     load_profile,
     profile_source,
     render_profile,
-    write_profile_json,
 )
 from repro.suite.registry import BENCHMARK_ORDER, get_benchmark
 from repro.suite.synth import DUPLICATE_SHARE, generate_corpus, write_corpus
@@ -67,7 +65,7 @@ class TestProfileArtifact:
     def test_schema_round_trip(self, tmp_path):
         payload = profile_source(SMALL_KERNEL, "small.c")
         path = str(tmp_path / "profile.json")
-        write_profile_json(payload, path)
+        write_artifact(payload, path)
         loaded = load_profile(path)
         assert loaded == json.loads(json.dumps(payload))
         assert loaded["schema"] == PROFILE_SCHEMA
@@ -400,8 +398,8 @@ class TestBenchBatch:
     def test_artifact_round_trip_and_render(self, tmp_path):
         payload = run_bench_batch(5, seed=2)
         path = str(tmp_path / "batch.json")
-        write_batch_json(payload, path)
-        loaded = load_batch_perf(path)
+        write_artifact(payload, path)
+        loaded = read_artifact(path, "ompdart-batch-perf/")
         assert loaded["files_per_sec"] == pytest.approx(
             payload["files_per_sec"]
         )
@@ -411,14 +409,14 @@ class TestBenchBatch:
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"schema": "ompdart-load-perf/1"}))
         with pytest.raises(ValueError):
-            load_batch_perf(str(path))
+            read_artifact(str(path), "ompdart-batch-perf/")
 
     def test_committed_baseline_is_loadable(self):
         baseline_path = os.path.join(
             os.path.dirname(__file__), os.pardir,
             "benchmarks", "batch_baseline.json",
         )
-        baseline = load_batch_perf(baseline_path)
+        baseline = read_artifact(baseline_path, "ompdart-batch-perf/")
         assert baseline["count"] == 1000
         assert baseline["files_per_sec"] > 0
 

@@ -664,9 +664,9 @@ class TestChaosHarness:
 
 class TestServeFaultFlags:
     def test_serve_parser_fault_defaults(self):
-        from repro.cli import build_serve_arg_parser
+        from repro.cli import build_parser
 
-        args = build_serve_arg_parser().parse_args([])
+        args = build_parser("serve").parse_args([])
         assert args.job_retries == 1
         assert args.max_worker_restarts == 16
         assert args.cancel_grace == 2.0

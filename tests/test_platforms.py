@@ -302,13 +302,14 @@ class TestWorkerErrorLabels:
 
 class TestPerfArtifact:
     def test_json_roundtrip(self, tmp_path):
-        from repro.report.perf import SCHEMA, write_suite_json
+        from repro.report.artifact import write_artifact
+        from repro.report.perf import SCHEMA, sweep_to_dict
 
         sweep = run_sweep(
             [DEFAULT_PLATFORM, "gh200-unified"], names=["bfs"]
         )
         path = tmp_path / "suite.json"
-        write_suite_json(sweep, str(path))
+        write_artifact(sweep_to_dict(sweep), str(path))
         payload = json.loads(path.read_text())
         assert payload["schema"] == SCHEMA
         assert [p["name"] for p in payload["platforms"]] == [

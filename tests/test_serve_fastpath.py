@@ -526,9 +526,9 @@ class TestLoadHarness:
         assert gate_load({"schema": LOAD_SCHEMA}) != []
 
     def test_cli_parser_and_validation(self, capsys):
-        from repro.cli import build_load_arg_parser, main
+        from repro.cli import build_parser, main
 
-        args = build_load_arg_parser().parse_args([])
+        args = build_parser("load").parse_args([])
         assert args.clients == 8
         assert args.mode == "both"
         assert main(["load", "--clients", "0"]) == 2

@@ -339,9 +339,9 @@ class TestServedSuite:
 
 class TestServeCLI:
     def test_arg_parser_defaults(self):
-        from repro.cli import build_serve_arg_parser
+        from repro.cli import build_parser
 
-        args = build_serve_arg_parser().parse_args([])
+        args = build_parser("serve").parse_args([])
         assert args.port == 8571
         assert args.workers == 2
         assert args.max_jobs == 8
