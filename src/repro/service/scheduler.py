@@ -737,18 +737,21 @@ class JobScheduler:
     # -- lifecycle -------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Cancel nothing, wait for nothing: drop the executor.
+        """Shut the executor down.
 
         Pending futures raise for their awaiters via executor shutdown
         semantics; the HTTP front closes the scheduler only after the
-        server stops accepting connections.
+        server stops accepting connections.  A supervised pool's stop
+        sequence is waited for, so its workers get their stop grace
+        before the process exits; thread jobs are not waited for.
         """
         if self._closed:
             return
         self._closed = True
         executor = self._executor
+        wait = isinstance(executor, SupervisedPool)
         await asyncio.get_running_loop().run_in_executor(
-            None, lambda: executor.shutdown(wait=False, cancel_futures=True)
+            None, lambda: executor.shutdown(wait=wait, cancel_futures=True)
         )
 
     async def __aenter__(self) -> "JobScheduler":

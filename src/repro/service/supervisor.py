@@ -336,14 +336,20 @@ class SupervisedPool:
         }
 
     def shutdown(self, wait: bool = True, **_ignored) -> None:
-        """Stop supervising, kill workers, settle leftover futures."""
+        """Stop the pool; ``wait`` joins its stop sequence.
+
+        The supervisor thread runs that sequence (settle leftover
+        futures, send each worker ``stop``, allow the stop grace, kill
+        what is left), because only it may touch workers and their
+        pipes.  Without ``wait`` it runs on after this returns; the
+        thread is a daemon, so an interpreter exit can cut it short.
+        """
         if self._stop:
             return
         self._stop = True
         self._wake()
         if wait:
             self._thread.join(timeout=10.0)
-        self._kill_all()
 
     def _wake(self) -> None:
         try:

@@ -213,8 +213,37 @@ class TestSupervisedPool:
         finally:
             pool.shutdown()
 
+    def test_shutdown_without_wait_still_stops_workers_cleanly(self):
+        """The supervisor thread, not the caller, stops the workers: an
+        idle worker gets ``stop`` and exits 0 rather than a SIGKILL."""
+        pool = _pool(workers=2)
+        procs = [w.proc for w in pool._workers]
+        pool.shutdown(wait=False)
+        pool._thread.join(timeout=10)
+        assert not pool._thread.is_alive()
+        for proc in procs:
+            proc.join(timeout=5)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+
 
 class TestSchedulerFaults:
+    def test_aclose_stops_idle_workers_cleanly(self):
+        from repro.service.scheduler import JobScheduler
+
+        async def run():
+            sched = JobScheduler(workers=2, use_processes=True)
+            if sched.executor_kind != "supervised":
+                await sched.aclose()
+                pytest.skip("process workers unavailable")
+            procs = [w.proc for w in sched._executor._workers]
+            await sched.aclose()
+            return procs
+
+        procs = asyncio.run(run())
+        for proc in procs:
+            proc.join(timeout=5)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+
     def test_kill_recovery_is_bit_identical(self, tmp_path):
         """A transform whose worker dies mid-job retries to the same
         bytes a fault-free thread run produces."""
