@@ -5,6 +5,10 @@ Every ``--json``/``--profile`` file a command writes goes through
 ``--baseline``, a ``suite-diff`` side, a ``bench-history`` point, a
 profile) goes through :func:`read_artifact`, which checks the
 ``schema`` field's family prefix (``ompdart-suite-perf/`` and so on).
+These are the ``ompdart-*/N`` report files, not the pipeline's
+per-pass artifacts.  The module imports only the standard library, so
+``store``, ``load`` and ``chaos`` can write JSON without loading the
+``report`` package and NumPy with it.
 """
 
 from __future__ import annotations

@@ -105,18 +105,14 @@ baseline::
 
 Exit codes: 0 success, 1 tool/analysis error, 2 unreadable input or
 bad usage, 3 parse error in ``--dump-ast``/``--dump-cfg``.  Bad usage
-prints ``ompdart CMD: error: ...``; it covers ``--store-url`` without
-``--cache-dir``, a negative ``--tolerance`` and a count below 1
-(``-j/--jobs``, ``--workers``, ``--max-jobs``, ``--clients``,
-``--requests``, ``--pipeline-depth``, ``--count``), so ``batch -j 0``
-and ``suite -j 0`` exit 2.  Batch mode exits 0 only when every input
-transformed cleanly; suite mode exits 1 when any benchmark's variants
-diverge; suite-diff exits 1 when the candidate regresses beyond the
-tolerance; bench-history exits 2 on a non-artifact input; load mode
-exits 1 when a gate (failed requests, p99 budget, baseline regression)
-trips and 2 when the server is unreachable; chaos mode exits 1 when
-any fault-tolerance gate (divergence, server death, cancel overrun)
-trips.
+such as a count option below 1 (``batch -j 0``) prints ``ompdart CMD:
+error: ...``.  Batch mode exits 0 only when every input transformed
+cleanly; suite mode exits 1 when any benchmark's variants diverge;
+suite-diff exits 1 when the candidate regresses beyond the tolerance;
+bench-history exits 2 on a non-artifact input; load mode exits 1 when
+a gate (failed requests, p99 budget, baseline regression) trips and 2
+when the server is unreachable; chaos mode exits 1 when any
+fault-tolerance gate (divergence, server death, cancel overrun) trips.
 """
 
 from __future__ import annotations
@@ -126,6 +122,7 @@ import os
 import sys
 
 from ._version import __version__
+from .artifact import read_artifact, write_artifact
 
 # NOTE: nothing heavier than the version string and stdlib is imported
 # at module scope.  The pipeline (``.core.tool``), the simulator and
@@ -415,7 +412,6 @@ def _run_transform(args: argparse.Namespace) -> int:
     from .core.tool import OMPDart, ToolOptions
 
     if args.profile_path:
-        from .report.artifact import write_artifact
         from .report.profile import profile_source
 
         write_artifact(
@@ -647,7 +643,6 @@ def _run_batch(args: argparse.Namespace) -> int:
             "representative's result"
         )
     if args.profile_path:
-        from .report.artifact import write_artifact
         from .report.profile import aggregate_profile, render_profile
 
         payload = aggregate_profile(
@@ -715,7 +710,6 @@ def _run_profile(args: argparse.Namespace) -> int:
     if source is None:
         return 2
     from .pipeline.context import ToolOptions
-    from .report.artifact import write_artifact
     from .report.profile import profile_source, render_profile
 
     options = ToolOptions(predefined_macros=_parse_defines(args.defines))
@@ -866,7 +860,6 @@ def _run_suite(args: argparse.Namespace) -> int:
             print()
     if len(platforms) > 1:
         print(figure_cross_platform(sweep)[1])
-    from .report.artifact import write_artifact
 
     if args.json_path:
         from .report.perf import sweep_to_dict
@@ -1007,7 +1000,6 @@ def _declare_bench_batch(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_bench_batch(args: argparse.Namespace) -> int:
-    from .report.artifact import read_artifact, write_artifact
     from .report.batch_perf import (
         gate_batch_perf,
         render_batch_perf,
@@ -1330,7 +1322,6 @@ def _declare_load(parser: argparse.ArgumentParser) -> None:
 def _run_load(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .report.artifact import read_artifact, write_artifact
     from .service.loadgen import (
         DEFAULT_MIX,
         LoadConfig,
@@ -1459,7 +1450,6 @@ def _declare_chaos(parser: argparse.ArgumentParser) -> None:
 def _run_chaos(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .report.artifact import write_artifact
     from .service.chaos import (
         DEFAULT_PLAN,
         ChaosConfig,
@@ -1562,8 +1552,6 @@ def _run_store(args: argparse.Namespace) -> int:
         )
         payload = report.as_dict()
     if args.json_path:
-        from .report.artifact import write_artifact
-
         write_artifact(payload, args.json_path)
     return 0
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..runtime.vectorize import STRATEGY_RANK
-from .artifact import read_artifact
+from ..artifact import read_artifact
 
 __all__ = ["DiffResult", "MetricDelta", "diff_payloads", "diff_files", "render_diff"]
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .artifact import read_artifact
+from ..artifact import read_artifact
 from .ascii import render_table
 
 __all__ = ["load_artifact", "history_rows", "render_history"]

@@ -27,7 +27,7 @@ import tracemalloc
 from typing import Any, Iterable, Mapping
 
 from .._version import __version__
-from .artifact import read_artifact
+from ..artifact import read_artifact
 
 __all__ = [
     "SCHEMA",

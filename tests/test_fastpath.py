@@ -17,7 +17,7 @@ import textwrap
 
 import pytest
 
-from repro.report.artifact import read_artifact, write_artifact
+from repro.artifact import read_artifact, write_artifact
 from repro.report.batch_perf import (
     gate_batch_perf,
     render_batch_perf,

@@ -302,7 +302,7 @@ class TestWorkerErrorLabels:
 
 class TestPerfArtifact:
     def test_json_roundtrip(self, tmp_path):
-        from repro.report.artifact import write_artifact
+        from repro.artifact import write_artifact
         from repro.report.perf import SCHEMA, sweep_to_dict
 
         sweep = run_sweep(
