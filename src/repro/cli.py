@@ -812,16 +812,14 @@ def _run_suite(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             store_url=args.store_url,
         )
-    except ToolError as exc:
+    except (ToolError, BatchWorkerError) as exc:
+        # With jobs > 1, worker exceptions (ToolError, verification
+        # failures) arrive as BatchWorkerError, labelled with the
+        # failing benchmark's name.
         print(f"ompdart suite: error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"ompdart suite: verification failed: {exc}", file=sys.stderr)
-        return 1
-    except BatchWorkerError as exc:
-        # jobs > 1: worker exceptions (ToolError, verification failures)
-        # arrive pre-labelled with the failing benchmark's name.
-        print(f"ompdart suite: error: {exc}", file=sys.stderr)
         return 1
 
     from .report.figures import (
@@ -860,7 +858,6 @@ def _run_suite(args: argparse.Namespace) -> int:
             print()
     if len(platforms) > 1:
         print(figure_cross_platform(sweep)[1])
-
     if args.json_path:
         from .report.perf import sweep_to_dict
 
@@ -909,11 +906,13 @@ def _declare_suite_diff(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_suite_diff(args: argparse.Namespace) -> int:
-    from .report.diff import diff_files, render_diff
+    from .report.diff import diff_payloads, render_diff
 
     try:
-        result = diff_files(
-            args.baseline, args.candidate, tolerance=args.tolerance
+        result = diff_payloads(
+            read_artifact(args.baseline, "ompdart-suite-perf/"),
+            read_artifact(args.candidate, "ompdart-suite-perf/"),
+            tolerance=args.tolerance,
         )
     except (OSError, ValueError, TypeError, AttributeError, KeyError) as exc:
         # ValueError covers unreadable JSON and the schema/shape
@@ -1699,7 +1698,8 @@ def main(argv: list[str] | None = None) -> int:
     if problem is not None:
         print(f"{parser.prog}: error: {problem}", file=sys.stderr)
         return 2
-    return COMMANDS[command][2](args)
+    _, _, run = COMMANDS[command]
+    return run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,9 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..runtime.vectorize import STRATEGY_RANK
-from ..artifact import read_artifact
 
-__all__ = ["DiffResult", "MetricDelta", "diff_payloads", "diff_files", "render_diff"]
+__all__ = ["DiffResult", "MetricDelta", "diff_payloads", "render_diff"]
 
 #: Variant-profile keys where an increase is a regression.
 HIGHER_IS_WORSE = (
@@ -315,16 +314,6 @@ def diff_payloads(
                 higher_is_worse=False,
             )
     return differ.result
-
-
-def diff_files(
-    baseline_path: str, candidate_path: str, *, tolerance: float = 0.01
-) -> DiffResult:
-    return diff_payloads(
-        read_artifact(baseline_path, "ompdart-suite-perf/"),
-        read_artifact(candidate_path, "ompdart-suite-perf/"),
-        tolerance=tolerance,
-    )
 
 
 def render_diff(result: DiffResult, *, verbose: bool = False) -> str:
