@@ -6,10 +6,11 @@ part, so it runs once per session and feeds Figures 3-6.
 
 import pytest
 
-from repro.suite import run_all
+from repro.runtime.platform import DEFAULT_PLATFORM
+from repro.suite import run_sweep
 
 
 @pytest.fixture(scope="session")
 def evaluation_runs():
     """All nine benchmarks, three variants each, outputs verified."""
-    return run_all(verify=True)
+    return run_sweep([DEFAULT_PLATFORM], verify=True)[DEFAULT_PLATFORM].runs

@@ -271,13 +271,6 @@ def collect_accesses(stmt: A.Stmt) -> list[Access]:
     return _Collector().collect_stmt(stmt)
 
 
-def collect_expr_accesses(expr: A.Expr, ctx: AccessKind = AccessKind.READ) -> list[Access]:
-    """Classified accesses of a bare expression (used for loop headers)."""
-    collector = _Collector()
-    collector._expr(expr, ctx)
-    return collector.accesses
-
-
 def summarize(accesses: list[Access]) -> dict[str, AccessKind]:
     """Join all accesses per variable name."""
     out: dict[str, AccessKind] = {}

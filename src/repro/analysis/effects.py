@@ -71,13 +71,12 @@ class InterproceduralAnalysis:
 
     ``prepared`` (a :class:`repro.analysis.fused.FusedPrep`) supplies
     the definition table, per-function statement lists and call lists
-    from the fused single-walk scan, replacing the per-fixpoint-pass
-    AST re-walks.  With or without it, the per-statement raw facts
-    (collected accesses, owned calls) are memoized across fixpoint
-    passes, and fully-resolved access lists are memoized once the
-    fixpoint converges — the planner re-resolves the same statements
-    many times.  None of the memo state is pickled: the spilled
-    artifact stays byte-identical to the legacy class.
+    from the fused single-walk scan; without it the analysis runs
+    :func:`~repro.analysis.fused.fused_scan` itself.  The per-statement
+    raw facts (collected accesses, owned calls) are memoized across
+    fixpoint passes, and fully-resolved access lists are memoized once
+    the fixpoint converges — the planner re-resolves the same
+    statements many times.  None of the prep or memo state is pickled.
     """
 
     def __init__(
@@ -86,10 +85,11 @@ class InterproceduralAnalysis:
         self.tu = tu
         self.summaries: dict[str, FunctionSummary] = {}
         self.global_names: set[str] = {v.name for v in tu.global_vars()}
-        if prepared is not None:
-            self._definitions = dict(prepared.definitions)
-        else:
-            self._definitions = {f.name: f for f in tu.function_definitions()}
+        if prepared is None:
+            from .fused import fused_scan  # import cycle guard
+
+            prepared = fused_scan(tu)
+        self._definitions = dict(prepared.definitions)
         self.passes_run = 0
         self._prepared = prepared
         self._stmt_accesses: dict[int, list[Access]] = {}
@@ -100,9 +100,8 @@ class InterproceduralAnalysis:
         self._frozen = True
 
     def __getstate__(self):
-        # Exactly the legacy attribute set, in legacy insertion order:
-        # the refs-encoded artifact must stay bit-identical whether or
-        # not the fused prep / memo machinery was used.
+        # Only the analysis results, in this order: the refs-encoded
+        # artifact must not depend on the prep or the memo state.
         return {
             "tu": self.tu,
             "summaries": self.summaries,
@@ -136,13 +135,8 @@ class InterproceduralAnalysis:
     def _max_call_depth(self) -> int:
         """Longest acyclic chain in the call graph, bounding the fixpoint."""
         graph: dict[str, set[str]] = {name: set() for name in self._definitions}
-        for name, fn in self._definitions.items():
-            calls = (
-                self._prepared.calls.get(name, [])
-                if self._prepared is not None
-                else fn.walk_instances(A.CallExpr)
-            )
-            for call in calls:
+        for name in self._definitions:
+            for call in self._prepared.calls.get(name, []):
                 callee = call.callee_name
                 if callee in self._definitions:
                     graph[name].add(callee)
@@ -175,14 +169,7 @@ class InterproceduralAnalysis:
         return changed
 
     def _statements(self, fn: A.FunctionDecl):
-        if self._prepared is not None:
-            return self._prepared.statements.get(fn.name, [])
-        return [
-            node
-            for node in fn.walk()
-            if isinstance(node, A.Stmt)
-            and not isinstance(node, (A.CompoundStmt, A.OMPExecutableDirective))
-        ]
+        return self._prepared.statements.get(fn.name, [])
 
     def _raw_accesses(self, stmt: A.Stmt) -> list[Access]:
         """``collect_accesses(stmt)``, memoized — it is pure per stmt."""

@@ -7,21 +7,18 @@ call-graph depth, statement filtering).  :func:`fused_scan` gathers all
 of those facts in **one** pass over the translation unit's cached
 pre-order list:
 
-* the input-constraint diagnostics (data-management directives), in the
-  exact order :func:`repro.core.errors.check_input_constraints` emits
-  them;
+* the input-constraint diagnostics (data-management directives), in
+  pre-order;
 * the function-definition table in declaration order;
 * per function, the CFG-granular statements (``Stmt`` minus compounds
   and OMP directives — the same filter the effects fixpoint applies on
   every pass) and every ``CallExpr`` (what the call-depth bound walks).
 
 The result is handed from the constraints pass to the effects pass via
-``PipelineContext.scratch`` — never cached, never pickled — so the
-artifact bytes of both passes stay bit-identical to the legacy
-traversals.  Those stay as the reference: ``check_input_constraints``
-and ``InterproceduralAnalysis(tu)`` without ``prepared`` walk the tree
-the old way, and an identity test runs them through its own pass list
-against this scan.
+``PipelineContext.scratch`` — never cached, never pickled — and
+``InterproceduralAnalysis(tu)`` without ``prepared`` runs this scan
+itself.  The plans, rewrites and diagnostics it leads to are pinned for
+all 27 corpus variants by ``tests/data/position_golden.json``.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from ..frontend import ast_nodes as A
 class FusedPrep:
     """Facts gathered by one pre-order walk of a translation unit."""
 
-    #: Constraint diagnostics, in pre-order (= legacy walk) order.
+    #: Constraint diagnostics, in pre-order.
     constraint_diagnostics: list[Diagnostic] = field(default_factory=list)
     #: Function definitions, in declaration order, last duplicate wins
     #: (same contract as ``tu.function_definitions()`` fed into a dict).

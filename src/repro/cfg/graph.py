@@ -71,12 +71,6 @@ class CFGNode:
     def succ_nodes(self) -> list["CFGNode"]:
         return [e.dst for e in self.successors]
 
-    def pred_nodes(self) -> list["CFGNode"]:
-        return [e.src for e in self.predecessors]
-
-    def forward_successors(self) -> list["CFGNode"]:
-        return [e.dst for e in self.successors if not e.is_back_edge]
-
     @property
     def label(self) -> str:
         """Short human-readable description for dumps and DOT export."""
@@ -122,9 +116,6 @@ class LoopInfo:
             d += 1
             p = p.parent
         return d
-
-    def contains(self, node: CFGNode) -> bool:
-        return node in self.nodes
 
 
 class CFG:
@@ -205,14 +196,6 @@ class CFG:
 
         dfs(self.entry)
         return list(reversed(post))
-
-    def loop_of(self, node: CFGNode) -> LoopInfo | None:
-        """The innermost loop containing ``node``, or None."""
-        best: LoopInfo | None = None
-        for loop in self.loops:
-            if loop.contains(node) and (best is None or loop.depth > best.depth):
-                best = loop
-        return best
 
     def validate(self) -> list[str]:
         """Structural sanity checks; returns a list of problems."""

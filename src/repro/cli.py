@@ -812,14 +812,10 @@ def _run_suite(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             store_url=args.store_url,
         )
-    except (ToolError, BatchWorkerError) as exc:
-        # With jobs > 1, worker exceptions (ToolError, verification
-        # failures) arrive as BatchWorkerError, labelled with the
-        # failing benchmark's name.
+    except BatchWorkerError as exc:
+        # Serial or pooled, a benchmark's exception (a ToolError, a
+        # verification failure) arrives labelled with its name.
         print(f"ompdart suite: error: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
-        print(f"ompdart suite: verification failed: {exc}", file=sys.stderr)
         return 1
 
     from .report.figures import (

@@ -9,7 +9,6 @@ from .directives import (  # noqa: F401
     RegionSpec,
     UpdateSpec,
 )
-from .errors import check_input_constraints, has_offload_kernels  # noqa: F401
 from .planner import PlannerOutput, plan_function  # noqa: F401
 from .region import check_declarations_precede_region, compute_region  # noqa: F401
 
@@ -21,8 +20,6 @@ __all__ = [
     "MapType",
     "RegionSpec",
     "UpdateSpec",
-    "check_input_constraints",
-    "has_offload_kernels",
     "PlannerOutput",
     "plan_function",
     "check_declarations_precede_region",

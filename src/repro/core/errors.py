@@ -9,9 +9,8 @@ from ..frontend import ast_nodes as A
 def data_management_diagnostic(node: A.OMPExecutableDirective) -> Diagnostic:
     """The constraint-violation diagnostic for one offending directive.
 
-    Shared by the legacy whole-walk check below and the fused
-    single-walk scan (:mod:`repro.analysis.fused`) so both paths emit
-    byte-identical messages.
+    The constraints pass collects these in its fused single-walk scan
+    (:mod:`repro.analysis.fused`).
     """
     loc = node.location()
     return Diagnostic(
@@ -23,21 +22,3 @@ def data_management_diagnostic(node: A.OMPExecutableDirective) -> Diagnostic:
         line=loc.line,
         column=loc.column,
     )
-
-
-def check_input_constraints(tu: A.TranslationUnit) -> list[Diagnostic]:
-    """Validate OMPDart's input contract.
-
-    "The expected input is valid C/C++ source code with OpenMP
-    offloading directives.  This code should not include any instances
-    of target data or target update directives."
-    """
-    diagnostics: list[Diagnostic] = []
-    for node in tu.walk():
-        if isinstance(node, A.DATA_MANAGEMENT_DIRECTIVES):
-            diagnostics.append(data_management_diagnostic(node))
-    return diagnostics
-
-
-def has_offload_kernels(tu: A.TranslationUnit) -> bool:
-    return any(A.is_offload_kernel(n) for n in tu.walk())

@@ -129,10 +129,6 @@ class OMPDart:
             cache_events=dict(ctx.cache_events),
         )
 
-    def run_file(self, path: str) -> TransformResult:
-        with open(path, "r", encoding="utf-8") as fh:
-            return self.run(fh.read(), path)
-
 
 def transform_source(
     source: str,

@@ -4,14 +4,14 @@ OMPDart errs on the side of soundness (paper section VII): whenever an
 analysis cannot prove a transformation safe it either falls back to a
 maximally pessimistic assumption or emits a diagnostic telling the user
 what to change (e.g. the declaration-must-precede-region error of section
-IV-D).  All stages funnel their findings through :class:`DiagnosticEngine`
+IV-D).  All stages report their findings as :class:`Diagnostic` records
 so callers get a uniform report.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Severity(enum.IntEnum):
@@ -65,48 +65,3 @@ class ParseError(ToolError):
 
 class AnalysisError(ToolError):
     """Raised by the analysis passes on input they cannot handle soundly."""
-
-
-@dataclass
-class DiagnosticEngine:
-    """Accumulates diagnostics across tool stages."""
-
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    def emit(
-        self,
-        severity: Severity,
-        message: str,
-        *,
-        filename: str = "<input>",
-        line: int = 0,
-        column: int = 0,
-    ) -> Diagnostic:
-        diag = Diagnostic(severity, message, filename, line, column)
-        self.diagnostics.append(diag)
-        return diag
-
-    def note(self, message: str, **kw) -> Diagnostic:
-        return self.emit(Severity.NOTE, message, **kw)
-
-    def warning(self, message: str, **kw) -> Diagnostic:
-        return self.emit(Severity.WARNING, message, **kw)
-
-    def error(self, message: str, **kw) -> Diagnostic:
-        return self.emit(Severity.ERROR, message, **kw)
-
-    @property
-    def error_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity >= Severity.ERROR)
-
-    @property
-    def worst(self) -> Severity | None:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
-    def has_errors(self) -> bool:
-        return self.error_count > 0
-
-    def render_all(self) -> str:
-        return "\n".join(d.render() for d in self.diagnostics)

@@ -125,9 +125,6 @@ class Token:
     def is_keyword(self, *names: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text in names
 
-    def is_punct(self, kind: TokenKind) -> bool:
-        return self.kind is kind
-
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r}@{self.offset})"
 

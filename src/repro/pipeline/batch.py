@@ -1,10 +1,11 @@
 """Concurrent batch driver: many translation units through the pipeline.
 
-``transform_batch`` fans a list of sources out over the shared worker
-runtime of :mod:`repro.service.core` (or runs them serially through one
-shared in-process cache when ``jobs <= 1``) and returns compact,
-picklable :class:`BatchOutcome` records in **submission order** —
-results are deterministic regardless of worker scheduling.
+``transform_batch`` hands a list of sources to
+:func:`repro.service.core.dispatch_map`, which runs them serially on one
+in-process pass manager when ``jobs <= 1`` or fans them out over the
+shared worker runtime otherwise, and returns compact, picklable
+:class:`BatchOutcome` records in **submission order** — results are
+deterministic regardless of worker scheduling.
 
 Content-identical inputs are deduplicated at submit, so each distinct
 source runs once.  Worker processes keep a process-global
@@ -27,7 +28,7 @@ from ..service.core import (  # noqa: F401
     dispatch_map,
     transform_one,
 )
-from .cache import ArtifactCache, fingerprint
+from .cache import fingerprint
 from .context import ToolOptions
 from .manager import PassManager
 
@@ -46,11 +47,11 @@ class BatchRunStats:
     deduped_inputs: int = 0
 
 
-def _worker_transform(job: tuple[str, str, ToolOptions]) -> BatchOutcome:
+def _transform_item(
+    manager: PassManager, job: tuple[str, str, ToolOptions]
+) -> BatchOutcome:
     source, filename, options = job
-    from ..service.core import _runtime_manager
-
-    return transform_one(_runtime_manager(), source, filename, options)
+    return transform_one(manager, source, filename, options)
 
 
 def _failed_transform(
@@ -100,7 +101,6 @@ def transform_batch(
     options: ToolOptions | None = None,
     *,
     jobs: int = 1,
-    cache: ArtifactCache | None = None,
     cache_dir: str | None = None,
     manager: PassManager | None = None,
     run_stats: BatchRunStats | None = None,
@@ -112,15 +112,17 @@ def transform_batch(
     runs, its outcome fans out to the duplicates with ``deduped_from``
     set.
 
-    ``jobs <= 1`` runs serially through one shared manager (and shared
-    artifact cache); ``jobs > 1`` fans out over a supervised process
+    The representatives go through :func:`dispatch_map`: ``jobs <= 1``
+    runs them in this process on ``manager``, or on one manager built
+    over ``cache_dir``; ``jobs > 1`` fans out over a supervised process
     pool, where an input that keeps killing its worker comes back as
     an ``ok=False`` outcome naming it.  Either way the k-th outcome
     corresponds to the k-th input.
 
-    In-process ``cache``/``manager`` objects cannot cross the process
-    boundary, so combining them with ``jobs > 1`` is an error — use
-    ``cache_dir`` to share artifacts between workers instead.
+    An in-process ``manager`` cannot cross the process boundary, so
+    combining it with ``jobs > 1`` is an error — use ``cache_dir`` to
+    share artifacts between workers instead.  It brings its own cache,
+    so combining it with ``cache_dir`` or ``store_url`` is an error too.
 
     ``store_url`` layers the remote tier on top: lookups that miss
     locally read through to a store node's ``/artifacts`` routes and
@@ -131,13 +133,6 @@ def transform_batch(
     """
     options = options or ToolOptions()
     items = list(items)
-    if jobs > 1 and (cache is not None or manager is not None):
-        raise ValueError(
-            "cache/manager cannot be shared with worker processes; "
-            "pass cache_dir for cross-process artifact sharing"
-        )
-    if store_url is not None and cache_dir is None:
-        raise ValueError("--store-url requires a cache directory")
 
     # Content-hash pre-dedup at submit: the pipeline's input key
     # includes the filename, so identical content under different names
@@ -157,61 +152,33 @@ def transform_batch(
         run_stats.unique_inputs = len(unique)
         run_stats.deduped_inputs = len(items) - len(unique)
 
-    def _fan_out(rep_results: list[BatchOutcome]) -> list[BatchOutcome]:
-        return [
-            rep_results[idx]
-            if rep_results[idx].filename == filename
-            else _refit_outcome(rep_results[idx], filename)
-            for (_, filename), idx in zip(items, rep_index)
-        ]
-
-    if jobs <= 1 or len(unique) <= 1:
-        mgr = manager or PassManager(
-            cache=cache
-            if cache is not None
-            else ArtifactCache(disk_dir=cache_dir)
-        )
-        remote = None
-        if store_url is not None and mgr.cache.disk_dir is not None:
-            from ..service.core import make_remote_client
-
-            remote = make_remote_client(store_url)
-            mgr.cache.remote = remote
-        try:
-            return _fan_out([
-                transform_one(mgr, source, filename, options)
-                for source, filename in unique
-            ])
-        finally:
-            if remote is not None:
-                remote.flush(timeout=5.0)
-                if run_stats is not None:
-                    run_stats.remote = dict(remote.counters)
-                mgr.cache.remote = None
-                remote.close()
-
-    jobs = min(jobs, len(unique))
-    payload = [(src, fname, options) for src, fname in unique]
     counters = None
     if store_url is not None:
         from .remote import RemoteCounters
 
         counters = RemoteCounters()
+    workers = max(1, min(jobs, len(unique)))
     results = dispatch_map(
-        _worker_transform,
-        payload,
+        _transform_item,
+        [(src, fname, options) for src, fname in unique],
         jobs=jobs,
+        manager=manager,
         on_failure=_failed_transform,
         cache_dir=cache_dir,
         store_url=store_url,
         remote_counters=counters,
         # Amortize per-item IPC once the queue is long; one chunk per
         # worker per ~8 rounds keeps the pool load-balanced.
-        chunksize=max(1, min(32, len(payload) // (jobs * 8))),
+        chunksize=max(1, min(32, len(unique) // (workers * 8))),
     )
     if counters is not None and run_stats is not None:
         run_stats.remote = counters.snapshot()
-    return _fan_out(results)
+    return [
+        results[idx]
+        if results[idx].filename == filename
+        else _refit_outcome(results[idx], filename)
+        for (_, filename), idx in zip(items, rep_index)
+    ]
 
 
 def transform_paths(

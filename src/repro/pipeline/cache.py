@@ -37,7 +37,6 @@ from .artifacts import (
     encode_record,
     storage_key,
 )
-from .store import gc_spills
 
 _LOG = logging.getLogger(__name__)
 
@@ -55,9 +54,6 @@ ORIGIN_MEMORY = "memory"
 ORIGIN_DISK = "disk"
 #: Served by a remote store node (cross-machine artifact hit).
 ORIGIN_REMOTE = "remote"
-
-#: Record spills between opportunistic GC sweeps when a bound is set.
-_GC_EVERY = 32
 
 
 def fingerprint(*parts: Any) -> str:
@@ -86,14 +82,6 @@ class CacheStats:
     #: (truncated, corrupt, or from an incompatible revision) and
     #: quarantined it as a miss.
     corrupt_spills: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class _Record:
@@ -131,21 +119,13 @@ class ArtifactCache:
     #: typed loosely so the pipeline never imports HTTP machinery
     #: unless a store URL is actually configured.
     remote: Any = None
-    #: Size/TTL bounds for the disk spill tier (None = unbounded, the
-    #: historical behavior).  Enforced opportunistically every
-    #: ``_GC_EVERY`` spills via :func:`repro.pipeline.store.gc_spills`.
-    max_disk_bytes: int | None = None
-    spill_ttl_s: float | None = None
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
         self._memory: OrderedDict[str, _Record] = OrderedDict()
-        self._puts_since_gc = 0
         #: Compressed record bytes read on loads and written on spills.
         self.disk_bytes_read = 0
         self.disk_bytes_written = 0
-        self.evicted_spills = 0
-        self.evicted_spill_bytes = 0
         if self.disk_dir is not None:
             self.disk_dir = Path(self.disk_dir)
             self.disk_dir.mkdir(parents=True, exist_ok=True)
@@ -154,9 +134,6 @@ class ArtifactCache:
 
     def _stat(self, pass_name: str) -> CacheStats:
         return self.stats.setdefault(pass_name, CacheStats())
-
-    def hit_rates(self) -> dict[str, float]:
-        return {name: s.hit_rate for name, s in sorted(self.stats.items())}
 
     def disk_usage(self) -> int:
         """Total bytes of spill files on disk (0 for a memory-only cache)."""
@@ -246,7 +223,6 @@ class ArtifactCache:
             # at upload time; a down store node costs nothing here
             # beyond a queue entry.
             self.remote.offer(skey, self._record_path(skey))
-        self._maybe_gc()
 
     def _remember(self, skey: str, record: _Record) -> None:
         self._memory[skey] = record
@@ -363,24 +339,6 @@ class ArtifactCache:
         except OSError:
             tmp.unlink(missing_ok=True)
             return False
-
-    def _maybe_gc(self) -> None:
-        """Opportunistic spill eviction once a size/TTL bound is set."""
-        if self.max_disk_bytes is None and self.spill_ttl_s is None:
-            return
-        with self._lock:
-            self._puts_since_gc += 1
-            if self._puts_since_gc < _GC_EVERY:
-                return
-            self._puts_since_gc = 0
-        report = gc_spills(
-            self.disk_dir,
-            max_bytes=self.max_disk_bytes,
-            max_age_s=self.spill_ttl_s,
-        )
-        with self._lock:
-            self.evicted_spills += report.evicted_files
-            self.evicted_spill_bytes += report.evicted_bytes
 
 
 #: Public miss sentinel (also importable for tests).

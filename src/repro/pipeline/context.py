@@ -62,7 +62,3 @@ class PipelineContext:
             raise KeyError(
                 f"pass {pass_name!r} has not produced an artifact yet"
             ) from None
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.timings.values())

@@ -122,6 +122,3 @@ class PassManager:
         the translation unit (the artifact the simulator frontend shares
         with the tool, killing the historical double parse)."""
         return self.run(source, filename, options, until="parse").artifact("parse")
-
-    def hit_rates(self) -> dict[str, float]:
-        return self.cache.hit_rates() if self.cache is not None else {}

@@ -68,9 +68,8 @@ def _build_codegen(ctx: PipelineContext) -> Any:
 def _build_constraints(ctx: PipelineContext) -> list[Diagnostic]:
     # One walk gathers the constraint diagnostics AND the effects-pass
     # prep facts; the prep rides to _build_effects on the uncached
-    # scratch channel, so the cached artifact (the diagnostics list) is
-    # identical to what the legacy ``check_input_constraints`` walk
-    # returns.
+    # scratch channel, so the cached artifact is the diagnostics list
+    # alone.
     prep = fused_scan(ctx.artifact("parse"))
     ctx.scratch["fused_prep"] = prep
     return prep.constraint_diagnostics

@@ -377,19 +377,6 @@ class RemoteStoreClient:
         self._event("puts")
         return True
 
-    def remote_stats(self) -> dict[str, Any] | None:
-        """The store node's ``/artifacts/stats`` payload, or None."""
-        import json
-
-        def attempt(n: int) -> dict[str, Any]:
-            status, payload = self._exchange("GET", "/artifacts/stats")
-            if status != 200:
-                raise http.client.HTTPException(f"GET stats {status}")
-            return json.loads(payload)
-
-        result = self._with_retries("stats", "__stats__", attempt)
-        return None if result is _FAILED else result
-
     # -- write-behind publishing ----------------------------------------
 
     def offer(self, key: str, path: str | Path) -> None:

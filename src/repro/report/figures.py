@@ -1,7 +1,8 @@
 """Generators for paper Figures 3-6 (data series + ASCII rendering).
 
-Each function takes the dict of :class:`~repro.suite.runner.BenchmarkRun`
-produced by :func:`repro.suite.run_all` and returns (series, text):
+Each function takes one platform's dict of
+:class:`~repro.suite.runner.BenchmarkRun` (``PlatformSweep.runs`` from
+:func:`repro.suite.run_sweep`) and returns (series, text):
 the numeric rows a plotting pipeline would consume, plus a rendered
 plain-text figure.
 """

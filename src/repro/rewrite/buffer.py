@@ -71,10 +71,6 @@ class RewriteBuffer:
 
     # -- application ------------------------------------------------------------
 
-    @property
-    def edit_count(self) -> int:
-        return len(self._insertions)
-
     def apply(self) -> str:
         """Render the rewritten text."""
         ordered = sorted(

@@ -42,9 +42,6 @@ class CostModel:
         """Modelled wall time of one kernel execution."""
         return self.kernel_launch_s + work_units * self.device_op_s
 
-    def host_time(self, work_units: int) -> float:
-        return work_units * self.host_op_s
-
 
 #: Default platform used by the evaluation harness.
 A100_PCIE4 = CostModel()

@@ -78,10 +78,6 @@ class DeviceDataEnvironment:
             )
         return entry.device_storage
 
-    @property
-    def mapped_count(self) -> int:
-        return len(self._table)
-
     # -- structured map semantics -----------------------------------------
 
     def map_enter(

@@ -106,12 +106,6 @@ class ArrayObject:
     def byte_size(self) -> int:
         return self.length * self.elem_size
 
-    def copy_storage(self) -> Any:
-        """Deep copy of the backing storage (device allocation)."""
-        if self.is_struct:
-            return [s.copy() for s in self.data]
-        return self.data.copy()
-
     @staticmethod
     def assign_storage(dst: Any, src: Any) -> None:
         """Copy ``src`` storage contents into ``dst`` in place."""

@@ -6,8 +6,8 @@ The pipeline's execution surface is split in five:
   concurrent driver: per-process pass managers bound to a cache
   directory (and optionally a remote store node), typed job specs
   keyed by content hash, and :func:`~repro.service.core.dispatch_map`,
-  the ordered map ``ompdart batch`` and the evaluation suite fan out
-  through.
+  the ordered ``fn(manager, item)`` map that every batch and suite run,
+  serial or pooled, goes through.
 * :mod:`repro.service.supervisor` — the one process pool, behind
   serve, ``batch -j`` and ``suite -j`` alike: worker crash detection
   and respawn under a restart budget, in-flight job retry with
@@ -24,9 +24,11 @@ The pipeline's execution surface is split in five:
   /jobs/<key>``, ``POST /run``, ``GET /stats``).
 
 ``repro.pipeline.batch`` and ``repro.suite.runner`` are thin clients
-of the same core, so a batch run, a suite sweep and a served job all
-execute in the same supervised worker loop — and share artifacts
-through the same cache directory.
+of the same core, so a pooled batch run, a pooled suite sweep and a
+served job all execute in the same supervised worker loop.  Every
+item, serial or pooled, runs on a pass manager built by one function
+over the run's cache directory, so batch, suite and serve share
+artifacts through it.
 """
 
 from .core import (  # noqa: F401

@@ -3,11 +3,15 @@
 One process-global :class:`~repro.pipeline.manager.PassManager` per
 ``(cache_dir)`` serves every job a worker process executes; sibling
 workers share artifacts through that cache directory's spills (and,
-with a store URL, through a remote store node).  The batch driver and
-``suite -j`` dispatch through :func:`dispatch_map`, which sends chunk
-jobs to a :class:`~repro.service.supervisor.SupervisedPool`; the
-asyncio scheduler submits its specs to the same pool.  Every process
-worker runs one loop into :func:`execute_job`, so a transform is
+with a store URL, through a remote store node).  Batch and suite runs,
+serial or ``-j N``, dispatch through :func:`dispatch_map`, which hands
+each item function the pass manager it runs on: the caller's, one
+:func:`build_manager` makes over the cache directory, or a pool
+worker's runtime manager, built by the same function.  Pooled items
+travel as chunk jobs to a
+:class:`~repro.service.supervisor.SupervisedPool`; the asyncio
+scheduler submits its specs to the same pool.  Every process worker
+runs one loop into :func:`execute_job`, so a transform is
 bit-identical no matter which front submitted it.
 
 Job specs are frozen, picklable and content-addressed:
@@ -32,8 +36,8 @@ from ..pipeline.manager import PassManager
 class BatchWorkerError(RuntimeError):
     """A worker failure, labelled with the input that caused it.
 
-    A pooled worker reports each failed item as a one-line cause;
-    :func:`dispatch_map`'s failure hook wraps it so the failing input
+    :func:`dispatch_map` reports each failed item, serial or pooled, as
+    a one-line cause; its failure hook wraps it so the failing input
     (the suite's benchmark name) is in the message.  ``label`` and
     ``cause`` survive pickling.
     """
@@ -155,13 +159,23 @@ _WORKER_REMOTE: "Any | None" = None
 _WORKER_CACHE_DIR: str | None = None
 
 
+def build_manager(cache_dir: str | None, remote: "Any | None") -> PassManager:
+    """A pass manager over ``cache_dir`` (None: memory only).
+
+    ``remote`` is a remote store client (or None): records that miss
+    locally read through to it, and spills publish back to it.  Serial
+    dispatch and every worker process build their manager here.
+    """
+    cache = ArtifactCache(disk_dir=cache_dir or None)
+    cache.remote = remote
+    return PassManager(cache=cache)
+
+
 def worker_manager(cache_dir: str | None) -> PassManager:
     """This process's shared pass manager for ``cache_dir``."""
     manager = _WORKER_MANAGERS.get(cache_dir)
     if manager is None:
-        cache = ArtifactCache(disk_dir=cache_dir) if cache_dir else ArtifactCache()
-        cache.remote = _WORKER_REMOTE
-        manager = PassManager(cache=cache)
+        manager = build_manager(cache_dir, _WORKER_REMOTE)
         _WORKER_MANAGERS[cache_dir] = manager
     return manager
 
@@ -171,9 +185,10 @@ def make_remote_client(
 ) -> "Any | None":
     """Build one process's remote store client (None when unset).
 
-    ``counters`` is the pool's
-    :class:`~repro.pipeline.remote.RemoteCounters`: when given, every
-    client event is added to it so remote traffic aggregates pool-wide;
+    ``counters`` is the run's
+    :class:`~repro.pipeline.remote.RemoteCounters`, shared with a pool's
+    workers: when given, every client event is added to it so remote
+    traffic aggregates run-wide;
     the client's own ``counters`` dict always holds this process's
     view.  Fail-soft: a malformed URL logs nothing and disables the
     tier — exactly the degraded mode a down store node produces.
@@ -214,10 +229,6 @@ def worker_init(
     manager.cache.remote = _WORKER_REMOTE
 
 
-def _runtime_manager() -> PassManager:
-    return worker_manager(_WORKER_CACHE_DIR)
-
-
 def flush_worker_remote(timeout: float) -> None:
     """Let this worker's write-behind publishes land before it exits."""
     if _WORKER_REMOTE is not None:
@@ -225,26 +236,38 @@ def flush_worker_remote(timeout: float) -> None:
 
 
 def dispatch_map(
-    fn: Callable[[Any], Any],
+    fn: Callable[[PassManager, Any], Any],
     items: Iterable[Any],
     *,
     jobs: int = 1,
+    manager: PassManager | None = None,
     on_failure: Callable[[Any, str], Any] | None = None,
     cache_dir: str | None = None,
     store_url: str | None = None,
     remote_counters: "Any | None" = None,
     chunksize: int = 1,
 ) -> list[Any]:
-    """Order-preserving map — the dispatch seam batch and suite share.
+    """Order-preserving ``fn(manager, item)`` map — the one dispatch path
+    batch and suite runs share, and the only place that chooses between
+    in-process and pooled execution.
 
-    ``jobs > 1`` runs ``fn`` on a
-    :class:`~repro.service.supervisor.SupervisedPool` built for this
-    call over ``cache_dir``, ``store_url`` and ``remote_counters``, so
-    ``fn`` must be a picklable top-level callable.  Items travel in
-    :class:`ChunkJobSpec` jobs of up to ``chunksize`` items, which
-    amortizes pipe IPC over long queues.  Results always come back in
-    input order, so parallel runs are bit-identical to serial ones for
-    deterministic workloads.
+    ``jobs <= 1`` (or a single item) runs in this process on
+    ``manager``, or on one :func:`build_manager` makes over
+    ``cache_dir`` with a remote client for ``store_url``.  ``jobs > 1``
+    runs ``fn`` on a :class:`~repro.service.supervisor.SupervisedPool`
+    built for this call over ``cache_dir``, ``store_url`` and
+    ``remote_counters``; each worker passes its runtime manager, built
+    by the same function, so ``fn`` must be a picklable top-level
+    callable.  Items travel in :class:`ChunkJobSpec` jobs of up to
+    ``chunksize`` items, which amortizes pipe IPC over long queues.
+    Results always come back in input order, so parallel runs are
+    bit-identical to serial ones for deterministic workloads.
+
+    A caller's ``manager`` cannot cross the process boundary, so it is
+    an error with ``jobs > 1`` (whatever the item count); it brings its
+    own cache, so it is an error with ``cache_dir`` or ``store_url``
+    too.  ``store_url`` requires ``cache_dir``: remote payloads land as
+    local spills.
 
     A dead worker costs one retried chunk.  A chunk that keeps killing
     workers is quarantined by the pool; its items then rerun one per
@@ -257,11 +280,32 @@ def dispatch_map(
     exception and the pooled path raises :class:`BatchWorkerError`
     labelled with the item's index.
     """
+    if manager is not None and jobs > 1:
+        raise ValueError(
+            "a manager cannot be shared with worker processes; "
+            "pass cache_dir for cross-process artifact sharing"
+        )
+    if manager is not None and (cache_dir or store_url):
+        raise ValueError(
+            "a manager brings its own cache; pass either it or "
+            "cache_dir/store_url"
+        )
+    if store_url and not cache_dir:
+        raise ValueError("store_url requires a cache directory")
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        if on_failure is None:
-            return [fn(item) for item in items]
-        settled = [_apply(fn, item) for item in items]
+        remote = None
+        if manager is None:
+            remote = make_remote_client(store_url, remote_counters)
+            manager = build_manager(cache_dir, remote)
+        try:
+            if on_failure is None:
+                return [fn(manager, item) for item in items]
+            settled = [_apply(fn, manager, item) for item in items]
+        finally:
+            if remote is not None:
+                remote.flush(timeout=5.0)
+                remote.close()
     else:
         from .supervisor import SupervisedPool
 
@@ -293,7 +337,9 @@ def dispatch_map(
     return results
 
 
-def _submit_chunk(pool: Any, fn: Callable[[Any], Any], chunk: list) -> Any:
+def _submit_chunk(
+    pool: Any, fn: Callable[[PassManager, Any], Any], chunk: list
+) -> Any:
     return pool.submit_spec(ChunkJobSpec(fn, tuple(chunk)))
 
 
@@ -428,14 +474,15 @@ class PingJobSpec:
 
 @dataclass(frozen=True)
 class ChunkJobSpec:
-    """Apply ``fn`` to a chunk of items in one worker (batch, ``suite -j``).
+    """Apply ``fn(manager, item)`` to a chunk of items in one worker
+    (batch, ``suite -j``), on that worker's runtime manager.
 
     :func:`dispatch_map` builds these; ``fn`` crosses the pipe by
     reference, so no HTTP body can name this kind (it stays out of
     ``_SPEC_KINDS``).
     """
 
-    fn: Callable[[Any], Any]
+    fn: Callable[[PassManager, Any], Any]
     items: tuple[Any, ...]
 
     kind = "chunk"
@@ -522,8 +569,6 @@ def execute_job(spec: JobSpec) -> Any:
     returns ``(ok, result or cause)`` per item, so an item that raises
     is reported as itself, not as its chunk.
     """
-    if isinstance(spec, ChunkJobSpec):
-        return [_apply(spec.fn, item) for item in spec.items]
     if isinstance(spec, PingJobSpec):
         # No pipeline, no manager: the answer is the round trip.
         if spec.sleep_s > 0:
@@ -533,7 +578,9 @@ def execute_job(spec: JobSpec) -> Any:
             "token": spec.token,
             "payload": "x" * max(0, spec.payload_bytes),
         }
-    manager = _runtime_manager()
+    manager = worker_manager(_WORKER_CACHE_DIR)
+    if isinstance(spec, ChunkJobSpec):
+        return [_apply(spec.fn, manager, item) for item in spec.items]
     if isinstance(spec, TransformJobSpec):
         outcome = transform_one(
             manager, spec.source, spec.filename, spec.options()
@@ -574,8 +621,10 @@ def execute_job(spec: JobSpec) -> Any:
     raise TypeError(f"unknown job spec {type(spec).__name__}")
 
 
-def _apply(fn: Callable[[Any], Any], item: Any) -> tuple[bool, Any]:
+def _apply(
+    fn: Callable[[PassManager, Any], Any], manager: PassManager, item: Any
+) -> tuple[bool, Any]:
     try:
-        return True, fn(item)
+        return True, fn(manager, item)
     except Exception as exc:  # noqa: BLE001 - reported per item
         return False, describe_exception(exc)

@@ -228,10 +228,6 @@ def install(plan: FaultPlan | None) -> None:
         remote_module.payload_fault_hook = None
 
 
-def active_plan() -> FaultPlan | None:
-    return _ACTIVE
-
-
 def maybe_kill(job_key: str, attempt: int) -> None:
     """Injected worker death: exit hard, as an OOM kill would."""
     if _ACTIVE is not None and _ACTIVE.should_fire(

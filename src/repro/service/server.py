@@ -12,13 +12,13 @@ Stdlib-only asyncio server, hardened for sustained traffic:
   ``408 Request Timeout`` and the connection is closed.  An idle
   keep-alive connection that never starts another request is closed
   quietly.
-* **Streamed + memoized responses.**  Response bodies above
-  ``stream_threshold`` go out with chunked transfer encoding (byte-
-  identical payload, bounded write buffering).  A finished job's JSON
-  result is encoded **once** and memoized on the job, so ``GET
-  /jobs/<id>`` polls and duplicate ``POST /run`` awaiters splice the
-  cached bytes into a small fresh envelope instead of re-serializing
-  hundreds of KB per request.
+* **Streamed + memoized responses.**  Response bodies of
+  :data:`STREAM_THRESHOLD` bytes or more go out with chunked transfer
+  encoding (byte-identical payload, bounded write buffering).  A
+  finished job's JSON result is encoded **once** and memoized on the
+  job, so ``GET /jobs/<id>`` polls and duplicate ``POST /run``
+  awaiters splice the cached bytes into a small fresh envelope instead
+  of re-serializing hundreds of KB per request.
 * **Admission control.**  When the scheduler's queue bound is hit, new
   work answers ``429 Too Many Requests`` with a ``Retry-After`` header
   instead of queueing unboundedly; evicted finished jobs answer ``410
@@ -99,6 +99,9 @@ _MAX_BODY = 64 * 1024 * 1024
 #: Chunk size for chunked transfer encoding writes.
 _CHUNK = 64 * 1024
 
+#: Bodies at or above this many bytes stream out chunked (HTTP/1.1 only).
+STREAM_THRESHOLD = 64 * 1024
+
 #: Parsed-spec memo: identical request bodies (polls, duplicate
 #: submissions, the load harness's rotating mix) skip JSON parsing and
 #: the content hash.  Both bounds keep worst-case memory small.
@@ -169,7 +172,7 @@ class JobServer:
     def __init__(self, scheduler: JobScheduler, *, host: str = "127.0.0.1",
                  port: int = 0, read_timeout: float = 30.0,
                  idle_timeout: float = 75.0, max_requests: int = 1000,
-                 stream_threshold: int = 64 * 1024, router: Any = None):
+                 router: Any = None):
         self.scheduler = scheduler
         #: Optional fleet router (``--peer``): admitted ``POST /run``
         #: jobs forward to the least-loaded healthy peer.
@@ -182,8 +185,6 @@ class JobServer:
         self.idle_timeout = idle_timeout
         #: Requests served per connection before a polite close.
         self.max_requests = max(1, max_requests)
-        #: Bodies at or above this stream out chunked (HTTP/1.1 only).
-        self.stream_threshold = max(1, stream_threshold)
         self._server: asyncio.AbstractServer | None = None
         self.metrics = scheduler.metrics or MetricsRegistry()
         if scheduler.metrics is None:
@@ -507,7 +508,7 @@ class JobServer:
         if response.headers:
             headers.update(response.headers)
         body = response.body
-        chunked = chunked_ok and len(body) >= self.stream_threshold
+        chunked = chunked_ok and len(body) >= STREAM_THRESHOLD
         if chunked:
             headers["Transfer-Encoding"] = "chunked"
         else:

@@ -13,7 +13,6 @@ from .runner import (  # noqa: F401
     PlatformSweep,
     SweepResult,
     geometric_mean,
-    run_all,
     run_benchmark,
     run_sweep,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "PlatformSweep",
     "SweepResult",
     "geometric_mean",
-    "run_all",
     "run_benchmark",
     "run_sweep",
 ]

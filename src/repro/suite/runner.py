@@ -12,20 +12,21 @@ For each application the harness:
 5. returns the per-variant transfer profiles for the Fig. 3-6 metrics.
 
 The three variants of one benchmark simulate in-process, one after
-another, through the caller's pass manager, so each source is parsed
-once however many platforms consume it.  ``jobs > 1`` fans whole
-benchmarks out over the supervised worker pool of
-:func:`repro.service.core.dispatch_map` instead.  Each
+another, through one pass manager, so each source is parsed once
+however many platforms consume it.  Each
 :class:`~repro.runtime.interp.SimulationResult` comes back stamped with
 its ``wall_time_s`` so the suite JSON artifact records real per-variant
 simulation time alongside the modelled metrics.
 
-Every entry point takes a ``platform`` (name or
+:func:`run_benchmark` takes a ``platform`` (name or
 :class:`~repro.runtime.platform.Platform`); :func:`run_sweep` evaluates
-the whole suite across several platforms at once, reusing each
-benchmark's parse/transform artifacts through the shared
-:class:`~repro.pipeline.manager.PassManager` so the tool runs once per
-source, not once per platform.
+the suite across one or more platforms.  It hands whole benchmarks to
+:func:`repro.service.core.dispatch_map`, which runs them serially on
+the caller's manager or one built over ``cache_dir``, or with
+``jobs > 1`` on the supervised worker pool, where each worker's manager
+spills to the same ``cache_dir``.  Either way a benchmark's
+parse/transform artifacts are reused across platforms, so the tool runs
+once per source, not once per platform.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..core.tool import OMPDart, ToolOptions, TransformResult
-from ..pipeline.cache import ArtifactCache
 from ..pipeline.manager import PassManager
 from ..service.core import BatchWorkerError, dispatch_map
 from ..runtime.costmodel import CostModel
@@ -198,130 +198,9 @@ def run_benchmark(
     return run
 
 
-def _benchmark_job(
-    job: tuple[str, Platform | CostModel | str | None, bool, bool]
-) -> BenchmarkRun:
-    """Top-level worker for the process-pool path of :func:`run_all`."""
-    name, machine, verify, vectorize = job
-    kwargs = (
-        {"cost_model": machine}
-        if isinstance(machine, CostModel)
-        else {"platform": machine}
-    )
-    return run_benchmark(name, verify=verify, vectorize=vectorize, **kwargs)
-
-
 def _benchmark_failed(job: tuple, cause: str) -> None:
-    """Pool failure hook: name the benchmark whose worker failed."""
+    """Failure hook: name the benchmark that failed."""
     raise BatchWorkerError(f"benchmark {job[0]!r}", cause)
-
-
-def _serial_runtime(
-    manager: PassManager | None,
-    cache_dir: str | None,
-    store_url: str | None,
-) -> "tuple[PassManager, object | None]":
-    """(manager, remote client or None) for a serial suite run.
-
-    A caller-provided manager is used as-is; otherwise the run gets a
-    manager whose cache spills to ``cache_dir`` and — with a
-    ``store_url`` — reads through to / publishes back to a remote
-    store node, exactly like the batch driver's serial path.
-    """
-    if manager is not None:
-        return manager, None
-    cache = (
-        ArtifactCache(disk_dir=cache_dir) if cache_dir else ArtifactCache()
-    )
-    remote = None
-    if store_url and cache_dir:
-        from ..service.core import make_remote_client
-
-        remote = make_remote_client(store_url)
-        cache.remote = remote
-    return PassManager(cache=cache), remote
-
-
-def _close_serial_runtime(remote: "object | None") -> None:
-    if remote is not None:
-        remote.flush(timeout=5.0)
-        remote.close()
-
-
-def run_all(
-    *,
-    platform: Platform | str | None = None,
-    platforms: "list[Platform | str] | None" = None,
-    cost_model: CostModel | None = None,
-    verify: bool = True,
-    jobs: int = 1,
-    manager: PassManager | None = None,
-    names: "list[str] | None" = None,
-    vectorize: bool = True,
-    cache_dir: str | None = None,
-    store_url: str | None = None,
-) -> "dict[str, BenchmarkRun] | SweepResult":
-    """Run the full nine-application evaluation (paper section VI).
-
-    With ``platforms=[...]`` the evaluation becomes a cross-platform
-    sweep and returns a :class:`SweepResult` (see :func:`run_sweep`);
-    otherwise it returns the historical ``{name: BenchmarkRun}`` dict
-    for the single requested ``platform`` (default: the paper's
-    A100/PCIe4 testbed).
-
-    ``jobs > 1`` fans the benchmarks out over the supervised worker
-    pool; ordering (and, for this deterministic workload, every
-    metric) is identical to the serial path.  The serial path shares
-    one pass manager — and thus one artifact cache — across all nine
-    applications.
-    """
-    if platforms is not None:
-        if cost_model is not None or platform is not None:
-            raise ValueError(
-                "platforms=[...] cannot be combined with platform/cost_model"
-            )
-        return run_sweep(
-            platforms,
-            verify=verify,
-            jobs=jobs,
-            manager=manager,
-            names=names,
-            vectorize=vectorize,
-            cache_dir=cache_dir,
-            store_url=store_url,
-        )
-    names = list(names if names is not None else BENCHMARK_ORDER)
-    if jobs <= 1:
-        manager, remote = _serial_runtime(manager, cache_dir, store_url)
-        try:
-            return {
-                name: run_benchmark(
-                    name,
-                    platform=platform,
-                    cost_model=cost_model,
-                    verify=verify,
-                    manager=manager,
-                    vectorize=vectorize,
-                )
-                for name in names
-            }
-        finally:
-            _close_serial_runtime(remote)
-    if manager is not None:
-        raise ValueError(
-            "a shared manager cannot cross worker processes; "
-            "use jobs=1 to share one pass manager"
-        )
-    machine = cost_model if cost_model is not None else resolve_platform(platform)
-    runs = dispatch_map(
-        _benchmark_job,
-        [(name, machine, verify, vectorize) for name in names],
-        jobs=jobs,
-        on_failure=_benchmark_failed,
-        cache_dir=cache_dir,
-        store_url=store_url,
-    )
-    return dict(zip(names, runs))
 
 
 # ======================================================================
@@ -394,16 +273,15 @@ class SweepResult:
 
 
 def _sweep_job(
-    job: tuple[str, tuple[Platform, ...], bool, bool]
+    manager: PassManager, job: tuple[str, tuple[Platform, ...], bool, bool]
 ) -> dict[str, BenchmarkRun]:
-    """Process-pool worker: one benchmark across every platform.
+    """One benchmark across every platform, on ``manager``.
 
-    The worker-local manager means the benchmark is parsed and
-    transformed once, then simulated per platform — the same artifact
-    reuse the serial sweep gets from its shared manager.
+    The benchmark is parsed and transformed once, then simulated per
+    platform: every pass after the first platform answers from the
+    manager's artifact cache.
     """
     name, platforms, verify, vectorize = job
-    manager = PassManager()
     return {
         p.name: run_benchmark(
             name,
@@ -431,10 +309,18 @@ def run_sweep(
 
     The transform is platform-independent, so each benchmark runs
     through the tool exactly once regardless of how many platforms are
-    requested: all platforms share one :class:`PassManager` (per worker
-    when ``jobs > 1``) and every pass after the first platform answers
-    from the artifact cache — observable via
-    ``manager.cache.stats["parse"].misses``.
+    requested: one benchmark's platforms share the pass manager that
+    :func:`~repro.service.core.dispatch_map` hands it, and every pass
+    after the first platform answers from the artifact cache —
+    observable via ``manager.cache.stats["parse"].misses``.
+
+    ``jobs``, ``manager``, ``cache_dir`` and ``store_url`` mean what
+    they mean to :func:`~repro.service.core.dispatch_map`: a serial run
+    uses the caller's manager or one built over ``cache_dir``, and a
+    pooled run uses each worker's runtime manager over the same
+    directory, so both leave the same records behind.  A failing
+    benchmark raises :class:`~repro.service.core.BatchWorkerError`
+    naming it.
     """
     resolved = [resolve_platform(p) for p in platforms]
     if not resolved:
@@ -445,39 +331,16 @@ def run_sweep(
             raise ValueError(f"duplicate platform {p.name!r} in sweep")
         seen.add(p.name)
     names = list(names if names is not None else BENCHMARK_ORDER)
-    sweeps = {p.name: PlatformSweep(platform=p) for p in resolved}
-
-    if jobs <= 1:
-        manager, remote = _serial_runtime(manager, cache_dir, store_url)
-        try:
-            # Benchmark-outer order keeps each source's artifacts hot in
-            # the cache while every platform consumes them.
-            for name in names:
-                for p in resolved:
-                    sweeps[p.name].runs[name] = run_benchmark(
-                        name,
-                        platform=p,
-                        verify=verify,
-                        manager=manager,
-                        vectorize=vectorize,
-                    )
-        finally:
-            _close_serial_runtime(remote)
-        return SweepResult(sweeps=sweeps)
-
-    if manager is not None:
-        raise ValueError(
-            "a shared manager cannot cross worker processes; "
-            "use jobs=1 to share one pass manager"
-        )
     per_bench = dispatch_map(
         _sweep_job,
         [(name, tuple(resolved), verify, vectorize) for name in names],
         jobs=jobs,
+        manager=manager,
         on_failure=_benchmark_failed,
         cache_dir=cache_dir,
         store_url=store_url,
     )
+    sweeps = {p.name: PlatformSweep(platform=p) for p in resolved}
     for name, by_platform in zip(names, per_bench):
         for p in resolved:
             sweeps[p.name].runs[name] = by_platform[p.name]

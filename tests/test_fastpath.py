@@ -1,12 +1,5 @@
-"""PR-10 frontend fast path: profile artifact, fused-analysis identity,
-synthetic corpus, bench-batch gating, and the lazy CLI cold start.
-
-The heavyweight check here is the fused-vs-legacy plan identity sweep:
-every corpus variant (9 benchmarks x unoptimized / tool-transformed /
-expert) is pushed through both analysis paths in one subprocess — the
-node-id counter is reset per run so both paths see identical allocation
-state — and the canonical artifact encodings must match byte for byte.
-"""
+"""Frontend fast path: profile artifact, synthetic corpus, bench-batch
+gating, and the lazy CLI cold start."""
 
 import gc
 import json
@@ -175,132 +168,6 @@ class TestProfileArtifact:
         path.write_text(json.dumps({"schema": "ompdart-suite-perf/1"}))
         with pytest.raises(ValueError):
             load_profile(str(path))
-
-
-# ---------------------------------------------------------------------------
-# Fused single-walk analysis == legacy multi-walk analysis (bit identity)
-# ---------------------------------------------------------------------------
-
-
-_IDENTITY_DRIVER = textwrap.dedent(
-    """
-    import dataclasses, hashlib, io, itertools, json, pickle, sys
-
-    from repro.analysis.effects import InterproceduralAnalysis
-    from repro.cfg import graph as cfg_graph
-    from repro.core.errors import check_input_constraints
-    from repro.diagnostics import ToolError
-    from repro.frontend import ast_nodes
-    from repro.pipeline.manager import PassManager
-    from repro.pipeline.passes import DEFAULT_PASSES
-    from repro.suite.registry import BENCHMARK_ORDER, get_benchmark
-
-
-    # The legacy walkers: a whole-tree constraints scan, then effects
-    # discovering definitions and call depth by walking again.
-    LEGACY_BUILDS = {
-        "constraints": lambda ctx: check_input_constraints(
-            ctx.artifact("parse")
-        ),
-        "effects": lambda ctx: InterproceduralAnalysis(ctx.artifact("parse")),
-    }
-    LEGACY_PASSES = [
-        dataclasses.replace(p, build=LEGACY_BUILDS.get(p.name, p.build))
-        for p in DEFAULT_PASSES
-    ]
-
-
-    class WalkIndexPickler(pickle.Pickler):
-        # Every node of the TU pickles as its pre-order walk index, so
-        # the digest covers the artifact's own content plus exactly
-        # which AST nodes it points at.
-        def __init__(self, file, tu):
-            super().__init__(file, protocol=5)
-            self.index = {id(n): i for i, n in enumerate(tu.preorder())}
-
-        def persistent_id(self, obj):
-            return self.index.get(id(obj))
-
-
-    def sha(artifact, tu):
-        buf = io.BytesIO()
-        WalkIndexPickler(buf, tu).dump(artifact)
-        return hashlib.sha256(buf.getvalue()).hexdigest()
-
-
-    def digest(source, filename, legacy):
-        # Reset BOTH global id counters (AST nodes and CFG nodes) so
-        # the two analysis paths see identical allocation state; both
-        # runs share one process, so set/dict iteration order is
-        # identical too.
-        ast_nodes._node_ids = itertools.count()
-        cfg_graph._cfg_node_ids = itertools.count(1)
-        manager = PassManager(passes=LEGACY_PASSES if legacy else None)
-        try:
-            ctx = manager.run(source, filename)
-        except ToolError as exc:
-            return {"error": str(exc) + "|" + repr(exc.diagnostics)}
-        tu = ctx.artifact("parse")
-        return {
-            "plan": sha(ctx.artifact("plan"), tu),
-            "constraints": sha(ctx.artifact("constraints"), tu),
-            "output": hashlib.sha256(
-                ctx.artifact("rewrite").encode()
-            ).hexdigest(),
-        }
-
-
-    def transformed_source(source, filename):
-        ast_nodes._node_ids = itertools.count()
-        cfg_graph._cfg_node_ids = itertools.count(1)
-        return PassManager(cache=None).run(source, filename).artifact(
-            "rewrite"
-        )
-
-
-    results = {}
-    for name in BENCHMARK_ORDER:
-        bench = get_benchmark(name)
-        unopt = bench.unoptimized_source()
-        variants = {
-            "unoptimized": unopt,
-            "transformed": transformed_source(unopt, name + ".c"),
-            "expert": bench.expert_source(),
-        }
-        for variant, source in variants.items():
-            key = f"{name}/{variant}"
-            results[key] = {
-                "fused": digest(source, key + ".c", False),
-                "legacy": digest(source, key + ".c", True),
-            }
-    json.dump(results, open(sys.argv[1], "w"))
-    """
-)
-
-
-def test_fused_analysis_is_bit_identical_to_legacy(tmp_path):
-    """All 27 corpus variants: fused plans == legacy plans, byte for
-    byte (or identical diagnostics where the variant is rejected)."""
-    out_path = str(tmp_path / "identity.json")
-    proc = subprocess.run(
-        [sys.executable, "-c", _IDENTITY_DRIVER, out_path],
-        env=_subprocess_env(),
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    results = json.load(open(out_path))
-    assert len(results) == 27
-    mismatches = {
-        key: pair for key, pair in results.items()
-        if pair["fused"] != pair["legacy"]
-    }
-    assert not mismatches, mismatches
-    # The sweep must exercise both outcomes: plannable variants and
-    # constraint-rejected ones (experts carry data-mapping directives).
-    assert any("plan" in pair["fused"] for pair in results.values())
-    assert any("error" in pair["fused"] for pair in results.values())
 
 
 # ---------------------------------------------------------------------------

@@ -554,10 +554,10 @@ _WORKER_IMPORT_PROBE = textwrap.dedent(
 
     HEAVY = ("http.client", "repro.pipeline.remote")
 
-    def loaded(_):
+    def loaded(manager, _):
         return [name for name in HEAVY if name in sys.modules]
 
-    assert not loaded(None), loaded(None)
+    assert not loaded(None, None), loaded(None, None)
     print(sorted({n for seen in dispatch_map(loaded, range(8), jobs=2)
                   for n in seen}))
     """

@@ -244,6 +244,16 @@ class TestBatchDriver:
         assert not bad.ok
         assert "constraint" in (bad.error or "")
 
+    def test_manager_is_rejected_with_pool_or_cache_dir(self, tmp_path):
+        # Checked before dedup can leave one input to run in-process.
+        items = [(SRC, "a.c"), (SRC, "b.c")]
+        with pytest.raises(ValueError, match="worker processes"):
+            transform_batch(items, jobs=2, manager=PassManager())
+        with pytest.raises(ValueError, match="own cache"):
+            transform_batch(
+                items, manager=PassManager(), cache_dir=str(tmp_path)
+            )
+
     def test_disk_cache_dir(self, tmp_path):
         items = [_variant(i) for i in range(2)]
         transform_batch(items, jobs=1, cache_dir=str(tmp_path))
@@ -254,17 +264,13 @@ class TestBatchDriver:
 
 class TestRunAllBatch:
     def test_parallel_benchmarks_match_serial(self):
-        from repro.suite.runner import _benchmark_job, run_benchmark
-        from repro.service.core import dispatch_map
-        from repro.runtime.costmodel import A100_PCIE4
+        from repro.runtime.platform import DEFAULT_PLATFORM
+        from repro.suite.runner import run_benchmark, run_sweep
 
         names = ["accuracy", "nw"]
         serial = [run_benchmark(n) for n in names]
-        parallel = dispatch_map(
-            _benchmark_job,
-            [(n, A100_PCIE4, True, True) for n in names],
-            jobs=2,
-        )
+        sweep = run_sweep([DEFAULT_PLATFORM], names=names, jobs=2)
+        parallel = list(sweep[DEFAULT_PLATFORM].runs.values())
         for s, p in zip(serial, parallel):
             assert s.benchmark.name == p.benchmark.name
             assert s.unoptimized.stats == p.unoptimized.stats

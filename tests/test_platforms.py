@@ -33,7 +33,6 @@ from repro.runtime.platform import (
     resolve_platform,
 )
 from repro.suite import geometric_mean, run_benchmark, run_sweep
-from repro.suite.runner import run_all
 
 DISCRETE = [p.name for p in PLATFORMS.values() if not p.unified_memory]
 UNIFIED = [p.name for p in PLATFORMS.values() if p.unified_memory]
@@ -184,24 +183,30 @@ class TestSweep:
                 assert a.ompdart.stats == b.ompdart.stats
                 assert a.unoptimized.stats == b.unoptimized.stats
 
+    def test_pooled_sweep_uses_its_cache_dir(self, tmp_path):
+        # Each worker's manager spills to the cache dir, so a pooled run
+        # leaves the records a serial run does, and a second pooled run
+        # reads every pass back.
+        names = ["ace", "nw"]
+        serial_dir, pooled_dir = tmp_path / "serial", tmp_path / "pooled"
+        run_sweep([DEFAULT_PLATFORM], names=names, cache_dir=str(serial_dir))
+        run_sweep(
+            [DEFAULT_PLATFORM], names=names, jobs=2, cache_dir=str(pooled_dir)
+        )
+        records = sorted(p.name for p in pooled_dir.glob("*.art"))
+        assert records
+        assert records == sorted(p.name for p in serial_dir.glob("*.art"))
+        again = run_sweep(
+            [DEFAULT_PLATFORM], names=names, jobs=2, cache_dir=str(pooled_dir)
+        )
+        for run in again[DEFAULT_PLATFORM].runs.values():
+            assert set(run.transform.cache_events.values()) == {"hit"}
+
     def test_sweep_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError):
             run_sweep([])
         with pytest.raises(ValueError):
             run_sweep([DEFAULT_PLATFORM, DEFAULT_PLATFORM])
-
-    def test_run_all_platforms_returns_sweep(self):
-        result = run_all(platforms=[DEFAULT_PLATFORM], names=["bfs"])
-        assert result[DEFAULT_PLATFORM].runs["bfs"].outputs_match
-
-    def test_run_all_single_platform_keeps_dict_shape(self):
-        result = run_all(names=["bfs"])
-        assert set(result) == {"bfs"}
-        assert result["bfs"].ompdart.stats == run_of("bfs").ompdart.stats
-
-    def test_run_all_rejects_platforms_with_platform(self):
-        with pytest.raises(ValueError):
-            run_all(platforms=[DEFAULT_PLATFORM], platform="h100-sxm5")
 
 
 class TestGeometricMean:
@@ -218,7 +223,7 @@ class TestGeometricMean:
             geometric_mean([1.0, bad, 2.0])
 
 
-def _explode(item):
+def _explode(manager, item):
     if item == "bad":
         raise RuntimeError("kaboom")
     return item.upper()
@@ -437,7 +442,7 @@ class TestCLI:
         import repro.suite.runner as runner_mod
         from repro.cli import main
 
-        def explode(job):
+        def explode(manager, job):
             raise RuntimeError("worker blew up")
 
         monkeypatch.setattr(runner_mod, "_sweep_job", explode)

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.service.core import PingJobSpec, execute_job, spec_from_dict
+from repro.service.server import STREAM_THRESHOLD
 from repro.service.loadgen import (
     LOAD_SCHEMA,
     LoadClient,
@@ -376,13 +377,16 @@ class TestEviction:
 class TestStreamingAndMemoization:
     def test_streamed_and_buffered_bodies_are_byte_identical(self):
         async def run():
-            server = _server(stream_threshold=1000)
+            server = _server()
             host, port = await server.start()
             client = LoadClient(host, port)
             try:
                 response = await client.request(
                     "POST", "/run",
-                    {"kind": "ping", "token": "big", "payload_bytes": 50000},
+                    {
+                        "kind": "ping", "token": "big",
+                        "payload_bytes": STREAM_THRESHOLD,
+                    },
                 )
                 assert response.status == 200
                 assert (

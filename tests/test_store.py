@@ -8,7 +8,6 @@ import textwrap
 from pathlib import Path
 
 from repro.pipeline.artifacts import record_filename
-from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.store import gc_spills, spill_stats
 
 BENCH_SRC = """
@@ -185,25 +184,3 @@ class TestSpillGC:
         assert census["records"] == 2
         assert census["quarantined"] == 1
 
-
-class TestCacheGC:
-    def test_put_triggers_opportunistic_gc_once_bounded(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path, max_disk_bytes=1)
-        for i in range(3):
-            cache.put("parse", f"g{i}", list(range(50)))
-            cache.commit(f"g{i}")
-        # Below the sweep cadence nothing has run yet...
-        assert cache.evicted_spills == 0
-        cache._puts_since_gc = 31  # fast-forward to the cadence edge
-        cache.put("parse", "trigger", list(range(50)))
-        cache.commit("trigger")
-        assert cache.evicted_spills > 0
-        assert cache.evicted_spill_bytes > 0
-
-    def test_unbounded_cache_never_sweeps(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache._puts_since_gc = 31
-        cache.put("parse", "k", [1, 2, 3])
-        cache.commit("k")
-        assert cache.evicted_spills == 0
-        assert len(list(tmp_path.glob("*.art"))) == 1

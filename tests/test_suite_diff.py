@@ -12,12 +12,12 @@ from repro.pipeline.artifacts import record_filename
 from repro.pipeline.cache import MISS, ArtifactCache
 from repro.report.diff import diff_payloads, render_diff
 from repro.report.perf import sweep_to_dict
-from repro.suite.runner import run_all, run_benchmark
+from repro.suite.runner import run_benchmark, run_sweep
 
 
 @pytest.fixture(scope="module")
 def baseline_payload():
-    sweep = run_all(platforms=["a100-pcie4"], names=["accuracy", "xsbench"])
+    sweep = run_sweep(["a100-pcie4"], names=["accuracy", "xsbench"])
     return sweep_to_dict(sweep)
 
 
@@ -251,10 +251,14 @@ class TestVariantPool:
             )
 
     def test_no_vectorize_threads_through_run_all(self):
-        runs = run_all(names=["xsbench"], vectorize=False)
-        assert runs["xsbench"].ompdart.vectorized_launches == 0
-        runs = run_all(names=["xsbench"], vectorize=True)
-        assert runs["xsbench"].ompdart.vectorized_launches > 0
+        for vectorize, jobs in ((False, 1), (True, 1), (False, 2)):
+            sweep = run_sweep(
+                ["a100-pcie4"], names=["xsbench", "bfs"],
+                vectorize=vectorize, jobs=jobs,
+            )
+            for run in sweep["a100-pcie4"].runs.values():
+                launches = run.ompdart.vectorized_launches
+                assert (launches > 0) == vectorize, (vectorize, jobs)
 
 
 # ---------------------------------------------------------------------------
