@@ -61,9 +61,6 @@ class ASTCFG:
         kernels.sort(key=lambda k: k.begin_offset)
         return kernels  # type: ignore[return-value]
 
-    def has_offload_kernels(self) -> bool:
-        return any(n.offloaded for n in self.cfg.nodes)
-
     def data_management_directives(self) -> list[A.OMPExecutableDirective]:
         """``target (enter/exit) data`` / ``target update`` in the input.
 

@@ -792,21 +792,11 @@ def _run_suite(args: argparse.Namespace) -> int:
 
     from .pipeline.batch import BatchWorkerError
 
-    manager = None
-    if args.jobs == 1 and not args.cache_dir:
-        # Keep a handle on the shared manager so the JSON artifact can
-        # record the run's per-pass artifact-store traffic.  With a
-        # --cache-dir the runner builds its own disk-backed (and
-        # optionally remote-tiered) runtime instead.
-        from .pipeline.manager import PassManager
-
-        manager = PassManager()
     try:
         sweep = run_sweep(
             platforms,
             verify=not args.no_verify,
             jobs=args.jobs,
-            manager=manager,
             names=names,
             vectorize=not args.no_vectorize,
             cache_dir=args.cache_dir,
@@ -857,13 +847,7 @@ def _run_suite(args: argparse.Namespace) -> int:
     if args.json_path:
         from .report.perf import sweep_to_dict
 
-        write_artifact(
-            sweep_to_dict(
-                sweep,
-                store_stats=manager.cache.stats if manager is not None else None,
-            ),
-            args.json_path,
-        )
+        write_artifact(sweep_to_dict(sweep), args.json_path)
     if args.profile_path:
         from .report.profile import aggregate_profile
 
@@ -1055,11 +1039,6 @@ def _declare_serve(parser: argparse.ArgumentParser) -> None:
         "degrades to local tiers; see /healthz)",
     )
     parser.add_argument(
-        "--threads",
-        action="store_true",
-        help="execute jobs on in-process threads instead of processes",
-    )
-    parser.add_argument(
         "--peer",
         action="append",
         default=None,
@@ -1082,9 +1061,8 @@ def _declare_serve(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
         help=(
-            "per-job timeout: on process workers the job is hard-"
-            "cancelled (SIGINT, then SIGKILL after --cancel-grace); "
-            "on --threads it fails softly (default: none)"
+            "per-job timeout, past which the job is hard-cancelled: "
+            "SIGINT, then SIGKILL after --cancel-grace (default: none)"
         ),
     )
     parser.add_argument(
@@ -1195,7 +1173,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             max_concurrency=args.max_jobs,
             cache_dir=args.cache_dir,
-            use_processes=not args.threads,
             max_queue=args.max_queue,
             job_timeout=args.job_timeout,
             max_finished=args.max_finished,
@@ -1225,7 +1202,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             return 2
         print(
             f"ompdart serve: listening on http://{host}:{port} "
-            f"({scheduler.executor_kind} workers, "
+            f"({args.workers} worker(s), "
             f"max {args.max_jobs} concurrent job(s)"
             + (f", store at {args.cache_dir}" if args.cache_dir else "")
             + (f", remote store {args.store_url}" if args.store_url else "")

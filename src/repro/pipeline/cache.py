@@ -284,7 +284,7 @@ class ArtifactCache:
                 # Land the payload locally before decoding: future
                 # lookups stay local, and a corrupt payload rides the
                 # same quarantine path as a torn local spill.
-                self._write_spill(src, raw)
+                write_spill(src, raw)
         if raw is None:
             return {}, 0, ORIGIN_MEMORY
         try:
@@ -319,26 +319,33 @@ class ArtifactCache:
             raw = encode_record(artifacts)
         except Exception:  # noqa: BLE001 - unspillable records stay in memory
             return 0
-        if not self._write_spill(path, raw):
+        if not write_spill(path, raw):
             return 0
         hook = spill_fault_hook
         if hook is not None:
             hook(path)
         return len(raw)
 
-    def _write_spill(self, path: Path, raw: bytes) -> bool:
-        """Atomically land spill bytes at ``path`` (tmp + rename)."""
-        # Unique tmp name per writer: concurrent batch workers missing on
-        # the same key must not truncate each other's half-written spill.
-        tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(raw)
-            tmp.replace(path)
-            return True
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            return False
+
+def write_spill(path: Path, raw: bytes) -> bool:
+    """Atomically land spill bytes at ``path`` (tmp + rename).
+
+    The one spill writer: the cache's spills, the remote payloads it
+    lands, and the store node's ``PUT /artifacts``.  The tmp name is
+    unique per writer (``{key}.{pid}-{tid}.tmp``), so concurrent
+    writers missing on the same key never truncate each other's
+    half-written spill, and :func:`repro.pipeline.store.sweep_dead_tmp`
+    finds a dead writer's leftovers by its pid.
+    """
+    tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(raw)
+        tmp.replace(path)
+        return True
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        return False
 
 
 #: Public miss sentinel (also importable for tests).

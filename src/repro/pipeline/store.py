@@ -50,9 +50,9 @@ def _pid_alive(pid: int) -> bool:
 def _tmp_writer_pid(name: str) -> int | None:
     """Writer pid embedded in a cache spill tmp filename.
 
-    The cache writes ``{skey}.{pid}-{tid}.tmp`` and atomically
-    renames on completion, so any ``.tmp`` left by a dead pid is a
-    half-written orphan.
+    :func:`repro.pipeline.cache.write_spill` writes
+    ``{skey}.{pid}-{tid}.tmp`` and atomically renames on completion, so
+    any ``.tmp`` left by a dead pid is a half-written orphan.
     """
     parts = name.rsplit(".", 2)
     if len(parts) != 3 or parts[2] != "tmp":

@@ -22,10 +22,10 @@ __all__ = ["SCHEMA", "run_to_dict", "sweep_to_dict"]
 
 #: Artifact schema identifier; bump on incompatible layout changes.
 #: /2 adds the vectorizer-coverage fields (``vector_strategy``,
-#: ``fallback_reason``, ``strategy_launches``) per variant; /3 adds
-#: the optional top-level ``artifact_store`` block (per-pass cache
-#: traffic of the run that produced the artifact).  Readers accept any
-#: ``ompdart-suite-perf/`` prefix.
+#: ``fallback_reason``, ``strategy_launches``) per variant; /3 added
+#: an optional top-level ``artifact_store`` block, which is no longer
+#: written (each benchmark's ``tool.cache_events`` records its cache
+#: traffic).  Readers accept any ``ompdart-suite-perf/`` prefix.
 SCHEMA = "ompdart-suite-perf/4"
 
 
@@ -112,32 +112,8 @@ def run_to_dict(run: BenchmarkRun) -> dict[str, Any]:
     return _run_dict(run)
 
 
-def _store_dict(cache_stats: Any) -> dict[str, Any]:
-    """The optional ``artifact_store`` block: per-pass cache hits.
-
-    ``cache_stats`` is an ``{pass: CacheStats}`` mapping from the run's
-    in-process cache.  Observability only — the suite-diff comparator
-    ignores the block.
-    """
-    block: dict[str, Any] = {}
-    if cache_stats:
-        block["cache"] = {
-            name: {"hits": s.hits, "misses": s.misses}
-            for name, s in sorted(cache_stats.items())
-        }
-    return block
-
-
-def sweep_to_dict(
-    sweep: SweepResult,
-    *,
-    store_stats: Any = None,
-) -> dict[str, Any]:
-    """Serialize a sweep into the JSON-safe artifact layout.
-
-    ``store_stats`` (an ``{pass: CacheStats}`` mapping) attaches the
-    producing run's artifact-store traffic to the artifact.
-    """
+def sweep_to_dict(sweep: SweepResult) -> dict[str, Any]:
+    """Serialize a sweep into the JSON-safe artifact layout."""
     results: dict[str, Any] = {}
     for platform_sweep in sweep:
         results[platform_sweep.platform.name] = {
@@ -149,14 +125,10 @@ def sweep_to_dict(
                 k: _finite(v) for k, v in platform_sweep.geomeans().items()
             },
         }
-    payload = {
+    return {
         "schema": SCHEMA,
         "tool_version": __version__,
         "platforms": [_platform_dict(p) for p in sweep.platforms],
         "benchmark_order": sweep.benchmark_names,
         "results": results,
     }
-    store_block = _store_dict(store_stats)
-    if store_block:
-        payload["artifact_store"] = store_block
-    return payload

@@ -3,11 +3,12 @@
 The pipeline's execution surface is split in five:
 
 * :mod:`repro.service.core` — the worker runtime shared by every
-  concurrent driver: per-process pass managers bound to a cache
-  directory (and optionally a remote store node), typed job specs
-  keyed by content hash, and :func:`~repro.service.core.dispatch_map`,
-  the ordered ``fn(manager, item)`` map that every batch and suite run,
-  serial or pooled, goes through.
+  concurrent driver: one pass manager per worker process, bound to
+  its pool's cache directory (and optionally a remote store node),
+  typed job specs keyed by content hash, and
+  :func:`~repro.service.core.dispatch_map`, the ordered
+  ``fn(manager, item)`` map that every batch and suite run, serial or
+  pooled, goes through.
 * :mod:`repro.service.supervisor` — the one process pool, behind
   serve, ``batch -j`` and ``suite -j`` alike: worker crash detection
   and respawn under a restart budget, in-flight job retry with
@@ -17,8 +18,9 @@ The pipeline's execution surface is split in five:
   injection (worker kills, spill corruption, wedged workers) threaded
   through worker init; drives the ``ompdart chaos`` harness.
 * :mod:`repro.service.scheduler` — the asyncio front: submit/await
-  jobs with bounded concurrency; duplicate submissions (same content
-  hash) coalesce onto one running job.
+  jobs with bounded concurrency on a supervised pool of its own;
+  duplicate submissions (same content hash) coalesce onto one running
+  job.
 * :mod:`repro.service.server` — a small HTTP/1.1 facade over the
   scheduler (``POST /jobs``, ``GET /jobs/<key>``, ``DELETE
   /jobs/<key>``, ``POST /run``, ``GET /stats``).

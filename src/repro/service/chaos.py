@@ -17,11 +17,12 @@ cancellation probe: a deliberately slow job is started and
 kill-grace window.
 
 The gate fails on any divergence, on any job that did not finish
-``done``, when the supervised runtime is unavailable (faults cannot
-be injected into threads), when a kill plan injected no faults (the
-wiring is broken, not the luck), or when the cancel probe overran its
-grace.  Results serialize as an ``ompdart-chaos/1`` JSON artifact so
-the CI ``chaos-smoke`` job can archive the evidence.
+``done``, when a kill plan injected no faults (the wiring is broken,
+not the luck), or when the cancel probe overran its grace.  A host
+that cannot start worker processes fails the run itself: the
+scheduler has no other runtime.  Results serialize as an
+``ompdart-chaos/1`` JSON artifact so the CI ``chaos-smoke`` job can
+archive the evidence.
 
 Faults are decided by :mod:`repro.service.faults` — a pure function
 of ``(seed, fault kind, job key)`` — so a given seed kills the same
@@ -277,9 +278,7 @@ async def _run_variant(
     if config.store:
         store_cache = tempfile.mkdtemp(prefix="ompdart-chaos-store-")
         store_server = JobServer(
-            JobScheduler(
-                workers=1, cache_dir=store_cache, use_processes=False
-            ),
+            JobScheduler(workers=1, cache_dir=store_cache),
             host=config.host,
             port=0,
         )
@@ -288,7 +287,6 @@ async def _run_variant(
     scheduler = JobScheduler(
         workers=config.workers,
         cache_dir=cache_dir,
-        use_processes=True,
         job_timeout=None,
         job_retries=config.job_retries,
         max_worker_restarts=config.max_worker_restarts,
@@ -298,7 +296,6 @@ async def _run_variant(
     )
     server = JobServer(scheduler, host=config.host, port=0)
     out: dict[str, Any] = {
-        "executor": scheduler.executor_kind,
         "faulted": fault_plan is not None and bool(fault_plan.rules),
     }
     if config.store:
@@ -458,7 +455,7 @@ async def run_chaos(config: ChaosConfig) -> dict[str, Any]:
     for name, variant in (("chaos", faulted), ("reference", reference)):
         payload[name] = {
             k: variant.get(k)
-            for k in ("executor", "wall_s", "states", "supervisor",
+            for k in ("wall_s", "states", "supervisor",
                       "scheduler", "server_survived", "server_error",
                       "cancel_probe", "remote", "degraded_reasons",
                       "store_node")
@@ -480,12 +477,6 @@ def gate_chaos(payload: dict[str, Any]) -> list[str]:
             f"run (first: {first.get('label')} {first.get('kind')})"
         )
     for name, variant in (("chaos", chaos), ("reference", reference)):
-        if variant.get("executor") != "supervised":
-            problems.append(
-                f"{name}: supervised runtime unavailable "
-                f"(got {variant.get('executor')!r}); faults cannot be "
-                "injected into the thread fallback"
-            )
         if not variant.get("server_survived", False):
             problems.append(
                 f"{name}: server did not survive the run "
@@ -576,8 +567,7 @@ def render_chaos(payload: dict[str, Any]) -> str:
         variant = payload.get(name, {})
         supervisor = variant.get("supervisor", {})
         lines.append(
-            f"  {name:<9s} {variant.get('executor', '?'):<10s} "
-            f"wall {variant.get('wall_s', 0.0):6.1f}s  "
+            f"  {name:<9s} wall {variant.get('wall_s', 0.0):6.1f}s  "
             f"states {variant.get('states', {})}  "
             f"crashes {supervisor.get('crashes', 0)}  "
             f"retries {supervisor.get('retries', 0)}  "

@@ -1,17 +1,18 @@
 """Shared worker runtime + typed job specs for every concurrent driver.
 
-One process-global :class:`~repro.pipeline.manager.PassManager` per
-``(cache_dir)`` serves every job a worker process executes; sibling
-workers share artifacts through that cache directory's spills (and,
-with a store URL, through a remote store node).  Batch and suite runs,
-serial or ``-j N``, dispatch through :func:`dispatch_map`, which hands
-each item function the pass manager it runs on: the caller's, one
-:func:`build_manager` makes over the cache directory, or a pool
-worker's runtime manager, built by the same function.  Pooled items
-travel as chunk jobs to a
+Each worker process holds one
+:class:`~repro.pipeline.manager.PassManager`, built by
+:func:`worker_init` over its pool's cache directory, and runs every
+job it is sent on it; sibling workers share artifacts through that
+directory's spills (and, with a store URL, through a remote store
+node).  Batch and suite runs, serial or ``-j N``, dispatch through
+:func:`dispatch_map`, which hands each item function the pass manager
+it runs on: the caller's, one :func:`build_manager` makes over the
+cache directory, or a pool worker's runtime manager, built by the same
+function.  Pooled items travel as chunk jobs to a
 :class:`~repro.service.supervisor.SupervisedPool`; the asyncio
-scheduler submits its specs to the same pool.  Every process worker
-runs one loop into :func:`execute_job`, so a transform is
+scheduler submits its specs to a pool of its own.  Every process
+worker runs one loop into :func:`execute_job`, so a transform is
 bit-identical no matter which front submitted it.
 
 Job specs are frozen, picklable and content-addressed:
@@ -148,15 +149,10 @@ def transform_one(
 # Worker-process runtime
 # ===========================================================================
 
-#: Per-process manager, keyed by cache directory (None = memory only).
-_WORKER_MANAGERS: dict[str | None, PassManager] = {}
-
-#: This worker's remote store client (if a --store-url was configured).
-_WORKER_REMOTE: "Any | None" = None
-
-#: The cache directory recorded by the pool initializer, so job entry
-#: points find the runtime they were spawned with.
-_WORKER_CACHE_DIR: str | None = None
+#: This process's runtime manager: built by :func:`worker_init` in a
+#: pool worker, or memory-only on first use in a process no pool
+#: started (a test calling :func:`execute_job` directly).
+_WORKER_MANAGER: PassManager | None = None
 
 
 def build_manager(cache_dir: str | None, remote: "Any | None") -> PassManager:
@@ -169,15 +165,6 @@ def build_manager(cache_dir: str | None, remote: "Any | None") -> PassManager:
     cache = ArtifactCache(disk_dir=cache_dir or None)
     cache.remote = remote
     return PassManager(cache=cache)
-
-
-def worker_manager(cache_dir: str | None) -> PassManager:
-    """This process's shared pass manager for ``cache_dir``."""
-    manager = _WORKER_MANAGERS.get(cache_dir)
-    if manager is None:
-        manager = build_manager(cache_dir, _WORKER_REMOTE)
-        _WORKER_MANAGERS[cache_dir] = manager
-    return manager
 
 
 def make_remote_client(
@@ -209,30 +196,26 @@ def worker_init(
     store_url: str | None = None,
     remote_counters: "Any | None" = None,
 ) -> None:
-    """Pool initializer: build the manager over ``cache_dir`` eagerly.
+    """Pool initializer: build this worker's manager over ``cache_dir``.
 
-    Each worker's memory tier starts empty; an input's first lookup
+    Always a fresh manager, never the one a forked worker inherits from
+    its parent.  Its memory tier starts empty; an input's first lookup
     reads its record from ``cache_dir``.  With a ``store_url``, records
     that miss locally read through to the remote store node and spills
     publish back write-behind — the cross-machine tier — counting into
     the pool's ``remote_counters``.
     """
-    global _WORKER_REMOTE, _WORKER_CACHE_DIR
-    _WORKER_CACHE_DIR = cache_dir
-    if _WORKER_REMOTE is not None:
-        _WORKER_REMOTE.close()
-    _WORKER_REMOTE = make_remote_client(store_url, remote_counters)
-    manager = worker_manager(cache_dir)
-    # The manager may predate this run (thread runtime reusing the
-    # process, or a second scheduler binding the same cache_dir):
-    # rebind it to *this* run's remote client.
-    manager.cache.remote = _WORKER_REMOTE
+    global _WORKER_MANAGER
+    _WORKER_MANAGER = build_manager(
+        cache_dir, make_remote_client(store_url, remote_counters)
+    )
 
 
 def flush_worker_remote(timeout: float) -> None:
     """Let this worker's write-behind publishes land before it exits."""
-    if _WORKER_REMOTE is not None:
-        _WORKER_REMOTE.flush(timeout=timeout)
+    remote = _WORKER_MANAGER.cache.remote if _WORKER_MANAGER else None
+    if remote is not None:
+        remote.flush(timeout=timeout)
 
 
 def dispatch_map(
@@ -569,6 +552,7 @@ def execute_job(spec: JobSpec) -> Any:
     returns ``(ok, result or cause)`` per item, so an item that raises
     is reported as itself, not as its chunk.
     """
+    global _WORKER_MANAGER
     if isinstance(spec, PingJobSpec):
         # No pipeline, no manager: the answer is the round trip.
         if spec.sleep_s > 0:
@@ -578,7 +562,9 @@ def execute_job(spec: JobSpec) -> Any:
             "token": spec.token,
             "payload": "x" * max(0, spec.payload_bytes),
         }
-    manager = worker_manager(_WORKER_CACHE_DIR)
+    if _WORKER_MANAGER is None:
+        _WORKER_MANAGER = build_manager(None, None)
+    manager = _WORKER_MANAGER
     if isinstance(spec, ChunkJobSpec):
         return [_apply(spec.fn, manager, item) for item in spec.items]
     if isinstance(spec, TransformJobSpec):
@@ -612,11 +598,6 @@ def execute_job(spec: JobSpec) -> Any:
             manager=manager,
             vectorize=spec.vectorize,
         )
-        # No artifact_store block here: the worker runtime is long-lived
-        # and its cumulative cache counters would make the same
-        # content-addressed spec return different payloads depending on
-        # how warm the server is.  The CLI's one-shot suite run (fresh
-        # manager per invocation) does attach its stats.
         return sweep_to_dict(sweep)
     raise TypeError(f"unknown job spec {type(spec).__name__}")
 

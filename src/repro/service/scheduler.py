@@ -14,12 +14,12 @@ runtime.  Two properties matter:
   executes against the same spill directory, so even *distinct* jobs
   share parse/analysis artifacts for identical inputs.
 
-Execution is supervised: process workers run under
+Every job runs in a worker process of the scheduler's own
 :class:`~repro.service.supervisor.SupervisedPool` (crash detection,
-respawn, retry with backoff, hard cancellation) when the host allows
-forking, otherwise an in-process thread executor over the same entry
-points — results are identical either way, because the workload is
-deterministic.
+respawn, retry with backoff, hard cancellation), the pool ``batch -j``
+and ``suite -j`` use too.  A host that cannot start the pool fails
+:class:`JobScheduler` construction, and two schedulers in one process
+never share a worker runtime.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..pipeline.remote import RemoteCounters
-from .core import JobSpec, execute_job, spec_to_dict, worker_init
+from .core import JobSpec, spec_to_dict
 from .metrics import MetricsRegistry
 from .supervisor import (
     JobCancelled,
@@ -59,6 +58,9 @@ CANCELLED = "cancelled"
 #: Terminal states: the job will never transition again, its envelope
 #: is immutable, and retention/eviction applies.
 SETTLED = (DONE, FAILED, CANCELLED)
+
+#: 429 Retry-After estimate (seconds) before any job has finished.
+RETRY_AFTER_DEFAULT = 2
 
 #: Most recent evicted job keys remembered for 410 Gone answers; older
 #: evictions fall back to 404 (the set itself must not grow forever).
@@ -109,11 +111,11 @@ class Job:
     _env_state: str | None = None
     _env_head: bytes = b""
     _env_tail: bytes = b""
-    #: The supervised pool's handle for this job (None on the thread
-    #: runtime, or before dispatch) — carries the hard-cancel hook.
+    #: The pool's handle for this job (None before dispatch) — carries
+    #: the hard-cancel hook.
     pool_job: Any = None
-    #: The asyncio task driving ``_run`` — cancellation target for
-    #: queued jobs and the thread runtime's soft cancel.
+    #: The asyncio task driving ``_run`` — cancellation target for a
+    #: job still queued at the concurrency semaphore.
     task: Any = None
 
     def spec_dict(self) -> dict[str, Any]:
@@ -160,7 +162,7 @@ class Job:
 
 
 class JobScheduler:
-    """Bounded-concurrency scheduler over the shared worker runtime."""
+    """Bounded-concurrency scheduler over a supervised worker pool."""
 
     def __init__(
         self,
@@ -168,7 +170,6 @@ class JobScheduler:
         workers: int = 2,
         max_concurrency: int = 8,
         cache_dir: str | None = None,
-        use_processes: bool = True,
         max_queue: int = 64,
         job_timeout: float | None = None,
         max_finished: int = 256,
@@ -178,42 +179,25 @@ class JobScheduler:
         retry_backoff: float = 0.05,
         max_worker_restarts: int = 16,
         cancel_grace: float = 2.0,
-        retry_after_default: int = 2,
         retry_after_max: int = 60,
         fault_plan: Any = None,
         store_url: str | None = None,
     ):
         self.cache_dir = cache_dir
-        #: Remote store node base URL; workers read through / publish
-        #: write-behind against its ``/artifacts`` routes.
-        self.store_url = store_url
         self.max_concurrency = max(1, max_concurrency)
         #: Admission bound: queued+running jobs a new submission may
         #: not push past (coalescing submissions are always admitted).
         self.max_queue = max(1, max_queue)
-        #: Per-job timeout (seconds).  On the supervised runtime this
-        #: escalates to a *hard* cancel — SIGINT, then SIGKILL after
-        #: ``cancel_grace`` — and the job lands in ``cancelled``.  On
-        #: the thread runtime it stays soft: the job FAILs and its
-        #: awaiters are released, but the computation cannot be killed.
+        #: Per-job timeout (seconds).  It escalates to a *hard* cancel —
+        #: SIGINT, then SIGKILL after ``cancel_grace`` — and the job
+        #: lands in ``cancelled``.
         self.job_timeout = job_timeout
-        #: Times a job may crash its worker before being quarantined
-        #: as poison (1 retry = a second chance, then quarantine).
-        self.job_retries = max(0, job_retries)
-        #: Base of the crash-retry exponential backoff (seconds).
-        self.retry_backoff = max(0.0, retry_backoff)
-        #: Worker respawns allowed over the pool's lifetime; when spent
-        #: and the last worker dies, submissions fail fast (503).
-        self.max_worker_restarts = max(0, max_worker_restarts)
         #: Seconds between cancel SIGINT and the SIGKILL escalation.
         self.cancel_grace = max(0.0, cancel_grace)
-        #: 429 Retry-After fallback before any job has finished, and
-        #: the ceiling the estimate is clamped to (long suite jobs
-        #: would otherwise tell clients to go away for minutes).
-        self.retry_after_default = max(1, retry_after_default)
+        #: Ceiling the 429 Retry-After estimate is clamped to (long
+        #: suite jobs would otherwise tell clients to go away for
+        #: minutes).
         self.retry_after_max = max(1, retry_after_max)
-        #: Fault-injection plan forwarded to worker processes.
-        self.fault_plan = fault_plan
         #: Finished-job retention: at most ``max_finished`` DONE/FAILED
         #: jobs kept (LRU by finish time), each for at most
         #: ``finished_ttl`` seconds.  Evicted keys answer 410 Gone.
@@ -240,47 +224,32 @@ class JobScheduler:
         self._wait_samples = 0
         self._run_seconds = 0.0
         self._run_samples = 0
-        self.metrics: MetricsRegistry | None = None
-        self._job_latency = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
         #: Pool-wide remote-tier counters every worker's client adds to.
         self._remote_counters: RemoteCounters | None = (
             RemoteCounters() if store_url else None
         )
-        self._executor = self._make_executor(max(1, workers), use_processes)
-        self._closed = False
-
-    def _make_executor(self, workers: int, use_processes: bool):
-        if use_processes:
-            try:
-                # Every worker spawns (and readiness-checks) now,
-                # before the HTTP front opens any sockets: a worker
-                # forked mid-request would inherit live connection fds
-                # and keep them open after the parent's close (clients
-                # never see EOF).  The supervisor then owns respawns.
-                pool = SupervisedPool(
-                    workers,
-                    cache_dir=self.cache_dir,
-                    job_retries=self.job_retries,
-                    retry_backoff=self.retry_backoff,
-                    max_restarts=self.max_worker_restarts,
-                    cancel_grace=self.cancel_grace,
-                    fault_plan=self.fault_plan,
-                    store_url=self.store_url,
-                    remote_counters=self._remote_counters,
-                )
-                self.executor_kind = "supervised"
-                return pool
-            except Exception:  # noqa: BLE001 - sandboxes block process
-                pass  # creation in assorted ways: fall through to threads
-        # The thread runtime executes the very same entry points, so
-        # initialize this process as a worker too.
-        worker_init(self.cache_dir, self.store_url, self._remote_counters)
-        self.executor_kind = "thread"
-        return ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="ompdart-job"
+        # Every worker spawns (and readiness-checks) now, before the
+        # HTTP front opens any sockets: a worker forked mid-request
+        # would inherit live connection fds and keep them open after
+        # the parent's close (clients never see EOF).  The supervisor
+        # then owns crash retries, respawns and the restart budget;
+        # workers read through and publish to the ``store_url`` node.
+        self._pool = SupervisedPool(
+            max(1, workers),
+            cache_dir=cache_dir,
+            job_retries=job_retries,
+            retry_backoff=retry_backoff,
+            max_restarts=max_worker_restarts,
+            cancel_grace=self.cancel_grace,
+            fault_plan=fault_plan,
+            store_url=store_url,
+            remote_counters=self._remote_counters,
         )
+        self._closed = False
+        self.metrics: MetricsRegistry | None = None
+        self._job_latency = None
+        if metrics is not None:
+            self.bind_metrics(metrics)
 
     # -- submission ------------------------------------------------------
 
@@ -301,10 +270,7 @@ class JobScheduler:
             self._deduplicated += 1
             self._count_job("deduplicated")
             return job
-        if (
-            isinstance(self._executor, SupervisedPool)
-            and self._executor.exhausted
-        ):
+        if self._pool.exhausted:
             # Restart budget spent, no workers left: fail fast with a
             # clean 503 instead of queueing work that cannot run.
             self._submitted -= 1
@@ -400,10 +366,7 @@ class JobScheduler:
         return self._remote_counters.snapshot()[name]
 
     def _pool_stat(self, name: str) -> int:
-        pool = getattr(self, "_executor", None)
-        if isinstance(pool, SupervisedPool):
-            return int(pool.stats().get(name, 0))
-        return 0
+        return int(self._pool.stats()[name])
 
     def _count_job(self, disposition: str) -> None:
         if self.metrics is not None:
@@ -415,14 +378,14 @@ class JobScheduler:
 
     def _retry_after(self) -> int:
         """Seconds a 429'd client should back off: roughly one mean
-        job execution, defaulting to ``retry_after_default`` before
+        job execution, defaulting to :data:`RETRY_AFTER_DEFAULT` before
         anything has finished and clamped to ``retry_after_max`` (a
         run of long suite jobs must not tell clients to vanish for
         minutes)."""
         if self._run_samples:
             estimate = round(self._run_seconds / self._run_samples)
         else:
-            estimate = self.retry_after_default
+            estimate = RETRY_AFTER_DEFAULT
         return max(1, min(self.retry_after_max, estimate))
 
     async def run(self, spec: JobSpec) -> Any:
@@ -450,51 +413,32 @@ class JobScheduler:
                 job.started_at = time.monotonic()
                 self._wait_seconds += job.started_at - job.submitted_at
                 self._wait_samples += 1
-                loop = asyncio.get_running_loop()
-                pool_job = None
                 try:
-                    if isinstance(self._executor, SupervisedPool):
-                        # Supervised dispatch: worker crashes retry
-                        # inside the pool; the future settles with the
-                        # result, JobCancelled, PoisonJobError, or
-                        # PoolExhausted — never a broken pool.
-                        pool_job = self._executor.submit_spec(job.spec)
-                        job.pool_job = pool_job
-                        awaitable = asyncio.wrap_future(pool_job.future)
-                    else:
-                        awaitable = loop.run_in_executor(
-                            self._executor, execute_job, job.spec
-                        )
-                    result = await self._bounded(awaitable)
+                    # Worker crashes retry inside the pool; the future
+                    # settles with the result, JobCancelled,
+                    # PoisonJobError, or PoolExhausted — never a broken
+                    # pool.
+                    job.pool_job = self._pool.submit_spec(job.spec)
+                    result = await asyncio.wait_for(
+                        asyncio.wrap_future(job.pool_job.future),
+                        self.job_timeout,
+                    )
                     ok = True
                 except TimeoutError:
+                    # Hard escalation: SIGINT the worker, SIGKILL after
+                    # the grace period, respawn.  The job is
+                    # *cancelled*, not failed — the computation was
+                    # interrupted, not wrong.
                     self._timed_out += 1
-                    if pool_job is not None:
-                        # Hard escalation: SIGINT the worker, SIGKILL
-                        # after the grace period, respawn.  The job is
-                        # *cancelled*, not failed — the computation was
-                        # interrupted, not wrong.
-                        pool_job.cancel(self.cancel_grace)
-                        job.state = CANCELLED
-                        job.error = (
-                            f"job timed out after {self.job_timeout:g}s "
-                            f"(cancelled; {self.cancel_grace:g}s kill "
-                            "grace)"
-                        )
-                        self._cancelled += 1
-                        self._count_job("cancelled")
-                        self._settle_failure(job, JobCancelled(job.error))
-                    else:
-                        # Thread runtime: soft timeout only — the job
-                        # fails, awaiters are released, but the thread
-                        # cannot be interrupted; its result is dropped.
-                        job.state = FAILED
-                        job.error = (
-                            f"job timed out after {self.job_timeout:g}s "
-                            "(soft limit; result discarded)"
-                        )
-                        self._failed += 1
-                        self._settle_failure(job, RuntimeError(job.error))
+                    job.pool_job.cancel(self.cancel_grace)
+                    job.state = CANCELLED
+                    job.error = (
+                        f"job timed out after {self.job_timeout:g}s "
+                        f"(cancelled; {self.cancel_grace:g}s kill grace)"
+                    )
+                    self._cancelled += 1
+                    self._count_job("cancelled")
+                    self._settle_failure(job, JobCancelled(job.error))
                 except JobCancelled as exc:
                     job.state = CANCELLED
                     job.error = str(exc) or "job cancelled"
@@ -533,9 +477,9 @@ class JobScheduler:
                 self._active -= 1
         except asyncio.CancelledError:
             # The driving task was cancelled: DELETE on a queued job
-            # (still waiting at the semaphore), the thread runtime's
-            # best-effort cancel, or loop teardown.  Settle the job as
-            # cancelled; propagate per asyncio protocol.
+            # (still waiting at the semaphore), or loop teardown.
+            # Settle the job as cancelled; propagate per asyncio
+            # protocol.
             if job.finished_at is None:
                 job.state = CANCELLED
                 job.error = "job cancelled"
@@ -561,14 +505,6 @@ class JobScheduler:
             if not job.future.done():
                 job.future.set_result(result)
         self._record_finish(job)
-
-    async def _bounded(self, awaitable: "asyncio.Future[Any]") -> Any:
-        """Apply the per-job soft timeout, when one is configured."""
-        if self.job_timeout is None:
-            return await awaitable
-        return await asyncio.wait_for(
-            asyncio.ensure_future(awaitable), self.job_timeout
-        )
 
     def _record_finish(self, job: Job) -> None:
         if job.started_at is not None and job.finished_at is not None:
@@ -625,10 +561,8 @@ class JobScheduler:
     async def cancel(self, key: str, *, grace: float | None = None) -> Job | None:
         """Hard-cancel the job at ``key`` (the ``DELETE /jobs`` path).
 
-        Running jobs on the supervised runtime get SIGINT, then SIGKILL
-        after ``grace`` seconds; queued jobs settle immediately; the
-        thread runtime cancels best-effort (the computation itself
-        cannot be interrupted).  Waits (bounded) for the job to settle
+        A running job's worker gets SIGINT, then SIGKILL after
+        ``grace`` seconds; queued jobs settle immediately.  Waits (bounded) for the job to settle
         so the caller can serve the final envelope.  Returns ``None``
         for unknown keys; a job already settled is returned unchanged —
         the caller distinguishes that case (409) by checking the state
@@ -679,7 +613,6 @@ class JobScheduler:
             "max_queue": self.max_queue,
             "jobs": states,
             "max_concurrency": self.max_concurrency,
-            "executor": self.executor_kind,
             "cache_dir": self.cache_dir,
             "latency": {
                 "queue_wait_mean_s": (
@@ -692,9 +625,8 @@ class JobScheduler:
                 ),
                 "samples": self._run_samples,
             },
+            "supervisor": self._pool.stats(),
         }
-        if isinstance(self._executor, SupervisedPool):
-            out["supervisor"] = self._executor.stats()
         if self._remote_counters is not None:
             out["remote"] = self._remote_counters.snapshot()
         reasons = self.degraded_reasons()
@@ -722,14 +654,11 @@ class JobScheduler:
         ``/healthz`` reports these without turning 503.
         """
         reasons: list[str] = []
-        if isinstance(self._executor, SupervisedPool):
-            pool = self._executor.stats()
-            if pool.get("exhausted"):
-                reasons.append(
-                    "worker restart budget spent and no workers remain"
-                )
-            elif pool.get("restarts", 0) >= pool.get("max_restarts", 0) > 0:
-                reasons.append("worker restart budget spent")
+        pool = self._pool.stats()
+        if pool["exhausted"]:
+            reasons.append("worker restart budget spent and no workers remain")
+        elif pool["restarts"] >= pool["max_restarts"] > 0:
+            reasons.append("worker restart budget spent")
         if self.remote_breaker_open():
             reasons.append("remote store circuit breaker open")
         return reasons
@@ -737,21 +666,17 @@ class JobScheduler:
     # -- lifecycle -------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Shut the executor down.
+        """Shut the pool down and wait for its stop sequence.
 
-        Pending futures raise for their awaiters via executor shutdown
-        semantics; the HTTP front closes the scheduler only after the
-        server stops accepting connections.  A supervised pool's stop
-        sequence is waited for, so its workers get their stop grace
-        before the process exits; thread jobs are not waited for.
+        Pending jobs settle cancelled and the workers get their stop
+        grace before the process exits; the HTTP front closes the
+        scheduler only after the server stops accepting connections.
         """
         if self._closed:
             return
         self._closed = True
-        executor = self._executor
-        wait = isinstance(executor, SupervisedPool)
         await asyncio.get_running_loop().run_in_executor(
-            None, lambda: executor.shutdown(wait=wait, cancel_futures=True)
+            None, self._pool.shutdown
         )
 
     async def __aenter__(self) -> "JobScheduler":

@@ -72,14 +72,13 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import os
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from ..pipeline.artifacts import is_record
+from ..pipeline.cache import write_spill
 from ..pipeline.store import spill_stats
 from .core import spec_from_dict
 from .metrics import MetricsRegistry
@@ -304,6 +303,8 @@ class JobServer:
                 except _HttpError as exc:
                     await self._respond_error(writer, exc, pending)
                     break  # framing is unreliable after a read error
+                except (ConnectionError, OSError):
+                    return  # client reset the connection mid-read
                 if request is None:
                     break  # clean EOF between requests
                 served += 1
@@ -720,23 +721,8 @@ class JobServer:
             # PUT would poison every future fetch of the key.
             self._artifact_ops.inc(op="put", outcome="rejected")
             raise _HttpError(400, "payload is not a spill record")
-        path = directory / f"{key}.art"
-
-        def write() -> bool:
-            tmp = path.with_suffix(
-                f".{os.getpid()}-{threading.get_ident()}.tmp"
-            )
-            try:
-                with open(tmp, "wb") as fh:
-                    fh.write(body)
-                tmp.replace(path)
-                return True
-            except OSError:
-                tmp.unlink(missing_ok=True)
-                return False
-
         stored = await asyncio.get_running_loop().run_in_executor(
-            None, write
+            None, write_spill, directory / f"{key}.art", body
         )
         if not stored:
             self._artifact_ops.inc(op="put", outcome="error")

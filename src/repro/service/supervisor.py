@@ -227,8 +227,8 @@ class SupervisedPool:
     """A fixed-size worker pool that survives its workers.
 
     Construction spawns (and readiness-checks) every worker eagerly —
-    a sandbox that blocks forking fails *now*, so the scheduler can
-    fall back to its thread runtime.  After that a supervisor thread
+    a sandbox that blocks forking fails *now*, in the caller's
+    constructor, not at the first job.  After that a supervisor thread
     owns all worker state; the public methods only append to an inbox
     and poke a wake pipe, so they are safe from any thread (the asyncio
     event loop calls them).
@@ -335,7 +335,7 @@ class SupervisedPool:
             "exhausted": self.exhausted,
         }
 
-    def shutdown(self, wait: bool = True, **_ignored) -> None:
+    def shutdown(self, wait: bool = True) -> None:
         """Stop the pool; ``wait`` joins its stop sequence.
 
         The supervisor thread runs that sequence (settle leftover

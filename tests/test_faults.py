@@ -56,10 +56,7 @@ def _scrub(payload):
 
 
 def _pool(workers=1, **kw):
-    try:
-        return SupervisedPool(workers, **kw)
-    except Exception:
-        pytest.skip("process workers unavailable on this host")
+    return SupervisedPool(workers, **kw)
 
 
 def _dead_pid():
@@ -231,11 +228,8 @@ class TestSchedulerFaults:
         from repro.service.scheduler import JobScheduler
 
         async def run():
-            sched = JobScheduler(workers=2, use_processes=True)
-            if sched.executor_kind != "supervised":
-                await sched.aclose()
-                pytest.skip("process workers unavailable")
-            procs = [w.proc for w in sched._executor._workers]
+            sched = JobScheduler(workers=2)
+            procs = [w.proc for w in sched._pool._workers]
             await sched.aclose()
             return procs
 
@@ -246,7 +240,7 @@ class TestSchedulerFaults:
 
     def test_kill_recovery_is_bit_identical(self, tmp_path):
         """A transform whose worker dies mid-job retries to the same
-        bytes a fault-free thread run produces."""
+        bytes a fault-free run produces."""
         from repro.service.scheduler import JobScheduler
 
         spec = TransformJobSpec(source=SRC, filename="a.c")
@@ -254,18 +248,13 @@ class TestSchedulerFaults:
         async def run():
             async with JobScheduler(
                 workers=1,
-                use_processes=True,
                 cache_dir=str(tmp_path / "faulted"),
                 fault_plan=parse_fault_plan("kill-worker:p=1"),
                 retry_backoff=0.01,
             ) as sched:
-                if sched.executor_kind != "supervised":
-                    pytest.skip("process workers unavailable")
                 faulted = await sched.run(spec)
                 supervisor = sched.stats()["supervisor"]
-            async with JobScheduler(
-                workers=1, use_processes=False
-            ) as clean_sched:
+            async with JobScheduler(workers=1) as clean_sched:
                 clean = await clean_sched.run(spec)
             return faulted, clean, supervisor
 
@@ -279,13 +268,10 @@ class TestSchedulerFaults:
         async def run():
             async with JobScheduler(
                 workers=1,
-                use_processes=True,
                 fault_plan=parse_fault_plan("kill-worker:p=1:always"),
                 job_retries=1,
                 retry_backoff=0.01,
             ) as sched:
-                if sched.executor_kind != "supervised":
-                    pytest.skip("process workers unavailable")
                 job = await sched.submit(PingJobSpec(token="poison"))
                 with pytest.raises(Exception):
                     await asyncio.shield(job.future)
@@ -301,12 +287,9 @@ class TestSchedulerFaults:
         async def run():
             async with JobScheduler(
                 workers=1,
-                use_processes=True,
                 job_timeout=0.3,
                 cancel_grace=0.3,
             ) as sched:
-                if sched.executor_kind != "supervised":
-                    pytest.skip("process workers unavailable")
                 job = await sched.submit(
                     PingJobSpec(token="timeout", sleep_s=30)
                 )
@@ -320,22 +303,18 @@ class TestSchedulerFaults:
         asyncio.run(run())
 
     def test_retry_after_default_and_ceiling(self):
-        from repro.service.scheduler import JobScheduler
+        from repro.service.scheduler import RETRY_AFTER_DEFAULT, JobScheduler
 
-        sched = JobScheduler(
-            workers=1,
-            use_processes=False,
-            retry_after_default=5,
-            retry_after_max=7,
-        )
+        sched = JobScheduler(workers=1, retry_after_max=7)
         try:
-            assert sched._retry_after() == 5  # no samples yet
+            # No samples yet: the default, within the ceiling.
+            assert sched._retry_after() == RETRY_AFTER_DEFAULT <= 7
             sched._run_seconds, sched._run_samples = 100.0, 1
             assert sched._retry_after() == 7  # clamped to the ceiling
             sched._run_seconds, sched._run_samples = 3.0, 1
             assert sched._retry_after() == 3
         finally:
-            sched._executor.shutdown(wait=False)
+            sched._pool.shutdown()
 
 
 class TestServerFaultRoutes:
@@ -355,12 +334,7 @@ class TestServerFaultRoutes:
         from repro.service.server import JobServer
 
         async def run():
-            sched = JobScheduler(
-                workers=1, use_processes=True, cancel_grace=1.0
-            )
-            if sched.executor_kind != "supervised":
-                await sched.aclose()
-                pytest.skip("process workers unavailable")
+            sched = JobScheduler(workers=1, cancel_grace=1.0)
             server = JobServer(sched, port=0)
             host, port = await server.start()
             try:
@@ -398,12 +372,7 @@ class TestServerFaultRoutes:
         from repro.service.server import JobServer
 
         async def run():
-            sched = JobScheduler(
-                workers=1, use_processes=True, cancel_grace=1.0
-            )
-            if sched.executor_kind != "supervised":
-                await sched.aclose()
-                pytest.skip("process workers unavailable")
+            sched = JobScheduler(workers=1, cancel_grace=1.0)
             server = JobServer(sched, port=0)
             host, port = await server.start()
             try:
@@ -434,14 +403,10 @@ class TestServerFaultRoutes:
         async def run():
             sched = JobScheduler(
                 workers=1,
-                use_processes=True,
                 fault_plan=parse_fault_plan("kill-worker:p=1:always"),
                 job_retries=0,
                 max_worker_restarts=0,
             )
-            if sched.executor_kind != "supervised":
-                await sched.aclose()
-                pytest.skip("process workers unavailable")
             server = JobServer(sched, port=0)
             host, port = await server.start()
             try:
@@ -452,7 +417,7 @@ class TestServerFaultRoutes:
                 assert status in (500, 503)  # poison or raced exhaustion
                 deadline = time.monotonic() + 10
                 while (
-                    not sched._executor.exhausted
+                    not sched._pool.exhausted
                     and time.monotonic() < deadline
                 ):
                     await asyncio.sleep(0.05)
@@ -649,8 +614,6 @@ class TestChaosHarness:
             cancel_grace=0.5,
         )
         payload = asyncio.run(run_chaos(config))
-        if payload["chaos"].get("executor") != "supervised":
-            pytest.skip("process workers unavailable")
         problems = gate_chaos(payload)
         assert problems == []
         assert payload["divergence_count"] == 0
@@ -667,14 +630,12 @@ class TestChaosHarness:
             "divergence_count": 1,
             "divergences": [{"label": "transform[3]", "kind": "result"}],
             "chaos": {
-                "executor": "supervised",
                 "server_survived": True,
                 "states": {"done": 199, "failed": 1},
                 "supervisor": {"crashes": 0, "restarts": 0,
                                "max_restarts": 16},
             },
             "reference": {
-                "executor": "supervised",
                 "server_survived": True,
                 "states": {"done": 200},
             },

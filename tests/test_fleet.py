@@ -25,7 +25,6 @@ def _scheduler(**kw):
     from repro.service.scheduler import JobScheduler
 
     kw.setdefault("workers", 1)
-    kw.setdefault("use_processes", False)
     return JobScheduler(**kw)
 
 

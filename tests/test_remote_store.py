@@ -34,7 +34,6 @@ def _scheduler(**kw):
     from repro.service.scheduler import JobScheduler
 
     kw.setdefault("workers", 1)
-    kw.setdefault("use_processes", False)
     return JobScheduler(**kw)
 
 
@@ -426,7 +425,6 @@ class TestDegradedHealth:
     def test_scheduler_reports_open_breaker_and_healthz_degrades(
         self, tmp_path
     ):
-        from repro.service.core import worker_init
         from repro.service.server import JobServer
 
         src = (
@@ -455,10 +453,7 @@ class TestDegradedHealth:
             finally:
                 await server.aclose()
 
-        try:
-            status, health, stats = asyncio.run(run())
-        finally:
-            worker_init(None)  # reset the thread runtime's remote tier
+        status, health, stats = asyncio.run(run())
         # Degraded is a *warning* state: still 200, never 503.
         assert status == 200
         assert health["ok"] is True
@@ -506,12 +501,10 @@ class TestPoolWideCounters:
                 stats = []
                 for name, store_url in (("live", url), ("dead", DEAD_URL)):
                     sched = _scheduler(
-                        workers=2, use_processes=True,
+                        workers=2,
                         cache_dir=str(tmp_path / name), store_url=store_url,
                     )
                     try:
-                        if sched.executor_kind != "supervised":
-                            pytest.skip("process workers unavailable")
                         await sched.run(spec)
                         stats.append(sched.stats())
                     finally:

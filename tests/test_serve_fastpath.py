@@ -4,7 +4,8 @@ the ``ompdart load`` harness."""
 
 import asyncio
 import json
-import threading
+import socket
+import struct
 import time
 
 import pytest
@@ -25,7 +26,6 @@ def _scheduler(**kw):
     from repro.service.scheduler import JobScheduler
 
     kw.setdefault("workers", 2)
-    kw.setdefault("use_processes", False)
     return JobScheduler(**kw)
 
 
@@ -50,6 +50,22 @@ async def _raw_exchange(host, port, blob, *, settle=0.0):
     except (ConnectionError, OSError):
         pass
     return data
+
+
+def _reset_after(host, port, blob, *, read_response=False):
+    """Send ``blob`` (and read one response when asked), then close the
+    socket with an RST instead of a FIN (``SO_LINGER`` 0)."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.sendall(blob)
+        data = b""
+        while read_response and not data.endswith(b"}"):
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
 
 
 class TestPingJobs:
@@ -233,22 +249,64 @@ class TestTimeouts:
         asyncio.run(run())
 
 
-class TestAdmissionControl:
-    def test_429_when_saturated_and_dedup_still_admitted(self, monkeypatch):
-        release = threading.Event()
-        monkeypatch.setattr(
-            "repro.service.scheduler.execute_job",
-            lambda spec: release.wait(timeout=30) and {"ok": True},
+class TestConnectionResets:
+    def test_client_resets_log_nothing(self):
+        """A client that resets its connection mid-headers, mid-body or
+        between keep-alive requests has gone away: nothing reaches the
+        event loop's exception handler, and the server keeps serving."""
+        cases = (
+            (b"POST /run HTTP/1.1\r\nHost: t\r\n", False),
+            (
+                b"POST /run HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 100\r\n\r\n{",
+                False,
+            ),
+            (b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", True),
         )
+
+        async def run():
+            handled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: handled.append(context)
+            )
+            server = _server()
+            host, port = await server.start()
+            client = LoadClient(host, port)
+            try:
+                for blob, read_response in cases:
+                    await asyncio.to_thread(
+                        _reset_after, host, port, blob,
+                        read_response=read_response,
+                    )
+                # Every handler has seen its reset and finished.
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline and (
+                    server._connections_total.value() < len(cases)
+                    or len(asyncio.all_tasks()) > 1
+                ):
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.05)  # let done-callbacks run
+                assert (await client.request("GET", "/healthz")).status == 200
+            finally:
+                await client.aclose()
+                await server.aclose()
+            return handled
+
+        assert asyncio.run(run()) == []
+
+
+class TestAdmissionControl:
+    def test_429_when_saturated_and_dedup_still_admitted(self):
+        # The first job sleeps in its worker long enough for the
+        # requests below to find the one-job queue full.
+        slow = {"kind": "ping", "token": "b1", "sleep_s": 1.0}
 
         async def run():
             server = _server(_scheduler(max_queue=1))
             host, port = await server.start()
             client = LoadClient(host, port)
             try:
-                first = await client.request(
-                    "POST", "/jobs", {"kind": "ping", "token": "b1"}
-                )
+                first = await client.request("POST", "/jobs", slow)
                 assert first.status == 202
                 key = first.json()["job"]
                 # A distinct job is rejected while the queue is full...
@@ -260,12 +318,9 @@ class TestAdmissionControl:
                 assert "saturated" in rejected.json()["error"]
                 # ...but a duplicate coalesces (no new load) and is
                 # always admitted.
-                dedup = await client.request(
-                    "POST", "/jobs", {"kind": "ping", "token": "b1"}
-                )
+                dedup = await client.request("POST", "/jobs", slow)
                 assert dedup.status == 202
                 assert dedup.json()["deduped"] is True
-                release.set()
                 done = await client.request("GET", f"/jobs/{key}?wait=1")
                 assert done.json()["state"] == "done"
                 stats = (await client.request("GET", "/stats")).json()
@@ -282,21 +337,20 @@ class TestAdmissionControl:
 
         asyncio.run(run())
 
-    def test_soft_job_timeout_fails_job_not_server(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.service.scheduler.execute_job",
-            lambda spec: time.sleep(1.0) or {"ok": True},
-        )
-
+    def test_job_timeout_cancels_job_not_server(self):
         async def run():
             server = _server(_scheduler(job_timeout=0.1))
             host, port = await server.start()
             client = LoadClient(host, port)
             try:
                 response = await client.request(
-                    "POST", "/run", {"kind": "ping", "token": "slow"}
+                    "POST", "/run",
+                    {"kind": "ping", "token": "slow", "sleep_s": 30},
                 )
-                assert response.status == 500
+                # Hard-cancelled, not failed: the waiter gets the
+                # settled envelope.
+                assert response.status == 200
+                assert response.json()["state"] == "cancelled"
                 assert "timed out" in response.json()["error"]
                 stats = (await client.request("GET", "/stats")).json()
                 assert stats["timed_out"] == 1

@@ -30,7 +30,6 @@ def _scheduler(**kw):
     from repro.service.scheduler import JobScheduler
 
     kw.setdefault("workers", 2)
-    kw.setdefault("use_processes", False)
     return JobScheduler(**kw)
 
 
@@ -132,12 +131,44 @@ class TestScheduler:
                 for key in ("cancelled", "poisoned", "unavailable",
                             "timed_out"):
                     assert stats[key] == 0
-                # The thread runtime has no supervisor block...
-                assert "supervisor" not in stats
+                # The worker pool reports its supervision counters too.
+                supervisor = stats["supervisor"]
+                assert supervisor["workers"] == supervisor["alive"] == 2
+                for key in ("restarts", "crashes", "retries", "poisoned"):
+                    assert supervisor[key] == 0
                 await sched.run(TransformJobSpec(source=SRC, filename="a.c"))
                 assert sched.stats()["executed"] == 1
 
         asyncio.run(run())
+
+    def test_two_schedulers_spill_into_their_own_cache_dirs(self, tmp_path):
+        first_dir, second_dir = tmp_path / "first", tmp_path / "second"
+
+        def records():
+            return [len(list(d.glob("*.art"))) for d in (first_dir, second_dir)]
+
+        async def run():
+            async with (
+                _scheduler(cache_dir=str(first_dir)) as first,
+                _scheduler(cache_dir=str(second_dir)) as second,
+            ):
+                await first.run(TransformJobSpec(source=SRC, filename="a.c"))
+                after_first = records()
+                await second.run(TransformJobSpec(source=SRC, filename="b.c"))
+            return after_first
+
+        assert asyncio.run(run()) == [1, 0]
+        assert records() == [1, 1]
+
+    def test_scheduler_raises_when_its_pool_cannot_spawn(self, monkeypatch):
+        from repro.service import scheduler as scheduler_module
+
+        def unspawnable(*args, **kwargs):
+            raise OSError("fork blocked")
+
+        monkeypatch.setattr(scheduler_module, "SupervisedPool", unspawnable)
+        with pytest.raises(OSError, match="fork blocked"):
+            scheduler_module.JobScheduler(workers=1)
 
     def test_metrics_expose_supervision_gauges(self):
         async def run():
@@ -274,7 +305,7 @@ def _strip_observability(payload):
         return {
             k: _strip_observability(v)
             for k, v in payload.items()
-            if k not in ("sim_wall_s", "tool", "artifact_store")
+            if k not in ("sim_wall_s", "tool")
         }
     if isinstance(payload, list):
         return [_strip_observability(v) for v in payload]
