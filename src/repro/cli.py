@@ -598,7 +598,7 @@ def _run_batch(args: argparse.Namespace) -> int:
                     f"from {outcome.deduped_from}"
                 )
             for name, seconds in outcome.timings.items():
-                event = outcome.cache_events.get(name, "uncached")
+                event = outcome.cache_events[name]
                 print(f"  {name:<11s} {seconds * 1e3:8.3f}ms  [{event}]")
         if args.simulate:
             # Re-read for the before/after comparison; the file may have
@@ -1546,7 +1546,7 @@ COMMANDS = {
     "profile": (
         "Run one cold, uncached, instrumented transform and print a "
         "per-pass / per-phase self-time and allocation breakdown "
-        "(lex, macro, parse, analysis, plan, codegen, rewrite).",
+        "(lex, macro, parse, analysis, plan, rewrite).",
         _declare_profile,
         _run_profile,
     ),

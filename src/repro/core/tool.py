@@ -52,7 +52,7 @@ class TransformResult:
     planner_outputs: list[PlannerOutput] = field(default_factory=list)
     #: Per-pass wall time in seconds, in pipeline order.
     pass_timings: dict[str, float] = field(default_factory=dict)
-    #: Per-pass cache events: "hit" | "miss" | "uncached".
+    #: Per-pass cache events: "hit" | "miss".
     cache_events: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -71,7 +71,7 @@ class TransformResult:
         """Table-V-style per-pass overhead summary of this run."""
         lines = ["pass overhead (paper Table V breakdown):"]
         for name, seconds in self.pass_timings.items():
-            event = self.cache_events.get(name, "uncached")
+            event = self.cache_events[name]
             lines.append(f"  {name:<11s} {seconds * 1e3:8.3f}ms  [{event}]")
         lines.append(
             f"  {'total':<11s} {self.elapsed_seconds * 1e3:8.3f}ms  "

@@ -1,8 +1,9 @@
 """The spill record: every cached artifact of one input in one file.
 
-One pipeline run over one input produces up to eight artifacts, one
-per cacheable pass.  The cache keeps them together as a **record**, a
-``{pass name: artifact}`` dict, and spills that record as one file.
+The pipeline runs over one input produce up to eight artifacts, one
+per pass: a transform's seven and the simulator's codegen rows.  The
+cache keeps them together as a **record**, a ``{pass name: artifact}``
+dict, and spills that record as one file.
 
 A single pickle of the whole dict lets pickle's memo share what the
 artifacts have in common: ``effects``, ``cfg`` and ``plan`` hold

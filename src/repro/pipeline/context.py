@@ -10,7 +10,6 @@ from ..diagnostics import Diagnostic
 #: Cache-event labels recorded per pass.
 HIT = "hit"
 MISS = "miss"
-UNCACHED = "uncached"
 
 
 @dataclass
@@ -45,7 +44,7 @@ class PipelineContext:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     #: pass name -> wall-clock seconds spent (cache hits included).
     timings: dict[str, float] = field(default_factory=dict)
-    #: pass name -> "hit" | "miss" | "uncached".
+    #: pass name -> "hit" | "miss".
     cache_events: dict[str, str] = field(default_factory=dict)
     #: pass name -> tier of the record that served a hit: "memory" |
     #: "disk" | "remote".

@@ -8,13 +8,39 @@ from typing import Iterable
 from .cache import MISS, ArtifactCache, fingerprint
 from .context import HIT, PipelineContext
 from .context import MISS as MISS_EVENT
-from .context import UNCACHED, ToolOptions
+from .context import ToolOptions
 from .passes import DEFAULT_PASSES, Pass
 
 
-class PassManager:
-    """Runs passes in order over a :class:`PipelineContext`.
+def _schedules(passes: tuple[Pass, ...]) -> dict[str, tuple[Pass, ...]]:
+    """Pass name -> the passes a run ending there executes: the pass and
+    everything it transitively requires, in chain order."""
+    needs: dict[str, frozenset[str]] = {}
+    for p in passes:
+        if p.name in needs:
+            names = [q.name for q in passes]
+            raise ValueError(f"duplicate pass names in pipeline: {names}")
+        for dep in p.requires:
+            if dep not in needs:
+                raise ValueError(
+                    f"pass {p.name!r} requires {dep!r}, which is not an "
+                    "earlier pass of the pipeline"
+                )
+        needs[p.name] = frozenset((p.name,)).union(
+            *(needs[dep] for dep in p.requires)
+        )
+    return {
+        name: tuple(p for p in passes if p.name in closure)
+        for name, closure in needs.items()
+    }
 
+
+class PassManager:
+    """Runs the passes a target needs over a :class:`PipelineContext`.
+
+    A run ends at a target pass (``until``, by default the chain's last
+    pass, ``rewrite``) and executes that pass and the passes it
+    transitively requires, in chain order; any other pass is skipped.
     Per-pass artifacts are cached under a fingerprint of ``(source,
     filename, options)`` and kept together as one record per input: a
     run looks the record up on its first pass and commits it once at
@@ -36,9 +62,7 @@ class PassManager:
         #: called around every pass execution when set; the hot path
         #: pays a single None check otherwise.
         self.profiler = None
-        names = [p.name for p in self.passes]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate pass names in pipeline: {names}")
+        self._schedules = _schedules(self.passes)
 
     # -- keys ------------------------------------------------------------
 
@@ -63,23 +87,24 @@ class PassManager:
         *,
         until: str | None = None,
     ) -> PipelineContext:
-        """Run the chain (or its prefix ending at ``until``) and return
-        the populated context.  Raises :class:`ToolError` exactly like
-        the original monolithic driver."""
-        if until is not None and until not in {p.name for p in self.passes}:
-            raise KeyError(f"no pass named {until!r} in the pipeline")
+        """Run the passes ``until`` needs (every pass the chain's last
+        one needs by default) and return the populated context.  Raises
+        :class:`ToolError` exactly like the original monolithic
+        driver."""
+        target = self.passes[-1].name if until is None else until
+        try:
+            schedule = self._schedules[target]
+        except KeyError:
+            raise KeyError(f"no pass named {until!r} in the pipeline") from None
         ctx = PipelineContext(source, filename, options or ToolOptions())
         key = self.input_key(ctx.source, ctx.filename, ctx.options)
         try:
-            for p in self.passes:
+            for p in schedule:
                 self._run_pass(p, ctx, key)
-                if p.name == until:
-                    break
         finally:
-            # One spill per run, also for prefixes and for runs a
+            # One spill per run, also for partial runs and for runs a
             # ToolError stopped: whatever was built is kept.
-            if self.cache is not None:
-                self.cache.commit(key)
+            self.cache.commit(key)
         return ctx
 
     def _run_pass(self, p: Pass, ctx: PipelineContext, key: str) -> None:
@@ -87,18 +112,13 @@ class PassManager:
         if profiler is not None:
             profiler.begin_pass(p.name)
         start = time.perf_counter()
-        origin = None
-        if p.cacheable and self.cache is not None:
-            value, origin = self.cache.lookup(p.name, key)
-            if value is not MISS:
-                event = HIT
-            else:
-                value = p.build(ctx)
-                self.cache.put(p.name, key, value)
-                event = MISS_EVENT
+        value, origin = self.cache.lookup(p.name, key)
+        if value is not MISS:
+            event = HIT
         else:
             value = p.build(ctx)
-            event = UNCACHED
+            self.cache.put(p.name, key, value)
+            event = MISS_EVENT
         ctx.artifacts[p.name] = value
         ctx.cache_events[p.name] = event
         if origin is not None:
@@ -118,7 +138,7 @@ class PassManager:
         filename: str = "<input>",
         options: ToolOptions | None = None,
     ):
-        """Parse ``source`` through the cached pipeline prefix and return
+        """Parse ``source`` through the cached pipeline and return
         the translation unit (the artifact the simulator frontend shares
         with the tool, killing the historical double parse)."""
         return self.run(source, filename, options, until="parse").artifact("parse")

@@ -9,10 +9,14 @@ artifacts, split in two:
   and owns the side effects that must not be skipped: accumulating
   diagnostics and aborting the pipeline on errors.
 
-The default chain mirrors the paper's Fig. 1 workflow: ``preprocess ->
-parse -> codegen -> constraints -> effects -> cfg -> plan -> rewrite``
-(``codegen`` is a reproduction-side addition: per-kernel generated
-NumPy source for the simulator's fastest execution tier).
+Each pass also names the passes whose artifacts it reads
+(``requires``), and the pass manager runs only what a run's target
+needs.  A transform targets ``rewrite``, which needs the paper's Fig. 1
+chain ``preprocess -> parse -> constraints -> effects -> cfg -> plan
+-> rewrite``.  ``codegen`` (per-kernel generated replay source) is a
+reproduction-side addition for the simulator: no transform pass
+requires it, so it runs only when a run asks for it with
+``until="codegen"``, which builds ``preprocess -> parse -> codegen``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ class Pass:
     name: str
     build: Callable[[PipelineContext], Any]
     finalize: Callable[[PipelineContext, Any], None] | None = None
-    cacheable: bool = True
+    #: Names of the earlier passes whose artifacts this pass reads.
+    requires: tuple[str, ...] = ()
 
 
 # -- stage bodies ------------------------------------------------------------
@@ -56,9 +61,9 @@ def _build_parse(ctx: PipelineContext) -> Any:
 def _build_codegen(ctx: PipelineContext) -> Any:
     """Compile every offload kernel to a pickleable codegen row.
 
-    Rows are pure data (generated Python/NumPy source keyed by content
-    hash, or the decline reason) — the artifact store shares them across
-    workers, so a batch run compiles each distinct kernel once.
+    Rows are pure data (generated Python source keyed by content hash,
+    or the decline reason), so the artifact record keeps them with the
+    input's other artifacts.  Only simulator runs build them.
     """
     from ..runtime.codegen import emit_rows
 
@@ -138,14 +143,16 @@ def _build_rewrite(ctx: PipelineContext) -> str:
     return emit_plans(ctx.source, plans)
 
 
-#: The canonical OMPDart stage chain, in execution order.
+#: The OMPDart stage chain, in execution order.  ``effects`` requires
+#: ``constraints`` for the fused prep it consumes, which also keeps a
+#: constraint violation failing a run before any analysis starts.
 DEFAULT_PASSES: tuple[Pass, ...] = (
     Pass("preprocess", _build_preprocess),
-    Pass("parse", _build_parse),
-    Pass("codegen", _build_codegen),
-    Pass("constraints", _build_constraints, _finalize_constraints),
-    Pass("effects", _build_effects),
-    Pass("cfg", _build_cfg),
-    Pass("plan", _build_plan, _finalize_plan),
-    Pass("rewrite", _build_rewrite),
+    Pass("parse", _build_parse, requires=("preprocess",)),
+    Pass("codegen", _build_codegen, requires=("parse",)),
+    Pass("constraints", _build_constraints, _finalize_constraints, requires=("parse",)),
+    Pass("effects", _build_effects, requires=("parse", "constraints")),
+    Pass("cfg", _build_cfg, requires=("parse",)),
+    Pass("plan", _build_plan, _finalize_plan, requires=("parse", "effects", "cfg")),
+    Pass("rewrite", _build_rewrite, requires=("plan",)),
 )

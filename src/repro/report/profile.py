@@ -11,7 +11,7 @@ time?" with measurements instead of guesses:
 * **phases** — the frontend-oriented grouping used throughout this
   repo's perf work: ``lex`` (measured standalone over the same
   source), ``macro`` (preprocess minus lex), ``parse``, ``analysis``
-  (constraints + effects + cfg), ``plan``, ``codegen``, ``rewrite``.
+  (constraints + effects + cfg), ``plan``, ``rewrite``.
 
 The payload is the ``ompdart-profile/1`` JSON artifact; aggregate
 profiles (batch/suite, where per-pass walls come from worker outcome
@@ -48,7 +48,6 @@ PHASE_PASSES: dict[str, tuple[str, ...]] = {
     "parse": ("parse",),
     "analysis": ("constraints", "effects", "cfg"),
     "plan": ("plan",),
-    "codegen": ("codegen",),
     "rewrite": ("rewrite",),
 }
 

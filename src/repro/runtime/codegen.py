@@ -6,9 +6,10 @@ sequential Python — the replay tier behind
 function charges the same tick ledger, applies the same coercions in
 the same order, and raises the same diagnostics as the interpreter, so
 it is bit-identical by construction.  Its output is a *serializable
-row* (source + content-hash key + symbolic slot specs) that travels
-through the pipeline artifact store: codegen cost is paid once per
-distinct kernel, across launches, batch workers, and served jobs.
+row* (source + content-hash key + symbolic slot specs), the artifact of
+the simulator's ``codegen`` pipeline pass: it rides the input's
+artifact record, so codegen cost is paid once per distinct kernel
+across launches and across simulator runs sharing a cache.
 
 The NumPy vector emitter that lowers parallel nests lives in
 :mod:`repro.runtime.vectorize`; both share :func:`compile_source`, a

@@ -229,11 +229,11 @@ class JobScheduler:
             RemoteCounters() if store_url else None
         )
         # Every worker spawns (and readiness-checks) now, before the
-        # HTTP front opens any sockets: a worker forked mid-request
-        # would inherit live connection fds and keep them open after
-        # the parent's close (clients never see EOF).  The supervisor
-        # then owns crash retries, respawns and the restart budget;
-        # workers read through and publish to the ``store_url`` node.
+        # HTTP front opens any sockets; a respawned worker releases the
+        # connection sockets it inherits, so clients still see EOF when
+        # the front closes them.  The supervisor owns crash retries,
+        # respawns and the restart budget; workers read through and
+        # publish to the ``store_url`` node.
         self._pool = SupervisedPool(
             max(1, workers),
             cache_dir=cache_dir,

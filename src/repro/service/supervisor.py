@@ -37,6 +37,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import stat
 import threading
 import time
 from collections import deque
@@ -92,6 +93,38 @@ _HEARTBEAT = 1.0
 # ===========================================================================
 
 
+def _drop_inherited_sockets(keep: int) -> None:
+    """Release every socket a forked worker inherited but ``keep``.
+
+    A worker forked while its parent holds sockets (a respawn in a
+    serving process, a pool started after a server listens) would keep
+    copies open: a connection the parent closes would send its client
+    no EOF, and a killed server's listening socket would keep
+    accepting.  Each socket descriptor is pointed at ``/dev/null``
+    rather than closed, so its number stays taken: a parent's socket
+    object the worker frees later closes ``/dev/null``, never a
+    descriptor the worker opened since.  Pipes stay open (the fork
+    sentinel the supervisor watches for deaths is one), and so do the
+    standard streams, which a service manager may connect to a log
+    socket.  Without ``/proc`` nothing is released.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            try:
+                mode = os.fstat(fd).st_mode
+            except OSError:
+                continue  # the listing's own descriptor, closed since
+            if fd > 2 and fd != keep and stat.S_ISSOCK(mode):
+                os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
 def _worker_main(
     conn,
     parent_conn,
@@ -115,6 +148,7 @@ def _worker_main(
     except OSError:
         pass
     try:
+        _drop_inherited_sockets(conn.fileno())
         # Faults first: the network fault hooks must be live before
         # worker_init builds the remote client whose traffic the chaos
         # plans target.

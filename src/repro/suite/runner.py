@@ -161,8 +161,10 @@ def run_benchmark(
     # The tool's parse artifact is the simulator's input: one parse per
     # source total, shared through the manager's artifact cache.  The
     # codegen pass rides the same cache, so each variant's kernels are
-    # compiled to NumPy source once, outside the timed section (for the
-    # unoptimized source they are cache hits from the tool run above).
+    # compiled to replay source once, outside the timed section.  A
+    # transform does not build codegen, so the unoptimized variant's
+    # rows are built here too; only its preprocess and parse artifacts
+    # are hits from the tool run above.
     contexts = [
         manager.run(source, filename, until="codegen")
         for source, filename in sources

@@ -46,10 +46,23 @@ PASS_NAMES = (
     "plan", "rewrite",
 )
 
+#: The passes a transform runs: every pass but the simulator's codegen.
+TRANSFORM_NAMES = tuple(name for name in PASS_NAMES if name != "codegen")
+
 
 @pytest.fixture(scope="module")
 def ctx():
     return PassManager().run(SRC, "t.c")
+
+
+@pytest.fixture(scope="module")
+def record():
+    """All eight artifacts of ``SRC`` in chain order: a transform's
+    seven plus the codegen rows of a simulator run."""
+    manager = PassManager()
+    built = manager.run(SRC, "t.c", until="codegen").artifacts
+    built.update(manager.run(SRC, "t.c").artifacts)
+    return {name: built[name] for name in PASS_NAMES}
 
 
 def _referenced_nodes(artifact):
@@ -72,20 +85,27 @@ def _manager(directory):
     return PassManager(cache=ArtifactCache(disk_dir=directory))
 
 
-def _events(ctx):
-    return [ctx.cache_events[name] for name in PASS_NAMES]
+def _events(ctx, names=TRANSFORM_NAMES):
+    assert list(ctx.cache_events) == list(names)
+    return list(ctx.cache_events.values())
+
+
+def _spilled_passes(directory):
+    (spill,) = directory.glob("*.art")
+    return set(AR.decode_record(spill.read_bytes()))
 
 
 class TestSchemas:
-    def test_round_trip_all_passes(self, ctx):
-        raw = AR.encode_record(ctx.artifacts)
+    def test_round_trip_all_passes(self, record):
+        raw = AR.encode_record(record)
         assert AR.is_record(raw)
         back = AR.decode_record(raw)
         assert list(back) == list(PASS_NAMES)
         for name in PASS_NAMES:
-            assert type(back[name]) is type(ctx.artifacts[name]), name
-        assert back["rewrite"] == ctx.artifacts["rewrite"]
-        assert back["constraints"] == ctx.artifacts["constraints"]
+            assert type(back[name]) is type(record[name]), name
+        assert back["rewrite"] == record["rewrite"]
+        assert back["constraints"] == record["constraints"]
+        assert back["codegen"] == record["codegen"]
 
     def test_unknown_pass_gets_default_pickle_schema(self, tmp_path):
         """A pass outside the default chain (a custom pipeline's) is
@@ -275,15 +295,26 @@ class TestOneRecordPerInput:
 
     def test_prefix_run_then_full_run_merge_into_one_record(self, tmp_path):
         _manager(tmp_path).run(SRC, "t.c", until="codegen")
-        assert len(list(tmp_path.glob("*.art"))) == 1
+        assert _spilled_passes(tmp_path) == {"preprocess", "parse", "codegen"}
         full = _manager(tmp_path).run(SRC, "t.c")
-        assert _events(full) == ["hit"] * 3 + ["miss"] * 5
+        assert _events(full) == ["hit"] * 2 + ["miss"] * 5
         assert set(full.cache_origins.values()) == {"disk"}
-        assert len(list(tmp_path.glob("*.art"))) == 1
+        assert _spilled_passes(tmp_path) == set(PASS_NAMES)
         again = _manager(tmp_path).run(SRC, "t.c")
-        assert _events(again) == ["hit"] * 8
+        assert _events(again) == ["hit"] * 7
         assert set(again.cache_origins.values()) == {"disk"}
         assert again.artifact("rewrite") == full.artifact("rewrite")
+
+    def test_full_run_then_codegen_run_merge_into_one_record(self, tmp_path):
+        _manager(tmp_path).run(SRC, "t.c")
+        assert _spilled_passes(tmp_path) == set(TRANSFORM_NAMES)
+        rows = _manager(tmp_path).run(SRC, "t.c", until="codegen")
+        codegen_chain = ("preprocess", "parse", "codegen")
+        assert _events(rows, codegen_chain) == ["hit", "hit", "miss"]
+        assert _spilled_passes(tmp_path) == set(PASS_NAMES)
+        again = _manager(tmp_path).run(SRC, "t.c", until="codegen")
+        assert _events(again, codegen_chain) == ["hit"] * 3
+        assert again.artifact("codegen") == rows.artifact("codegen")
 
     def test_tool_error_replays_from_a_warm_record(self, tmp_path):
         errors = []
@@ -298,7 +329,8 @@ class TestOneRecordPerInput:
         assert "constraints" in errors[1][0]
         # The second run answered every pass up to the failing one.
         stats = manager.cache.stats
-        assert [stats[n].hits for n in PASS_NAMES[:4]] == [1] * 4
+        assert list(stats) == list(TRANSFORM_NAMES[:3])
+        assert [s.hits for s in stats.values()] == [1] * 3
         assert all(s.misses == 0 for s in stats.values())
 
     @pytest.mark.parametrize("damage", ["truncated", "no-magic", "skewed"])
@@ -319,11 +351,11 @@ class TestOneRecordPerInput:
 
         manager = _manager(tmp_path)
         rebuilt = manager.run(SRC, "t.c")
-        assert _events(rebuilt) == ["miss"] * 8
+        assert _events(rebuilt) == ["miss"] * 7
         assert manager.cache.stats["preprocess"].corrupt_spills == 1
         assert len(list(tmp_path.glob("*.art.bad"))) == 1
         (respilled,) = tmp_path.glob("*.art")
         assert respilled.name == spill.name
         healed = _manager(tmp_path).run(SRC, "t.c")
-        assert _events(healed) == ["hit"] * 8
+        assert _events(healed) == ["hit"] * 7
         assert healed.artifact("rewrite") == first.artifact("rewrite")

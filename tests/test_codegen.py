@@ -6,8 +6,8 @@ Three contracts from the codegen tier:
   source (vector tier), the generated sequential-scalar source (replay
   tier) and the closure interpreter produce identical output, stats and
   memcpy records.
-* **Artifact reuse** — codegen rows are pipeline artifacts: batch
-  workers share compiled kernels through the cross-process store.
+* **Artifact reuse** — codegen rows are pipeline artifacts: suite
+  workers share compiled kernels through the cache directory.
 * **Launch specialization** — the per-launch-signature fast path falls
   back (and re-records) safely when a kernel's bindings change mid-run.
 """
@@ -150,41 +150,43 @@ def test_noncanonical_loop_declines_with_reason():
 # Cross-process reuse of compiled rows through the artifact store
 # ---------------------------------------------------------------------------
 
-BENCH_SRC = """
-int data[128];
-int main() {
-  data[1] = 2;
-  #pragma omp target teams distribute parallel for
-  for (int i = 0; i < 128; i++) data[i] = data[i] + %d;
-  return data[1];
-}
-"""
 
+def test_codegen_rows_hit_cross_worker_store(tmp_path, monkeypatch):
+    """Rows one pooled suite run's workers spill are what the next
+    run's workers execute: a second ``run_sweep(..., jobs=2,
+    cache_dir=D)`` builds no ``codegen`` row.  Its workers start with
+    empty memory tiers, so every row comes off the records on disk."""
+    from repro.pipeline.artifacts import decode_record
+    from repro.runtime import codegen
+    from repro.runtime.platform import DEFAULT_PLATFORM
+    from repro.suite.runner import run_sweep
 
-def test_codegen_rows_hit_cross_worker_store(tmp_path):
-    """The acceptance path: a second ``batch -j 2 --cache-dir D`` run
-    serves every ``codegen`` row the first run's workers spilled."""
-    from repro.pipeline.batch import transform_paths
+    cache_dir = tmp_path / "cache"
+    names = ["hotspot", "nw"]
 
-    cache_dir = str(tmp_path / "cache")
-    paths = []
-    for i in range(6):
-        p = tmp_path / f"input_{i}.c"
-        p.write_text(BENCH_SRC % i)
-        paths.append(str(p))
-    first = transform_paths(paths, jobs=2, cache_dir=cache_dir)
-    assert all(o.ok for o in first)
-    assert {o.cache_events["codegen"] for o in first} == {"miss"}
-    second = transform_paths(paths, jobs=2, cache_dir=cache_dir)
-    assert [o.output_source for o in second] == [
-        o.output_source for o in first
-    ]
-    assert {o.cache_events["codegen"] for o in second} == {"hit"}
-    # The second run's workers start with empty memory tiers: every row
-    # comes off the records the first run's workers spilled.
-    assert {o.cache_origins["codegen"] for o in second} == {"disk"}
-    serial = transform_paths(paths, cache_dir=cache_dir)
-    assert {o.cache_origins["codegen"] for o in serial} == {"disk"}
+    def sweep(jobs):
+        result = run_sweep(
+            [DEFAULT_PLATFORM], names=names, jobs=jobs,
+            cache_dir=str(cache_dir),
+        )
+        return {
+            name: (run.ompdart.stats, run.ompdart.output)
+            for name, run in result[DEFAULT_PLATFORM].runs.items()
+        }
+
+    first = sweep(jobs=2)
+    records = [decode_record(p.read_bytes()) for p in cache_dir.glob("*.art")]
+    # Three variants per benchmark, each record holding its rows.
+    assert len(records) == 3 * len(names)
+    assert all(record["codegen"] for record in records)
+
+    def rebuilt(tu):
+        raise AssertionError("codegen row rebuilt instead of read")
+
+    # Pool workers fork per run, so they inherit the patch.
+    monkeypatch.setattr(codegen, "emit_rows", rebuilt)
+    assert sweep(jobs=2) == first
+    assert sweep(jobs=1) == first
 
 
 # ---------------------------------------------------------------------------

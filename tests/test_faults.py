@@ -6,6 +6,7 @@ contract."""
 import asyncio
 import os
 import signal
+import socket
 import subprocess
 import sys
 import textwrap
@@ -57,6 +58,25 @@ def _scrub(payload):
 
 def _pool(workers=1, **kw):
     return SupervisedPool(workers, **kw)
+
+
+def _socket_fds(pid):
+    """Descriptors of process ``pid`` past the standard streams that
+    are sockets."""
+    found = []
+    for name in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{name}")
+        except OSError:
+            continue
+        if int(name) > 2 and target.startswith("socket:"):
+            found.append(int(name))
+    return found
+
+
+_NEEDS_PROC = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc"
+)
 
 
 def _dead_pid():
@@ -210,6 +230,28 @@ class TestSupervisedPool:
         finally:
             pool.shutdown()
 
+    @_NEEDS_PROC
+    def test_respawned_worker_holds_only_its_pipe_socket(self):
+        """A worker forked after its parent opened a socket (a respawn
+        in a serving process) releases it: its end of the duplex pipe
+        is the one socket it holds."""
+        pool = _pool()
+        listener = socket.create_server(("127.0.0.1", 0))
+        try:
+            (first,) = pool._workers
+            os.kill(first.proc.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while pool.stats()["restarts"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            # Answered by the respawned worker, so its init is done.
+            pool.submit_spec(PingJobSpec(token="respawned")).future.result(30)
+            (worker,) = pool._workers
+            assert worker.proc.pid != first.proc.pid
+            assert len(_socket_fds(worker.proc.pid)) == 1
+        finally:
+            listener.close()
+            pool.shutdown()
+
     def test_shutdown_without_wait_still_stops_workers_cleanly(self):
         """The supervisor thread, not the caller, stops the workers: an
         idle worker gets ``stop`` and exits 0 rather than a SIGKILL."""
@@ -328,6 +370,45 @@ class TestServerFaultRoutes:
         finally:
             await client.aclose()
         return response.status, response.json()
+
+    @_NEEDS_PROC
+    def test_connection_open_across_a_respawn_sees_eof(self):
+        """A keep-alive connection open while a killed worker respawns
+        gets EOF as soon as serve closes it: the respawned worker holds
+        no copy of the connection's socket."""
+        from repro.service.scheduler import JobScheduler
+        from repro.service.server import JobServer
+
+        async def run():
+            sched = JobScheduler(
+                workers=1,
+                fault_plan=parse_fault_plan("kill-worker:p=1"),
+                retry_backoff=0.01,
+            )
+            server = JobServer(sched, port=0)
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                await asyncio.wait_for(reader.readuntil(b"}"), 30)
+                status, body = await self._request(
+                    host, port, "POST", "/run",
+                    {"kind": "ping", "token": "respawn"},
+                )
+                assert status == 200 and body["result"]["pong"] is True
+                assert sched._pool.stats()["restarts"] == 1
+                writer.write(
+                    b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                    b"Connection: close\r\n\r\n"
+                )
+                data = await asyncio.wait_for(reader.read(), 3)
+                writer.close()
+                assert data.startswith(b"HTTP/1.1 200")
+                assert b"Connection: close" in data
+            finally:
+                await server.aclose()
+
+        asyncio.run(run())
 
     def test_delete_cancels_running_job_within_grace(self):
         from repro.service.scheduler import JobScheduler

@@ -7,6 +7,11 @@ surfacing cache hits with measurably lower elapsed time, and the
 ``ompdart batch`` CLI mode.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.core import OMPDart, ToolOptions, transform_source
@@ -15,10 +20,16 @@ from repro.pipeline import (
     ArtifactCache,
     BatchRunStats,
     DEFAULT_PASSES,
+    Pass,
     PassManager,
     transform_batch,
 )
 from repro.pipeline.cache import MISS, fingerprint
+
+#: The passes a transform runs: the paper's Fig. 1 chain, no codegen.
+TRANSFORM_CHAIN = [
+    "preprocess", "parse", "constraints", "effects", "cfg", "plan", "rewrite",
+]
 
 SRC = """
 int a[16];
@@ -142,8 +153,91 @@ class TestPassManager:
 
     def test_timings_recorded_per_pass(self):
         ctx = PassManager().run(SRC, "t.c")
-        assert set(ctx.timings) == {p.name for p in DEFAULT_PASSES}
+        assert list(ctx.timings) == TRANSFORM_CHAIN
         assert all(t >= 0.0 for t in ctx.timings.values())
+
+    @pytest.mark.parametrize(
+        "until, chain",
+        [
+            (None, TRANSFORM_CHAIN),
+            ("codegen", ["preprocess", "parse", "codegen"]),
+            ("cfg", ["preprocess", "parse", "cfg"]),
+            ("effects", ["preprocess", "parse", "constraints", "effects"]),
+        ],
+    )
+    def test_run_builds_what_the_target_requires_in_chain_order(
+        self, until, chain
+    ):
+        manager = PassManager()
+        ctx = manager.run(SRC, "t.c", until=until)
+        assert list(ctx.artifacts) == chain
+        assert list(manager.cache.stats) == chain
+
+    def test_until_unknown_pass_is_a_key_error(self):
+        with pytest.raises(KeyError, match="no pass named 'lower'"):
+            PassManager().run(SRC, "t.c", until="lower")
+
+    @pytest.mark.parametrize(
+        "requires, why",
+        [
+            (("lex",), "requires 'lex'"),
+            (("rewrite",), "requires 'rewrite'"),
+            (("twice",), "requires 'twice'"),
+        ],
+        ids=["unknown", "later", "itself"],
+    )
+    def test_bad_requires_fail_when_the_manager_is_built(self, requires, why):
+        def noop(ctx):
+            return None
+
+        passes = list(DEFAULT_PASSES)
+        passes.insert(2, Pass("twice", noop, requires=requires))
+        with pytest.raises(ValueError, match=why):
+            PassManager(passes=passes)
+
+    def test_duplicate_pass_names_fail_when_the_manager_is_built(self):
+        with pytest.raises(ValueError, match="duplicate pass names"):
+            PassManager(passes=[*DEFAULT_PASSES, DEFAULT_PASSES[0]])
+
+
+_TRANSFORM_IMPORT_PROBE = textwrap.dedent(
+    """
+    import sys
+    from repro.core import OMPDart, ToolOptions
+    from repro.pipeline.batch import transform_one
+    from repro.service.core import dispatch_map
+
+    SOURCE = sys.stdin.read()
+
+    def transform(manager, i):
+        outcome = transform_one(
+            manager, SOURCE.replace("+= i", f"+= {i}"), f"v{i}.c",
+            ToolOptions(),
+        )
+        assert outcome.ok, outcome.error
+        return "numpy" in sys.modules
+
+    assert OMPDart().run(SOURCE, "t.c").changed
+    print("numpy" in sys.modules,
+          sorted(set(dispatch_map(transform, range(4), jobs=2))))
+    """
+)
+
+
+def test_transforms_never_import_numpy():
+    """Only the simulator's codegen pass needs NumPy, and a transform
+    does not run it: neither ``OMPDart.run`` in a fresh interpreter nor
+    a pooled ``transform_one`` imports NumPy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(
+        os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRANSFORM_IMPORT_PROBE],
+        input=SRC, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False [False]"
 
 
 class TestToolFacadeCaching:
@@ -152,7 +246,7 @@ class TestToolFacadeCaching:
         first = tool.run(SRC, "t.c")
         second = tool.run(SRC, "t.c")
         assert first.cache_hits == 0
-        assert second.cache_hits == len(DEFAULT_PASSES)
+        assert second.cache_hits == len(TRANSFORM_CHAIN)
         assert second.output_source == first.output_source
         assert second.elapsed_seconds < first.elapsed_seconds
 
@@ -167,7 +261,8 @@ class TestToolFacadeCaching:
         manager = PassManager()
         OMPDart(pipeline=manager).run(SRC, "t.c")
         res = OMPDart(pipeline=manager).run(SRC, "t.c")
-        assert res.cache_hits == len(DEFAULT_PASSES)
+        assert res.cache_hits == len(TRANSFORM_CHAIN)
+        assert list(res.pass_timings) == TRANSFORM_CHAIN
 
 
 def _variant(i):

@@ -294,7 +294,7 @@ class TestWorkerErrorLabels:
             raise RuntimeError("pass exploded")
 
         manager = PassManager(
-            passes=[Pass(name="parse", build=boom, cacheable=False)]
+            passes=[Pass(name="parse", build=boom)]
         )
         (outcome,) = transform_batch(
             [("int x;", "broken.c")], manager=manager
