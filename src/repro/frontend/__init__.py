@@ -15,7 +15,7 @@ from .ast_nodes import (  # noqa: F401
     is_offload_kernel,
 )
 from .dump import dump_ast  # noqa: F401
-from .lexer import Lexer, tokenize  # noqa: F401
+from .lexer import scan, tokenize  # noqa: F401
 from .parser import Parser, fold_integer_constant, parse_file, parse_source  # noqa: F401
 from .preprocessor import Preprocessor, preprocess  # noqa: F401
 from .source import SourceBuffer, SourceLocation  # noqa: F401
@@ -27,7 +27,7 @@ __all__ = [
     "TranslationUnit",
     "is_offload_kernel",
     "dump_ast",
-    "Lexer",
+    "scan",
     "tokenize",
     "Parser",
     "fold_integer_constant",

@@ -108,12 +108,6 @@ class Node:
             return iter([node for node in subtree if isinstance(node, kinds)])
         return (node for node in self._generic_walk() if isinstance(node, kinds))
 
-    def set_parents(self) -> None:
-        """Populate ``parent`` links throughout this subtree."""
-        for node in self._generic_walk():
-            for child in node.children():
-                child.parent = node
-
     def ancestors(self) -> Iterator["Node"]:
         node = self.parent
         while node is not None:
@@ -185,12 +179,14 @@ class TranslationUnit(Decl):
 
     def preorder(self) -> list[Node]:
         """The cached pre-order node list, stamping ``walk_index`` /
-        ``walk_end`` on every node the first time it is built.
+        ``walk_end`` and the ``parent`` link on every node the first
+        time it is built.
 
-        The parser calls this once per parse; unpickled or hand-built
-        trees build it lazily on first use.  The list is dropped from
-        pickles (:meth:`__getstate__`) and recomputed on demand — walk
-        order is structural, so indices agree across processes.
+        The parser calls this once per parse, so this one walk is what
+        finalizes a parsed tree; unpickled or hand-built trees build it
+        lazily on first use.  The list is dropped from pickles
+        (:meth:`__getstate__`) and recomputed on demand — walk order is
+        structural, so indices agree across processes.
         """
         order = self._preorder
         if order is None:
@@ -205,6 +201,7 @@ class TranslationUnit(Decl):
                 order.append(node)
                 stack.append((node, True))
                 for child in reversed(node.children()):
+                    child.parent = node
                     stack.append((child, False))
             self._preorder = order
         return order

@@ -1,22 +1,29 @@
-"""Master-pattern regex lexer for the mini-C subset.
+"""One-scan regex lexer for the mini-C subset.
 
 Design notes
 ------------
-* One compiled alternation (:data:`_MASTER`) classifies every token in
-  a single ``match`` call; the winning named group maps straight onto
-  an interned :class:`TokenKind` (punctuators through the
-  :data:`_PUNCT_KINDS` spelling table).  The historical char-at-a-time
-  scanner walked the punctuator list per token and re-tested every
-  literal class in sequence — the master pattern does the maximal-munch
-  work inside the regex engine instead.
+* :func:`scan` walks a buffer in one loop over one compiled alternation
+  (:data:`_SCAN`).  Each match is a token together with the trivia in
+  front of it (whitespace, comments, line splices and newlines), so the
+  loop turns once per token and calls no method of its own.  The
+  winning group's index picks the :class:`TokenKind` (punctuators
+  through the :data:`_PUNCT_KINDS` spelling table); maximal munch
+  happens inside the regex engine.
+* :func:`scan` is a generator that the preprocessor pulls from, so a
+  lexical error surfaces only when the pump reaches it: an earlier
+  directive error is still the one reported.  :func:`tokenize` is
+  ``list()`` of it.
 * Every token records its byte span in the *original* buffer as two
   ints; the rewriter depends on this.  Line and column are left to the
   buffer, which computes them only when an error message renders one.
-* Preprocessor directives (``#define``, ``#include``, ``#pragma`` ...)
-  are lexed as one logical line each (backslash-newline splices
-  collapsed) and returned as a single :data:`TokenKind.PRAGMA` token
-  whose ``value`` holds the directive body.  The preprocessor decides
-  what to do with them; only ``#pragma omp`` survives to the parser.
+* A ``#`` opens a preprocessor directive (``#define``, ``#include``,
+  ``#pragma`` ...) only at the start of a line: after a bare newline
+  in its trivia, or at the start of the buffer.  A newline inside a
+  block comment or a ``\\``-splice does not count.  The directive is
+  lexed as one logical line and returned as a single
+  :data:`TokenKind.PRAGMA` token whose ``value`` holds the directive
+  body, with splices and comments collapsed.  The preprocessor decides
+  what to do with it; only ``#pragma omp`` survives to the parser.
 * Comments are skipped but their bytes stay in the buffer, so offsets of
   the surrounding tokens are unaffected.
 """
@@ -24,6 +31,7 @@ Design notes
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from ..diagnostics import ParseError
 from .source import SourceBuffer
@@ -43,28 +51,25 @@ _ESCAPES = {
     "v": "\v",
 }
 
-#: Whitespace, comments, line splices and newlines, matched greedily.
-#: Newlines are their own alternative so the line-start flag (which
-#: arms ``#``-directive recognition) only flips on a *bare* newline —
-#: never on one hidden inside a block comment or a ``\``-splice,
-#: matching the historical scanner exactly.
-_TRIVIA = re.compile(
-    r"[ \t\r\f\v]+"
-    r"|//[^\n]*"
-    r"|/\*.*?\*/"
-    r"|\\\n"
-    r"|\n+",
-    re.DOTALL,
-)
-
 #: Punctuators longest-first so alternation order preserves maximal
 #: munch, then interned back to their TokenKind by spelling.
 _PUNCT_KINDS: dict[str, TokenKind] = {s: k for s, k in PUNCTUATORS}
 
-_MASTER = re.compile(
-    # Identifiers / keywords (unicode letters + underscore, like the
-    # historical isalpha()-based scanner).
+_SCAN = re.compile(
+    # Trivia before the token.  A bare newline is captured as NL, which
+    # is how a ``#`` knows it starts a line.  The possessive ``*+``
+    # never backtracks into the trivia, which the regex engine runs
+    # faster.
+    r"(?:[ \t\r\f\v]+|//[^\n]*|/\*.*?\*/|\\\n|(?P<NL>\n))*+"
+    r"(?:"
+    # Identifiers / keywords (unicode letters + underscore).
     r"(?P<ID>[^\W\d]\w*)"
+    # A terminated block comment would have been trivia.
+    r"|(?P<OPEN_COMMENT>/\*)"
+    # Punctuators but ``.``, which must not shadow a float like ``.5``.
+    r"|(?P<PUNCT>"
+    + "|".join(re.escape(s) for s, _ in PUNCTUATORS if s != ".")
+    + r")"
     # Hex integers; the [uUlL] suffix is part of the token text but not
     # the value.
     r"|(?P<HEX>0[xX][0-9a-fA-F]+[uUlL]*)"
@@ -77,13 +82,38 @@ _MASTER = re.compile(
     r"|\d+[eE][+-]?\d+)[fFlL]?"
     r"|\d+[fF])"
     r"|(?P<INT>\d+[uUlL]*)"
+    # A ``.`` that does not start a float.
+    r"|(?P<DOT>\.)"
     # One-line string/char literals; \\. (DOTALL) admits escaped
     # newlines while a bare newline stays a lexing error.
     r'|(?P<STR>"(?:\\.|[^"\\\n])*")'
     r"|(?P<CHR>'(?:\\.|[^'\\])')"
-    r"|(?P<PUNCT>" + "|".join(re.escape(s) for s, _ in PUNCTUATORS) + r")",
+    # A directive's logical line: splices and terminated block comments
+    # continue it, a line comment ends it.  It stops short of a block
+    # comment that never closes, which the scan reports.
+    r"|(?P<DIRECTIVE>#(?:[^\n\\/]+|\\\n?|/\*.*?\*/|/(?![/*]))*(?://[^\n]*)?)"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<ERROR>.)"
+    r")",
     re.DOTALL,
 )
+
+_GROUP = _SCAN.groupindex
+_NL, _ID, _PUNCT, _HEX, _FLOAT, _INT, _DOT, _STR, _CHR = (
+    _GROUP[name]
+    for name in ("NL", "ID", "PUNCT", "HEX", "FLOAT", "INT", "DOT", "STR", "CHR")
+)
+_DIRECTIVE, _OPEN_COMMENT, _EOF = (
+    _GROUP[name] for name in ("DIRECTIVE", "OPEN_COMMENT", "EOF")
+)
+
+#: The parts of a directive's text its body drops: a splice or a block
+#: comment becomes one space, a line comment nothing.
+_DIRECTIVE_TRIVIA = re.compile(r"\\\n|/\*.*?\*/|//[^\n]*", re.DOTALL)
+
+
+def _directive_space(m: re.Match[str]) -> str:
+    return "" if m.group().startswith("//") else " "
 
 
 def _decode_escapes(body: str) -> str:
@@ -104,138 +134,88 @@ def _decode_escapes(body: str) -> str:
     return "".join(out)
 
 
-class Lexer:
-    """Tokenizes one :class:`SourceBuffer`.
+def _error(buffer: SourceBuffer, offset: int, message: str) -> ParseError:
+    return ParseError(f"{buffer.location(offset)}: {message}")
 
-    Use :meth:`tokenize` for the whole buffer, or drive it token by token
-    with :meth:`next_token`.
+
+def scan(buffer: SourceBuffer) -> Iterator[Token]:
+    """Yield ``buffer``'s tokens, ending with one EOF token.
+
+    A lexical error raises :class:`ParseError` when the scan reaches it.
     """
-
-    def __init__(self, buffer: SourceBuffer):
-        self.buffer = buffer
-        self.text = buffer.text
-        self.pos = 0
-        self._at_line_start = True
-
-    # -- helpers ---------------------------------------------------------
-
-    def _error(self, message: str) -> ParseError:
-        return ParseError(f"{self.buffer.location(self.pos)}: {message}")
-
-    def _peek(self, ahead: int = 0) -> str:
-        """One character of lookahead; NUL (never ``""``) past the end.
-
-        Returning ``""`` would make every ``in "..."`` membership test
-        succeed vacuously — a classic lexer bug.
-        """
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else "\0"
-
-    # -- token producers -------------------------------------------------
-
-    def next_token(self) -> Token:
-        text = self.text
-        pos = self.pos
-        at_line_start = self._at_line_start
-        trivia = _TRIVIA.match
-        while True:
-            m = trivia(text, pos)
-            if m is None:
-                break
-            if text[m.start()] == "\n":
-                at_line_start = True
-            pos = m.end()
-        self.pos = pos
-        self._at_line_start = at_line_start
-
-        if pos >= len(text):
-            return Token(TokenKind.EOF, "", pos, pos)
-        ch = text[pos]
-        if ch == "/" and text.startswith("/*", pos):
-            # A terminated block comment would have been consumed as
-            # trivia above; reaching one here means it never closes.
-            raise self._error("unterminated block comment")
-        if ch == "#" and at_line_start:
-            return self._lex_directive(pos)
-        self._at_line_start = False
-
-        m = _MASTER.match(text, pos)
-        if m is None:
-            if ch == '"':
-                raise self._error("unterminated string literal")
-            if ch == "'":
-                raise self._error("unterminated character literal")
-            raise self._error(f"unexpected character {ch!r}")
-        end = self.pos = m.end()
-        tok_text = m.group()
-        group = m.lastgroup
-        if group == "ID":
-            kind = TokenKind.KEYWORD if tok_text in KEYWORDS else TokenKind.IDENTIFIER
-            value: object = None
-        elif group == "PUNCT":
-            kind = _PUNCT_KINDS[tok_text]
-            value = None
-        elif group == "INT":
-            kind = TokenKind.INT_LITERAL
-            value = int(tok_text.rstrip("uUlL"), 10)
-        elif group == "FLOAT":
-            kind = TokenKind.FLOAT_LITERAL
-            body = tok_text[:-1] if tok_text[-1] in "fFlL" else tok_text
-            value = float(body)
-        elif group == "HEX":
-            kind = TokenKind.INT_LITERAL
-            value = int(tok_text.rstrip("uUlL"), 16)
-        elif group == "STR":
-            kind = TokenKind.STRING_LITERAL
-            value = _decode_escapes(tok_text[1:-1])
-        else:  # CHR
-            kind = TokenKind.CHAR_LITERAL
-            body = tok_text[1:-1]
+    text = buffer.text
+    keywords = KEYWORDS
+    punct_kinds = _PUNCT_KINDS
+    keyword, identifier = TokenKind.KEYWORD, TokenKind.IDENTIFIER
+    for m in _SCAN.finditer(text):
+        group = m.lastindex
+        start, end = m.span(group)
+        if group == _ID:
+            word = text[start:end]
+            yield Token(
+                keyword if word in keywords else identifier, word, start, end
+            )
+        elif group == _PUNCT:
+            spelling = text[start:end]
+            yield Token(punct_kinds[spelling], spelling, start, end)
+        elif group == _INT:
+            spelling = text[start:end]
+            yield Token(
+                TokenKind.INT_LITERAL, spelling, start, end,
+                int(spelling.rstrip("uUlL"), 10),
+            )
+        elif group == _DIRECTIVE:
+            if m.start(_NL) < 0 and m.start() > 0:
+                raise _error(buffer, start, "unexpected character '#'")
+            if text.startswith("/*", end):
+                raise _error(buffer, end, "unterminated block comment in directive")
+            line = text[start:end]
+            body = line
+            if "\\" in line or "/" in line:
+                body = _DIRECTIVE_TRIVIA.sub(_directive_space, line)
+            yield Token(TokenKind.PRAGMA, line, start, end, body)
+        elif group == _FLOAT:
+            spelling = text[start:end]
+            digits = spelling[:-1] if spelling[-1] in "fFlL" else spelling
+            yield Token(
+                TokenKind.FLOAT_LITERAL, spelling, start, end, float(digits)
+            )
+        elif group == _DOT:
+            yield Token(TokenKind.DOT, ".", start, end)
+        elif group == _HEX:
+            spelling = text[start:end]
+            yield Token(
+                TokenKind.INT_LITERAL, spelling, start, end,
+                int(spelling.rstrip("uUlL"), 16),
+            )
+        elif group == _STR:
+            spelling = text[start:end]
+            yield Token(
+                TokenKind.STRING_LITERAL, spelling, start, end,
+                _decode_escapes(spelling[1:-1]),
+            )
+        elif group == _CHR:
+            spelling = text[start:end]
+            body = spelling[1:-1]
             decoded = _ESCAPES.get(body[1], body[1]) if body[0] == "\\" else body[0]
-            value = ord(decoded) if decoded else 0
-        return Token(kind, tok_text, pos, end, value)
-
-    def tokenize(self) -> list[Token]:
-        """Lex the whole buffer, including the trailing EOF token."""
-        out: list[Token] = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
-
-    def _lex_directive(self, start: int) -> Token:
-        """Consume an entire ``#...`` logical line (splices collapsed)."""
-        parts: list[str] = []
-        n = len(self.text)
-        while self.pos < n:
-            ch = self.text[self.pos]
-            if ch == "\\" and self._peek(1) == "\n":
-                self.pos += 2
-                parts.append(" ")
-                continue
-            if ch == "\n":
-                break
-            # Strip comments inside directive lines.
-            if ch == "/" and self._peek(1) == "/":
-                while self.pos < n and self.text[self.pos] != "\n":
-                    self.pos += 1
-                break
-            if ch == "/" and self._peek(1) == "*":
-                end = self.text.find("*/", self.pos + 2)
-                if end == -1:
-                    raise self._error("unterminated block comment in directive")
-                self.pos = end + 2
-                parts.append(" ")
-                continue
-            parts.append(ch)
-            self.pos += 1
-        body = "".join(parts)
-        return Token(
-            TokenKind.PRAGMA, self.text[start : self.pos], start, self.pos, body
-        )
+            yield Token(
+                TokenKind.CHAR_LITERAL, spelling, start, end,
+                ord(decoded) if decoded else 0,
+            )
+        elif group == _EOF:
+            yield Token(TokenKind.EOF, "", start, start)
+            return
+        elif group == _OPEN_COMMENT:
+            raise _error(buffer, start, "unterminated block comment")
+        else:  # ERROR
+            ch = text[start]
+            if ch == '"':
+                raise _error(buffer, start, "unterminated string literal")
+            if ch == "'":
+                raise _error(buffer, start, "unterminated character literal")
+            raise _error(buffer, start, f"unexpected character {ch!r}")
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    """Convenience helper: lex ``text`` into a token list (with EOF)."""
-    return Lexer(SourceBuffer(text, filename)).tokenize()
+    """Lex ``text`` into a token list (with EOF)."""
+    return list(scan(SourceBuffer(text, filename)))

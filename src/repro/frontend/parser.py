@@ -42,7 +42,7 @@ from .ctypes_ import (
     array_of,
     pointer_to,
 )
-from .lexer import Lexer
+from .lexer import scan
 from .preprocessor import preprocess
 from .pragma import PragmaParser
 from .source import SourceBuffer
@@ -255,13 +255,12 @@ class Parser:
                 raise self._error("OpenMP directive outside of a function body")
             decls.extend(self._parse_external_declaration())
         tu = self._span(A.TranslationUnit(decls, self.buffer.filename), start)
-        # Finalize the pre-order walk indices up front: the forward-
-        # reference fixup below, parent linking, and every later
-        # analysis walk then iterate the cached list instead of
+        # Finalize the tree in one walk up front (walk indices and
+        # parent links): the forward-reference fixup below and every
+        # later analysis walk then iterate the cached list instead of
         # re-traversing children().
         tu.preorder()
         self._resolve_forward_references(tu)
-        tu.set_parents()
         return tu
 
     def _resolve_forward_references(self, tu: A.TranslationUnit) -> None:
@@ -823,8 +822,7 @@ class Parser:
         """
         line, _ = self.buffer.line_col(anchor)
         sub_buffer = SourceBuffer(text, f"<pragma@{line}>")
-        tokens = Lexer(sub_buffer).tokenize()
-        sub = Parser(tokens, sub_buffer)
+        sub = Parser(list(scan(sub_buffer)), sub_buffer)
         sub.typedefs = self.typedefs
         sub.struct_tags = self.struct_tags
         sub.scope = self.scope

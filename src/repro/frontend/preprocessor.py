@@ -6,9 +6,18 @@ need:
 * object-like and function-like ``#define`` / ``#undef``
 * ``#include`` (skipped -- the tool analyses a single translation unit,
   exactly like OMPDart, paper section IV-B)
-* ``#ifdef`` / ``#ifndef`` / ``#else`` / ``#endif`` and literal ``#if 0/1``
+* ``#ifdef`` / ``#ifndef`` / ``#else`` / ``#endif``, and ``#if`` on an
+  integer literal, ``defined NAME`` or ``defined(NAME)``; any other
+  ``#if`` condition is a :class:`ParseError`
 * ``#pragma omp`` lines survive as :data:`TokenKind.PRAGMA` tokens; any
   other pragma is dropped.
+
+A directive's name, and a pragma's kind, end at any whitespace.
+
+:meth:`Preprocessor.tokens` is one loop pulling from the lexer's
+:func:`~repro.frontend.lexer.scan` generator.  It keeps whether the
+current region is active as one flag, updated at each conditional
+directive, and looks only identifiers up in the macro table.
 
 Macro-expanded tokens take the *use-site* span (the macro name, or
 through the closing ``)`` of a function-like use) so that all downstream
@@ -17,11 +26,13 @@ rewrites land at real positions in the original file.
 
 from __future__ import annotations
 
+import re
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..diagnostics import ParseError
-from .lexer import Lexer
+from .lexer import scan, tokenize
 from .source import SourceBuffer, SourceLocation
 from .tokens import Token, TokenKind
 
@@ -41,14 +52,21 @@ class MacroDefinition:
 
 def _lex_fragment(text: str, filename: str) -> list[Token]:
     """Lex a directive fragment; drops the EOF token."""
-    toks = Lexer(SourceBuffer(text, filename)).tokenize()
-    return toks[:-1]
+    return tokenize(text, filename)[:-1]
+
+
+#: The ``#if`` conditions besides an integer literal.
+_DEFINED = re.compile(r"defined(?:\s*\(\s*([^\W\d]\w*)\s*\)|\s+([^\W\d]\w*))")
 
 
 @dataclass
 class _Pending:
     token: Token
     banned: frozenset[str] = frozenset()
+
+
+_NO_BANS: frozenset[str] = frozenset()
+_IDENT, _PRAGMA, _EOF = TokenKind.IDENTIFIER, TokenKind.PRAGMA, TokenKind.EOF
 
 
 @dataclass
@@ -60,9 +78,10 @@ class Preprocessor:
 
     def __post_init__(self) -> None:
         self.macros: dict[str, MacroDefinition] = {}
-        self._lexer = Lexer(self.buffer)
+        self._source = scan(self.buffer)
         self._queue: deque[_Pending] = deque()
         self._cond_stack: list[bool] = []  # active flags of open #if blocks
+        self._active = True  # whether every open #if block is taken
         for name, value in self.predefined.items():
             body = _lex_fragment(str(value), f"<predef:{name}>")
             self.macros[name] = MacroDefinition(name, body)
@@ -72,47 +91,48 @@ class Preprocessor:
     def tokens(self) -> list[Token]:
         """Run the whole buffer through the preprocessor."""
         out: list[Token] = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
-
-    # -- token pump ------------------------------------------------------
-
-    def _next(self) -> Token:
-        # Hot loop: the deque, lexer bound-method and the two token-kind
-        # sentinels are hoisted — this runs once per emitted token.
-        queue = self._queue
-        lexer_next = self._lexer.next_token
-        ident = TokenKind.IDENTIFIER
-        pragma = TokenKind.PRAGMA
-        no_bans: frozenset[str] = frozenset()
-        while True:
-            if queue:
-                pending = queue.popleft()
-                tok = pending.token
-                if tok.kind is ident and self._try_expand(tok, pending.banned):
-                    continue
-                return tok
-            tok = lexer_next()
-            if tok.kind is pragma:
+        emit = out.append
+        macros = self.macros
+        for tok in self._source:
+            kind = tok.kind
+            if kind is _PRAGMA:
                 passthrough = self._handle_directive(tok)
                 if passthrough is not None:
-                    return passthrough
-                continue
-            if not all(self._cond_stack):
-                if tok.kind is TokenKind.EOF:
+                    emit(passthrough)
+            elif not self._active:
+                if kind is _EOF:
                     raise ParseError(
                         f"{self.buffer.filename}: unterminated conditional directive"
                     )
-                continue
-            if tok.kind is ident and self._try_expand(tok, no_bans):
-                continue
-            return tok
+            elif kind is _IDENT and tok.text in macros:
+                if not self._try_expand(tok, _NO_BANS):
+                    emit(tok)
+                if self._drain(emit):
+                    return out
+            else:
+                emit(tok)
+                if kind is _EOF:
+                    return out
+        raise AssertionError("the scan ended without an EOF token")
 
-    def _active(self) -> bool:
-        return all(self._cond_stack)
+    def _drain(self, emit: Callable[[Token], None]) -> bool:
+        """Emit the expansion queue, expanding as it goes; True once it
+        emits EOF.  Queued tokens skip directive handling."""
+        queue = self._queue
+        macros = self.macros
+        while queue:
+            pending = queue.popleft()
+            tok = pending.token
+            if (
+                tok.kind is _IDENT
+                and tok.text in macros
+                and self._try_expand(tok, pending.banned)
+            ):
+                continue
+            emit(tok)
+            if tok.kind is _EOF:
+                return True
+        return False
 
     # -- macro expansion --------------------------------------------------
 
@@ -145,14 +165,14 @@ class Preprocessor:
     def _peek_pending_or_lex(self) -> Token:
         if self._queue:
             return self._queue[0].token
-        tok = self._lexer.next_token()
+        tok = next(self._source)
         self._queue.append(_Pending(tok))
         return tok
 
     def _pop_pending(self) -> _Pending:
         if self._queue:
             return self._queue.popleft()
-        return _Pending(self._lexer.next_token())
+        return _Pending(next(self._source))
 
     def _collect_macro_args(
         self, macro: MacroDefinition, banned: frozenset[str]
@@ -210,44 +230,48 @@ class Preprocessor:
         body = str(tok.value or "").lstrip("#").strip()
         if not body:
             return None
-        head, _, rest = body.partition(" ")
-        rest = rest.strip()
+        head, *tail = body.split(None, 1)
+        rest = tail[0] if tail else ""
 
         # Conditional directives are processed even in inactive regions.
         if head == "ifdef":
-            self._cond_stack.append(self._active() and rest.split()[0] in self.macros)
+            self._open(self._active and self._macro_name(head, rest, tok) in self.macros)
             return None
         if head == "ifndef":
-            self._cond_stack.append(self._active() and rest.split()[0] not in self.macros)
+            self._open(
+                self._active and self._macro_name(head, rest, tok) not in self.macros
+            )
             return None
         if head == "if":
-            self._cond_stack.append(self._active() and self._eval_condition(rest, tok))
+            self._open(self._active and self._eval_condition(rest, tok))
             return None
         if head == "else":
             if not self._cond_stack:
                 raise ParseError(f"#else without #if at {self._where(tok)}")
             prev = self._cond_stack.pop()
-            self._cond_stack.append(self._active() and not prev)
+            self._active = all(self._cond_stack)
+            self._open(self._active and not prev)
             return None
         if head == "endif":
             if not self._cond_stack:
                 raise ParseError(f"#endif without #if at {self._where(tok)}")
             self._cond_stack.pop()
+            self._active = all(self._cond_stack)
             return None
 
-        if not self._active():
+        if not self._active:
             return None
 
         if head == "define":
             self._handle_define(rest, tok)
             return None
         if head == "undef":
-            self.macros.pop(rest.split()[0], None)
+            self.macros.pop(self._macro_name(head, rest, tok), None)
             return None
         if head == "include":
             return None  # single-TU analysis, like OMPDart
         if head == "pragma":
-            kind, _, _ = rest.partition(" ")
+            kind = rest.split(None, 1)[0] if rest else ""
             if kind == "omp":
                 return tok  # parser consumes OpenMP pragmas
             return None
@@ -255,15 +279,27 @@ class Preprocessor:
             f"unsupported preprocessor directive #{head} at {self._where(tok)}"
         )
 
+    def _open(self, taken: bool) -> None:
+        """Enter an ``#if`` block; ``taken`` already includes the
+        enclosing blocks'."""
+        self._cond_stack.append(taken)
+        self._active = taken
+
+    def _macro_name(self, head: str, rest: str, tok: Token) -> str:
+        """The macro an ``#ifdef``/``#ifndef``/``#undef`` names."""
+        if not rest:
+            raise ParseError(f"#{head} without a macro name at {self._where(tok)}")
+        return rest.split(None, 1)[0]
+
     def _where(self, tok: Token) -> SourceLocation:
         """``tok``'s position, rendered for an error message."""
         return self.buffer.location(tok.offset)
 
     def _eval_condition(self, expr: str, tok: Token) -> bool:
         expr = expr.strip()
-        if expr.startswith("defined"):
-            name = expr.replace("defined", "").strip().strip("()").strip()
-            return name in self.macros
+        defined = _DEFINED.fullmatch(expr)
+        if defined is not None:
+            return (defined.group(1) or defined.group(2)) in self.macros
         try:
             return int(expr, 0) != 0
         except ValueError:

@@ -23,6 +23,8 @@ kill, or injected fault must cost at most one retried job.
   worker answers ``cancelled`` and *survives*), then SIGKILLs after
   the grace period for wedged workers.  Cancel kills respawn without
   consuming the restart budget.
+* A worker calls :func:`gc.freeze` once it is initialised, so its
+  cyclic collector never re-walks the heap it inherited at fork.
 
 Every process worker — serve's, ``ompdart batch -j``'s and ``ompdart
 suite -j``'s (through :func:`repro.service.core.dispatch_map`) — runs
@@ -34,6 +36,7 @@ bit-identical whichever front submitted them.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -154,6 +157,11 @@ def _worker_main(
         # plans target.
         faults_module.install(fault_plan)
         worker_init(cache_dir, store_url, remote_counters)
+        # Move everything the fork inherited, and what worker_init
+        # built, out of the collector's generations, so no collection
+        # in this worker re-walks it.  No gc.collect() first: a full
+        # collection in a fresh fork would touch every inherited object.
+        gc.freeze()
     except BaseException as exc:  # noqa: BLE001 - reported to supervisor
         try:
             conn.send(("init-fail", os.getpid(), describe_exception(exc)))

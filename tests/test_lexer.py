@@ -3,9 +3,9 @@
 import pytest
 
 from repro.diagnostics import ParseError
-from repro.frontend.lexer import tokenize
+from repro.frontend.lexer import scan, tokenize
 from repro.frontend.source import SourceBuffer
-from repro.frontend.tokens import TokenKind
+from repro.frontend.tokens import PUNCTUATORS, TokenKind
 
 
 def kinds(text):
@@ -138,6 +138,11 @@ class TestOperators:
         (tok,) = tokenize(text)[:-1]
         assert tok.kind is kind
 
+    @pytest.mark.parametrize("text,kind", PUNCTUATORS)
+    def test_every_punctuator_is_one_token(self, text, kind):
+        (tok,) = tokenize(text)[:-1]
+        assert tok.kind is kind
+
     def test_munch_sequence(self):
         assert kinds("a<<=b") == [
             TokenKind.IDENTIFIER, TokenKind.LESSLESSEQUAL, TokenKind.IDENTIFIER,
@@ -188,6 +193,28 @@ class TestDirectives:
     def test_directive_strips_line_comment(self):
         toks = tokenize("#pragma omp target // note\nint x;")
         assert "note" not in str(toks[0].value)
+
+
+class TestScan:
+    def test_scan_is_lazy(self):
+        # An error is raised only when the scan reaches it, so the
+        # preprocessor reports an earlier directive error first.
+        tokens = scan(SourceBuffer('int x;\n"oops', "s.c"))
+        assert [next(tokens).text for _ in range(3)] == ["int", "x", ";"]
+        with pytest.raises(ParseError, match="s.c:2:1: unterminated string"):
+            next(tokens)
+
+    def test_hash_after_comment_at_line_start_opens_a_directive(self):
+        toks = tokenize("int x;\n/* c */ #pragma omp target\n")
+        assert toks[3].kind is TokenKind.PRAGMA
+
+    def test_newline_inside_comment_does_not_start_a_line(self):
+        with pytest.raises(ParseError, match="unexpected character '#'"):
+            tokenize("int x; /* c\n */ #pragma omp target\n")
+
+    def test_directive_body_collapses_splices_and_comments(self):
+        (tok, _) = tokenize("#define A 1 /* c\n */ + \\\n 2 // tail\n")
+        assert tok.value == "#define A 1   +   2 "
 
 
 class TestLocations:

@@ -15,6 +15,7 @@ suite quick; the full nine-benchmark behaviour is covered by
 ``test_suite.py`` on the default platform.
 """
 
+import gc
 import json
 
 import pytest
@@ -221,6 +222,17 @@ class TestGeometricMean:
     def test_non_positive_raises(self, bad):
         with pytest.raises(ValueError, match="positive"):
             geometric_mean([1.0, bad, 2.0])
+
+
+def _freeze_count(manager, item):
+    return gc.get_freeze_count()
+
+
+def test_pool_workers_freeze_their_inherited_heap():
+    # A serial run reads this process's count, which nothing froze, so
+    # a pooled item's count comes from its worker's own gc.freeze().
+    assert dispatch_map(_freeze_count, [0]) == [0]
+    assert all(count > 0 for count in dispatch_map(_freeze_count, range(4), jobs=2))
 
 
 def _explode(manager, item):

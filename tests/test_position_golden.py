@@ -5,11 +5,15 @@ the ``--report`` plan lines, diagnostics and error messages.  This
 module pins all of them: sha256 digests per input for the bulky ones
 (the 18 program files plus the 9 transformed outputs of the
 unoptimized programs) and the full text of every diagnostic and of one
-fixture per error path that names a position.
+fixture per error path that names a position.  It also pins the
+preprocessed token stream those renderings start from: one digest per
+input, plus one macro fixture, of every token's kind, text, offsets,
+value and macro origin.
 
 The data in ``data/position_golden.json`` was generated from the tool
-as it stood before source positions became integer offsets; run this
-module as a script to regenerate it::
+as it stood before source positions became integer offsets, and the
+token digests from the lexer as it stood before it became one
+generator scan; run this module as a script to regenerate it::
 
     PYTHONPATH=src python tests/test_position_golden.py
 """
@@ -27,7 +31,7 @@ import pytest
 from repro.cfg import astcfg_to_dot, build_astcfgs
 from repro.core.tool import OMPDart
 from repro.diagnostics import ToolError
-from repro.frontend import dump_ast, parse_source
+from repro.frontend import dump_ast, parse_source, preprocess
 from repro.suite.registry import PROGRAMS_DIR
 
 GOLDEN = Path(__file__).with_name("data") / "position_golden.json"
@@ -100,6 +104,83 @@ def test_program_renderings_match_golden(name):
 def test_golden_covers_every_input():
     assert sorted(_golden()["inputs"]) == sorted(_inputs()) == INPUT_NAMES
     assert len(INPUT_NAMES) == 27
+
+
+# -- the preprocessed token stream -------------------------------------------
+
+#: What the 18 programs (object-like ``#define`` only) leave out:
+#: function-like and nested expansion, ``#ifdef``/``#else``, line
+#: splices, comments inside directives, and every literal class.
+MACRO_FIXTURE_NAME = "macro_fixture.c"
+MACRO_FIXTURE = (
+    "#define N 16\n"
+    "#define SQ(x) ((x) * (x))\n"
+    "#define ADD(a, b) (SQ(a) + (b)) /* nested: SQ inside ADD */\n"
+    "#define SCALE 2.5f // a comment inside a directive\n"
+    "#define WIDE (N + \\\n"
+    "              N)\n"
+    "#ifdef N\n"
+    "int a[N];\n"
+    "#else\n"
+    "int a[1];\n"
+    "#endif\n"
+    "#ifndef MISSING\n"
+    "double s = SCALE;\n"
+    "#else\n"
+    "double s = 0;\n"
+    "#endif\n"
+    "#if defined(N)\n"
+    "unsigned h = 0x1Fu + 'x' + '\\n';\n"
+    "#endif\n"
+    "#if 0\n"
+    "int never;\n"
+    "#endif\n"
+    "#pragma once\n"
+    "#include <stdio.h>\n"
+    "int main() {\n"
+    "  int t = ADD(N, SQ(3)) + WIDE;\n"
+    "  double e = 1e3 + .5 + 1.0;\n"
+    '  printf("%d\\t%s\\n", t, "a\\"b");\n'
+    "  #pragma omp target teams distribute \\\n"
+    "      parallel for map(tofrom: a) /* clause comment */\n"
+    "  for (int i = 0; i < N; i++) a[i] = SQ(i) /* inline */ + t;\n"
+    "  return 0;\n"
+    "}\n"
+)
+
+
+def _token_inputs() -> dict[str, str]:
+    return {**_inputs(), MACRO_FIXTURE_NAME: MACRO_FIXTURE}
+
+
+def token_digest(name: str, source: str) -> str:
+    """sha256 of the ``preprocess`` artifact's token list."""
+    tokens, _ = preprocess(source, name)
+    return _sha(
+        "\n".join(
+            repr((t.kind.name, t.text, t.offset, t.end_offset, t.value,
+                  t.expanded_from))
+            for t in tokens
+        )
+    )
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_NAMES + [MACRO_FIXTURE_NAME]))
+def test_token_stream_matches_golden(name):
+    assert token_digest(name, _token_inputs()[name]) == _golden()["tokens"][name]
+
+
+def test_token_golden_covers_every_input():
+    assert sorted(_golden()["tokens"]) == sorted(_token_inputs())
+    assert len(_golden()["tokens"]) == 28
+
+
+def test_macro_fixture_exercises_expansion():
+    tokens, _ = preprocess(MACRO_FIXTURE, MACRO_FIXTURE_NAME)
+    origins = {t.expanded_from for t in tokens}
+    assert {"N", "SQ", "ADD", "SCALE", "WIDE"} <= origins
+    assert "never" not in {t.text for t in tokens}
+    assert sum(t.kind.name == "PRAGMA" for t in tokens) == 1
 
 
 # -- one fixture per error path that renders a position ---------------------
@@ -182,6 +263,7 @@ def _regenerate() -> None:
         "clause_dump": dump_ast(
             parse_source(SECTION_DUMP_SOURCE, "clauses.c")
         ).splitlines(),
+        "tokens": {n: token_digest(n, s) for n, s in sorted(_token_inputs().items())},
     }
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

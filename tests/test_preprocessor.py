@@ -144,3 +144,80 @@ class TestPassthrough:
     def test_unknown_directive_raises(self):
         with pytest.raises(ParseError):
             preprocess("#banana\nint a;")
+
+
+class TestDirectiveWhitespace:
+    """A directive's name, and a pragma's kind, end at any whitespace."""
+
+    def test_tab_after_define(self):
+        toks, _ = preprocess("#define\tN 64\nint a[N];")
+        lit = [t for t in toks if t.kind is TokenKind.INT_LITERAL][0]
+        assert (lit.value, lit.expanded_from) == (64, "N")
+
+    def test_tab_after_ifdef(self):
+        src = "#define N 1\n#ifdef\tN\nint a;\n#endif\nint b;"
+        assert texts(src) == ["int", "a", ";", "int", "b", ";"]
+
+    def test_tab_after_pragma(self):
+        toks, _ = preprocess("#pragma\tomp target\nint a;")
+        assert toks[0].kind is TokenKind.PRAGMA
+
+    def test_tab_after_pragma_kind(self):
+        src = "#pragma omp\ttarget teams distribute parallel for\nint a;"
+        toks, _ = preprocess(src)
+        assert toks[0].kind is TokenKind.PRAGMA
+        assert toks[0].value == src.splitlines()[0]
+
+
+class TestIfConditions:
+    """``#if`` takes an integer literal, ``defined NAME`` or
+    ``defined(NAME)``; anything else is an error, not a guess."""
+
+    @pytest.mark.parametrize(
+        "cond", ["defined(A)", "defined A", "defined ( A )", "defined\tA"]
+    )
+    def test_defined_forms(self, cond):
+        src = f"#define A 1\n#if {cond}\nint a;\n#endif\nint b;"
+        assert texts(src) == ["int", "a", ";", "int", "b", ";"]
+        src = f"#if {cond}\nint a;\n#endif\nint b;"
+        assert texts(src) == ["int", "b", ";"]
+
+    @pytest.mark.parametrize(
+        "cond",
+        ["defined(A) && defined(B)", "defined(A) || 1", "definedA", "defined()"],
+    )
+    def test_other_conditions_raise(self, cond):
+        src = f"#define A 1\n#define B 1\n#if {cond}\nint a;\n#endif\n"
+        with pytest.raises(ParseError, match="unsupported #if condition") as exc:
+            preprocess(src, "c.c")
+        assert "c.c:3:1" in str(exc.value)
+
+    def test_condition_in_inactive_region_is_not_read(self):
+        src = "#if 0\n#if defined(A) || 1\nint a;\n#endif\n#endif\nint b;"
+        assert texts(src) == ["int", "b", ";"]
+
+
+class TestNamelessDirectives:
+    @pytest.mark.parametrize("head", ["ifdef", "ifndef", "undef"])
+    def test_missing_name_is_a_parse_error(self, head):
+        with pytest.raises(ParseError) as exc:
+            preprocess(f"int a;\n#{head}\nint b;\n#endif\n", "m.c")
+        assert str(exc.value) == f"#{head} without a macro name at m.c:2:1"
+
+    def test_batch_reports_it_as_a_parse_error(self):
+        from repro.pipeline.batch import transform_batch
+
+        (outcome,) = transform_batch([("#ifdef\nint a;\n#endif\n", "m.c")])
+        assert not outcome.ok
+        assert "internal error" not in outcome.error
+        assert "#ifdef without a macro name at m.c:1:1" in outcome.error
+
+
+class TestFirstErrorOrder:
+    def test_directive_error_before_later_lexical_error(self):
+        # The lexer is pulled token by token, so the line-1 directive
+        # fails before the scan reaches the line-3 string.
+        src = '#error nope\nint x;\nchar *s = "abc;\n'
+        with pytest.raises(ParseError) as exc:
+            preprocess(src, "e.c")
+        assert str(exc.value) == "unsupported preprocessor directive #error at e.c:1:1"

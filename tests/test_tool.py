@@ -360,3 +360,20 @@ class TestIdempotentStructure:
         res = transform_source(src, "ml.c")
         reparses(res)
         assert "map(tofrom: a)" in res.output_source
+
+    def test_tab_separated_kernel_pragma_is_mapped(self):
+        # The pragma kind ends at any whitespace, so a tab after
+        # ``omp`` still makes this an OpenMP kernel.
+        src = (
+            "int a[16];\n"
+            "int main() {\n"
+            "  a[0] = 1;\n"
+            "  #pragma omp\ttarget teams distribute parallel for\n"
+            "  for (int i = 0; i < 16; i++) a[i] += i;\n"
+            "  return a[0];\n"
+            "}\n"
+        )
+        res = transform_source(src, "tab.c")
+        reparses(res)
+        assert len(res.plans) == 1
+        assert "map(tofrom: a)" in res.output_source
