@@ -212,6 +212,13 @@ class TestScan:
         with pytest.raises(ParseError, match="unexpected character '#'"):
             tokenize("int x; /* c\n */ #pragma omp target\n")
 
+    def test_abutting_tokens_share_an_offset(self):
+        # Offsets past 256 are not cached ints, so sharing is by design.
+        toks = tokenize(" " * 300 + "a[i] b")
+        assert toks[0].end_offset is toks[1].offset
+        assert toks[2].end_offset is toks[3].offset
+        assert toks[3].end_offset != toks[4].offset
+
     def test_directive_body_collapses_splices_and_comments(self):
         (tok, _) = tokenize("#define A 1 /* c\n */ + \\\n 2 // tail\n")
         assert tok.value == "#define A 1   +   2 "
