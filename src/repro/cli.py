@@ -661,21 +661,28 @@ def _print_cache_report(outcomes) -> None:
 
     Summed over the inputs that ran: a deduplicated input shares its
     representative's lookups instead of making its own (a repeated path
-    shares the very outcome object).
+    shares the very outcome object).  Rows follow the pass chain: a run
+    that hit its stored passes built no unstored one, so first-seen
+    order would depend on which input came first.
     """
     from .pipeline.cache import ORIGIN_DISK, ORIGIN_MEMORY, ORIGIN_REMOTE
+    from .pipeline.passes import DEFAULT_PASSES
 
     tiers = (ORIGIN_MEMORY, ORIGIN_DISK, ORIGIN_REMOTE)
     ran = {id(o): o for o in outcomes if not o.deduped_from}
-    rows: dict[str, dict[str, int]] = {}
+    rows: dict[str, dict[str, int]] = {
+        p.name: dict.fromkeys((*tiers, "miss"), 0) for p in DEFAULT_PASSES
+    }
     for outcome in ran.values():
         for name, event in outcome.cache_events.items():
             row = rows.setdefault(name, dict.fromkeys((*tiers, "miss"), 0))
             if event == "hit":
                 row[outcome.cache_origins[name]] += 1
-            elif event == "miss":
+            else:
                 row["miss"] += 1
     for name, row in rows.items():
+        if not any(row.values()):
+            continue  # no input ran this pass
         by_tier = ", ".join(f"{tier} {row[tier]}" for tier in tiers)
         print(
             f"  cache {name:<11s} {sum(row[t] for t in tiers)} hit(s) "

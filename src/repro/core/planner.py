@@ -23,7 +23,6 @@ from ..analysis.alias import verify_disambiguation
 from ..analysis.effects import InterproceduralAnalysis
 from ..analysis.liveness import escaping_variables
 from ..analysis.placement import (
-    Placement,
     PlacementAnalysis,
     PlacementKind,
     UpdatePosition,
@@ -31,7 +30,6 @@ from ..analysis.placement import (
 from ..analysis.validity import (
     Direction,
     ValidityAnalysis,
-    ValidityResult,
     variables_of_interest,
 )
 from ..cfg.astcfg import ASTCFG
@@ -49,12 +47,15 @@ from .region import check_declarations_precede_region, compute_region
 
 @dataclass
 class PlannerOutput:
-    """Plan plus diagnostics for one function."""
+    """Plan plus diagnostics for one function.
+
+    The ``plan`` artifact record keeps it, so it holds nothing that
+    points into the CFG: the validity tables and placements stay local
+    to :func:`plan_function`.
+    """
 
     plan: FunctionPlan | None
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    validity: ValidityResult | None = None
-    placements: list[Placement] = field(default_factory=list)
 
 
 def _reduction_vars(kernels: list[A.OMPExecutableDirective]) -> set[str]:
@@ -190,7 +191,7 @@ def plan_function(
         firstprivates=fp_specs,
         reduction_vars=tuple(sorted(reduction)),
     )
-    return PlannerOutput(plan, diagnostics, validity, placements)
+    return PlannerOutput(plan, diagnostics)
 
 
 def _pointer_vars(

@@ -9,15 +9,17 @@ workflow).
 The work itself is organized as a pass pipeline
 (:mod:`repro.pipeline`): ``preprocess -> parse -> constraints ->
 effects -> cfg -> plan -> rewrite``, run by a
-:class:`~repro.pipeline.manager.PassManager` that caches per-pass
-artifacts under a content hash of ``(source, filename, options)`` and
-records per-pass wall time and cache events.  :class:`OMPDart` is a
-thin facade: it owns a manager (or accepts a shared one — the
-evaluation harness shares a single manager across all nine benchmarks
-so the simulator frontend reuses the parse artifact), runs the chain,
-and packages the context into a :class:`TransformResult`.  Repeated
-runs over unchanged source answer from cache; ``TransformResult.
-report()`` surfaces the Table-V-style per-pass overhead breakdown.
+:class:`~repro.pipeline.manager.PassManager` that caches the
+``parse``, ``constraints``, ``plan`` and ``rewrite`` artifacts under a
+content hash of ``(source, filename, options)`` and records per-pass
+wall time and cache events.  :class:`OMPDart` is a thin facade: it
+owns a manager (or accepts a shared one — the evaluation harness
+shares a single manager across all nine benchmarks so the simulator
+frontend reuses the parse artifact), runs the chain, and packages the
+context into a :class:`TransformResult`.  Repeated runs over unchanged
+source answer from cache without building a pass, so their
+``pass_timings`` list only those four; ``TransformResult.report()``
+surfaces the Table-V-style per-pass overhead breakdown.
 Batch transformation of many translation units at once lives in
 :mod:`repro.pipeline.batch` (``ompdart batch`` on the command line).
 """
@@ -50,7 +52,8 @@ class TransformResult:
     elapsed_seconds: float
     translation_unit: A.TranslationUnit | None = None
     planner_outputs: list[PlannerOutput] = field(default_factory=list)
-    #: Per-pass wall time in seconds, in pipeline order.
+    #: Per-pass wall time in seconds of the passes that ran, in
+    #: pipeline order.
     pass_timings: dict[str, float] = field(default_factory=dict)
     #: Per-pass cache events: "hit" | "miss".
     cache_events: dict[str, str] = field(default_factory=dict)

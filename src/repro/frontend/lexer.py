@@ -71,7 +71,7 @@ _SCAN = re.compile(
     + "|".join(re.escape(s) for s, _ in PUNCTUATORS if s != ".")
     + r")"
     # Hex integers; the [uUlL] suffix is part of the token text but not
-    # the value.
+    # the value (:func:`int_literal_value` reads both integer classes).
     r"|(?P<HEX>0[xX][0-9a-fA-F]+[uUlL]*)"
     # Floats: digits.digits / .digits / digits-with-exponent, each with
     # an optional one-char [fFlL] suffix — plus the bare int-with-f
@@ -114,6 +114,37 @@ _DIRECTIVE_TRIVIA = re.compile(r"\\\n|/\*.*?\*/|//[^\n]*", re.DOTALL)
 
 def _directive_space(m: re.Match[str]) -> str:
     return "" if m.group().startswith("//") else " "
+
+
+#: A C integer literal: decimal, octal after a leading ``0`` or hex
+#: digits, then anything that continues the number, which must be a
+#: ``u``/``l`` suffix (:data:`_INT_SUFFIX`).
+_INT_LITERAL = re.compile(r"(0[xX][0-9a-fA-F]+|[0-9]+)(\w*)")
+_INT_SUFFIX = re.compile(r"(?:[uU](?:ll|LL|[lL])?|(?:ll|LL|[lL])[uU]?)?")
+
+
+def int_literal_value(spelling: str) -> int:
+    """The value of the C integer literal ``spelling``.
+
+    Decimal, octal with a leading ``0`` (``010`` is 8) or hex, each with
+    an optional ``u``/``l`` suffix.  Raises :class:`ValueError` with
+    gcc's wording for a bad octal digit or suffix (``08``, ``1_0``,
+    ``0b1``) and for text that is no integer literal at all.
+    """
+    m = _INT_LITERAL.fullmatch(spelling)
+    if m is None:
+        raise ValueError("not an integer literal")
+    digits, suffix = m.groups()
+    if suffix and _INT_SUFFIX.fullmatch(suffix) is None:
+        raise ValueError(f'invalid suffix "{suffix}" on integer constant')
+    if digits[0] != "0" or len(digits) == 1:
+        return int(digits)
+    if digits[1] in "xX":
+        return int(digits, 16)
+    bad = digits.lstrip("01234567")
+    if bad:
+        raise ValueError(f'invalid digit "{bad[0]}" in octal constant')
+    return int(digits, 8)
 
 
 def _decode_escapes(body: str) -> str:
@@ -164,12 +195,13 @@ def scan(buffer: SourceBuffer) -> Iterator[Token]:
         elif group == _PUNCT:
             spelling = text[start:end]
             yield Token(punct_kinds[spelling], spelling, start, end)
-        elif group == _INT:
+        elif group == _INT or group == _HEX:
             spelling = text[start:end]
-            yield Token(
-                TokenKind.INT_LITERAL, spelling, start, end,
-                int(spelling.rstrip("uUlL"), 10),
-            )
+            try:
+                value = int_literal_value(spelling)
+            except ValueError as exc:
+                raise _error(buffer, start, str(exc)) from None
+            yield Token(TokenKind.INT_LITERAL, spelling, start, end, value)
         elif group == _DIRECTIVE:
             if m.start(_NL) < 0 and m.start() > 0:
                 raise _error(buffer, start, "unexpected character '#'")
@@ -188,12 +220,6 @@ def scan(buffer: SourceBuffer) -> Iterator[Token]:
             )
         elif group == _DOT:
             yield Token(TokenKind.DOT, ".", start, end)
-        elif group == _HEX:
-            spelling = text[start:end]
-            yield Token(
-                TokenKind.INT_LITERAL, spelling, start, end,
-                int(spelling.rstrip("uUlL"), 16),
-            )
         elif group == _STR:
             spelling = text[start:end]
             yield Token(

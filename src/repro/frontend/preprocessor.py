@@ -6,9 +6,10 @@ need:
 * object-like and function-like ``#define`` / ``#undef``
 * ``#include`` (skipped -- the tool analyses a single translation unit,
   exactly like OMPDart, paper section IV-B)
-* ``#ifdef`` / ``#ifndef`` / ``#else`` / ``#endif``, and ``#if`` on an
-  integer literal, ``defined NAME`` or ``defined(NAME)``; any other
-  ``#if`` condition is a :class:`ParseError`
+* ``#ifdef`` / ``#ifndef`` / ``#else`` / ``#endif``, and ``#if`` on a C
+  integer literal (read as the lexer reads one, so ``010`` is 8),
+  ``defined NAME`` or ``defined(NAME)``; any other ``#if`` condition is
+  a :class:`ParseError`
 * ``#pragma omp`` lines survive as :data:`TokenKind.PRAGMA` tokens; any
   other pragma is dropped.
 
@@ -32,7 +33,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..diagnostics import ParseError
-from .lexer import scan, tokenize
+from .lexer import int_literal_value, scan, tokenize
 from .source import SourceBuffer, SourceLocation
 from .tokens import Token, TokenKind
 
@@ -117,12 +118,22 @@ class Preprocessor:
 
     def _drain(self, emit: Callable[[Token], None]) -> bool:
         """Emit the expansion queue, expanding as it goes; True once it
-        emits EOF.  Queued tokens skip directive handling."""
+        emits EOF.
+
+        A directive the scan produced (the token a bare function-like
+        macro name peeked at, see :meth:`_collect_macro_args`) is
+        processed; a ``#`` line inside a macro body is emitted as is.
+        """
         queue = self._queue
         macros = self.macros
         while queue:
             pending = queue.popleft()
             tok = pending.token
+            if tok.kind is _PRAGMA and tok.expanded_from is None:
+                passthrough = self._handle_directive(tok)
+                if passthrough is not None:
+                    emit(passthrough)
+                continue
             if (
                 tok.kind is _IDENT
                 and tok.text in macros
@@ -178,7 +189,9 @@ class Preprocessor:
         self, macro: MacroDefinition, banned: frozenset[str]
     ) -> tuple[list[list[Token]], int] | None:
         """The arguments of a function-like use and the end offset of
-        its closing ``)``; None when no ``(`` follows the name."""
+        its closing ``)``; None when no ``(`` follows the name.  The
+        token peeked for the ``(`` stays queued, and :meth:`_drain`
+        processes it like the main loop would."""
         nxt = self._peek_pending_or_lex()
         if nxt.kind is not TokenKind.LPAREN:
             return None
@@ -301,11 +314,12 @@ class Preprocessor:
         if defined is not None:
             return (defined.group(1) or defined.group(2)) in self.macros
         try:
-            return int(expr, 0) != 0
-        except ValueError:
+            return int_literal_value(expr) != 0
+        except ValueError as exc:
             raise ParseError(
                 f"unsupported #if condition {expr!r} at {self._where(tok)} "
-                "(only integer literals and defined(NAME) are supported)"
+                f"({exc}; only integer literals and defined(NAME) are "
+                "supported)"
             ) from None
 
     def _handle_define(self, rest: str, tok: Token) -> None:

@@ -1,15 +1,19 @@
-"""The spill record: every cached artifact of one input in one file.
+"""The spill record: every stored artifact of one input in one file.
 
-The pipeline runs over one input produce up to eight artifacts, one
-per pass: a transform's seven and the simulator's codegen rows.  The
-cache keeps them together as a **record**, a ``{pass name: artifact}``
-dict, and spills that record as one file.
+The record keeps only what a hit reads, the artifacts of the *stored*
+passes (:attr:`repro.pipeline.passes.Pass.stored`): a transform's
+``parse``, ``constraints``, ``plan`` and ``rewrite``, and the
+simulator's ``codegen`` rows, five at most.  The token list of
+``preprocess`` and the ``effects`` and ``cfg`` analyses stay in the run
+that built them.  The cache keeps an input's artifacts together as a
+**record**, a ``{pass name: artifact}`` dict, and spills that record as
+one file.
 
 A single pickle of the whole dict lets pickle's memo share what the
-artifacts have in common: ``effects``, ``cfg`` and ``plan`` hold
-references into the translation unit ``parse`` produced, so the record
-stores that AST once, and the decoded analysis artifacts point into the
-decoded TU exactly as freshly built ones point into the parsed TU.
+artifacts have in common: ``plan`` holds references into the
+translation unit ``parse`` produced, so the record stores that AST
+once, and the decoded plans point into the decoded TU exactly as
+freshly built ones point into the parsed TU.
 
 A record file is a magic prefix followed by a zlib-compressed pickle of
 ``(RECORD_VERSION, record)``.  The version is also folded into the
@@ -30,7 +34,7 @@ from typing import Any, Mapping
 MAGIC = b"OREC1\n"
 
 #: Layout version of the record and of every artifact class it pickles.
-RECORD_VERSION = 3
+RECORD_VERSION = 4
 
 #: zlib level: the record is rewritten whenever a run adds artifacts,
 #: and level 1 costs a fraction of level 6 for a few percent more bytes.

@@ -11,10 +11,13 @@ separate worker processes of the batch driver share work across runs.
 
 A pipeline run looks its input's record up once, on its first pass
 lookup: memory, then the directory's spill, then an optional remote
-store node (:mod:`repro.pipeline.remote`).  Every pass the record holds
-is a hit reported with the tier the record came from; the rest are
-built and :meth:`ArtifactCache.put` into the record.  The pass manager
-then :meth:`~ArtifactCache.commit`\\ s the record once, which spills it
+store node (:mod:`repro.pipeline.remote`).  The pass manager looks up
+only the *stored* passes (:attr:`repro.pipeline.passes.Pass.stored`),
+so a record, in memory or spilled, holds only the artifacts a hit
+reads.  Every stored pass the record holds is a hit reported with the
+tier the record came from; the rest are built and
+:meth:`ArtifactCache.put` into the record.  The pass manager then
+:meth:`~ArtifactCache.commit`\\ s the record once, which spills it
 whole when the run added anything.  The record version is folded into
 the storage key, so records of an incompatible revision are never
 looked up.

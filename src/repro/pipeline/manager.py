@@ -1,4 +1,12 @@
-"""The pass manager: runs the stage chain with caching + instrumentation."""
+"""The pass manager: runs the stage chain with caching + instrumentation.
+
+A run first looks up the stored passes of its schedule, which loads
+the input's record once, then executes the schedule in chain order:
+every stored pass as a hit or a build, and an unstored pass only when
+the target or a pass being built transitively requires it.  A run whose
+stored passes all hit therefore builds nothing, and a record that holds
+``parse`` spares a later run the ``preprocess`` pass.
+"""
 
 from __future__ import annotations
 
@@ -35,19 +43,47 @@ def _schedules(passes: tuple[Pass, ...]) -> dict[str, tuple[Pass, ...]]:
     }
 
 
+#: Stored pass name -> (artifact or MISS, origin, lookup seconds).
+_Found = dict[str, tuple[object, str | None, float]]
+
+#: What an unstored pass starts from: no artifact, no lookup time.
+_UNSTORED = (MISS, None, 0.0)
+
+
+def _needed(schedule: tuple[Pass, ...], found: _Found) -> list[Pass]:
+    """The passes of ``schedule`` a run executes, in chain order.
+
+    Every stored pass runs, as a hit or a build.  An unstored pass runs
+    when the target (the schedule's last pass) or a pass being built
+    requires it, directly or through other unstored passes.
+    """
+    wanted = {schedule[-1].name}
+    needed = []
+    for p in reversed(schedule):
+        builds = found[p.name][0] is MISS if p.stored else p.name in wanted
+        if builds:
+            wanted.update(p.requires)
+        if builds or p.stored:
+            needed.append(p)
+    needed.reverse()
+    return needed
+
+
 class PassManager:
     """Runs the passes a target needs over a :class:`PipelineContext`.
 
     A run ends at a target pass (``until``, by default the chain's last
-    pass, ``rewrite``) and executes that pass and the passes it
-    transitively requires, in chain order; any other pass is skipped.
-    Per-pass artifacts are cached under a fingerprint of ``(source,
+    pass, ``rewrite``).  Of that pass and the passes it transitively
+    requires, it executes in chain order every stored pass and each
+    unstored pass that a build needs; any other pass is skipped.
+    Stored artifacts are cached under a fingerprint of ``(source,
     filename, options)`` and kept together as one record per input: a
-    run looks the record up on its first pass and commits it once at
-    the end, so a repeated run of the same translation unit answers
+    run looks the record up before its first pass and commits it once
+    at the end, so a repeated run of the same translation unit answers
     from cache in microseconds.  Wall time and cache events are
-    recorded per pass on the context, which the tool facade surfaces
-    through ``TransformResult.report()``.
+    recorded on the context for each pass that ran (a built pass is a
+    ``miss``, stored or not), which the tool facade surfaces through
+    ``TransformResult.report()``.
     """
 
     def __init__(
@@ -99,31 +135,55 @@ class PassManager:
         ctx = PipelineContext(source, filename, options or ToolOptions())
         key = self.input_key(ctx.source, ctx.filename, ctx.options)
         try:
-            for p in schedule:
-                self._run_pass(p, ctx, key)
+            found = self._lookup(schedule, key)
+            for p in _needed(schedule, found):
+                self._run_pass(p, ctx, key, *found.get(p.name, _UNSTORED))
         finally:
             # One spill per run, also for partial runs and for runs a
             # ToolError stopped: whatever was built is kept.
             self.cache.commit(key)
         return ctx
 
-    def _run_pass(self, p: Pass, ctx: PipelineContext, key: str) -> None:
+    def _lookup(self, schedule: tuple[Pass, ...], key: str) -> _Found:
+        """Look up every stored pass of ``schedule``.
+
+        The first lookup loads the input's record, so it carries the
+        load time into that pass's timing.
+        """
+        found = {}
+        for p in schedule:
+            if p.stored:
+                start = time.perf_counter()
+                value, origin = self.cache.lookup(p.name, key)
+                found[p.name] = (value, origin, time.perf_counter() - start)
+        return found
+
+    def _run_pass(
+        self,
+        p: Pass,
+        ctx: PipelineContext,
+        key: str,
+        value: object,
+        origin: str | None,
+        wall: float,
+    ) -> None:
+        """Record a hit, or build the pass (storing a stored artifact);
+        ``wall`` starts at the pass's lookup time."""
         profiler = self.profiler
         if profiler is not None:
             profiler.begin_pass(p.name)
-        start = time.perf_counter()
-        value, origin = self.cache.lookup(p.name, key)
         if value is not MISS:
             event = HIT
+            ctx.cache_origins[p.name] = origin
         else:
+            start = time.perf_counter()
             value = p.build(ctx)
-            self.cache.put(p.name, key, value)
+            if p.stored:
+                self.cache.put(p.name, key, value)
+            wall += time.perf_counter() - start
             event = MISS_EVENT
         ctx.artifacts[p.name] = value
         ctx.cache_events[p.name] = event
-        if origin is not None:
-            ctx.cache_origins[p.name] = origin
-        wall = time.perf_counter() - start
         ctx.timings[p.name] = wall
         if profiler is not None:
             profiler.end_pass(p.name, wall, event)

@@ -17,6 +17,12 @@ chain ``preprocess -> parse -> constraints -> effects -> cfg -> plan
 reproduction-side addition for the simulator: no transform pass
 requires it, so it runs only when a run asks for it with
 ``until="codegen"``, which builds ``preprocess -> parse -> codegen``.
+
+A pass is ``stored`` when the artifact record keeps its artifact.
+``preprocess`` (the token list), ``effects`` and ``cfg`` are not: they
+are intermediate artifacts only the next passes of the same run read,
+so they live in the run's context and are built only when a pass that
+needs them is built.  A run whose stored passes all hit builds nothing.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ class Pass:
     finalize: Callable[[PipelineContext, Any], None] | None = None
     #: Names of the earlier passes whose artifacts this pass reads.
     requires: tuple[str, ...] = ()
+    #: Whether the artifact record keeps this pass's artifact.  An
+    #: unstored artifact lives only in the run's context, and the pass
+    #: is built only when a pass being built requires it.
+    stored: bool = True
 
 
 # -- stage bodies ------------------------------------------------------------
@@ -145,14 +155,16 @@ def _build_rewrite(ctx: PipelineContext) -> str:
 
 #: The OMPDart stage chain, in execution order.  ``effects`` requires
 #: ``constraints`` for the fused prep it consumes, which also keeps a
-#: constraint violation failing a run before any analysis starts.
+#: constraint violation failing a run before any analysis starts.  The
+#: record keeps ``parse``, ``codegen``, ``constraints``, ``plan`` and
+#: ``rewrite``: everything a hit reads.
 DEFAULT_PASSES: tuple[Pass, ...] = (
-    Pass("preprocess", _build_preprocess),
+    Pass("preprocess", _build_preprocess, stored=False),
     Pass("parse", _build_parse, requires=("preprocess",)),
     Pass("codegen", _build_codegen, requires=("parse",)),
     Pass("constraints", _build_constraints, _finalize_constraints, requires=("parse",)),
-    Pass("effects", _build_effects, requires=("parse", "constraints")),
-    Pass("cfg", _build_cfg, requires=("parse",)),
+    Pass("effects", _build_effects, requires=("parse", "constraints"), stored=False),
+    Pass("cfg", _build_cfg, requires=("parse",), stored=False),
     Pass("plan", _build_plan, _finalize_plan, requires=("parse", "effects", "cfg")),
     Pass("rewrite", _build_rewrite, requires=("plan",)),
 )

@@ -1,7 +1,9 @@
-"""The spill record: one file per input holding every pass's artifact,
-versioned keys, quarantine of broken records, and the retired spill
-formats staying unread."""
+"""The spill record: one file per input holding every stored pass's
+artifact, versioned keys, quarantine of broken records, and the retired
+spill formats staying unread."""
 
+import collections
+import dataclasses
 import gc
 import io
 import pickle
@@ -9,6 +11,9 @@ import zlib
 
 import pytest
 
+from repro.analysis.placement import Placement
+from repro.analysis.validity import ValidityResult
+from repro.cfg.graph import CFGEdge, CFGNode
 from repro.diagnostics import ToolError
 from repro.frontend.ast_nodes import Node
 from repro.frontend.source import SourceBuffer
@@ -18,6 +23,7 @@ from repro.pipeline.batch import transform_batch
 from repro.pipeline.cache import MISS, ArtifactCache
 from repro.pipeline.context import ToolOptions
 from repro.pipeline.manager import PassManager
+from repro.pipeline.passes import DEFAULT_PASSES
 from repro.pipeline.store import gc_spills
 
 SRC = """
@@ -48,6 +54,13 @@ PASS_NAMES = (
 
 #: The passes a transform runs: every pass but the simulator's codegen.
 TRANSFORM_NAMES = tuple(name for name in PASS_NAMES if name != "codegen")
+
+#: The passes whose artifacts a transform's record keeps; a warm
+#: transform runs only these.
+RECORD_NAMES = ("parse", "constraints", "plan", "rewrite")
+
+#: Everything a record can hold: the transform's four and codegen.
+STORED_NAMES = {"parse", "codegen", "constraints", "plan", "rewrite"}
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +106,36 @@ def _events(ctx, names=TRANSFORM_NAMES):
 def _spilled_passes(directory):
     (spill,) = directory.glob("*.art")
     return set(AR.decode_record(spill.read_bytes()))
+
+
+def _counting_manager(cache):
+    """A manager over ``cache`` whose passes log each build by name."""
+    built = []
+
+    def counted(p):
+        def build(ctx):
+            built.append(p.name)
+            return p.build(ctx)
+
+        return dataclasses.replace(p, build=build)
+
+    manager = PassManager([counted(p) for p in DEFAULT_PASSES], cache)
+    return manager, built
+
+
+def _pickled_instances(obj):
+    """Class -> number of objects of that class a pickle of ``obj``
+    reduces (everything but None, bools and the exact builtin
+    containers, numbers and strings; memoized objects count once)."""
+    census = collections.Counter()
+
+    class Census(pickle.Pickler):
+        def reducer_override(self, value):
+            census[type(value)] += 1
+            return NotImplemented
+
+    Census(io.BytesIO(), protocol=5).dump(obj)
+    return census
 
 
 class TestSchemas:
@@ -273,6 +316,16 @@ class TestRecordCache:
         assert len(manager.cache) == 3
         assert ArtifactCache().max_entries == 32
 
+    def test_memory_tier_holds_only_the_stored_artifacts(self):
+        manager = PassManager()
+        manager.run(SRC, "t.c")
+        key = manager.input_key(SRC, "t.c", ToolOptions())
+        held = [
+            name for name in PASS_NAMES
+            if manager.cache.get(name, key) is not MISS
+        ]
+        assert held == list(RECORD_NAMES)
+
     def test_an_empty_record_leaves_memory_on_commit(self, tmp_path):
         cache = ArtifactCache(disk_dir=tmp_path)
         assert cache.get("parse", "k") is MISS
@@ -295,31 +348,32 @@ class TestOneRecordPerInput:
 
     def test_prefix_run_then_full_run_merge_into_one_record(self, tmp_path):
         _manager(tmp_path).run(SRC, "t.c", until="codegen")
-        assert _spilled_passes(tmp_path) == {"preprocess", "parse", "codegen"}
+        assert _spilled_passes(tmp_path) == {"parse", "codegen"}
         full = _manager(tmp_path).run(SRC, "t.c")
-        assert _events(full) == ["hit"] * 2 + ["miss"] * 5
+        # parse hits, so preprocess is not built; the analyses the plan
+        # reads are.
+        assert _events(full, TRANSFORM_NAMES[1:]) == ["hit"] + ["miss"] * 5
         assert set(full.cache_origins.values()) == {"disk"}
-        assert _spilled_passes(tmp_path) == set(PASS_NAMES)
+        assert _spilled_passes(tmp_path) == STORED_NAMES
         again = _manager(tmp_path).run(SRC, "t.c")
-        assert _events(again) == ["hit"] * 7
+        assert _events(again, RECORD_NAMES) == ["hit"] * 4
         assert set(again.cache_origins.values()) == {"disk"}
         assert again.artifact("rewrite") == full.artifact("rewrite")
 
     def test_full_run_then_codegen_run_merge_into_one_record(self, tmp_path):
         _manager(tmp_path).run(SRC, "t.c")
-        assert _spilled_passes(tmp_path) == set(TRANSFORM_NAMES)
+        assert _spilled_passes(tmp_path) == set(RECORD_NAMES)
         rows = _manager(tmp_path).run(SRC, "t.c", until="codegen")
-        codegen_chain = ("preprocess", "parse", "codegen")
-        assert _events(rows, codegen_chain) == ["hit", "hit", "miss"]
-        assert _spilled_passes(tmp_path) == set(PASS_NAMES)
+        assert _events(rows, ("parse", "codegen")) == ["hit", "miss"]
+        assert _spilled_passes(tmp_path) == STORED_NAMES
         again = _manager(tmp_path).run(SRC, "t.c", until="codegen")
-        assert _events(again, codegen_chain) == ["hit"] * 3
+        assert _events(again, ("parse", "codegen")) == ["hit"] * 2
         assert again.artifact("codegen") == rows.artifact("codegen")
 
     def test_tool_error_replays_from_a_warm_record(self, tmp_path):
         errors = []
         for _ in range(2):
-            manager = _manager(tmp_path)
+            manager, built = _counting_manager(ArtifactCache(disk_dir=tmp_path))
             with pytest.raises(ToolError) as info:
                 manager.run(BAD_SRC, "bad.c")
             errors.append(
@@ -327,11 +381,14 @@ class TestOneRecordPerInput:
             )
         assert errors[0] == errors[1]
         assert "constraints" in errors[1][0]
-        # The second run answered every pass up to the failing one.
+        assert _spilled_passes(tmp_path) == {"parse", "constraints"}
+        # The second run looked every stored pass up and stopped at the
+        # replayed constraint violation without building anything.
+        assert built == []
         stats = manager.cache.stats
-        assert list(stats) == list(TRANSFORM_NAMES[:3])
-        assert [s.hits for s in stats.values()] == [1] * 3
-        assert all(s.misses == 0 for s in stats.values())
+        assert list(stats) == list(RECORD_NAMES)
+        assert [s.hits for s in stats.values()] == [1, 1, 0, 0]
+        assert [s.misses for s in stats.values()] == [0, 0, 1, 1]
 
     @pytest.mark.parametrize("damage", ["truncated", "no-magic", "skewed"])
     def test_broken_record_is_quarantined_then_respilled(
@@ -352,10 +409,62 @@ class TestOneRecordPerInput:
         manager = _manager(tmp_path)
         rebuilt = manager.run(SRC, "t.c")
         assert _events(rebuilt) == ["miss"] * 7
-        assert manager.cache.stats["preprocess"].corrupt_spills == 1
+        # The broken record is charged to the first pass looked up.
+        assert manager.cache.stats["parse"].corrupt_spills == 1
         assert len(list(tmp_path.glob("*.art.bad"))) == 1
         (respilled,) = tmp_path.glob("*.art")
         assert respilled.name == spill.name
         healed = _manager(tmp_path).run(SRC, "t.c")
-        assert _events(healed) == ["hit"] * 7
+        assert _events(healed, RECORD_NAMES) == ["hit"] * 4
         assert healed.artifact("rewrite") == first.artifact("rewrite")
+
+
+class TestStoredPasses:
+    """Only ``parse``, ``codegen``, ``constraints``, ``plan`` and
+    ``rewrite`` are stored; ``preprocess``, ``effects`` and ``cfg`` are
+    built only for a stored pass that misses."""
+
+    def test_stored_flags(self):
+        assert {p.name for p in DEFAULT_PASSES if p.stored} == STORED_NAMES
+
+    def test_a_full_hit_builds_nothing(self):
+        manager, built = _counting_manager(ArtifactCache())
+        manager.run(SRC, "t.c")
+        assert built == list(TRANSFORM_NAMES)
+        built.clear()
+        warm = manager.run(SRC, "t.c")
+        assert built == []
+        assert warm.cache_events == dict.fromkeys(RECORD_NAMES, "hit")
+        assert list(warm.timings) == list(RECORD_NAMES)
+
+    def test_a_codegen_record_spares_a_full_run_the_preprocess_pass(
+        self, tmp_path
+    ):
+        _manager(tmp_path).run(SRC, "t.c", until="codegen")
+        manager, built = _counting_manager(ArtifactCache(disk_dir=tmp_path))
+        ctx = manager.run(SRC, "t.c")
+        assert built == ["constraints", "effects", "cfg", "plan", "rewrite"]
+        assert "preprocess" not in ctx.artifacts
+
+    @pytest.mark.parametrize("until", ["preprocess", "effects", "cfg"])
+    def test_an_unstored_target_is_built_over_a_warm_record(self, until):
+        manager, built = _counting_manager(ArtifactCache())
+        cold = manager.run(SRC, "t.c")
+        built.clear()
+        ctx = manager.run(SRC, "t.c", until=until)
+        assert built == [until]
+        assert ctx.cache_events[until] == "miss"
+        assert type(ctx.artifact(until)) is type(cold.artifact(until))
+
+    def test_a_record_pickles_no_tokens_or_cfg(self, tmp_path):
+        _manager(tmp_path).run(SRC, "t.c")
+        _manager(tmp_path).run(SRC, "t.c", until="codegen")
+        (spill,) = tmp_path.glob("*.art")
+        record = AR.decode_record(spill.read_bytes())
+        assert set(record) == STORED_NAMES
+        census = _pickled_instances(record)
+        for cls in (Token, CFGNode, CFGEdge, ValidityResult, Placement):
+            assert census[cls] == 0, cls.__name__
+        # The census sees what it looks for: a built cfg is all CFG.
+        cfg = PassManager().run(SRC, "t.c", until="cfg").artifact("cfg")
+        assert _pickled_instances(cfg)[CFGNode] > 0

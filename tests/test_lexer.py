@@ -64,6 +64,35 @@ class TestNumericLiterals:
             assert tok.kind is TokenKind.INT_LITERAL
             assert tok.value == 7
 
+    @pytest.mark.parametrize(
+        "text,value",
+        [("010", 8), ("0777", 511), ("0", 0), ("00", 0), ("017u", 15),
+         ("0x10", 16), ("0X1fUL", 31), ("10", 10), ("123LU", 123)],
+    )
+    def test_int_values_read_as_c_does(self, text, value):
+        (tok,) = tokenize(text)[:-1]
+        assert (tok.kind, tok.text, tok.value) == (
+            TokenKind.INT_LITERAL, text, value,
+        )
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("int a = 08;", 'l.c:1:9: invalid digit "8" in octal constant'),
+            ("x\n  0179", 'l.c:2:3: invalid digit "9" in octal constant'),
+            ("1uu", 'l.c:1:1: invalid suffix "uu" on integer constant'),
+            ("0x1lL", 'l.c:1:1: invalid suffix "lL" on integer constant'),
+        ],
+        ids=["octal-8", "octal-9-on-line-2", "uu", "lL"],
+    )
+    def test_bad_int_literal_is_a_lexical_error(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            tokenize(text.replace("\\n", "\n"), "l.c")
+        assert str(exc.value) == message
+
+    def test_leading_zero_float_is_decimal(self):
+        assert [t.value for t in tokenize("08.5 09e1")[:-1]] == [8.5, 90.0]
+
     def test_float_basic(self):
         (tok,) = tokenize("3.25")[:-1]
         assert tok.kind is TokenKind.FLOAT_LITERAL

@@ -61,6 +61,11 @@ class TestDeclarations:
         assert dims == (4, 8)
         assert var.qual_type.size == 4 * 8 * 8
 
+    def test_octal_array_size(self):
+        tu = parse("int a[010];")
+        (var,) = tu.global_vars()
+        assert var.qual_type.type.length == 8
+
     def test_array_size_constant_folded(self):
         tu = parse("#define N 8\nint a[N * 2];")
         (var,) = tu.global_vars()

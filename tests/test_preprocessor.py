@@ -81,6 +81,34 @@ class TestFunctionMacros:
         with pytest.raises(ParseError):
             preprocess("#define F(a, b) a\nint x = F(1);")
 
+    @pytest.mark.parametrize(
+        "between",
+        [
+            "#define N 3\n",
+            "#define Q 1\n#ifdef Q\nint b;\n#endif\n",
+            "#ifdef Q\nint b;\n#define N 5\n#endif\n",
+            "#if 0\nint b;\n#else\nint c;\n#endif\n",
+            "#pragma omp target\n",
+        ],
+        ids=["define", "ifdef-taken", "inactive-region", "else", "pragma"],
+    )
+    def test_directive_after_bare_name_is_processed(self, between):
+        """The token peeked for a ``(`` after a bare function-like name
+        is a directive here; it must be processed, as after any other
+        identifier."""
+        tail = f"int F\n{between};\nint a[N];\n"
+        defines = "#define F(x) x\n#define N 2\n#undef N\n#define N 4\n"
+        got, _ = preprocess(defines + tail)
+        want, _ = preprocess(defines.replace("F(x) x", "G(x) x") + tail)
+        assert [(t.kind, t.text, t.value) for t in got] == [
+            (t.kind, t.text, t.value) for t in want
+        ]
+        assert "N" not in texts(defines + tail)
+
+    def test_directive_after_bare_name_from_an_expansion(self):
+        src = "#define F(x) x\n#define G F\nint G\n#define N 3\n;int a[N];"
+        assert texts(src) == ["int", "F", ";", "int", "a", "[", "3", "]", ";"]
+
     def test_zero_arg_macro(self):
         src = "#define GET() 5\nint x = GET();"
         assert "5" in texts(src)
@@ -191,6 +219,32 @@ class TestIfConditions:
         with pytest.raises(ParseError, match="unsupported #if condition") as exc:
             preprocess(src, "c.c")
         assert "c.c:3:1" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "cond,taken",
+        [("010", True), ("00", False), ("10L", True), ("1u", True),
+         ("0x0UL", False), ("0x10", True)],
+    )
+    def test_integer_conditions_read_as_c_does(self, cond, taken):
+        src = f"#if {cond}\nint a;\n#endif\nint b;"
+        assert texts(src) == (["int", "a", ";"] if taken else []) + [
+            "int", "b", ";",
+        ]
+
+    @pytest.mark.parametrize(
+        "cond,reason",
+        [
+            ("1_0", 'invalid suffix "_0" on integer constant'),
+            ("0o7", 'invalid suffix "o7" on integer constant'),
+            ("0b1", 'invalid suffix "b1" on integer constant'),
+            ("08", 'invalid digit "8" in octal constant'),
+            ("1 + 1", "not an integer literal"),
+        ],
+    )
+    def test_integer_conditions_c_rejects_raise(self, cond, reason):
+        with pytest.raises(ParseError, match="unsupported #if condition") as exc:
+            preprocess(f"int x;\n#if {cond}\nint a;\n#endif\n", "c.c")
+        assert f"at c.c:2:1 ({reason};" in str(exc.value)
 
     def test_condition_in_inactive_region_is_not_read(self):
         src = "#if 0\n#if defined(A) || 1\nint a;\n#endif\n#endif\nint b;"

@@ -79,9 +79,11 @@ class TestBatchRunsShareTheCacheDir:
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("  cache ")
         ]
-        # One line per pass a transform runs: codegen is not one.
-        assert len(warm) == 7
-        assert not any(line.startswith("  cache codegen") for line in warm)
+        # One line per stored pass a transform runs, in chain order: a
+        # warm run builds neither codegen nor the unstored passes.
+        assert [line.split()[1] for line in warm] == [
+            "parse", "constraints", "plan", "rewrite",
+        ]
         for line in warm:
             assert " 3 hit(s) " in line and line.endswith("/ 0 miss(es)")
 
@@ -97,6 +99,32 @@ class TestBatchRunsShareTheCacheDir:
         assert "  cache rewrite     1 hit(s) (memory 0, disk 1, remote 0) " \
             "/ 0 miss(es)" in out
         assert "byte(s) in spill files" in out
+
+    def test_report_rows_follow_the_chain_when_hits_and_misses_mix(
+        self, tmp_path, capsys
+    ):
+        """A warm input listed first runs only its stored passes; the
+        cold one after it adds the rest, which still print in chain
+        order."""
+        from repro.cli import main
+
+        warm, cold = self._inputs(tmp_path, 2)
+        cache = str(tmp_path / "c")
+        assert main(["batch", warm, "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        assert main(["batch", warm, cold, "--cache-dir", cache,
+                     "--report"]) == 0
+        rows = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  cache ")
+        ]
+        assert [row[1] for row in rows] == [
+            "preprocess", "parse", "constraints", "effects", "cfg", "plan",
+            "rewrite",
+        ]
+        stored = {"parse", "constraints", "plan", "rewrite"}
+        for row in rows:
+            assert row[2] == ("1" if row[1] in stored else "0"), row
 
     def test_store_stats_counts_one_record_per_input(self, tmp_path, capsys):
         from repro.cli import main
