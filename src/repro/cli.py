@@ -162,16 +162,8 @@ def _add_profile(parser: argparse.ArgumentParser, help: str) -> None:
     )
 
 
-def _add_cache_dir(
-    parser: argparse.ArgumentParser, cache_help: str, store_help: str
-) -> None:
-    """``--cache-dir`` and the remote tier behind it, ``--store-url``."""
-    parser.add_argument("--cache-dir", help=cache_help)
-    parser.add_argument(
-        "--store-url",
-        metavar="URL",
-        help=f"{store_help}; requires --cache-dir",
-    )
+def _add_cache_dir(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--cache-dir", help=help)
 
 
 def _add_baseline(
@@ -515,19 +507,14 @@ def _declare_batch(parser: argparse.ArgumentParser) -> None:
     )
     _add_defines(parser)
     _add_cache_dir(
-        parser,
-        "persist pipeline artifacts here (shared across workers/runs)",
-        "remote artifact store node (an ompdart serve --cache-dir "
-        "instance): local cache misses read through to its "
-        "/artifacts routes and fresh spills publish back "
-        "write-behind",
+        parser, "persist pipeline artifacts here (shared across workers/runs)"
     )
     parser.add_argument(
         "--report",
         action="store_true",
         help=(
             "print per-input pass timings and cache events, and per-pass "
-            "cache hits by tier (memory/disk/remote)"
+            "cache hits by tier (memory/disk)"
         ),
     )
     _add_platform_arguments(parser)
@@ -553,22 +540,16 @@ def _run_batch(args: argparse.Namespace) -> int:
     platform = _resolve_platform_arg(args.platform)
     if platform is None:
         return 2
-    from .pipeline.batch import BatchRunStats, transform_paths
+    from .pipeline.batch import transform_paths
     from .pipeline.context import ToolOptions
 
     macros = _parse_defines(args.defines)
     options = ToolOptions(predefined_macros=macros)
-    run_stats = BatchRunStats() if args.store_url and args.report else None
     import time
 
     batch_start = time.perf_counter()
     outcomes = transform_paths(
-        args.inputs,
-        options,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        run_stats=run_stats,
-        store_url=args.store_url,
+        args.inputs, options, jobs=args.jobs, cache_dir=args.cache_dir
     )
     batch_wall = time.perf_counter() - batch_start
 
@@ -626,8 +607,6 @@ def _run_batch(args: argparse.Namespace) -> int:
                 fh.write(outcome.output_source or "")
     if args.report:
         _print_cache_report(outcomes)
-        if args.store_url:
-            _print_remote_report(args.store_url, run_stats)
         if args.cache_dir:
             from .pipeline.store import spill_stats
 
@@ -665,10 +644,10 @@ def _print_cache_report(outcomes) -> None:
     that hit its stored passes built no unstored one, so first-seen
     order would depend on which input came first.
     """
-    from .pipeline.cache import ORIGIN_DISK, ORIGIN_MEMORY, ORIGIN_REMOTE
+    from .pipeline.cache import ORIGIN_DISK, ORIGIN_MEMORY
     from .pipeline.passes import DEFAULT_PASSES
 
-    tiers = (ORIGIN_MEMORY, ORIGIN_DISK, ORIGIN_REMOTE)
+    tiers = (ORIGIN_MEMORY, ORIGIN_DISK)
     ran = {id(o): o for o in outcomes if not o.deduped_from}
     rows: dict[str, dict[str, int]] = {
         p.name: dict.fromkeys((*tiers, "miss"), 0) for p in DEFAULT_PASSES
@@ -688,22 +667,6 @@ def _print_cache_report(outcomes) -> None:
             f"  cache {name:<11s} {sum(row[t] for t in tiers)} hit(s) "
             f"({by_tier}) / {row['miss']} miss(es)"
         )
-
-
-def _print_remote_report(store_url: str, run_stats) -> None:
-    """The --report line for the run's remote-store traffic."""
-    remote = run_stats.remote
-    if remote is None:
-        print(f"ompdart: remote store {store_url}: no traffic recorded")
-        return
-    line = (
-        f"ompdart: remote store {store_url}: "
-        f"{remote['hits']} remote hit(s), {remote['misses']} miss(es), "
-        f"{remote['puts']} publish(es), {remote['errors']} error(s)"
-    )
-    if remote["degraded"]:
-        line += f", {remote['degraded']} degraded op(s) served locally"
-    print(line)
 
 
 def _declare_profile(parser: argparse.ArgumentParser) -> None:
@@ -746,8 +709,6 @@ def _declare_suite(parser: argparse.ArgumentParser) -> None:
         parser,
         "persist pipeline artifacts here (shared across "
         "workers/runs, like ompdart batch)",
-        "remote artifact store node: cache misses read through, "
-        "fresh spills publish back",
     )
     parser.add_argument(
         "--report",
@@ -807,7 +768,6 @@ def _run_suite(args: argparse.Namespace) -> int:
             names=names,
             vectorize=not args.no_vectorize,
             cache_dir=args.cache_dir,
-            store_url=args.store_url,
         )
     except BatchWorkerError as exc:
         # Serial or pooled, a benchmark's exception (a ToolError, a
@@ -1040,22 +1000,6 @@ def _declare_serve(parser: argparse.ArgumentParser) -> None:
         parser,
         "artifact cache directory (jobs then share pipeline "
         "artifacts across workers and runs)",
-        "remote artifact store node backing this server's workers: "
-        "local cache misses read through to its /artifacts routes, "
-        "fresh spills publish back write-behind (a down node "
-        "degrades to local tiers; see /healthz)",
-    )
-    parser.add_argument(
-        "--peer",
-        action="append",
-        default=None,
-        metavar="URL",
-        dest="peers",
-        help=(
-            "fleet peer to route admitted jobs to (repeatable); jobs "
-            "forward to the least-loaded healthy peer and fall back to "
-            "local execution when none is reachable"
-        ),
     )
     parser.add_argument(
         "--max-queue", type=int, default=64, metavar="N",
@@ -1110,8 +1054,7 @@ def _declare_serve(parser: argparse.ArgumentParser) -> None:
         help=(
             "deterministic fault plan for testing, e.g. "
             "'kill-worker:p=0.05,corrupt-spill:p=0.02' "
-            "(kinds: kill-worker, corrupt-spill, wedge, drop-conn, "
-            "slow-peer, corrupt-payload, partition); unknown kinds "
+            "(kinds: kill-worker, corrupt-spill, wedge); unknown kinds "
             "are rejected"
         ),
     )
@@ -1167,15 +1110,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             return 2
 
     async def _serve() -> int:
-        router = None
-        if args.peers:
-            from .service.fleet import PeerRouter
-
-            try:
-                router = PeerRouter(args.peers)
-            except ValueError as exc:
-                print(f"ompdart serve: bad --peer: {exc}", file=sys.stderr)
-                return 2
         scheduler = JobScheduler(
             workers=args.workers,
             max_concurrency=args.max_jobs,
@@ -1190,7 +1124,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             cancel_grace=args.cancel_grace,
             retry_after_max=args.retry_after_max,
             fault_plan=fault_plan,
-            store_url=args.store_url,
         )
         server = JobServer(
             scheduler,
@@ -1199,7 +1132,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             read_timeout=args.read_timeout,
             idle_timeout=args.idle_timeout,
             max_requests=args.max_requests,
-            router=router,
         )
         try:
             host, port = await server.start()
@@ -1212,12 +1144,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             f"({args.workers} worker(s), "
             f"max {args.max_jobs} concurrent job(s)"
             + (f", store at {args.cache_dir}" if args.cache_dir else "")
-            + (f", remote store {args.store_url}" if args.store_url else "")
-            + (
-                f", routing to {len(args.peers)} peer(s)"
-                if args.peers
-                else ""
-            )
             + ")",
             file=sys.stderr,
         )
@@ -1408,21 +1334,6 @@ def _declare_chaos(parser: argparse.ArgumentParser) -> None:
         "--no-cancel-probe", action="store_true",
         help="skip the DELETE-a-running-job probe",
     )
-    parser.add_argument(
-        "--store", action="store_true",
-        help=(
-            "boot an in-process remote store node per variant and "
-            "point the workers at it (tests the remote artifact tier)"
-        ),
-    )
-    parser.add_argument(
-        "--kill-store", action="store_true",
-        help=(
-            "abruptly kill the faulted variant's store node halfway "
-            "through: the remote breaker must open and results must "
-            "stay bit-identical (requires --store)"
-        ),
-    )
     _add_json(parser, "write the ompdart-chaos/1 artifact here")
 
 
@@ -1446,8 +1357,6 @@ def _run_chaos(args: argparse.Namespace) -> int:
         job_retries=args.job_retries,
         cancel_grace=args.cancel_grace,
         cancel_probe=not args.no_cancel_probe,
-        store=args.store,
-        kill_store=args.kill_store,
     )
     try:
         payload = asyncio.run(run_chaos(config))
@@ -1649,11 +1558,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def _usage_error(args: argparse.Namespace) -> str | None:
     """The first usage rule shared by several commands that ``args`` break."""
-    if getattr(args, "store_url", None) and not args.cache_dir:
-        return (
-            "--store-url requires --cache-dir "
-            "(remote artifacts land as local spills)"
-        )
+    cache_dir = existing = getattr(args, "cache_dir", None)
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        return f"--cache-dir {cache_dir}: {existing} is not a directory"
     for dest in _COUNTS:
         if getattr(args, dest, 1) < 1:
             return f"--{dest.replace('_', '-')} must be >= 1"

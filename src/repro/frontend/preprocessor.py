@@ -102,9 +102,7 @@ class Preprocessor:
                     emit(passthrough)
             elif not self._active:
                 if kind is _EOF:
-                    raise ParseError(
-                        f"{self.buffer.filename}: unterminated conditional directive"
-                    )
+                    self._end_of_file()
             elif kind is _IDENT and tok.text in macros:
                 if not self._try_expand(tok, _NO_BANS):
                     emit(tok)
@@ -113,8 +111,17 @@ class Preprocessor:
             else:
                 emit(tok)
                 if kind is _EOF:
+                    self._end_of_file()
                     return out
         raise AssertionError("the scan ended without an EOF token")
+
+    def _end_of_file(self) -> None:
+        """Reject a conditional block still open at end of file, taken
+        or not."""
+        if self._cond_stack:
+            raise ParseError(
+                f"{self.buffer.filename}: unterminated conditional directive"
+            )
 
     def _drain(self, emit: Callable[[Token], None]) -> bool:
         """Emit the expansion queue, expanding as it goes; True once it
@@ -142,6 +149,7 @@ class Preprocessor:
                 continue
             emit(tok)
             if tok.kind is _EOF:
+                self._end_of_file()
                 return True
         return False
 
@@ -191,7 +199,11 @@ class Preprocessor:
         """The arguments of a function-like use and the end offset of
         its closing ``)``; None when no ``(`` follows the name.  The
         token peeked for the ``(`` stays queued, and :meth:`_drain`
-        processes it like the main loop would."""
+        processes it like the main loop would.
+
+        A directive line inside the list is processed as at top level,
+        and the tokens of an inactive region are skipped; an OpenMP
+        pragma stays an argument token."""
         nxt = self._peek_pending_or_lex()
         if nxt.kind is not TokenKind.LPAREN:
             return None
@@ -206,6 +218,13 @@ class Preprocessor:
                     f"unterminated arguments for macro {macro.name!r} at "
                     f"{self._where(tok)}"
                 )
+            if tok.kind is _PRAGMA and tok.expanded_from is None:
+                passthrough = self._handle_directive(tok)
+                if passthrough is not None:
+                    args[-1].append(passthrough)
+                continue
+            if not self._active:
+                continue
             if tok.kind is TokenKind.LPAREN:
                 depth += 1
             elif tok.kind is TokenKind.RPAREN:

@@ -19,7 +19,7 @@ A record file is a magic prefix followed by a zlib-compressed pickle of
 ``(RECORD_VERSION, record)``.  The version is also folded into the
 storage key (:func:`storage_key`), so records written by an
 incompatible revision are never looked up; one that turns up under a
-current key anyway (a remote payload, a hand-copied file) fails to
+current key anyway (a hand-copied file, say) fails to
 decode and reads as a miss.
 """
 

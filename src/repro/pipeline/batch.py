@@ -11,7 +11,7 @@ Content-identical inputs are deduplicated at submit, so each distinct
 source runs once.  Worker processes keep a process-global
 :class:`PassManager`; pass a ``cache_dir`` to share artifacts across
 processes and across runs through its spill files.  Every outcome
-records which cache tier (memory, disk, remote) served each pass, which
+records which cache tier (memory or disk) served each pass, which
 is what the CLI's ``--report`` sums.
 """
 
@@ -37,9 +37,6 @@ from .manager import PassManager
 class BatchRunStats:
     """Run-wide observability a caller can opt into per batch run."""
 
-    #: Remote-tier counters (:data:`repro.pipeline.remote.EVENTS`) of a
-    #: run with a ``store_url``, summed over every worker.
-    remote: dict[str, int] | None = None
     #: Content-hash pre-dedup accounting for the run: how many distinct
     #: sources actually dispatched, and how many inputs were fanned out
     #: from a representative's result instead of running themselves.
@@ -104,7 +101,6 @@ def transform_batch(
     cache_dir: str | None = None,
     manager: PassManager | None = None,
     run_stats: BatchRunStats | None = None,
-    store_url: str | None = None,
 ) -> list[BatchOutcome]:
     """Transform ``(source, filename)`` pairs; results in input order.
 
@@ -122,14 +118,8 @@ def transform_batch(
     An in-process ``manager`` cannot cross the process boundary, so
     combining it with ``jobs > 1`` is an error — use ``cache_dir`` to
     share artifacts between workers instead.  It brings its own cache,
-    so combining it with ``cache_dir`` or ``store_url`` is an error too.
-
-    ``store_url`` layers the remote tier on top: lookups that miss
-    locally read through to a store node's ``/artifacts`` routes and
-    fresh spills publish back write-behind.  Requires ``cache_dir``
-    (remote payloads land as local spills); a down store node degrades
-    to the local tiers, it never fails the batch.  ``run_stats``
-    receives the run's remote counters.
+    so combining it with ``cache_dir`` is an error too.  ``run_stats``
+    receives the run's dedup counts.
     """
     options = options or ToolOptions()
     items = list(items)
@@ -152,11 +142,6 @@ def transform_batch(
         run_stats.unique_inputs = len(unique)
         run_stats.deduped_inputs = len(items) - len(unique)
 
-    counters = None
-    if store_url is not None:
-        from .remote import RemoteCounters
-
-        counters = RemoteCounters()
     workers = max(1, min(jobs, len(unique)))
     results = dispatch_map(
         _transform_item,
@@ -165,14 +150,10 @@ def transform_batch(
         manager=manager,
         on_failure=_failed_transform,
         cache_dir=cache_dir,
-        store_url=store_url,
-        remote_counters=counters,
         # Amortize per-item IPC once the queue is long; one chunk per
         # worker per ~8 rounds keeps the pool load-balanced.
         chunksize=max(1, min(32, len(unique) // (workers * 8))),
     )
-    if counters is not None and run_stats is not None:
-        run_stats.remote = counters.snapshot()
     return [
         results[idx]
         if results[idx].filename == filename
@@ -188,7 +169,6 @@ def transform_paths(
     jobs: int = 1,
     cache_dir: str | None = None,
     run_stats: BatchRunStats | None = None,
-    store_url: str | None = None,
 ) -> list[BatchOutcome]:
     """Read files and transform them as one batch (CLI entry point)."""
     items: list[tuple[str, str]] = []
@@ -204,8 +184,7 @@ def transform_paths(
                 filename=path, ok=False, error=f"cannot read {path}: {exc}"
             )
     results = transform_batch(
-        items, options, jobs=jobs, cache_dir=cache_dir,
-        run_stats=run_stats, store_url=store_url,
+        items, options, jobs=jobs, cache_dir=cache_dir, run_stats=run_stats
     )
     for i, outcome in zip(readable, results):
         outcomes_by_index[i] = outcome

@@ -10,8 +10,7 @@ benchmark source twice) and can spill records to a directory so
 separate worker processes of the batch driver share work across runs.
 
 A pipeline run looks its input's record up once, on its first pass
-lookup: memory, then the directory's spill, then an optional remote
-store node (:mod:`repro.pipeline.remote`).  The pass manager looks up
+lookup: memory, then the directory's spill.  The pass manager looks up
 only the *stored* passes (:attr:`repro.pipeline.passes.Pass.stored`),
 so a record, in memory or spilled, holds only the artifacts a hit
 reads.  Every stored pass the record holds is a hit reported with the
@@ -55,8 +54,6 @@ spill_fault_hook: Callable[[Path], None] | None = None
 #: Lookup-origin labels recorded by the pass manager.
 ORIGIN_MEMORY = "memory"
 ORIGIN_DISK = "disk"
-#: Served by a remote store node (cross-machine artifact hit).
-ORIGIN_REMOTE = "remote"
 
 
 def fingerprint(*parts: Any) -> str:
@@ -116,12 +113,6 @@ class ArtifactCache:
     max_entries: int = 32
     disk_dir: str | Path | None = None
     stats: dict[str, CacheStats] = field(default_factory=dict)
-    #: Optional remote tier (:class:`~repro.pipeline.remote
-    #: .RemoteStoreClient`): read-through on local disk misses,
-    #: write-behind on spills.  Any object with ``fetch``/``offer`` —
-    #: typed loosely so the pipeline never imports HTTP machinery
-    #: unless a store URL is actually configured.
-    remote: Any = None
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -161,11 +152,10 @@ class ArtifactCache:
         """(artifact or MISS, origin).
 
         The first lookup of an input loads its record (memory, then
-        disk, then remote); later lookups answer from the loaded
-        record.  Origin is the tier the record came from —
-        ``"memory"``, ``"disk"`` or ``"remote"`` — or ``None`` on a
-        miss.  ``deps`` is accepted and ignored: a record decodes
-        without outside artifacts.
+        disk); later lookups answer from the loaded record.  Origin is
+        the tier the record came from — ``"memory"`` or ``"disk"`` — or
+        ``None`` on a miss.  ``deps`` is accepted and ignored: a record
+        decodes without outside artifacts.
         """
         record = self._open(pass_name, storage_key(key))
         with self._lock:
@@ -217,15 +207,8 @@ class ArtifactCache:
             record.dirty = False
             artifacts = dict(record.artifacts)
         nbytes = self._disk_put(skey, artifacts)
-        if not nbytes:
-            return
         with self._lock:
             self.disk_bytes_written += nbytes
-        if self.remote is not None:
-            # Write-behind: the publisher thread reads the spill file
-            # at upload time; a down store node costs nothing here
-            # beyond a queue entry.
-            self.remote.offer(skey, self._record_path(skey))
 
     def _remember(self, skey: str, record: _Record) -> None:
         self._memory[skey] = record
@@ -243,7 +226,8 @@ class ArtifactCache:
             if record is not None:
                 self._memory.move_to_end(skey)
                 return record
-        artifacts, nbytes, origin = self._load(pass_name, skey)
+        artifacts, nbytes = self._load(pass_name, skey)
+        origin = ORIGIN_DISK if nbytes else ORIGIN_MEMORY
         with self._lock:
             record = self._memory.get(skey)
             if record is None:  # no racing thread loaded it meanwhile
@@ -266,32 +250,20 @@ class ArtifactCache:
         assert self.disk_dir is not None
         return Path(self.disk_dir) / f"{skey}.art"
 
-    def _load(self, pass_name: str, skey: str) -> tuple[dict, int, str]:
-        """(artifacts, bytes read, origin) of the spilled record.
+    def _load(self, pass_name: str, skey: str) -> tuple[dict, int]:
+        """(artifacts, bytes read) of the spilled record.
 
-        No record (or an undecodable one) loads as empty.
+        No record (or an undecodable one) loads as empty, 0 bytes.
         """
-        raw: bytes | None = None
-        src: Path | None = None
-        origin = ORIGIN_DISK
-        if self.disk_dir is not None:
-            src = self._record_path(skey)
-            try:
-                raw = src.read_bytes()
-            except OSError:
-                raw = None
-        if raw is None and self.remote is not None:
-            raw = self.remote.fetch(skey)
-            origin = ORIGIN_REMOTE
-            if raw is not None and src is not None:
-                # Land the payload locally before decoding: future
-                # lookups stay local, and a corrupt payload rides the
-                # same quarantine path as a torn local spill.
-                write_spill(src, raw)
-        if raw is None:
-            return {}, 0, ORIGIN_MEMORY
+        if self.disk_dir is None:
+            return {}, 0
+        src = self._record_path(skey)
         try:
-            return decode_record(raw), len(raw), origin
+            raw = src.read_bytes()
+        except OSError:
+            return {}, 0
+        try:
+            return decode_record(raw), len(raw)
         except ArtifactDecodeError:
             # Unreadable or version-skewed records are misses, not
             # crashes (e.g. a cached class moved between releases, or a
@@ -300,9 +272,8 @@ class ArtifactCache:
             # re-derived record can re-spill at the original path.
             with self._lock:
                 self._stat(pass_name).corrupt_spills += 1
-            if src is not None:
-                self._quarantine(src)
-            return {}, 0, ORIGIN_MEMORY
+            self._quarantine(src)
+            return {}, 0
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt spill aside — never raise."""
@@ -333,12 +304,11 @@ class ArtifactCache:
 def write_spill(path: Path, raw: bytes) -> bool:
     """Atomically land spill bytes at ``path`` (tmp + rename).
 
-    The one spill writer: the cache's spills, the remote payloads it
-    lands, and the store node's ``PUT /artifacts``.  The tmp name is
-    unique per writer (``{key}.{pid}-{tid}.tmp``), so concurrent
-    writers missing on the same key never truncate each other's
-    half-written spill, and :func:`repro.pipeline.store.sweep_dead_tmp`
-    finds a dead writer's leftovers by its pid.
+    The one spill writer.  The tmp name is unique per writer
+    (``{key}.{pid}-{tid}.tmp``), so concurrent writers missing on the
+    same key never truncate each other's half-written spill, and
+    :func:`repro.pipeline.store.sweep_dead_tmp` finds a dead writer's
+    leftovers by its pid.
     """
     tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
     try:

@@ -47,7 +47,7 @@ class PipelineContext:
     #: pass name -> "hit" | "miss".
     cache_events: dict[str, str] = field(default_factory=dict)
     #: pass name -> tier of the record that served a hit: "memory" |
-    #: "disk" | "remote".
+    #: "disk".
     cache_origins: dict[str, str] = field(default_factory=dict)
     #: Uncached pass-to-pass handoff (e.g. the fused-scan prep the
     #: constraints pass leaves for the effects pass).  Never part of

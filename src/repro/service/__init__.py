@@ -4,8 +4,8 @@ The pipeline's execution surface is split in five:
 
 * :mod:`repro.service.core` — the worker runtime shared by every
   concurrent driver: one pass manager per worker process, bound to
-  its pool's cache directory (and optionally a remote store node),
-  typed job specs keyed by content hash, and
+  its pool's cache directory, typed job specs keyed by content hash,
+  and
   :func:`~repro.service.core.dispatch_map`, the ordered
   ``fn(manager, item)`` map that every batch and suite run, serial or
   pooled, goes through.

@@ -41,13 +41,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .._version import __version__
-from .faults import (
-    DROP_CONN,
-    KILL_WORKER,
-    PARTITION,
-    FaultPlan,
-    parse_fault_plan,
-)
+from .faults import KILL_WORKER, FaultPlan, parse_fault_plan
 from .loadgen import LoadClient
 
 __all__ = [
@@ -95,13 +89,6 @@ class ChaosConfig:
     cancel_probe: bool = True
     timeout: float = 120.0
     host: str = "127.0.0.1"
-    #: Boot an in-process store node per variant and point the main
-    #: scheduler's workers at it (the remote artifact tier under test).
-    store: bool = False
-    #: Abruptly kill the faulted variant's store node halfway through
-    #: the workload: the remote breaker must open, jobs must not fail,
-    #: and the served results must stay bit-identical.
-    kill_store: bool = False
 
 
 def _workload(config: ChaosConfig) -> list[tuple[str, dict[str, Any]]]:
@@ -121,11 +108,10 @@ def _workload(config: ChaosConfig) -> list[tuple[str, dict[str, Any]]]:
             ))
             continue
         if i % 7 == 5:
-            # A sprinkle of never-repeated units keeps *fresh* spill
-            # (and therefore remote-publish) traffic flowing through
-            # the whole run — without these, the second half of a
-            # store-kill run would be all cache hits and the breaker
-            # wiring would go untested.  Same rows in both variants.
+            # A sprinkle of never-repeated units keeps *fresh* spills
+            # flowing through the whole run — without these, the second
+            # half would be all cache hits and corrupt-spill faults
+            # would stop biting.  Same rows in both variants.
             unit = 1000 + i
         else:
             unit = i % max(1, config.distinct_transforms)
@@ -166,21 +152,16 @@ async def _drive(
     config: ChaosConfig,
     port: int,
     rows: list[tuple[str, dict[str, Any]]],
-    on_progress: Any = None,
 ) -> list[dict[str, Any]]:
     """Submit every row through ``clients`` concurrent connections.
 
     Returns one record per row (in row order): state, error, and the
     canonicalized result — the stream the two variants are diffed on.
-    ``on_progress`` (async, takes the completed count) fires after
-    every settled row — the store-kill trigger rides on it.
     """
     records: list[dict[str, Any] | None] = [None] * len(rows)
     cursor = iter(range(len(rows)))
-    completed = 0
 
     async def one_client() -> None:
-        nonlocal completed
         client = LoadClient(
             config.host, port, keep_alive=True, timeout=config.timeout
         )
@@ -202,9 +183,6 @@ async def _drive(
                     record["state"] = "transport-error"
                     record["error"] = f"{type(exc).__name__}: {exc}"
                 records[index] = record
-                completed += 1
-                if on_progress is not None:
-                    await on_progress(completed)
         finally:
             await client.aclose()
 
@@ -256,34 +234,12 @@ async def _run_variant(
     config: ChaosConfig,
     rows: list[tuple[str, dict[str, Any]]],
     fault_plan: FaultPlan | None,
-    *,
-    kill_store: bool = False,
 ) -> dict[str, Any]:
-    """Boot a server, drive the workload, tear down; one variant.
-
-    With ``config.store``, the variant also boots a private store
-    node — a second in-process server whose ``/artifacts`` routes the
-    main scheduler's workers publish to and read through.  With
-    ``kill_store``, that node dies abruptly halfway through the
-    workload (accept socket closed, live connections aborted); the
-    workers' remote tier must degrade, never fail a job.
-    """
+    """Boot a server, drive the workload, tear down; one variant."""
     from .scheduler import JobScheduler
     from .server import JobServer
 
     cache_dir = tempfile.mkdtemp(prefix="ompdart-chaos-")
-    store_server = None
-    store_cache = None
-    store_url = None
-    if config.store:
-        store_cache = tempfile.mkdtemp(prefix="ompdart-chaos-store-")
-        store_server = JobServer(
-            JobScheduler(workers=1, cache_dir=store_cache),
-            host=config.host,
-            port=0,
-        )
-        _, store_port = await store_server.start()
-        store_url = f"http://{config.host}:{store_port}"
     scheduler = JobScheduler(
         workers=config.workers,
         cache_dir=cache_dir,
@@ -292,37 +248,16 @@ async def _run_variant(
         max_worker_restarts=config.max_worker_restarts,
         cancel_grace=config.cancel_grace,
         fault_plan=fault_plan,
-        store_url=store_url,
     )
     server = JobServer(scheduler, host=config.host, port=0)
     out: dict[str, Any] = {
         "faulted": fault_plan is not None and bool(fault_plan.rules),
     }
-    if config.store:
-        out["store_node"] = {"enabled": True, "kill_planned": kill_store}
     try:
         _, port = await server.start()
-        kill_after = max(1, len(rows) // 2)
-        store_killed = False
-
-        async def on_progress(done: int) -> None:
-            nonlocal store_killed
-            if store_killed or done < kill_after:
-                return
-            store_killed = True
-            assert store_server is not None
-            await store_server.kill()
-
-        trigger = (
-            on_progress
-            if (kill_store and store_server is not None)
-            else None
-        )
         start = time.perf_counter()
-        records = await _drive(config, port, rows, trigger)
+        records = await _drive(config, port, rows)
         out["wall_s"] = time.perf_counter() - start
-        if config.store:
-            out["store_node"]["killed"] = store_killed
         if fault_plan is not None and config.cancel_probe:
             out["cancel_probe"] = await _cancel_probe(config, port)
         # The same server object must still answer after every fault:
@@ -340,8 +275,6 @@ async def _run_variant(
         out["records"] = records
         out["states"] = _state_counts(records)
         out["supervisor"] = stats.get("supervisor", {})
-        if "remote" in stats:
-            out["remote"] = stats["remote"]
         if "degraded_reasons" in stats:
             out["degraded_reasons"] = stats["degraded_reasons"]
         out["scheduler"] = {
@@ -351,11 +284,7 @@ async def _run_variant(
         }
     finally:
         await server.aclose()
-        if store_server is not None:
-            await store_server.aclose()
         shutil.rmtree(cache_dir, ignore_errors=True)
-        if store_cache is not None:
-            shutil.rmtree(store_cache, ignore_errors=True)
     return out
 
 
@@ -413,13 +342,9 @@ async def run_chaos(config: ChaosConfig) -> dict[str, Any]:
     runtime outcome (including a broken one) lands in the payload for
     :func:`gate_chaos` to judge.
     """
-    if config.kill_store and not config.store:
-        raise ValueError("kill_store requires store (nothing to kill)")
     plan = parse_fault_plan(config.plan, seed=config.seed)
     rows = _workload(config)
-    faulted = await _run_variant(
-        config, rows, plan, kill_store=config.kill_store
-    )
+    faulted = await _run_variant(config, rows, plan)
     reference = await _run_variant(config, rows, None)
     divergences = _diff(
         faulted.get("records", []), reference.get("records", [])
@@ -437,8 +362,6 @@ async def run_chaos(config: ChaosConfig) -> dict[str, Any]:
             "job_retries": config.job_retries,
             "max_worker_restarts": config.max_worker_restarts,
             "cancel_grace": config.cancel_grace,
-            "store": config.store,
-            "kill_store": config.kill_store,
         },
         "methodology": (
             "One seeded deterministic job mix is served twice by "
@@ -457,8 +380,7 @@ async def run_chaos(config: ChaosConfig) -> dict[str, Any]:
             k: variant.get(k)
             for k in ("wall_s", "states", "supervisor",
                       "scheduler", "server_survived", "server_error",
-                      "cancel_probe", "remote", "degraded_reasons",
-                      "store_node")
+                      "cancel_probe", "degraded_reasons")
             if k in variant
         }
     return payload
@@ -507,32 +429,6 @@ def gate_chaos(payload: dict[str, Any]) -> list[str]:
             problems.append(
                 f"worker restarts {restarts} exceeded budget {budget}"
             )
-    config = payload.get("config", {})
-    if config.get("store") and config.get("kill_store"):
-        remote = chaos.get("remote") or {}
-        if not remote.get("breaker_opens", 0):
-            problems.append(
-                "store node was killed mid-run but the remote circuit "
-                "breaker never opened — degradation wiring is broken"
-            )
-        node = chaos.get("store_node") or {}
-        if not node.get("killed", False):
-            problems.append(
-                "kill_store was requested but the store node was never "
-                "killed (workload too short to reach the trigger?)"
-            )
-    if (
-        config.get("store")
-        and int(config.get("jobs", 0)) >= 50
-        and any(k in plan_text for k in (DROP_CONN, PARTITION))
-    ):
-        remote = chaos.get("remote") or {}
-        if not remote.get("errors", 0):
-            problems.append(
-                "network fault plan injected no remote store errors "
-                f"over {config.get('jobs')} jobs — fault wiring is "
-                "broken"
-            )
     probe = chaos.get("cancel_probe")
     if probe is not None:
         if probe.get("state") != "cancelled":
@@ -572,17 +468,6 @@ def render_chaos(payload: dict[str, Any]) -> str:
             f"crashes {supervisor.get('crashes', 0)}  "
             f"retries {supervisor.get('retries', 0)}  "
             f"restarts {supervisor.get('restarts', 0)}"
-        )
-    remote = payload.get("chaos", {}).get("remote")
-    if remote:
-        node = payload.get("chaos", {}).get("store_node", {})
-        lines.append(
-            f"  remote store: hits {remote.get('hits', 0)} "
-            f"misses {remote.get('misses', 0)} "
-            f"puts {remote.get('puts', 0)} "
-            f"errors {remote.get('errors', 0)} "
-            f"breaker opens {remote.get('breaker_opens', 0)} "
-            f"(store node killed: {node.get('killed', False)})"
         )
     probe = payload.get("chaos", {}).get("cancel_probe")
     if probe:

@@ -4,12 +4,11 @@ Each worker process holds one
 :class:`~repro.pipeline.manager.PassManager`, built by
 :func:`worker_init` over its pool's cache directory, and runs every
 job it is sent on it; sibling workers share artifacts through that
-directory's spills (and, with a store URL, through a remote store
-node).  Batch and suite runs, serial or ``-j N``, dispatch through
-:func:`dispatch_map`, which hands each item function the pass manager
-it runs on: the caller's, one :func:`build_manager` makes over the
-cache directory, or a pool worker's runtime manager, built by the same
-function.  Pooled items travel as chunk jobs to a
+directory's spills.  Batch and suite runs, serial or ``-j N``,
+dispatch through :func:`dispatch_map`, which hands each item function
+the pass manager it runs on: the caller's, one :func:`build_manager`
+makes over the cache directory, or a pool worker's runtime manager,
+built by the same function.  Pooled items travel as chunk jobs to a
 :class:`~repro.service.supervisor.SupervisedPool`; the asyncio
 scheduler submits its specs to a pool of its own.  Every process
 worker runs one loop into :func:`execute_job`, so a transform is
@@ -75,7 +74,7 @@ class BatchOutcome:
     #: Did the rewrite differ from the input source?  Mirrors
     #: ``TransformResult.changed``.
     changed: bool = False
-    #: pass name -> "memory" | "disk" | "remote" for cache hits.
+    #: pass name -> "memory" | "disk" for cache hits.
     cache_origins: dict[str, str] = field(default_factory=dict)
     #: Filename of the representative input whose pipeline run this
     #: outcome was fanned out from (batch content-hash pre-dedup);
@@ -155,67 +154,23 @@ def transform_one(
 _WORKER_MANAGER: PassManager | None = None
 
 
-def build_manager(cache_dir: str | None, remote: "Any | None") -> PassManager:
+def build_manager(cache_dir: str | None) -> PassManager:
     """A pass manager over ``cache_dir`` (None: memory only).
 
-    ``remote`` is a remote store client (or None): records that miss
-    locally read through to it, and spills publish back to it.  Serial
-    dispatch and every worker process build their manager here.
+    Serial dispatch and every worker process build their manager here.
     """
-    cache = ArtifactCache(disk_dir=cache_dir or None)
-    cache.remote = remote
-    return PassManager(cache=cache)
+    return PassManager(cache=ArtifactCache(disk_dir=cache_dir or None))
 
 
-def make_remote_client(
-    store_url: str | None, counters: "Any | None" = None
-) -> "Any | None":
-    """Build one process's remote store client (None when unset).
-
-    ``counters`` is the run's
-    :class:`~repro.pipeline.remote.RemoteCounters`, shared with a pool's
-    workers: when given, every client event is added to it so remote
-    traffic aggregates run-wide;
-    the client's own ``counters`` dict always holds this process's
-    view.  Fail-soft: a malformed URL logs nothing and disables the
-    tier — exactly the degraded mode a down store node produces.
-    """
-    if not store_url:
-        return None
-    from ..pipeline.remote import RemoteStoreClient
-
-    on_event = counters.add if counters is not None else None
-    try:
-        return RemoteStoreClient(store_url, on_event=on_event)
-    except ValueError:
-        return None
-
-
-def worker_init(
-    cache_dir: str | None,
-    store_url: str | None = None,
-    remote_counters: "Any | None" = None,
-) -> None:
+def worker_init(cache_dir: str | None) -> None:
     """Pool initializer: build this worker's manager over ``cache_dir``.
 
     Always a fresh manager, never the one a forked worker inherits from
     its parent.  Its memory tier starts empty; an input's first lookup
-    reads its record from ``cache_dir``.  With a ``store_url``, records
-    that miss locally read through to the remote store node and spills
-    publish back write-behind — the cross-machine tier — counting into
-    the pool's ``remote_counters``.
+    reads its record from ``cache_dir``.
     """
     global _WORKER_MANAGER
-    _WORKER_MANAGER = build_manager(
-        cache_dir, make_remote_client(store_url, remote_counters)
-    )
-
-
-def flush_worker_remote(timeout: float) -> None:
-    """Let this worker's write-behind publishes land before it exits."""
-    remote = _WORKER_MANAGER.cache.remote if _WORKER_MANAGER else None
-    if remote is not None:
-        remote.flush(timeout=timeout)
+    _WORKER_MANAGER = build_manager(cache_dir)
 
 
 def dispatch_map(
@@ -226,8 +181,6 @@ def dispatch_map(
     manager: PassManager | None = None,
     on_failure: Callable[[Any, str], Any] | None = None,
     cache_dir: str | None = None,
-    store_url: str | None = None,
-    remote_counters: "Any | None" = None,
     chunksize: int = 1,
 ) -> list[Any]:
     """Order-preserving ``fn(manager, item)`` map — the one dispatch path
@@ -236,11 +189,10 @@ def dispatch_map(
 
     ``jobs <= 1`` (or a single item) runs in this process on
     ``manager``, or on one :func:`build_manager` makes over
-    ``cache_dir`` with a remote client for ``store_url``.  ``jobs > 1``
-    runs ``fn`` on a :class:`~repro.service.supervisor.SupervisedPool`
-    built for this call over ``cache_dir``, ``store_url`` and
-    ``remote_counters``; each worker passes its runtime manager, built
-    by the same function, so ``fn`` must be a picklable top-level
+    ``cache_dir``.  ``jobs > 1`` runs ``fn`` on a
+    :class:`~repro.service.supervisor.SupervisedPool` built for this
+    call over ``cache_dir``; each worker passes its runtime manager,
+    built by the same function, so ``fn`` must be a picklable top-level
     callable.  Items travel in :class:`ChunkJobSpec` jobs of up to
     ``chunksize`` items, which amortizes pipe IPC over long queues.
     Results always come back in input order, so parallel runs are
@@ -248,9 +200,7 @@ def dispatch_map(
 
     A caller's ``manager`` cannot cross the process boundary, so it is
     an error with ``jobs > 1`` (whatever the item count); it brings its
-    own cache, so it is an error with ``cache_dir`` or ``store_url``
-    too.  ``store_url`` requires ``cache_dir``: remote payloads land as
-    local spills.
+    own cache, so it is an error with ``cache_dir`` too.
 
     A dead worker costs one retried chunk.  A chunk that keeps killing
     workers is quarantined by the pool; its items then rerun one per
@@ -268,36 +218,21 @@ def dispatch_map(
             "a manager cannot be shared with worker processes; "
             "pass cache_dir for cross-process artifact sharing"
         )
-    if manager is not None and (cache_dir or store_url):
+    if manager is not None and cache_dir:
         raise ValueError(
-            "a manager brings its own cache; pass either it or "
-            "cache_dir/store_url"
+            "a manager brings its own cache; pass either it or cache_dir"
         )
-    if store_url and not cache_dir:
-        raise ValueError("store_url requires a cache directory")
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        remote = None
         if manager is None:
-            remote = make_remote_client(store_url, remote_counters)
-            manager = build_manager(cache_dir, remote)
-        try:
-            if on_failure is None:
-                return [fn(manager, item) for item in items]
-            settled = [_apply(fn, manager, item) for item in items]
-        finally:
-            if remote is not None:
-                remote.flush(timeout=5.0)
-                remote.close()
+            manager = build_manager(cache_dir)
+        if on_failure is None:
+            return [fn(manager, item) for item in items]
+        settled = [_apply(fn, manager, item) for item in items]
     else:
         from .supervisor import SupervisedPool
 
-        pool = SupervisedPool(
-            min(jobs, len(items)),
-            cache_dir=cache_dir,
-            store_url=store_url,
-            remote_counters=remote_counters,
-        )
+        pool = SupervisedPool(min(jobs, len(items)), cache_dir=cache_dir)
         try:
             step = max(1, chunksize)
             submitted = [
@@ -563,7 +498,7 @@ def execute_job(spec: JobSpec) -> Any:
             "payload": "x" * max(0, spec.payload_bytes),
         }
     if _WORKER_MANAGER is None:
-        _WORKER_MANAGER = build_manager(None, None)
+        _WORKER_MANAGER = build_manager(None)
     manager = _WORKER_MANAGER
     if isinstance(spec, ChunkJobSpec):
         return [_apply(spec.fn, manager, item) for item in spec.items]

@@ -95,14 +95,11 @@ class LoadClient:
     """
 
     def __init__(self, host: str, port: int, *, keep_alive: bool = True,
-                 timeout: float = 60.0,
-                 headers: dict[str, str] | None = None):
+                 timeout: float = 60.0):
         self.host = host
         self.port = port
         self.keep_alive = keep_alive
         self.timeout = timeout
-        #: Extra headers on every request (the fleet router's hop marker).
-        self.headers = headers or {}
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
 
@@ -122,14 +119,10 @@ class LoadClient:
 
     def _encode(self, method: str, path: str, body: bytes) -> bytes:
         connection = "keep-alive" if self.keep_alive else "close"
-        extra = "".join(
-            f"{name}: {value}\r\n" for name, value in self.headers.items()
-        )
         return (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: {self.host}\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
             f"Connection: {connection}\r\n\r\n"
         ).encode() + body
 

@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..pipeline.remote import RemoteCounters
 from .core import JobSpec, spec_to_dict
 from .metrics import MetricsRegistry
 from .supervisor import (
@@ -181,7 +180,6 @@ class JobScheduler:
         cancel_grace: float = 2.0,
         retry_after_max: int = 60,
         fault_plan: Any = None,
-        store_url: str | None = None,
     ):
         self.cache_dir = cache_dir
         self.max_concurrency = max(1, max_concurrency)
@@ -224,16 +222,11 @@ class JobScheduler:
         self._wait_samples = 0
         self._run_seconds = 0.0
         self._run_samples = 0
-        #: Pool-wide remote-tier counters every worker's client adds to.
-        self._remote_counters: RemoteCounters | None = (
-            RemoteCounters() if store_url else None
-        )
         # Every worker spawns (and readiness-checks) now, before the
         # HTTP front opens any sockets; a respawned worker releases the
         # connection sockets it inherits, so clients still see EOF when
         # the front closes them.  The supervisor owns crash retries,
-        # respawns and the restart budget; workers read through and
-        # publish to the ``store_url`` node.
+        # respawns and the restart budget.
         self._pool = SupervisedPool(
             max(1, workers),
             cache_dir=cache_dir,
@@ -242,8 +235,6 @@ class JobScheduler:
             max_restarts=max_worker_restarts,
             cancel_grace=self.cancel_grace,
             fault_plan=fault_plan,
-            store_url=store_url,
-            remote_counters=self._remote_counters,
         )
         self._closed = False
         self.metrics: MetricsRegistry | None = None
@@ -345,25 +336,10 @@ class JobScheduler:
             lambda: self._pool_stat("cancel_kills"),
         )
         registry.gauge(
-            "ompdart_remote_breaker_open",
-            "1 while the remote-store circuit breaker is open.",
-            lambda: int(self.remote_breaker_open()),
-        )
-        registry.gauge(
-            "ompdart_remote_degraded_ops",
-            "Remote store operations skipped while the breaker was open.",
-            lambda: self._remote_stat("degraded"),
-        )
-        registry.gauge(
             "ompdart_degraded",
             "Count of active degraded-health reasons (0 = healthy).",
             lambda: len(self.degraded_reasons()),
         )
-
-    def _remote_stat(self, name: str) -> int:
-        if self._remote_counters is None:
-            return 0
-        return self._remote_counters.snapshot()[name]
 
     def _pool_stat(self, name: str) -> int:
         return int(self._pool.stats()[name])
@@ -627,31 +603,17 @@ class JobScheduler:
             },
             "supervisor": self._pool.stats(),
         }
-        if self._remote_counters is not None:
-            out["remote"] = self._remote_counters.snapshot()
         reasons = self.degraded_reasons()
         if reasons:
             out["degraded_reasons"] = reasons
         return out
 
-    def remote_breaker_open(self) -> bool:
-        """Is the remote-store circuit breaker open pool-wide?
-
-        "Currently open" is derived from the monotonic open/close
-        counters (opens > closes): worker processes cannot share a
-        state enum, but every transition bumps a shared counter.
-        """
-        if self._remote_counters is None:
-            return False
-        view = self._remote_counters.snapshot()
-        return view["breaker_opens"] > view["breaker_closes"]
-
     def degraded_reasons(self) -> list[str]:
         """Why this node is degraded-but-serving (empty = healthy).
 
         Degraded is not down: jobs still run, but a redundancy layer
-        has been consumed or a remote dependency is being skipped.
-        ``/healthz`` reports these without turning 503.
+        has been consumed.  ``/healthz`` reports these without turning
+        503.
         """
         reasons: list[str] = []
         pool = self._pool.stats()
@@ -659,8 +621,6 @@ class JobScheduler:
             reasons.append("worker restart budget spent and no workers remain")
         elif pool["restarts"] >= pool["max_restarts"] > 0:
             reasons.append("worker restart budget spent")
-        if self.remote_breaker_open():
-            reasons.append("remote store circuit breaker open")
         return reasons
 
     # -- lifecycle -------------------------------------------------------

@@ -31,9 +31,9 @@ Stdlib-only asyncio server, hardened for sustained traffic:
 Routes:
 
 * ``GET  /healthz``      — liveness probe; reports ``degraded`` (with
-  reasons: spent restart budget, open store/peer breakers) while still
-  answering 200 — degraded is not down.
-* ``GET  /stats``        — scheduler + remote-tier + HTTP counters.
+  reasons: a spent restart budget) while still answering 200 —
+  degraded is not down.
+* ``GET  /stats``        — scheduler + HTTP counters.
 * ``GET  /metrics``      — Prometheus text exposition.
 * ``GET  /jobs``         — all retained jobs, submission order.
 * ``POST /jobs``         — submit a job spec; answers immediately with
@@ -45,15 +45,7 @@ Routes:
   SIGINT, then SIGKILL after the configured grace period, and the job
   settles as ``cancelled`` (409 for a job that already settled, 410
   for an evicted one).
-* ``POST /run``          — submit and await in one round trip.  With
-  ``--peer`` routers configured, admitted jobs forward to the least-
-  loaded healthy peer (``X-Ompdart-Forwarded`` marks hops; a forwarded
-  request always executes locally, so routing cannot loop).
-* ``GET  /artifacts/<key>``  — content-addressed spill record bytes
-  from this node's cache directory (the remote store tier's read side).
-* ``PUT  /artifacts/<key>``  — land one spill record (validated magic,
-  atomic rename) in this node's cache directory.
-* ``GET  /artifacts/stats``  — spill census of the cache directory.
+* ``POST /run``          — submit and await in one round trip.
 
 When the supervised pool's restart budget is spent and no workers
 remain, new submissions answer ``503 Service Unavailable`` — the HTTP
@@ -70,16 +62,10 @@ Job specs are the :mod:`repro.service.core` kinds::
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
-import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
-from ..pipeline.artifacts import is_record
-from ..pipeline.cache import write_spill
-from ..pipeline.store import spill_stats
 from .core import spec_from_dict
 from .metrics import MetricsRegistry
 from .scheduler import (
@@ -106,15 +92,6 @@ STREAM_THRESHOLD = 64 * 1024
 #: the content hash.  Both bounds keep worst-case memory small.
 _SPEC_CACHE_ENTRIES = 256
 _SPEC_CACHE_MAX_BODY = 16 * 1024
-
-#: Valid artifact keys: ``{pass}-{skey}`` shapes only.  No slash, no
-#: leading dot, bounded length — the key becomes a filename inside the
-#: cache directory and must not traverse out of it.
-_ARTIFACT_KEY = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,255}$")
-
-#: Hop marker on forwarded requests: a request carrying it always
-#: executes locally, so fleet routing terminates after one hop.
-_FORWARDED_HEADER = "x-ompdart-forwarded"
 
 _REASONS = {
     200: "OK",
@@ -153,8 +130,6 @@ class _Request:
     body: bytes
     version: str
     keep_alive: bool
-    #: The request arrived from a peer router (one hop max).
-    forwarded: bool = False
 
 
 @dataclass
@@ -170,12 +145,8 @@ class JobServer:
 
     def __init__(self, scheduler: JobScheduler, *, host: str = "127.0.0.1",
                  port: int = 0, read_timeout: float = 30.0,
-                 idle_timeout: float = 75.0, max_requests: int = 1000,
-                 router: Any = None):
+                 idle_timeout: float = 75.0, max_requests: int = 1000):
         self.scheduler = scheduler
-        #: Optional fleet router (``--peer``): admitted ``POST /run``
-        #: jobs forward to the least-loaded healthy peer.
-        self.router = router
         self.host = host
         self.port = port
         #: Per-read deadline while inside a request (slowloris guard).
@@ -217,13 +188,7 @@ class JobServer:
             "ompdart_http_streamed_responses_total",
             "Responses sent with chunked transfer encoding.",
         )
-        self._artifact_ops = self.metrics.counter(
-            "ompdart_artifact_requests_total",
-            "Artifact store requests by operation and outcome.",
-            ("op", "outcome"),
-        )
         self._spec_cache: dict[bytes, Any] = {}
-        self._writers: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -234,8 +199,6 @@ class JobServer:
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
-        if self.router is not None:
-            await self.router.start()
         return self.host, self.port
 
     async def serve_forever(self) -> None:
@@ -250,25 +213,7 @@ class JobServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self.router is not None:
-            await self.router.aclose()
         await self.scheduler.aclose()
-
-    async def kill(self) -> None:
-        """Abrupt node death (chaos harness): stop accepting and abort
-        every open connection mid-exchange, without draining anything.
-
-        The scheduler is left running (and leaked until ``aclose``) on
-        purpose — a killed node's workers don't get to finish cleanly
-        either.  Clients see connection resets, exactly as if the
-        process had been SIGKILLed.
-        """
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-        for writer in list(self._writers):
-            with contextlib.suppress(Exception):
-                writer.transport.abort()
 
     # -- connection loop -------------------------------------------------
 
@@ -284,7 +229,6 @@ class JobServer:
         """
         self._connections_total.inc()
         self._open_connections += 1
-        self._writers.add(writer)
         try:
             served = 0
             pending = bytearray()
@@ -330,7 +274,6 @@ class JobServer:
                     pass
         finally:
             self._open_connections -= 1
-            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -378,10 +321,6 @@ class JobServer:
         """Collapse job ids so metric label cardinality stays bounded."""
         if path.startswith("/jobs/"):
             return "/jobs/{id}"
-        if path == "/artifacts/stats":
-            return path
-        if path.startswith("/artifacts/"):
-            return "/artifacts/{key}"
         if path in ("/healthz", "/stats", "/metrics", "/jobs", "/run"):
             return path
         return "(other)"
@@ -426,7 +365,6 @@ class JobServer:
         path, _, query = target.partition("?")
         content_length = 0
         connection = ""
-        forwarded = False
         # One timer covers the rest of the request (headers + body):
         # a stalled client still 408s within read_timeout, but the hot
         # path pays a single timeout context instead of a wait_for
@@ -448,8 +386,6 @@ class JobServer:
                             ) from None
                     elif name == "connection":
                         connection = value.strip().lower()
-                    elif name == _FORWARDED_HEADER:
-                        forwarded = True
                 if content_length < 0:
                     raise _HttpError(400, "bad Content-Length", close=True)
                 if content_length > _MAX_BODY:
@@ -473,9 +409,7 @@ class JobServer:
             keep_alive = connection != "close"
         else:
             keep_alive = connection == "keep-alive"
-        return _Request(
-            method, path, query, body, version, keep_alive, forwarded
-        )
+        return _Request(method, path, query, body, version, keep_alive)
 
     # -- response writing ------------------------------------------------
 
@@ -585,7 +519,7 @@ class JobServer:
     async def _route(self, request: _Request) -> _Response:
         method, path, query = request.method, request.path, request.query
         if path == "/healthz" and method == "GET":
-            reasons = self._degraded_reasons()
+            reasons = self.scheduler.degraded_reasons()
             if not reasons:
                 return _Response(200, b'{"ok":true,"status":"ok"}')
             # Degraded is not down: jobs still serve, so the probe
@@ -637,26 +571,7 @@ class JobServer:
             return _Response(
                 200, self._job_payload_bytes(job, include_result=True)
             )
-        if path == "/artifacts/stats" and method == "GET":
-            return self._json(200, await self._artifact_stats())
-        if path.startswith("/artifacts/") and method in ("GET", "PUT"):
-            key = path[len("/artifacts/"):]
-            if not _ARTIFACT_KEY.match(key):
-                self._artifact_ops.inc(
-                    op=method.lower(), outcome="rejected"
-                )
-                raise _HttpError(400, f"invalid artifact key {key!r}")
-            if method == "GET":
-                return await self._artifact_get(key)
-            return await self._artifact_put(key, request.body)
         if path == "/run" and method == "POST":
-            if self.router is not None and not request.forwarded:
-                routed = await self.router.forward(request.body)
-                if routed is not None:
-                    status, body = routed
-                    return _Response(status, body)
-                # No healthy peer took the job: degraded local
-                # execution (counted by the router) — fall through.
             job = await self._submit(request.body)
             if job.future.done():  # deduped onto a settled job: no
                 exc = job.future.exception()  # shield wrapper needed
@@ -684,63 +599,9 @@ class JobServer:
             )
         if path in ("/jobs", "/run", "/stats", "/healthz", "/metrics"):
             raise _HttpError(405, f"{method} not allowed on {path}")
-        if path.startswith(("/jobs/", "/artifacts/")):
+        if path.startswith("/jobs/"):
             raise _HttpError(405, f"{method} not allowed on {path}")
         raise _HttpError(404, f"no route {path!r}")
-
-    # -- artifact store routes -------------------------------------------
-
-    def _artifact_dir(self) -> Path:
-        cache_dir = self.scheduler.cache_dir
-        if cache_dir is None:
-            raise _HttpError(
-                503, "artifact store disabled: node has no cache directory"
-            )
-        return Path(cache_dir)
-
-    async def _artifact_get(self, key: str) -> _Response:
-        path = self._artifact_dir() / f"{key}.art"
-
-        def read() -> bytes | None:
-            try:
-                return path.read_bytes()
-            except OSError:
-                return None
-
-        raw = await asyncio.get_running_loop().run_in_executor(None, read)
-        if raw is None:
-            self._artifact_ops.inc(op="get", outcome="miss")
-            raise _HttpError(404, f"no artifact {key!r}")
-        self._artifact_ops.inc(op="get", outcome="hit")
-        return _Response(200, raw, content_type="application/octet-stream")
-
-    async def _artifact_put(self, key: str, body: bytes) -> _Response:
-        directory = self._artifact_dir()
-        if not body or not is_record(body):
-            # Never land bytes that are not a spill record: a corrupt
-            # PUT would poison every future fetch of the key.
-            self._artifact_ops.inc(op="put", outcome="rejected")
-            raise _HttpError(400, "payload is not a spill record")
-        stored = await asyncio.get_running_loop().run_in_executor(
-            None, write_spill, directory / f"{key}.art", body
-        )
-        if not stored:
-            self._artifact_ops.inc(op="put", outcome="error")
-            raise _HttpError(500, f"could not store artifact {key!r}")
-        self._artifact_ops.inc(op="put", outcome="stored")
-        return _Response(201, b'{"stored":true}')
-
-    async def _artifact_stats(self) -> dict[str, Any]:
-        directory = self._artifact_dir()
-        return await asyncio.get_running_loop().run_in_executor(
-            None, spill_stats, directory
-        )
-
-    def _degraded_reasons(self) -> list[str]:
-        reasons = list(self.scheduler.degraded_reasons())
-        if self.router is not None:
-            reasons.extend(self.router.degraded_reasons())
-        return reasons
 
     def _lookup_job(self, key: str):
         job = self.scheduler.get(key)
@@ -777,13 +638,6 @@ class JobServer:
 
     def _stats(self) -> dict[str, Any]:
         payload = self.scheduler.stats()
-        if self.router is not None:
-            payload["fleet"] = self.router.stats()
-        reasons = self._degraded_reasons()
-        if reasons:
-            payload["degraded_reasons"] = reasons
-        else:
-            payload.pop("degraded_reasons", None)
         payload["http"] = {
             "connections": self._connections_total.value(),
             "open_connections": self._open_connections,

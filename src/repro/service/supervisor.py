@@ -54,7 +54,6 @@ from .core import (
     JobSpec,
     describe_exception,
     execute_job,
-    flush_worker_remote,
     worker_init,
 )
 
@@ -82,8 +81,8 @@ class PoolExhausted(RuntimeError):
 #: Worker spawn/respawn readiness timeout (imports + manager init).
 _READY_TIMEOUT = 60.0
 
-#: How long a stopped worker may spend publishing its write-behind
-#: queue to the store node before the supervisor kills it.
+#: How long a stopped worker (one that may still be finishing a job)
+#: gets to exit before the supervisor kills it.
 _STOP_GRACE = 1.0
 
 #: Supervisor idle tick: bounds how stale a missed wakeup can get and
@@ -133,8 +132,6 @@ def _worker_main(
     parent_conn,
     cache_dir: str | None,
     fault_plan,
-    store_url: str | None,
-    remote_counters,
 ) -> None:
     """Worker loop: recv a spec, execute, reply; SIGINT = cancel.
 
@@ -152,11 +149,8 @@ def _worker_main(
         pass
     try:
         _drop_inherited_sockets(conn.fileno())
-        # Faults first: the network fault hooks must be live before
-        # worker_init builds the remote client whose traffic the chaos
-        # plans target.
         faults_module.install(fault_plan)
-        worker_init(cache_dir, store_url, remote_counters)
+        worker_init(cache_dir)
         # Move everything the fork inherited, and what worker_init
         # built, out of the collector's generations, so no collection
         # in this worker re-walks it.  No gc.collect() first: a full
@@ -175,7 +169,6 @@ def _worker_main(
         except (EOFError, OSError):
             os._exit(0)
         if msg[0] == "stop":
-            flush_worker_remote(_STOP_GRACE)
             os._exit(0)
         _, seq, spec, attempt = msg
         key = spec.key()
@@ -286,14 +279,8 @@ class SupervisedPool:
         max_restarts: int = 16,
         cancel_grace: float = 2.0,
         fault_plan=None,
-        store_url: str | None = None,
-        remote_counters=None,
     ):
         self.cache_dir = cache_dir
-        self.store_url = store_url
-        #: Pool-wide remote-tier counters the workers inherit (see
-        #: :class:`~repro.pipeline.remote.RemoteCounters`).
-        self.remote_counters = remote_counters
         self.job_retries = max(0, job_retries)
         self.retry_backoff = max(0.0, retry_backoff)
         self.max_restarts = max(0, max_restarts)
@@ -673,10 +660,7 @@ class SupervisedPool:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(
-                child_conn, parent_conn, self.cache_dir, self.fault_plan,
-                self.store_url, self.remote_counters,
-            ),
+            args=(child_conn, parent_conn, self.cache_dir, self.fault_plan),
             daemon=True,
         )
         proc.start()

@@ -305,7 +305,6 @@ def run_sweep(
     names: "list[str] | None" = None,
     vectorize: bool = True,
     cache_dir: str | None = None,
-    store_url: str | None = None,
 ) -> SweepResult:
     """Evaluate the suite across several platforms (Fig. 5/6 sweep).
 
@@ -316,8 +315,8 @@ def run_sweep(
     after the first platform answers from the artifact cache —
     observable via ``manager.cache.stats["parse"].misses``.
 
-    ``jobs``, ``manager``, ``cache_dir`` and ``store_url`` mean what
-    they mean to :func:`~repro.service.core.dispatch_map`: a serial run
+    ``jobs``, ``manager`` and ``cache_dir`` mean what they mean to
+    :func:`~repro.service.core.dispatch_map`: a serial run
     uses the caller's manager or one built over ``cache_dir``, and a
     pooled run uses each worker's runtime manager over the same
     directory, so both leave the same records behind.  A failing
@@ -340,7 +339,6 @@ def run_sweep(
         manager=manager,
         on_failure=_benchmark_failed,
         cache_dir=cache_dir,
-        store_url=store_url,
     )
     sweeps = {p.name: PlatformSweep(platform=p) for p in resolved}
     for name, by_platform in zip(names, per_bench):

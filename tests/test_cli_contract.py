@@ -101,18 +101,26 @@ def test_help_lists_every_command(capsys):
         assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out), name
 
 
+#: An existing regular file, to pass where a directory belongs.
+_FILE = __file__
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
         (["batch", "x.c", "-j", "0"], "--jobs"),
         (["suite", "-j", "0"], "--jobs"),
         (["load", "--port", "1", "--tolerance", "-1"], "--tolerance"),
-        (["suite", "--store-url", "http://127.0.0.1:1"], "--cache-dir"),
+        (["batch", "x.c", "--cache-dir", _FILE], "--cache-dir"),
+        (["batch", "x.c", "-j", "2", "--cache-dir", _FILE], "--cache-dir"),
+        (["suite", "--benchmarks", "nw", "--cache-dir", _FILE], "--cache-dir"),
+        (["serve", "--port", "0", "--cache-dir", _FILE], "--cache-dir"),
+        (["batch", "x.c", "--cache-dir", f"{_FILE}/sub"], "--cache-dir"),
     ],
 )
 def test_shared_usage_checks_exit_2(argv, flag, capsys):
     """Checked in ``main`` before the command runs: no input is read,
-    no suite runs and no connection opens."""
+    no suite runs, no worker starts and no connection opens."""
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"ompdart {argv[0]}: error: ") and flag in err

@@ -508,9 +508,15 @@ class TestServerFaultRoutes:
                 )
                 assert status == 503
                 assert "restart budget" in body["error"]
-                # The HTTP front itself is still healthy.
-                status, _ = await self._request(host, port, "GET", "/healthz")
-                assert status == 200
+                # The HTTP front itself is still healthy, and says why
+                # it is degraded.
+                status, health = await self._request(
+                    host, port, "GET", "/healthz"
+                )
+                assert status == 200 and health["status"] == "degraded"
+                assert any("restart budget" in r for r in health["reasons"])
+                _, stats = await self._request(host, port, "GET", "/stats")
+                assert stats["degraded_reasons"] == health["reasons"]
             finally:
                 await server.aclose()
 
@@ -598,7 +604,7 @@ _WORKER_IMPORT_PROBE = textwrap.dedent(
     from repro.pipeline.batch import transform_batch
     from repro.service.core import dispatch_map
 
-    HEAVY = ("http.client", "repro.pipeline.remote")
+    HEAVY = ("http.client",)
 
     def loaded(manager, _):
         return [name for name in HEAVY if name in sys.modules]
@@ -611,8 +617,8 @@ _WORKER_IMPORT_PROBE = textwrap.dedent(
 
 
 def test_pool_workers_of_a_transform_process_skip_the_http_stack():
-    """Starting a worker must not import the remote-store client: a
-    process that made only the transform imports never needs it."""
+    """Starting a worker must not import the HTTP stack: a process
+    that made only the transform imports never needs it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(
         os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -113,6 +113,29 @@ class TestFunctionMacros:
         src = "#define GET() 5\nint x = GET();"
         assert "5" in texts(src)
 
+    @pytest.mark.parametrize(
+        "src, gcc",
+        [
+            (
+                "#define F(x) x\nint a = F(\n#define N 3\n1);\nint b[N];\n",
+                "int a = 1;\nint b[3];\n",
+            ),
+            (
+                "#define F(x) x\nint a = F(\n#ifdef Q\n2\n#else\n1\n"
+                "#endif\n);\n",
+                "int a = 1;\n",
+            ),
+            (
+                "#define F(x) x\nint a = F(\n#if 0\n)\n#endif\n1);\n",
+                "int a = 1;\n",
+            ),
+        ],
+        ids=["define", "ifdef-else", "inactive-paren"],
+    )
+    def test_directives_inside_arguments_are_processed(self, src, gcc):
+        """``gcc`` is what ``gcc -E -P`` prints for ``src``."""
+        assert texts(src) == texts(gcc)
+
 
 class TestConditionals:
     def test_ifdef_taken(self):
@@ -144,6 +167,22 @@ class TestConditionals:
     def test_unterminated_conditional_raises(self):
         with pytest.raises(ParseError):
             preprocess("#ifdef X\nint a;")
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "#define X 1\n#ifdef X\nint a;\n",
+            "#if 1\nint a;\n",
+            "#if 0\n#else\nint a;\n",
+            "#define F(x) x\n#if 1\nint F",
+        ],
+        ids=["ifdef-taken", "if-taken", "else-taken", "eof-after-bare-name"],
+    )
+    def test_unterminated_taken_conditional_raises(self, src):
+        """gcc rejects an open block at end of file whether or not it
+        is taken ("unterminated #ifdef", "unterminated #else")."""
+        with pytest.raises(ParseError, match="unterminated conditional"):
+            preprocess(src)
 
     def test_endif_without_if_raises(self):
         with pytest.raises(ParseError):

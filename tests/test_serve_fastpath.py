@@ -1,6 +1,6 @@
 """Serve fast path: keep-alive + pipelined HTTP, read timeouts,
 streamed/memoized bodies, admission control, eviction, metrics, and
-the ``ompdart load`` harness."""
+the ``ompdart load`` harness with its failure taxonomy."""
 
 import asyncio
 import json
@@ -16,6 +16,7 @@ from repro.service.loadgen import (
     LOAD_SCHEMA,
     LoadClient,
     LoadConfig,
+    _failure_category,
     gate_load,
     render_load,
     run_load,
@@ -668,3 +669,60 @@ class TestLoadHistory:
         bad.write_text('{"schema": "other/1"}')
         with pytest.raises(ValueError):
             load_fn(str(bad))
+
+
+class TestLoadFailureTaxonomy:
+    def test_failure_category_mapping(self):
+        assert _failure_category(TimeoutError()) == "timeouts"
+        assert _failure_category(asyncio.TimeoutError()) == "timeouts"
+        assert (
+            _failure_category(ConnectionResetError())
+            == "connection_errors"
+        )
+        assert _failure_category(OSError()) == "connection_errors"
+        assert (
+            _failure_category(
+                asyncio.IncompleteReadError(b"", expected=10)
+            )
+            == "connection_errors"
+        )
+        assert _failure_category(ValueError("bad json")) == "other_errors"
+
+    def _payload(self, **mode):
+        base = {
+            "requests": 100, "failed": 0, "connection_errors": 0,
+            "timeouts": 0, "http_errors": 0, "other_errors": 0,
+            "p99_s": 0.01, "throughput_rps": 1000.0,
+        }
+        base.update(mode)
+        return {"schema": "ompdart-load-perf/1", "modes": {"keepalive": base}}
+
+    def test_any_failure_fails_without_budgets(self):
+        payload = self._payload(failed=2, connection_errors=2)
+        assert gate_load(payload)
+        assert not gate_load(self._payload())
+
+    def test_budgeted_category_tolerates_up_to_budget(self):
+        payload = self._payload(failed=2, connection_errors=2)
+        assert not gate_load(payload, max_connection_errors=2)
+        problems = gate_load(payload, max_connection_errors=1)
+        assert any("connection errors" in p for p in problems)
+
+    def test_unbudgeted_residual_still_fails(self):
+        payload = self._payload(
+            failed=3, connection_errors=2, http_errors=1
+        )
+        problems = gate_load(payload, max_connection_errors=5)
+        assert any("failed request" in p for p in problems)
+        assert not gate_load(
+            payload, max_connection_errors=5, max_http_errors=1
+        )
+
+    def test_old_artifacts_without_categories_still_gate(self):
+        payload = {
+            "schema": "ompdart-load-perf/1",
+            "modes": {"close": {"requests": 10, "failed": 1, "p99_s": 0.1}},
+        }
+        assert gate_load(payload)
+        # A budget cannot excuse failures an old artifact can't attribute.
+        assert gate_load(payload, max_connection_errors=5)

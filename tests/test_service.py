@@ -3,6 +3,9 @@ bit-identity between served suite jobs and ``ompdart suite``."""
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -205,7 +208,6 @@ class TestScheduler:
 
         stats = asyncio.run(run())
         assert stats["cache_dir"] == str(tmp_path)
-        assert "remote" not in stats  # no store URL, no remote tier
         assert list(tmp_path.glob("*.art"))
 
     def test_each_cold_request_spills_one_record(self, tmp_path):
@@ -382,3 +384,18 @@ class TestServeCLI:
 
         assert main(["serve", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_serve_imports_load_no_http_client(self):
+        """A serve process speaks HTTP through asyncio streams alone;
+        nothing it imports pulls in the stdlib HTTP client."""
+        probe = (
+            "import sys, repro.cli, repro.service.server; "
+            "print('http.client' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

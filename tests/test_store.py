@@ -72,7 +72,7 @@ class TestBatchRunsShareTheCacheDir:
         assert main(argv) == 0
         cold = capsys.readouterr().out
         # Repeated paths ran once: 3 lookups per pass, all missing.
-        assert "  cache parse       0 hit(s) (memory 0, disk 0, remote 0) " \
+        assert "  cache parse       0 hit(s) (memory 0, disk 0) " \
             "/ 3 miss(es)" in cold
         assert main(argv) == 0
         warm = [
@@ -96,7 +96,7 @@ class TestBatchRunsShareTheCacheDir:
         capsys.readouterr()
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "  cache rewrite     1 hit(s) (memory 0, disk 1, remote 0) " \
+        assert "  cache rewrite     1 hit(s) (memory 0, disk 1) " \
             "/ 0 miss(es)" in out
         assert "byte(s) in spill files" in out
 
@@ -136,6 +136,26 @@ class TestBatchRunsShareTheCacheDir:
         assert main(["store", "stats", "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert ": 3 spill(s) (3 current record(s))" in out
+
+    def test_store_gc_dry_run_then_evicts_under_the_bound(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        paths = self._inputs(tmp_path, 3)
+        cache = str(tmp_path / "cache")
+        assert main(["batch", *paths, "--cache-dir", cache]) == 0
+        before = spill_stats(cache)
+        bound = before["bytes"] - 1  # at least one record must go
+        capsys.readouterr()
+        gc = ["store", "gc", "--cache-dir", cache, "--max-bytes", str(bound)]
+        assert main([*gc, "--dry-run"]) == 0
+        assert "would evict 1 of 3 spill(s)" in capsys.readouterr().out
+        assert spill_stats(cache) == before
+        assert main(gc) == 0
+        assert "evicted 1 of 3 spill(s)" in capsys.readouterr().out
+        after = spill_stats(cache)
+        assert after["files"] == 2 and after["bytes"] <= bound
 
 
 class TestSpillGC:
