@@ -40,14 +40,6 @@ deduplicated by content hash, with bounded concurrency::
     curl localhost:8571/stats
     curl localhost:8571/metrics          # Prometheus text format
 
-Load mode drives a running server with N concurrent keep-alive
-clients over a mixed job workload, measures throughput and p50/p99
-latency, and emits an ``ompdart-load-perf/1`` artifact CI can gate::
-
-    ompdart load --clients 8 --requests 400 --json load.json
-    ompdart load --mode both           # close-vs-keepalive comparison
-    ompdart load --max-p99 0.5 --baseline benchmarks/load_baseline.json
-
 Chaos mode serves one seeded job mix twice — under a deterministic
 fault plan (worker kills, spill corruption) and fault-free — and
 fails unless the served results match byte for byte, the server
@@ -74,12 +66,6 @@ regardless of tolerance)::
     ompdart suite-diff benchmarks/suite_a100-pcie4.json new.json
     ompdart suite-diff baseline.json candidate.json --tolerance 0.05 -v
 
-Bench-history mode folds accumulated suite artifacts into the BENCH
-trajectory table (per-variant sim wall time with sparklines)::
-
-    ompdart bench-history benchmarks/suite_a100-pcie4.json run1.json run2.json
-    ompdart bench-history *.json --platform a100-pcie4 --benchmarks nw bfs
-
 Profile mode answers "where does the frontend spend its time?" with a
 per-pass / per-phase self-time and allocation table and the
 ``ompdart-profile/1`` artifact; ``--profile OUT.json`` on the plain
@@ -92,26 +78,18 @@ workloads (aggregate kind, per-pass walls from worker outcomes)::
     ompdart batch src/*.c -j 4 --profile batch_profile.json --report
     ompdart suite --profile suite_profile.json
 
-Bench-batch mode measures batch transform throughput (files/sec) on a
-deterministic synthetic corpus — seeded identifier-renamed variants of
-the nine benchmarks with a realistic duplicate share — and emits the
-``ompdart-batch-perf/1`` artifact CI gates against a committed
-baseline::
-
-    ompdart bench-batch --count 1000 --seed 0
-    ompdart bench-batch --count 300 -j 4 --json batch_perf.json
-    ompdart bench-batch --count 300 --baseline benchmarks/batch_baseline.json
-    ompdart bench-batch --count 100 --corpus-dir /tmp/corpus  # via disk
+End-to-end speed is measured outside the CLI, by ``bench/run.py`` at
+the root of a checkout over the workloads ``BENCHMARK.json`` declares.
 
 Exit codes: 0 success, 1 tool/analysis error, 2 unreadable input or
 bad usage, 3 parse error in ``--dump-ast``/``--dump-cfg``.  Bad usage
-such as a count option below 1 (``batch -j 0``) prints ``ompdart CMD:
-error: ...``.  Batch mode exits 0 only when every input transformed
+prints ``ompdart CMD: error: ...`` before any work: a count option below
+1 (``batch -j 0``), a ``-D`` name that is not a C identifier, or an
+output path (``-o``, ``--json``, ``--profile``) whose directory cannot
+be created.  Batch mode exits 0 only when every input transformed
 cleanly; suite mode exits 1 when any benchmark's variants diverge;
-suite-diff exits 1 when the candidate regresses beyond the tolerance;
-bench-history exits 2 on a non-artifact input; load mode exits 1 when
-a gate (failed requests, p99 budget, baseline regression) trips and 2
-when the server is unreachable; chaos mode exits 1 when any
+suite-diff exits 1 when the candidate regresses beyond the tolerance
+and 2 on a non-artifact input; chaos mode exits 1 when any
 fault-tolerance gate (divergence, server death, cancel overrun) trips.
 """
 
@@ -119,6 +97,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from ._version import __version__
@@ -143,12 +122,10 @@ def _add_defines(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs(
-    parser: argparse.ArgumentParser,
-    help: str = "worker processes (default 1 = serial with a shared cache)",
-) -> None:
+def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N", help=help
+        "-j", "--jobs", type=int, default=1, metavar="N",
+        help="worker processes (default 1 = serial with a shared cache)",
     )
 
 
@@ -164,27 +141,6 @@ def _add_profile(parser: argparse.ArgumentParser, help: str) -> None:
 
 def _add_cache_dir(parser: argparse.ArgumentParser, help: str) -> None:
     parser.add_argument("--cache-dir", help=help)
-
-
-def _add_baseline(
-    parser: argparse.ArgumentParser, schema: str, metrics: str, tolerance: float
-) -> None:
-    """``--baseline PATH`` with the ``--tolerance`` it is gated at."""
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=(
-            f"gate against a prior {schema} artifact: fail on {metrics} "
-            "regressions beyond --tolerance"
-        ),
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=tolerance,
-        metavar="FRAC",
-        help=f"relative regression tolerated vs --baseline (default {tolerance})",
-    )
 
 
 def _add_platform_arguments(
@@ -243,10 +199,11 @@ def _print_tool_error(message: str, exc: ToolError) -> None:
 
 
 def _parse_defines(defines: list[str]) -> dict[str, object]:
+    """``-D NAME`` defines NAME as 1 and ``-D NAME=`` as empty, as gcc does."""
     out: dict[str, object] = {}
     for item in defines:
-        name, _, value = item.partition("=")
-        out[name] = value if value else 1
+        name, equals, value = item.partition("=")
+        out[name] = value if equals else 1
     return out
 
 
@@ -553,9 +510,6 @@ def _run_batch(args: argparse.Namespace) -> int:
     )
     batch_wall = time.perf_counter() - batch_start
 
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-
     dest_names = _unique_basenames([o.filename for o in outcomes])
     failures = 0
     for outcome in outcomes:
@@ -744,20 +698,6 @@ def _run_suite(args: argparse.Namespace) -> int:
         )
         return 2
 
-    if args.json_path:
-        # Fail on an unwritable artifact directory *before* paying for
-        # the sweep, not after.
-        parent = os.path.dirname(args.json_path)
-        if parent:
-            try:
-                os.makedirs(parent, exist_ok=True)
-            except OSError as exc:
-                print(
-                    f"ompdart suite: cannot create {parent}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-
     from .pipeline.batch import BatchWorkerError
 
     try:
@@ -870,114 +810,6 @@ def _run_suite_diff(args: argparse.Namespace) -> int:
         return 2
     print(render_diff(result, verbose=args.verbose))
     return 0 if result.ok else 1
-
-
-def _declare_bench_history(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "artifacts", nargs="*", help="suite JSON artifacts, oldest first"
-    )
-    parser.add_argument(
-        "--platform",
-        metavar="NAME",
-        help="restrict the table to one platform",
-    )
-    parser.add_argument(
-        "--benchmarks",
-        nargs="+",
-        metavar="NAME",
-        help="restrict the table to these benchmarks",
-    )
-
-
-def _run_bench_history(args: argparse.Namespace) -> int:
-    from .report.history import load_artifact, render_history
-
-    payloads = []
-    paths = []
-    for path in args.artifacts:
-        try:
-            payload = load_artifact(path)
-        except (OSError, ValueError) as exc:
-            print(f"ompdart bench-history: {exc}", file=sys.stderr)
-            return 2
-        if payload is None:
-            continue  # empty placeholder — not a data point yet
-        payloads.append(payload)
-        paths.append(path)
-    if not payloads:
-        print(
-            "bench-history: no data points yet — record one with "
-            "`ompdart suite --json benchmarks/BENCH_<date>.json`"
-        )
-        return 0
-    labels = _unique_basenames(paths)
-    print(render_history(
-        payloads,
-        [os.path.splitext(labels[p])[0] for p in paths],
-        platform=args.platform,
-        benchmarks=args.benchmarks,
-    ))
-    return 0
-
-
-def _declare_bench_batch(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--count", type=int, default=1000, metavar="N",
-        help="synthetic corpus size (default 1000)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="corpus seed; same (count, seed) = same corpus (default 0)",
-    )
-    _add_jobs(parser, "worker processes (default 1 = serial, the gated config)")
-    parser.add_argument(
-        "--corpus-dir", metavar="DIR",
-        help=(
-            "materialize the corpus here and transform it from disk "
-            "(default: in-memory; disk adds I/O but matches real usage)"
-        ),
-    )
-    _add_json(parser, "write the ompdart-batch-perf/1 artifact here")
-    _add_baseline(parser, "ompdart-batch-perf", "files/sec", 0.2)
-    parser.add_argument(
-        "--min-files-per-sec", type=float, default=None, metavar="X",
-        help="fail (exit 1) when throughput falls below this floor",
-    )
-
-
-def _run_bench_batch(args: argparse.Namespace) -> int:
-    from .report.batch_perf import (
-        gate_batch_perf,
-        render_batch_perf,
-        run_bench_batch,
-    )
-
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = read_artifact(args.baseline, "ompdart-batch-perf/")
-        except (OSError, ValueError) as exc:
-            print(f"ompdart bench-batch: cannot read baseline: {exc}",
-                  file=sys.stderr)
-            return 2
-    payload = run_bench_batch(
-        args.count,
-        seed=args.seed,
-        jobs=args.jobs,
-        corpus_dir=args.corpus_dir,
-    )
-    print(render_batch_perf(payload))
-    if args.json_path:
-        write_artifact(payload, args.json_path)
-    problems = gate_batch_perf(
-        payload,
-        baseline=baseline,
-        tolerance=args.tolerance,
-        min_files_per_sec=args.min_files_per_sec,
-    )
-    for problem in problems:
-        print(f"REGRESSION {problem}", file=sys.stderr)
-    return 1 if problems else 0
 
 
 def _declare_serve(parser: argparse.ArgumentParser) -> None:
@@ -1162,142 +994,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         return 0
 
 
-def _declare_load(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--host", default="127.0.0.1", help="server host (default 127.0.0.1)"
-    )
-    parser.add_argument(
-        "--port", type=int, default=8571, help="server port (default 8571)"
-    )
-    parser.add_argument(
-        "-c", "--clients", type=int, default=8, metavar="N",
-        help="concurrent clients (default 8)",
-    )
-    parser.add_argument(
-        "-n", "--requests", type=int, default=400, metavar="N",
-        help="total requests across all clients (default 400)",
-    )
-    parser.add_argument(
-        "--mode", choices=("keepalive", "close", "both"), default="both",
-        help=(
-            "transport mode: keepalive (persistent pipelined "
-            "connections), close (one connection per request — the "
-            "legacy baseline), or both for an in-artifact comparison "
-            "(default both)"
-        ),
-    )
-    parser.add_argument(
-        "--mix", default=None, metavar="SLOT=W,...",
-        help=(
-            "workload mix weights over ping,transform,stats,jobs "
-            "(default ping=4,transform=4,stats=1,jobs=1)"
-        ),
-    )
-    parser.add_argument(
-        "--pipeline-depth", type=int, default=4, metavar="N",
-        help="requests in flight per keep-alive connection (default 4)",
-    )
-    parser.add_argument(
-        "--no-warmup", action="store_true",
-        help="skip the cache-priming pass (measure cold-path latency)",
-    )
-    _add_json(parser, "write the ompdart-load-perf/1 artifact here")
-    parser.add_argument(
-        "--max-p99", type=float, default=None, metavar="SECONDS",
-        help="fail (exit 1) when any mode's p99 exceeds this budget",
-    )
-    parser.add_argument(
-        "--max-connection-errors", type=int, default=None, metavar="N",
-        help=(
-            "fail when any mode sees more than N connection-level "
-            "failures (refused, reset, closed mid-response)"
-        ),
-    )
-    parser.add_argument(
-        "--max-timeouts", type=int, default=None, metavar="N",
-        help="fail when any mode sees more than N request timeouts",
-    )
-    parser.add_argument(
-        "--max-http-errors", type=int, default=None, metavar="N",
-        help="fail when any mode sees more than N non-2xx responses",
-    )
-    _add_baseline(parser, "ompdart-load-perf", "throughput/p99", 0.25)
-
-
-def _run_load(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .service.loadgen import (
-        DEFAULT_MIX,
-        LoadConfig,
-        gate_load,
-        render_load,
-        run_load,
-    )
-
-    mix = dict(DEFAULT_MIX)
-    if args.mix:
-        try:
-            mix = {
-                name: int(weight)
-                for name, _, weight in (
-                    item.partition("=") for item in args.mix.split(",")
-                )
-            }
-        except ValueError:
-            print(
-                f"ompdart load: bad --mix {args.mix!r} "
-                "(expected slot=weight,...)",
-                file=sys.stderr,
-            )
-            return 2
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = read_artifact(args.baseline, "ompdart-load-perf/")
-        except (OSError, ValueError) as exc:
-            print(f"ompdart load: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-    config = LoadConfig(
-        host=args.host,
-        port=args.port,
-        clients=args.clients,
-        requests=args.requests,
-        mix=mix,
-        pipeline_depth=args.pipeline_depth,
-        warmup=not args.no_warmup,
-    )
-    modes = (
-        ("close", "keepalive") if args.mode == "both" else (args.mode,)
-    )
-    try:
-        payload = asyncio.run(run_load(config, modes=modes))
-    except ValueError as exc:
-        print(f"ompdart load: {exc}", file=sys.stderr)
-        return 2
-    except (ConnectionError, OSError) as exc:
-        print(
-            f"ompdart load: cannot reach {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    print(render_load(payload))
-    if args.json_path:
-        write_artifact(payload, args.json_path)
-    problems = gate_load(
-        payload,
-        max_p99=args.max_p99,
-        baseline=baseline,
-        tolerance=args.tolerance,
-        max_connection_errors=args.max_connection_errors,
-        max_timeouts=args.max_timeouts,
-        max_http_errors=args.max_http_errors,
-    )
-    for problem in problems:
-        print(f"REGRESSION {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
 def _declare_chaos(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "-n", "--jobs", type=int, default=200, metavar="N",
@@ -1399,9 +1095,12 @@ def _declare_store(parser: argparse.ArgumentParser) -> None:
 def _run_store(args: argparse.Namespace) -> int:
     from .pipeline.store import gc_spills, spill_stats
 
-    if not os.path.isdir(args.cache_dir):
+    if not os.path.exists(args.cache_dir):
+        # A regular file is the shared --cache-dir rule's; store, unlike
+        # the commands that fill a cache, never creates the directory.
         print(
-            f"ompdart store: {args.cache_dir}: not a directory",
+            f"ompdart store: error: --cache-dir {args.cache_dir}: "
+            "no such directory",
             file=sys.stderr,
         )
         return 2
@@ -1459,6 +1158,12 @@ COMMANDS = {
         _declare_batch,
         _run_batch,
     ),
+    "suite": (
+        "Run the paper's nine-benchmark evaluation, optionally as a "
+        "cross-platform sweep with a machine-readable JSON artifact.",
+        _declare_suite,
+        _run_suite,
+    ),
     "profile": (
         "Run one cold, uncached, instrumented transform and print a "
         "per-pass / per-phase self-time and allocation breakdown "
@@ -1466,31 +1171,11 @@ COMMANDS = {
         _declare_profile,
         _run_profile,
     ),
-    "suite": (
-        "Run the paper's nine-benchmark evaluation, optionally as a "
-        "cross-platform sweep with a machine-readable JSON artifact.",
-        _declare_suite,
-        _run_suite,
-    ),
     "suite-diff": (
         "Compare two ompdart-suite-perf artifacts and fail on metric "
         "regressions beyond the tolerance (CI regression gate).",
         _declare_suite_diff,
         _run_suite_diff,
-    ),
-    "bench-history": (
-        "Fold accumulated suite perf artifacts (oldest first) into an "
-        "ASCII per-variant sim-wall trend table with sparklines.",
-        _declare_bench_history,
-        _run_bench_history,
-    ),
-    "bench-batch": (
-        "Measure batch transform throughput (files/sec) over a "
-        "deterministic synthetic corpus and emit an "
-        "ompdart-batch-perf/1 artifact, optionally gated against a "
-        "committed baseline.",
-        _declare_bench_batch,
-        _run_bench_batch,
     ),
     "serve": (
         "Run the asyncio job service: submit/await transform and "
@@ -1498,14 +1183,6 @@ COMMANDS = {
         "dedup by content hash and bounded concurrency.",
         _declare_serve,
         _run_serve,
-    ),
-    "load": (
-        "Drive a running ompdart serve with N concurrent keep-alive "
-        "clients and a mixed job workload; measure throughput and "
-        "p50/p99 latency, emit an ompdart-load-perf/1 artifact, and "
-        "optionally gate against a budget or baseline.",
-        _declare_load,
-        _run_load,
     ),
     "chaos": (
         "Fault-injection harness: serve one seeded job mix twice "
@@ -1529,10 +1206,19 @@ COMMANDS = {
 
 #: Count options that must be >= 1, by dest, in whichever command
 #: declares them.
-_COUNTS = (
-    "jobs", "workers", "max_jobs", "clients", "requests", "pipeline_depth",
-    "count",
-)
+_COUNTS = ("jobs", "workers", "max_jobs", "clients")
+
+#: Output options by dest: the flag, and whether the value names the
+#: directory to write into rather than a file.
+_OUTPUTS = {
+    "output": ("--output", False),
+    "output_dir": ("--output-dir", True),
+    "json_path": ("--json", False),
+    "profile_path": ("--profile", False),
+}
+
+#: A macro name as ``-D`` takes it: a C identifier.
+_MACRO_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -1557,7 +1243,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _usage_error(args: argparse.Namespace) -> str | None:
-    """The first usage rule shared by several commands that ``args`` break."""
+    """The first usage rule shared by several commands that ``args`` break.
+
+    The last rule creates the directory of every output path, so that a
+    command fails on an unwritable output before it does any work.
+    """
     cache_dir = existing = getattr(args, "cache_dir", None)
     while existing and not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -1568,6 +1258,20 @@ def _usage_error(args: argparse.Namespace) -> str | None:
             return f"--{dest.replace('_', '-')} must be >= 1"
     if getattr(args, "tolerance", 0.0) < 0:
         return "--tolerance must be >= 0"
+    for item in getattr(args, "defines", ()):
+        if not _MACRO_NAME.fullmatch(item.partition("=")[0]):
+            return f"-D {item}: macro names must be identifiers"
+    for dest, (flag, is_dir) in _OUTPUTS.items():
+        path = getattr(args, dest, None)
+        directory = path if is_dir else os.path.dirname(path or "")
+        if directory:
+            try:
+                os.makedirs(directory, exist_ok=True)
+            except OSError as exc:
+                return (
+                    f"{flag} {path}: cannot create {directory}: "
+                    f"{exc.strerror or exc}"
+                )
     return None
 
 

@@ -4,8 +4,8 @@
 multi-platform) sweep into one JSON document: per-benchmark transfer
 profiles for all three variants, the Fig. 3-6 ratio metrics, the
 per-platform geomeans, and the tool-side per-pass timings and cache
-events.  The artifact gives future revisions a bench trajectory to
-diff against — schema changes bump ``SCHEMA``.
+events.  The artifact gives future revisions a baseline to diff
+against (``ompdart suite-diff``) — schema changes bump ``SCHEMA``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def _stats_dict(result: Any) -> dict[str, Any]:
     ``vectorized_launches`` and ``strategy_launches`` are
     *observability* fields: they are the only non-deterministic /
     executor-dependent entries, and the ``suite-diff`` comparator's
-    numeric gates deliberately ignore them.  They exist so BENCH
-    trajectories capture real speedups (e.g. the vectorizing kernel
+    numeric gates deliberately ignore them.  They exist so an
+    artifact records real speedups (e.g. the vectorizing kernel
     executor) that the modelled metrics, by design, cannot show.
     ``vector_strategy`` *is* gated: suite-diff fails when a variant's
     strategy rank regresses (a previously vectorized variant falling

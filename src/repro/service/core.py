@@ -366,9 +366,9 @@ class PingJobSpec:
     """Transport-measurement no-op job.
 
     Executes in microseconds and returns a payload of a chosen size,
-    so the load harness (``ompdart load``) can measure the HTTP front
-    itself — connection reuse, parsing, scheduling, serialization —
-    without pipeline cost drowning the signal.  Distinct ``token``
+    so a client can exercise the HTTP front itself — connection reuse,
+    parsing, scheduling, serialization — without pipeline cost
+    drowning the signal.  Distinct ``token``
     values defeat dedup when independent jobs are wanted; identical
     tokens exercise the coalescing and memoized-result paths.
 

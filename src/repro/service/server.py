@@ -88,8 +88,9 @@ _CHUNK = 64 * 1024
 STREAM_THRESHOLD = 64 * 1024
 
 #: Parsed-spec memo: identical request bodies (polls, duplicate
-#: submissions, the load harness's rotating mix) skip JSON parsing and
-#: the content hash.  Both bounds keep worst-case memory small.
+#: submissions, a benchmark client's repeated bodies) skip JSON
+#: parsing and the content hash.  Both bounds keep worst-case memory
+#: small.
 _SPEC_CACHE_ENTRIES = 256
 _SPEC_CACHE_MAX_BODY = 16 * 1024
 

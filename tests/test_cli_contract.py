@@ -110,12 +110,18 @@ _FILE = __file__
     [
         (["batch", "x.c", "-j", "0"], "--jobs"),
         (["suite", "-j", "0"], "--jobs"),
-        (["load", "--port", "1", "--tolerance", "-1"], "--tolerance"),
+        (["suite-diff", "A", "B", "--tolerance", "-1"], "--tolerance"),
         (["batch", "x.c", "--cache-dir", _FILE], "--cache-dir"),
         (["batch", "x.c", "-j", "2", "--cache-dir", _FILE], "--cache-dir"),
         (["suite", "--benchmarks", "nw", "--cache-dir", _FILE], "--cache-dir"),
         (["serve", "--port", "0", "--cache-dir", _FILE], "--cache-dir"),
         (["batch", "x.c", "--cache-dir", f"{_FILE}/sub"], "--cache-dir"),
+        (["x.c", "-o", f"{_FILE}/out.c"], "--output"),
+        (["profile", "x.c", "--json", f"{_FILE}/p.json"], "--json"),
+        (["x.c", "--profile", f"{_FILE}/p.json"], "--profile"),
+        (["batch", "x.c", "-o", _FILE], "--output-dir"),
+        (["x.c", "-D", "=3"], "-D =3"),
+        (["batch", "x.c", "-D", "1X"], "-D 1X"),
     ],
 )
 def test_shared_usage_checks_exit_2(argv, flag, capsys):
@@ -123,7 +129,8 @@ def test_shared_usage_checks_exit_2(argv, flag, capsys):
     no suite runs, no worker starts and no connection opens."""
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"ompdart {argv[0]}: error: ") and flag in err
+    prog = f"ompdart {argv[0]}" if argv[0] in cli.COMMANDS else "ompdart"
+    assert err.startswith(f"{prog}: error: ") and flag in err
 
 
 def _regenerate() -> None:

@@ -1,5 +1,5 @@
-"""Frontend fast path: profile artifact, synthetic corpus, bench-batch
-gating, and the lazy CLI cold start."""
+"""Frontend fast path: profile artifact, synthetic corpus, batch dedup
+attribution, and the lazy CLI cold start."""
 
 import gc
 import json
@@ -10,12 +10,7 @@ import textwrap
 
 import pytest
 
-from repro.artifact import read_artifact, write_artifact
-from repro.report.batch_perf import (
-    gate_batch_perf,
-    render_batch_perf,
-    run_bench_batch,
-)
+from repro.artifact import write_artifact
 from repro.report.profile import (
     SCHEMA as PROFILE_SCHEMA,
     PassProfiler,
@@ -212,133 +207,6 @@ class TestSyntheticCorpus:
         expected = dict(generate_corpus(6, seed=5))
         for path in paths:
             assert path.read_text() == expected[path.name]
-
-
-# ---------------------------------------------------------------------------
-# bench-batch: measurement and gating
-# ---------------------------------------------------------------------------
-
-
-class TestBenchBatch:
-    def test_payload_shape(self):
-        payload = run_bench_batch(12, seed=1)
-        assert payload["schema"] == "ompdart-batch-perf/1"
-        assert payload["count"] == 12
-        assert payload["ok_count"] == 12
-        assert payload["files_per_sec"] > 0
-        dedup = payload["dedup"]
-        assert dedup["unique"] + dedup["duplicates"] == 12
-        assert payload["pass_wall_s"].get("plan", 0) > 0
-
-    def test_gate_passes_clean_run(self):
-        payload = run_bench_batch(6, seed=0)
-        assert gate_batch_perf(payload) == []
-
-    def test_gate_flags_failures_and_floors(self):
-        payload = {
-            "schema": "ompdart-batch-perf/1",
-            "count": 10,
-            "ok_count": 9,
-            "files_per_sec": 5.0,
-        }
-        problems = gate_batch_perf(payload, min_files_per_sec=50.0)
-        assert len(problems) == 2
-        assert "failed to transform" in problems[0]
-        assert "floor" in problems[1]
-
-    def test_gate_compares_against_baseline(self):
-        payload = {
-            "schema": "ompdart-batch-perf/1",
-            "count": 4,
-            "ok_count": 4,
-            "files_per_sec": 50.0,
-        }
-        fast_base = {"files_per_sec": 100.0}
-        assert gate_batch_perf(payload, baseline=fast_base, tolerance=0.2)
-        assert not gate_batch_perf(
-            payload, baseline=fast_base, tolerance=0.6
-        )
-        assert not gate_batch_perf(
-            payload, baseline={"files_per_sec": 55.0}, tolerance=0.2
-        )
-
-    def test_artifact_round_trip_and_render(self, tmp_path):
-        payload = run_bench_batch(5, seed=2)
-        path = str(tmp_path / "batch.json")
-        write_artifact(payload, path)
-        loaded = read_artifact(path, "ompdart-batch-perf/")
-        assert loaded["files_per_sec"] == pytest.approx(
-            payload["files_per_sec"]
-        )
-        assert "files/s" in render_batch_perf(loaded)
-
-    def test_load_rejects_other_schemas(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"schema": "ompdart-load-perf/1"}))
-        with pytest.raises(ValueError):
-            read_artifact(str(path), "ompdart-batch-perf/")
-
-    def test_committed_baseline_is_loadable(self):
-        baseline_path = os.path.join(
-            os.path.dirname(__file__), os.pardir,
-            "benchmarks", "batch_baseline.json",
-        )
-        baseline = read_artifact(baseline_path, "ompdart-batch-perf/")
-        assert baseline["count"] == 1000
-        assert baseline["files_per_sec"] > 0
-
-    def test_history_folds_batch_artifacts(self, tmp_path):
-        from repro.report.history import load_artifact
-
-        payload = {
-            "schema": "ompdart-batch-perf/1",
-            "count": 100,
-            "seed": 0,
-            "jobs": 1,
-            "wall_s": 4.0,
-            "files_per_sec": 25.0,
-        }
-        path = tmp_path / "batch.json"
-        path.write_text(json.dumps(payload))
-        loaded = load_artifact(str(path))
-        assert loaded is not None
-
-
-class TestBenchBatchCLI:
-    def test_cli_run_and_gate(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = str(tmp_path / "perf.json")
-        rc = main(["bench-batch", "--count", "6", "--seed", "1",
-                   "--json", out])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "files/s" in captured.out
-        assert os.path.exists(out)
-
-    def test_cli_rejects_bad_args(self):
-        from repro.cli import main
-
-        assert main(["bench-batch", "--count", "0"]) == 2
-        assert main(["bench-batch", "--count", "4", "--jobs", "0"]) == 2
-        assert main(
-            ["bench-batch", "--count", "4", "--tolerance", "-1"]
-        ) == 2
-
-    def test_cli_fails_on_baseline_regression(self, tmp_path, capsys):
-        from repro.cli import main
-
-        baseline = tmp_path / "impossible.json"
-        baseline.write_text(json.dumps({
-            "schema": "ompdart-batch-perf/1",
-            "count": 4, "ok_count": 4,
-            "files_per_sec": 1e9,
-        }))
-        rc = main(["bench-batch", "--count", "4",
-                   "--baseline", str(baseline)])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "REGRESSION" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Tests for the AST dump, report generators, and CLI."""
 
-import pytest
-
 from repro.frontend import dump_ast, parse_source
 from repro.report import (
     format_bytes,
@@ -139,128 +137,16 @@ class TestCLI:
         assert main([str(src), "-DSIZE=7", "--dump-ast"]) == 0
         assert "int [7]" in capsys.readouterr().out
 
-
-class TestBenchHistory:
-    """`ompdart bench-history`: the BENCH trajectory table."""
-
-    @staticmethod
-    def _artifact(tmp_path, name, wall):
-        import json
-
-        payload = {
-            "schema": "ompdart-suite-perf/2",
-            "results": {
-                "a100-pcie4": {
-                    "benchmarks": {
-                        "xsbench": {
-                            "variants": {
-                                "unoptimized": {"sim_wall_s": wall * 2},
-                                "ompdart": {"sim_wall_s": wall},
-                                "expert": {"sim_wall_s": wall},
-                            }
-                        }
-                    }
-                }
-            },
-        }
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_trend_table_and_sparkline(self, tmp_path, capsys):
+    def test_predefines_read_as_gcc_reads_them(self, tmp_path, capsys):
+        """``-D X=`` defines X as empty and ``-D X`` as 1 (``gcc -DX=
+        -E`` turns ``int a[X 4];`` into ``int a[ 4];``)."""
         from repro.cli import main
 
-        old = self._artifact(tmp_path, "old.json", 0.08)
-        new = self._artifact(tmp_path, "new.json", 0.02)
-        assert main(["bench-history", old, new]) == 0
+        src = tmp_path / "in.c"
+        src.write_text("int a[X 4];\nint b[Y];\nint main() { return 0; }\n")
+        assert main([str(src), "-D", "X=", "-D", "Y", "--dump-ast"]) == 0
         out = capsys.readouterr().out
-        assert "xsbench" in out and "(total)" in out
-        assert "80.0" in out and "20.0" in out  # ms cells
-        assert "█" in out and "▁" in out  # sparkline extremes
-
-    def test_platform_filter_and_missing_cells(self, tmp_path, capsys):
-        from repro.cli import main
-
-        old = self._artifact(tmp_path, "old.json", 0.08)
-        assert main(["bench-history", old, "--platform", "h100-sxm5"]) == 0
-        assert "no sim_wall_s samples" in capsys.readouterr().out
-
-    def test_empty_trajectory_is_friendly(self, tmp_path, capsys):
-        """No artifacts at all (a fresh checkout's unmatched glob) and
-        zero-byte placeholders both mean "nothing recorded yet", not an
-        error."""
-        from repro.cli import main
-
-        assert main(["bench-history"]) == 0
-        assert "no data points yet" in capsys.readouterr().out
-        placeholder = tmp_path / "BENCH_empty.json"
-        placeholder.write_text("")
-        assert main(["bench-history", str(placeholder)]) == 0
-        assert "no data points yet" in capsys.readouterr().out
-
-    def test_empty_placeholder_skipped_among_real_artifacts(
-        self, tmp_path, capsys
-    ):
-        from repro.cli import main
-
-        placeholder = tmp_path / "BENCH_empty.json"
-        placeholder.write_text("\n")
-        real = self._artifact(tmp_path, "real.json", 0.08)
-        assert main(["bench-history", str(placeholder), real]) == 0
-        out = capsys.readouterr().out
-        assert "xsbench" in out and "80.0" in out
-
-    def test_rejects_non_artifact(self, tmp_path, capsys):
-        from repro.cli import main
-
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "something-else"}')
-        assert main(["bench-history", str(bad)]) == 2
-
-    def test_rejects_unreadable(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench-history", "/nonexistent/a.json"]) == 2
-
-    def test_history_rows_union_and_totals(self, tmp_path):
-        import json
-
-        from repro.report.history import history_rows, load_artifact
-
-        old = load_artifact(self._artifact(tmp_path, "old.json", 0.08))
-        payload = json.loads(open(self._artifact(tmp_path, "n.json", 0.02)).read())
-        payload["results"]["a100-pcie4"]["benchmarks"]["accuracy"] = {
-            "variants": {"ompdart": {"sim_wall_s": 0.5}}
-        }
-        rows = history_rows([old, payload])
-        keys = {(p, b, v) for p, b, v, _ in rows}
-        assert ("a100-pcie4", "accuracy", "ompdart") in keys
-        assert ("a100-pcie4", "(total)", "") in keys
-        accuracy_row = next(
-            r for r in rows if r[1] == "accuracy" and r[2] == "ompdart"
-        )
-        assert accuracy_row[3] == [None, 0.5]
-
-    def test_sparkline_scaling(self):
-        from repro.report.history import sparkline
-
-        assert sparkline([1.0, 1.0]) == "▁▁"
-        assert sparkline([0.0, None, 1.0]) == "▁ █"
-        assert sparkline([]) == ""
-
-    def test_total_row_respects_benchmark_filter(self, tmp_path):
-        import json
-
-        from repro.report.history import history_rows
-
-        path = self._artifact(tmp_path, "two.json", 0.01)
-        payload = json.loads(open(path).read())
-        payload["results"]["a100-pcie4"]["benchmarks"]["bfs"] = {
-            "variants": {"ompdart": {"sim_wall_s": 9.0}}
-        }
-        rows = history_rows([payload], benchmarks=["xsbench"])
-        total = next(r for r in rows if r[1] == "(total)")
-        assert total[3] == [pytest.approx(0.04)]  # bfs's 9.0s excluded
+        assert "a 'int [4]'" in out and "b 'int [1]'" in out
 
 
 class TestCoverageReport:

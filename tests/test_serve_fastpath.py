@@ -1,6 +1,5 @@
 """Serve fast path: keep-alive + pipelined HTTP, read timeouts,
-streamed/memoized bodies, admission control, eviction, metrics, and
-the ``ompdart load`` harness with its failure taxonomy."""
+streamed/memoized bodies, admission control, eviction and metrics."""
 
 import asyncio
 import json
@@ -8,19 +7,9 @@ import socket
 import struct
 import time
 
-import pytest
-
 from repro.service.core import PingJobSpec, execute_job, spec_from_dict
 from repro.service.server import STREAM_THRESHOLD
-from repro.service.loadgen import (
-    LOAD_SCHEMA,
-    LoadClient,
-    LoadConfig,
-    _failure_category,
-    gate_load,
-    render_load,
-    run_load,
-)
+from repro.service.loadgen import LoadClient
 
 
 def _scheduler(**kw):
@@ -528,201 +517,3 @@ class TestMetricsEndpoint:
                 await server.aclose()
 
         asyncio.run(run())
-
-
-class TestLoadHarness:
-    def test_load_run_emits_artifact_with_speedup(self):
-        async def run():
-            server = _server()
-            host, port = await server.start()
-            try:
-                config = LoadConfig(
-                    host=host, port=port, clients=3, requests=30,
-                    mix={"ping": 3, "stats": 1, "jobs": 1},
-                    pipeline_depth=2,
-                )
-                return await run_load(config, modes=("close", "keepalive"))
-            finally:
-                await server.aclose()
-
-        payload = asyncio.run(run())
-        assert payload["schema"] == LOAD_SCHEMA
-        assert set(payload["modes"]) == {"close", "keepalive"}
-        for result in payload["modes"].values():
-            assert result["failed"] == 0
-            assert result["throughput_rps"] > 0
-            assert 0 <= result["p50_s"] <= result["p99_s"] <= result["max_s"]
-        assert payload["speedup_x"] is not None
-        assert "methodology" in payload
-        assert gate_load(payload) == []
-        assert "keep-alive speedup" in render_load(payload)
-
-    def test_gate_flags_failures_budget_and_regressions(self):
-        good = {
-            "schema": LOAD_SCHEMA,
-            "modes": {
-                "keepalive": {
-                    "failed": 0, "throughput_rps": 100.0,
-                    "p50_s": 0.01, "p99_s": 0.05,
-                },
-            },
-        }
-        assert gate_load(good) == []
-        assert gate_load(good, max_p99=0.01) != []
-        bad = {
-            "schema": LOAD_SCHEMA,
-            "modes": {
-                "keepalive": {
-                    "failed": 2, "throughput_rps": 10.0,
-                    "p50_s": 0.02, "p99_s": 0.5,
-                },
-            },
-        }
-        problems = gate_load(bad, baseline=good, tolerance=0.25)
-        assert any("failed request" in p for p in problems)
-        assert any("throughput" in p for p in problems)
-        assert any("p99" in p for p in problems)
-        assert gate_load({"schema": LOAD_SCHEMA}) != []
-
-    def test_cli_parser_and_validation(self, capsys):
-        from repro.cli import build_parser, main
-
-        args = build_parser("load").parse_args([])
-        assert args.clients == 8
-        assert args.mode == "both"
-        assert main(["load", "--clients", "0"]) == 2
-        assert "--clients" in capsys.readouterr().err
-        assert main(["load", "--mix", "ping=x"]) == 2
-
-    def test_cli_unreachable_server_exits_2(self, capsys):
-        from repro.cli import main
-
-        # Port 1 on localhost: connection refused, not a hang.
-        assert main([
-            "load", "--port", "1", "--clients", "1", "--requests", "1",
-            "--mode", "keepalive",
-        ]) == 2
-        assert "cannot reach" in capsys.readouterr().err
-
-
-class TestLoadHistory:
-    @staticmethod
-    def _load_artifact(tmp_path, name, p50, p99):
-        payload = {
-            "schema": LOAD_SCHEMA,
-            "modes": {
-                "keepalive": {
-                    "failed": 0, "throughput_rps": 500.0,
-                    "p50_s": p50, "p99_s": p99,
-                },
-                "close": {
-                    "failed": 0, "throughput_rps": 100.0,
-                    "p50_s": p50 * 3, "p99_s": p99 * 3,
-                },
-            },
-        }
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_bench_history_folds_load_artifacts(self, tmp_path, capsys):
-        from repro.cli import main
-
-        old = self._load_artifact(tmp_path, "old.json", 0.010, 0.080)
-        new = self._load_artifact(tmp_path, "new.json", 0.002, 0.020)
-        assert main(["bench-history", old, new]) == 0
-        out = capsys.readouterr().out
-        assert "serve" in out and "keepalive" in out and "close" in out
-        assert "p50" in out and "p99" in out
-        assert "80.0" in out and "20.0" in out  # p99 ms cells
-        # Latency percentiles don't get a (total) row.
-        assert "(total)" not in out
-
-    def test_suite_and_load_artifacts_mix(self, tmp_path, capsys):
-        from repro.cli import main
-
-        suite = {
-            "schema": "ompdart-suite-perf/4",
-            "results": {
-                "a100-pcie4": {
-                    "benchmarks": {
-                        "nw": {
-                            "variants": {
-                                "ompdart": {"sim_wall_s": 0.05},
-                            }
-                        }
-                    }
-                }
-            },
-        }
-        suite_path = tmp_path / "suite.json"
-        suite_path.write_text(json.dumps(suite))
-        load = self._load_artifact(tmp_path, "load.json", 0.010, 0.080)
-        assert main(["bench-history", str(suite_path), load]) == 0
-        out = capsys.readouterr().out
-        assert "a100-pcie4" in out and "serve" in out
-
-    def test_rejects_unknown_schema_still(self, tmp_path):
-        from repro.report.history import load_artifact as load_fn
-
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "other/1"}')
-        with pytest.raises(ValueError):
-            load_fn(str(bad))
-
-
-class TestLoadFailureTaxonomy:
-    def test_failure_category_mapping(self):
-        assert _failure_category(TimeoutError()) == "timeouts"
-        assert _failure_category(asyncio.TimeoutError()) == "timeouts"
-        assert (
-            _failure_category(ConnectionResetError())
-            == "connection_errors"
-        )
-        assert _failure_category(OSError()) == "connection_errors"
-        assert (
-            _failure_category(
-                asyncio.IncompleteReadError(b"", expected=10)
-            )
-            == "connection_errors"
-        )
-        assert _failure_category(ValueError("bad json")) == "other_errors"
-
-    def _payload(self, **mode):
-        base = {
-            "requests": 100, "failed": 0, "connection_errors": 0,
-            "timeouts": 0, "http_errors": 0, "other_errors": 0,
-            "p99_s": 0.01, "throughput_rps": 1000.0,
-        }
-        base.update(mode)
-        return {"schema": "ompdart-load-perf/1", "modes": {"keepalive": base}}
-
-    def test_any_failure_fails_without_budgets(self):
-        payload = self._payload(failed=2, connection_errors=2)
-        assert gate_load(payload)
-        assert not gate_load(self._payload())
-
-    def test_budgeted_category_tolerates_up_to_budget(self):
-        payload = self._payload(failed=2, connection_errors=2)
-        assert not gate_load(payload, max_connection_errors=2)
-        problems = gate_load(payload, max_connection_errors=1)
-        assert any("connection errors" in p for p in problems)
-
-    def test_unbudgeted_residual_still_fails(self):
-        payload = self._payload(
-            failed=3, connection_errors=2, http_errors=1
-        )
-        problems = gate_load(payload, max_connection_errors=5)
-        assert any("failed request" in p for p in problems)
-        assert not gate_load(
-            payload, max_connection_errors=5, max_http_errors=1
-        )
-
-    def test_old_artifacts_without_categories_still_gate(self):
-        payload = {
-            "schema": "ompdart-load-perf/1",
-            "modes": {"close": {"requests": 10, "failed": 1, "p99_s": 0.1}},
-        }
-        assert gate_load(payload)
-        # A budget cannot excuse failures an old artifact can't attribute.
-        assert gate_load(payload, max_connection_errors=5)

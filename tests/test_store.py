@@ -137,6 +137,20 @@ class TestBatchRunsShareTheCacheDir:
         out = capsys.readouterr().out
         assert ": 3 spill(s) (3 current record(s))" in out
 
+    def test_store_on_a_missing_directory_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        missing = str(tmp_path / "nonexist")
+        for action in ("stats", "gc"):
+            assert main(["store", action, "--cache-dir", missing]) == 2
+            assert capsys.readouterr().err == (
+                f"ompdart store: error: --cache-dir {missing}: "
+                "no such directory\n"
+            )
+        assert not os.path.exists(missing)
+
     def test_store_gc_dry_run_then_evicts_under_the_bound(
         self, tmp_path, capsys
     ):

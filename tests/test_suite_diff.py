@@ -175,6 +175,26 @@ class TestSuiteDiffCLI:
         assert main(["suite-diff", str(base), str(tmp_path / "nope.json")]) == 2
         assert main(["suite-diff", str(base), str(base), "--tolerance", "-1"]) == 2
 
+    def test_non_artifact_inputs_exit_2(self, baseline_payload, tmp_path, capsys):
+        """Both sides go through ``read_artifact``: a file that is not
+        JSON and a JSON object of another schema are rejected by name."""
+        from repro.cli import main
+
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(baseline_payload))
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("not json {")
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"schema": "ompdart-profile/1"}))
+        capsys.readouterr()
+        assert main(["suite-diff", str(garbage), str(base)]) == 2
+        assert f"{garbage}: not a JSON artifact" in capsys.readouterr().err
+        assert main(["suite-diff", str(base), str(other)]) == 2
+        assert (
+            f"{other} is not an ompdart-suite-perf artifact"
+            in capsys.readouterr().err
+        )
+
     def test_committed_baseline_matches_a_fresh_run(self, tmp_path):
         """The CI gate: regenerating the artifact must not regress
         against the committed baseline."""
