@@ -1083,7 +1083,7 @@ def _declare_store(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-age", type=float, default=None, metavar="SECONDS",
-        help="gc: evict spills not rewritten in the last N seconds",
+        help="gc: evict spills not read or written in the last N seconds",
     )
     parser.add_argument(
         "--dry-run", action="store_true",

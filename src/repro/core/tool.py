@@ -10,18 +10,22 @@ The work itself is organized as a pass pipeline
 (:mod:`repro.pipeline`): ``preprocess -> parse -> constraints ->
 effects -> cfg -> plan -> rewrite``, run by a
 :class:`~repro.pipeline.manager.PassManager` that caches the
-``parse``, ``constraints``, ``plan`` and ``rewrite`` artifacts under a
-content hash of ``(source, filename, options)`` and records per-pass
-wall time and cache events.  :class:`OMPDart` is a thin facade: it
-owns a manager (or accepts a shared one — the evaluation harness
-shares a single manager across all nine benchmarks so the simulator
-frontend reuses the parse artifact), runs the chain, and packages the
-context into a :class:`TransformResult`.  Repeated runs over unchanged
-source answer from cache without building a pass, so their
-``pass_timings`` list only those four; ``TransformResult.report()``
-surfaces the Table-V-style per-pass overhead breakdown.
-Batch transformation of many translation units at once lives in
-:mod:`repro.pipeline.batch` (``ompdart batch`` on the command line).
+``parse``, ``constraints``, ``plan`` and ``rewrite`` artifacts (the
+analysis part of the input's record) under a content hash of
+``(source, filename, options)`` and records per-pass wall time and
+cache events.  :class:`OMPDart` is a thin facade: it owns a manager
+(or accepts a shared one — the evaluation harness shares a single
+manager across all nine benchmarks so the simulator frontend reuses
+the parse artifact), runs the chain, and packages the context into a
+:class:`TransformResult`, which carries the translation unit and the
+planner outputs.  Repeated runs over unchanged source answer from
+cache without building a pass, so their ``pass_timings`` list only
+those four; ``TransformResult.report()`` surfaces the Table-V-style
+per-pass overhead breakdown.  Batch transformation of many translation
+units at once lives in :mod:`repro.pipeline.batch` (``ompdart batch``
+on the command line); it returns only the output, diagnostics and
+directive count, so it targets the ``summary`` pass and reads and
+writes only the record's small summary part.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_PASSES",
     "Pass",
     "PassManager",
-    "BatchRunStats",
     "PipelineContext",
     "ToolOptions",
     "fingerprint",
@@ -42,7 +41,6 @@ __all__ = [
 #: cache/manager modules above — an eager import here would be a cycle.
 _BATCH_EXPORTS = {
     "BatchOutcome",
-    "BatchRunStats",
     "transform_batch",
     "transform_paths",
 }

@@ -8,7 +8,9 @@ shared worker runtime otherwise, and returns compact, picklable
 deterministic regardless of worker scheduling.
 
 Content-identical inputs are deduplicated at submit, so each distinct
-source runs once.  Worker processes keep a process-global
+source runs once, through :func:`transform_one`, which targets the
+``summary`` pass: a warm input reads only its record's summary part.
+Worker processes keep a process-global
 :class:`PassManager`; pass a ``cache_dir`` to share artifacts across
 processes and across runs through its spill files.  Every outcome
 records which cache tier (memory or disk) served each pass, which
@@ -17,7 +19,7 @@ is what the CLI's ``--report`` sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 # Re-exported public surface: the worker runtime lives in the service
@@ -31,17 +33,6 @@ from ..service.core import (  # noqa: F401
 from .cache import fingerprint
 from .context import ToolOptions
 from .manager import PassManager
-
-
-@dataclass
-class BatchRunStats:
-    """Run-wide observability a caller can opt into per batch run."""
-
-    #: Content-hash pre-dedup accounting for the run: how many distinct
-    #: sources actually dispatched, and how many inputs were fanned out
-    #: from a representative's result instead of running themselves.
-    unique_inputs: int = 0
-    deduped_inputs: int = 0
 
 
 def _transform_item(
@@ -100,7 +91,6 @@ def transform_batch(
     jobs: int = 1,
     cache_dir: str | None = None,
     manager: PassManager | None = None,
-    run_stats: BatchRunStats | None = None,
 ) -> list[BatchOutcome]:
     """Transform ``(source, filename)`` pairs; results in input order.
 
@@ -118,8 +108,7 @@ def transform_batch(
     An in-process ``manager`` cannot cross the process boundary, so
     combining it with ``jobs > 1`` is an error — use ``cache_dir`` to
     share artifacts between workers instead.  It brings its own cache,
-    so combining it with ``cache_dir`` is an error too.  ``run_stats``
-    receives the run's dedup counts.
+    so combining it with ``cache_dir`` is an error too.
     """
     options = options or ToolOptions()
     items = list(items)
@@ -138,9 +127,6 @@ def transform_batch(
             idx = rep_of_hash[content_key] = len(unique)
             unique.append((source, filename))
         rep_index.append(idx)
-    if run_stats is not None:
-        run_stats.unique_inputs = len(unique)
-        run_stats.deduped_inputs = len(items) - len(unique)
 
     workers = max(1, min(jobs, len(unique)))
     results = dispatch_map(
@@ -168,7 +154,6 @@ def transform_paths(
     *,
     jobs: int = 1,
     cache_dir: str | None = None,
-    run_stats: BatchRunStats | None = None,
 ) -> list[BatchOutcome]:
     """Read files and transform them as one batch (CLI entry point)."""
     items: list[tuple[str, str]] = []
@@ -183,9 +168,7 @@ def transform_paths(
             outcomes_by_index[i] = BatchOutcome(
                 filename=path, ok=False, error=f"cannot read {path}: {exc}"
             )
-    results = transform_batch(
-        items, options, jobs=jobs, cache_dir=cache_dir, run_stats=run_stats
-    )
+    results = transform_batch(items, options, jobs=jobs, cache_dir=cache_dir)
     for i, outcome in zip(readable, results):
         outcomes_by_index[i] = outcome
     return [outcomes_by_index[i] for i in range(len(paths))]

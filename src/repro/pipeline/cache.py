@@ -9,17 +9,22 @@ calls and for the evaluation harness, which historically parsed every
 benchmark source twice) and can spill records to a directory so
 separate worker processes of the batch driver share work across runs.
 
-A pipeline run looks its input's record up once, on its first pass
-lookup: memory, then the directory's spill.  The pass manager looks up
-only the *stored* passes (:attr:`repro.pipeline.passes.Pass.stored`),
-so a record, in memory or spilled, holds only the artifacts a hit
-reads.  Every stored pass the record holds is a hit reported with the
-tier the record came from; the rest are built and
-:meth:`ArtifactCache.put` into the record.  The pass manager then
-:meth:`~ArtifactCache.commit`\\ s the record once, which spills it
-whole when the run added anything.  The record version is folded into
-the storage key, so records of an incompatible revision are never
-looked up.
+A pipeline run loads its input's record once, on its first pass
+lookup: memory, then the directory's spill.  A spill is read whole but
+decoded by part: a lookup decodes the part that holds its pass (the
+``summary`` part or the analysis part) the first time that part is
+asked for, so a summary hit never unpickles the translation unit.  The
+pass manager looks up only the *stored* passes
+(:attr:`repro.pipeline.passes.Pass.stored`), so a record, in memory or
+spilled, holds only the artifacts a hit reads.  Every stored pass the
+record holds is a hit reported with the tier the record came from; the
+rest are built and :meth:`ArtifactCache.put` into the record.  The pass
+manager then :meth:`~ArtifactCache.commit`\\ s the record once, which
+re-encodes the parts the run added to and spills them together with
+the other part's bytes as they were read.  Loading a spill refreshes
+its mtime, so ``ompdart store gc`` evicts the least recently used
+records first.  The record version is folded into the storage key, so
+records of an incompatible revision are never looked up.
 """
 
 from __future__ import annotations
@@ -35,8 +40,11 @@ from typing import Any, Callable, Mapping
 
 from .artifacts import (
     ArtifactDecodeError,
-    decode_record,
-    encode_record,
+    decode_part,
+    encode_part,
+    join_parts,
+    part_of,
+    split_parts,
     storage_key,
 )
 
@@ -78,24 +86,33 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    #: Lookups of this pass that found a record which failed to decode
-    #: (truncated, corrupt, or from an incompatible revision) and
-    #: quarantined it as a miss.
+    #: Lookups of this pass that found a record, or the record part
+    #: holding this pass, which failed to decode (truncated, corrupt,
+    #: or from an incompatible revision) and quarantined it as a miss.
     corrupt_spills: int = 0
 
 
 class _Record:
-    """One input's artifacts plus where they came from."""
+    """One input's artifacts, its spill's parts, and where they came from."""
 
-    __slots__ = ("artifacts", "origin", "dirty")
+    __slots__ = ("artifacts", "parts", "undecoded", "dirty", "origin")
 
-    def __init__(self, artifacts: dict[str, Any], origin: str):
-        self.artifacts = artifacts
+    def __init__(self, parts: tuple[bytes, bytes], origin: str):
+        #: Pass name -> artifact, for the parts decoded or put so far.
+        self.artifacts: dict[str, Any] = {}
+        #: Each part's encoded bytes as last spilled (b"": none).
+        self.parts = list(parts)
+        #: Parts whose spilled bytes are not decoded yet.
+        self.undecoded = {i for i, blob in enumerate(parts) if blob}
+        #: Parts holding artifacts their spill does not have yet.
+        self.dirty: set[int] = set()
         #: Tier the record was loaded from; ``"memory"`` once the run
         #: that loaded it has committed.
         self.origin = origin
-        #: Holds artifacts its spill does not have yet.
-        self.dirty = False
+
+
+#: The parts of an input that has no spill.
+_NO_PARTS = (b"", b"")
 
 
 @dataclass
@@ -103,10 +120,10 @@ class ArtifactCache:
     """Bounded LRU of per-input records, optionally backed by a directory.
 
     ``lookup``/``put`` address one artifact as ``(pass_name,
-    input_fingerprint)``; ``commit`` spills the input's whole record.
-    Thread-safe: the serial batch path may be driven from multiple
-    threads, and the evaluation harness shares one cache across all
-    nine benchmarks.
+    input_fingerprint)``; ``commit`` spills the parts of the input's
+    record that the run added to.  Thread-safe: the serial batch path
+    may be driven from multiple threads, and the evaluation harness
+    shares one cache across all nine benchmarks.
     """
 
     #: Records (inputs) kept in memory.
@@ -117,29 +134,12 @@ class ArtifactCache:
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
         self._memory: OrderedDict[str, _Record] = OrderedDict()
-        #: Compressed record bytes read on loads and written on spills.
-        self.disk_bytes_read = 0
-        self.disk_bytes_written = 0
         if self.disk_dir is not None:
             self.disk_dir = Path(self.disk_dir)
             self.disk_dir.mkdir(parents=True, exist_ok=True)
 
-    # -- accounting ------------------------------------------------------
-
     def _stat(self, pass_name: str) -> CacheStats:
         return self.stats.setdefault(pass_name, CacheStats())
-
-    def disk_usage(self) -> int:
-        """Total bytes of spill files on disk (0 for a memory-only cache)."""
-        if self.disk_dir is None:
-            return 0
-        total = 0
-        for path in Path(self.disk_dir).glob("*.art"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue  # racing writer/cleaner; size is best-effort
-        return total
 
     # -- lookup ----------------------------------------------------------
 
@@ -152,12 +152,17 @@ class ArtifactCache:
         """(artifact or MISS, origin).
 
         The first lookup of an input loads its record (memory, then
-        disk); later lookups answer from the loaded record.  Origin is
+        disk), and the first lookup of a pass in a part decodes that
+        part; later lookups answer from the loaded record.  Origin is
         the tier the record came from — ``"memory"`` or ``"disk"`` — or
         ``None`` on a miss.  ``deps`` is accepted and ignored: a record
         decodes without outside artifacts.
         """
-        record = self._open(pass_name, storage_key(key))
+        skey = storage_key(key)
+        record = self._open(pass_name, skey)
+        part = part_of(pass_name)
+        if part in record.undecoded:
+            self._decode(record, part, pass_name, skey)
         with self._lock:
             stat = self._stat(pass_name)
             if pass_name in record.artifacts:
@@ -179,19 +184,20 @@ class ArtifactCache:
         with self._lock:
             record = self._memory.get(skey)
             if record is None:
-                record = _Record({}, ORIGIN_MEMORY)
+                record = _Record(_NO_PARTS, ORIGIN_MEMORY)
                 self._remember(skey, record)
             else:
                 self._memory.move_to_end(skey)
             record.artifacts[pass_name] = value
-            record.dirty = True
+            record.dirty.add(part_of(pass_name))
 
     def commit(self, key: str) -> None:
-        """End a run over ``key``: spill its record if the run added to it.
+        """End a run over ``key``: spill the parts the run added to.
 
-        Later lookups of the record report the memory tier.  An empty
-        record (the run built nothing) leaves memory, so the next run
-        looks for a spill again.
+        A part the run did not touch is spilled as the bytes it was
+        read as.  Later lookups of the record report the memory tier.
+        An empty record (no spill and the run built nothing) leaves
+        memory, so the next run looks for a spill again.
         """
         skey = storage_key(key)
         with self._lock:
@@ -199,16 +205,26 @@ class ArtifactCache:
             if record is None:
                 return
             record.origin = ORIGIN_MEMORY
-            if not record.artifacts:
+            if not record.artifacts and not any(record.parts):
                 del self._memory[skey]
                 return
             if not record.dirty or self.disk_dir is None:
                 return
-            record.dirty = False
-            artifacts = dict(record.artifacts)
-        nbytes = self._disk_put(skey, artifacts)
+            dirty, record.dirty = record.dirty, set()
+        for part in dirty & record.undecoded:  # put with no lookup first
+            self._decode(record, part, None, skey)
         with self._lock:
-            self.disk_bytes_written += nbytes
+            artifacts = dict(record.artifacts)
+        parts = list(record.parts)
+        try:
+            for part in dirty:
+                parts[part] = encode_part(
+                    {n: v for n, v in artifacts.items() if part_of(n) == part}
+                )
+        except Exception:  # noqa: BLE001 - unspillable records stay in memory
+            return
+        if self._disk_put(skey, parts):
+            record.parts = parts
 
     def _remember(self, skey: str, record: _Record) -> None:
         self._memory[skey] = record
@@ -226,15 +242,38 @@ class ArtifactCache:
             if record is not None:
                 self._memory.move_to_end(skey)
                 return record
-        artifacts, nbytes = self._load(pass_name, skey)
-        origin = ORIGIN_DISK if nbytes else ORIGIN_MEMORY
+        parts = self._load(pass_name, skey)
+        origin = ORIGIN_DISK if any(parts) else ORIGIN_MEMORY
         with self._lock:
             record = self._memory.get(skey)
             if record is None:  # no racing thread loaded it meanwhile
-                record = _Record(artifacts, origin)
+                record = _Record(parts, origin)
                 self._remember(skey, record)
-                self.disk_bytes_read += nbytes
             return record
+
+    def _decode(
+        self, record: _Record, part: int, pass_name: str | None, skey: str
+    ) -> None:
+        """Decode one spilled part into the record's artifacts.
+
+        A part that fails to decode is charged to ``pass_name`` and
+        quarantines the spill; the record keeps the other part's bytes,
+        so the run's commit re-spills them at the original path.
+        """
+        try:
+            artifacts = decode_part(record.parts[part])
+        except ArtifactDecodeError:
+            artifacts = {}
+            with self._lock:
+                if pass_name is not None:
+                    self._stat(pass_name).corrupt_spills += 1
+                record.parts[part] = b""
+            self._quarantine(self._record_path(skey))
+        with self._lock:
+            if part in record.undecoded:  # no racing thread decoded it
+                record.undecoded.discard(part)
+                for name, value in artifacts.items():
+                    record.artifacts.setdefault(name, value)
 
     def clear(self) -> None:
         with self._lock:
@@ -250,30 +289,37 @@ class ArtifactCache:
         assert self.disk_dir is not None
         return Path(self.disk_dir) / f"{skey}.art"
 
-    def _load(self, pass_name: str, skey: str) -> tuple[dict, int]:
-        """(artifacts, bytes read) of the spilled record.
+    def _load(self, pass_name: str, skey: str) -> tuple[bytes, bytes]:
+        """The spilled record's two parts, still encoded.
 
-        No record (or an undecodable one) loads as empty, 0 bytes.
+        No record (or one whose header is broken) loads as two empty
+        parts.  A load refreshes the spill's mtime, the recency
+        :func:`repro.pipeline.store.gc_spills` evicts by.
         """
         if self.disk_dir is None:
-            return {}, 0
+            return _NO_PARTS
         src = self._record_path(skey)
         try:
             raw = src.read_bytes()
         except OSError:
-            return {}, 0
+            return _NO_PARTS
         try:
-            return decode_record(raw), len(raw)
+            parts = split_parts(raw)
         except ArtifactDecodeError:
             # Unreadable or version-skewed records are misses, not
-            # crashes (e.g. a cached class moved between releases, or a
-            # writer was killed mid-spill).  Quarantine so the broken
-            # file never costs a second decode attempt and the run's
-            # re-derived record can re-spill at the original path.
+            # crashes (e.g. a writer was killed mid-spill).  Quarantine
+            # so the broken file never costs a second decode attempt
+            # and the run's re-derived record can re-spill at the
+            # original path.
             with self._lock:
                 self._stat(pass_name).corrupt_spills += 1
             self._quarantine(src)
-            return {}, 0
+            return _NO_PARTS
+        try:
+            os.utime(src)
+        except OSError:
+            pass  # racing cleaner; recency is best-effort
+        return parts
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt spill aside — never raise."""
@@ -286,19 +332,15 @@ class ArtifactCache:
             "quarantined corrupt artifact spill %s (re-deriving)", path.name
         )
 
-    def _disk_put(self, skey: str, artifacts: dict[str, Any]) -> int:
-        """Spill one record; returns compressed bytes written (0 = none)."""
+    def _disk_put(self, skey: str, parts: list[bytes]) -> bool:
+        """Spill one record's parts; False when the write failed."""
         path = self._record_path(skey)
-        try:
-            raw = encode_record(artifacts)
-        except Exception:  # noqa: BLE001 - unspillable records stay in memory
-            return 0
-        if not write_spill(path, raw):
-            return 0
+        if not write_spill(path, join_parts(*parts)):
+            return False
         hook = spill_fault_hook
         if hook is not None:
             hook(path)
-        return len(raw)
+        return True
 
 
 def write_spill(path: Path, raw: bytes) -> bool:

@@ -2,10 +2,18 @@
 
 A run first looks up the stored passes of its schedule, which loads
 the input's record once, then executes the schedule in chain order:
-every stored pass as a hit or a build, and an unstored pass only when
-the target or a pass being built transitively requires it.  A run whose
-stored passes all hit therefore builds nothing, and a record that holds
-``parse`` spares a later run the ``preprocess`` pass.
+every pass it looked up as a hit or a build, and an unstored pass only
+when the target or a pass being built transitively requires it.  A run
+whose stored passes all hit therefore builds nothing, and a record that
+holds ``parse`` spares a later run the ``preprocess`` pass.
+
+A run reads and writes its target's part of the record
+(:mod:`repro.pipeline.artifacts`).  A run that targets ``summary``
+looks that pass up alone first: a hit answers the run by itself, and
+only a miss looks up the analysis part's passes, which the summary is
+then built from.  Such a run stores only the summary, so its commit
+spills only the summary part, and a batch or served transform neither
+decodes nor re-encodes the translation unit.
 """
 
 from __future__ import annotations
@@ -13,11 +21,13 @@ from __future__ import annotations
 import time
 from typing import Iterable
 
+from ..diagnostics import ToolError
+from .artifacts import part_of
 from .cache import MISS, ArtifactCache, fingerprint
 from .context import HIT, PipelineContext
 from .context import MISS as MISS_EVENT
 from .context import ToolOptions
-from .passes import DEFAULT_PASSES, Pass
+from .passes import DEFAULT_PASSES, DEFAULT_TARGET, Pass
 
 
 def _schedules(passes: tuple[Pass, ...]) -> dict[str, tuple[Pass, ...]]:
@@ -43,27 +53,28 @@ def _schedules(passes: tuple[Pass, ...]) -> dict[str, tuple[Pass, ...]]:
     }
 
 
-#: Stored pass name -> (artifact or MISS, origin, lookup seconds).
+#: Looked-up pass name -> (artifact or MISS, origin, lookup seconds).
 _Found = dict[str, tuple[object, str | None, float]]
 
-#: What an unstored pass starts from: no artifact, no lookup time.
+#: What a pass not looked up starts from: no artifact, no lookup time.
 _UNSTORED = (MISS, None, 0.0)
 
 
 def _needed(schedule: tuple[Pass, ...], found: _Found) -> list[Pass]:
     """The passes of ``schedule`` a run executes, in chain order.
 
-    Every stored pass runs, as a hit or a build.  An unstored pass runs
-    when the target (the schedule's last pass) or a pass being built
-    requires it, directly or through other unstored passes.
+    Every pass the run looked up runs, as a hit or a build.  Any other
+    pass runs when the target (the schedule's last pass) or a pass
+    being built requires it, directly or through other such passes.
     """
     wanted = {schedule[-1].name}
     needed = []
     for p in reversed(schedule):
-        builds = found[p.name][0] is MISS if p.stored else p.name in wanted
+        looked_up = p.name in found
+        builds = found[p.name][0] is MISS if looked_up else p.name in wanted
         if builds:
             wanted.update(p.requires)
-        if builds or p.stored:
+        if builds or looked_up:
             needed.append(p)
     needed.reverse()
     return needed
@@ -72,18 +83,20 @@ def _needed(schedule: tuple[Pass, ...], found: _Found) -> list[Pass]:
 class PassManager:
     """Runs the passes a target needs over a :class:`PipelineContext`.
 
-    A run ends at a target pass (``until``, by default the chain's last
-    pass, ``rewrite``).  Of that pass and the passes it transitively
-    requires, it executes in chain order every stored pass and each
-    unstored pass that a build needs; any other pass is skipped.
-    Stored artifacts are cached under a fingerprint of ``(source,
-    filename, options)`` and kept together as one record per input: a
-    run looks the record up before its first pass and commits it once
-    at the end, so a repeated run of the same translation unit answers
-    from cache in microseconds.  Wall time and cache events are
-    recorded on the context for each pass that ran (a built pass is a
-    ``miss``, stored or not), which the tool facade surfaces through
-    ``TransformResult.report()``.
+    A run ends at a target pass (``until``, by default ``rewrite``).
+    Of that pass and the passes it transitively requires, it executes
+    in chain order every stored pass it looked up and each other pass
+    that a build needs; any other pass is skipped.  Stored artifacts
+    are cached under a fingerprint of ``(source, filename, options)``
+    and kept together as one record per input: a run looks the record
+    up before its first pass and commits it once at the end, so a
+    repeated run of the same translation unit answers from cache in
+    microseconds.  A run looks up and stores the stored passes of its
+    target's record part; when one of them misses it also looks up,
+    but never stores, those of the other part.  Wall time and cache
+    events are recorded on the context for each pass that ran (a built
+    pass is a ``miss``, stored or not), which the tool facade surfaces
+    through ``TransformResult.report()``.
     """
 
     def __init__(
@@ -123,39 +136,55 @@ class PassManager:
         *,
         until: str | None = None,
     ) -> PipelineContext:
-        """Run the passes ``until`` needs (every pass the chain's last
-        one needs by default) and return the populated context.  Raises
-        :class:`ToolError` exactly like the original monolithic
-        driver."""
-        target = self.passes[-1].name if until is None else until
+        """Run the passes ``until`` needs (``rewrite``'s by default)
+        and return the populated context.  Raises :class:`ToolError`
+        exactly like the original monolithic driver; when it stops a
+        run before a target with a ``reject`` hook, the hook's artifact
+        is stored instead, so a hit replays the rejection."""
+        target = DEFAULT_TARGET if until is None else until
         try:
             schedule = self._schedules[target]
         except KeyError:
-            raise KeyError(f"no pass named {until!r} in the pipeline") from None
+            raise KeyError(f"no pass named {target!r} in the pipeline") from None
         ctx = PipelineContext(source, filename, options or ToolOptions())
         key = self.input_key(ctx.source, ctx.filename, ctx.options)
+        part = part_of(target)
         try:
-            found = self._lookup(schedule, key)
+            found = self._lookup(schedule, key, part)
             for p in _needed(schedule, found):
-                self._run_pass(p, ctx, key, *found.get(p.name, _UNSTORED))
+                # A run stores only its target's part: the analysis
+                # artifacts a summary run builds stay in its context.
+                stores = p.stored and part_of(p.name) == part
+                self._run_pass(
+                    p, ctx, key, stores, *found.get(p.name, _UNSTORED)
+                )
+        except ToolError as error:
+            last = schedule[-1]
+            if last.reject is not None and found[last.name][0] is MISS:
+                self.cache.put(last.name, key, last.reject(ctx, error))
+            raise
         finally:
             # One spill per run, also for partial runs and for runs a
-            # ToolError stopped: whatever was built is kept.
+            # ToolError stopped: whatever was stored is kept.
             self.cache.commit(key)
         return ctx
 
-    def _lookup(self, schedule: tuple[Pass, ...], key: str) -> _Found:
-        """Look up every stored pass of ``schedule``.
+    def _lookup(self, schedule: tuple[Pass, ...], key: str, part: int) -> _Found:
+        """Look up the stored passes of ``schedule`` in record part
+        ``part``, and when one of them misses, those of the other part.
 
         The first lookup loads the input's record, so it carries the
         load time into that pass's timing.
         """
-        found = {}
-        for p in schedule:
-            if p.stored:
-                start = time.perf_counter()
-                value, origin = self.cache.lookup(p.name, key)
-                found[p.name] = (value, origin, time.perf_counter() - start)
+        found: _Found = {}
+        for own in (True, False):
+            for p in schedule:
+                if p.stored and (part_of(p.name) == part) == own:
+                    start = time.perf_counter()
+                    value, origin = self.cache.lookup(p.name, key)
+                    found[p.name] = (value, origin, time.perf_counter() - start)
+            if all(value is not MISS for value, _, _ in found.values()):
+                break  # nothing to build: the other part is not read
         return found
 
     def _run_pass(
@@ -163,12 +192,14 @@ class PassManager:
         p: Pass,
         ctx: PipelineContext,
         key: str,
+        stores: bool,
         value: object,
         origin: str | None,
         wall: float,
     ) -> None:
-        """Record a hit, or build the pass (storing a stored artifact);
-        ``wall`` starts at the pass's lookup time."""
+        """Record a hit, or build the pass (putting the artifact in the
+        record when ``stores``); ``wall`` starts at the pass's lookup
+        time."""
         profiler = self.profiler
         if profiler is not None:
             profiler.begin_pass(p.name)
@@ -178,7 +209,7 @@ class PassManager:
         else:
             start = time.perf_counter()
             value = p.build(ctx)
-            if p.stored:
+            if stores:
                 self.cache.put(p.name, key, value)
             wall += time.perf_counter() - start
             event = MISS_EVENT

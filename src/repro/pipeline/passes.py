@@ -11,34 +11,46 @@ artifacts, split in two:
 
 Each pass also names the passes whose artifacts it reads
 (``requires``), and the pass manager runs only what a run's target
-needs.  A transform targets ``rewrite``, which needs the paper's Fig. 1
-chain ``preprocess -> parse -> constraints -> effects -> cfg -> plan
--> rewrite``.  ``codegen`` (per-kernel generated replay source) is a
-reproduction-side addition for the simulator: no transform pass
+needs.  A run that names no target builds ``rewrite``, the paper's
+Fig. 1 chain ``preprocess -> parse -> constraints -> effects -> cfg ->
+plan -> rewrite``.  ``codegen`` (per-kernel generated replay source)
+is a reproduction-side addition for the simulator: no transform pass
 requires it, so it runs only when a run asks for it with
 ``until="codegen"``, which builds ``preprocess -> parse -> codegen``.
+``summary`` follows ``rewrite``: it is what a batch or served
+transform returns (output text, diagnostics, directive count,
+``changed``), and those runs target it, so that a hit of it answers
+the run alone.
 
-A pass is ``stored`` when the artifact record keeps its artifact.
-``preprocess`` (the token list), ``effects`` and ``cfg`` are not: they
-are intermediate artifacts only the next passes of the same run read,
-so they live in the run's context and are built only when a pass that
-needs them is built.  A run whose stored passes all hit builds nothing.
+A pass is ``stored`` when the artifact record keeps its artifact: the
+``summary`` in the record's summary part, and ``parse``, ``codegen``,
+``constraints``, ``plan`` and ``rewrite`` in its analysis part
+(:mod:`repro.pipeline.artifacts`).  ``preprocess`` (the token list),
+``effects`` and ``cfg`` are not stored: they are intermediate
+artifacts only the next passes of the same run read, so they live in
+the run's context and are built only when a pass that needs them is
+built.  A run whose stored passes all hit builds nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..analysis.effects import InterproceduralAnalysis
 from ..analysis.fused import fused_scan
 from ..cfg.astcfg import build_astcfgs
+from ..core.directives import count_constructs
 from ..core.planner import plan_function
 from ..diagnostics import Diagnostic, Severity, ToolError
 from ..frontend.parser import Parser
 from ..frontend.preprocessor import preprocess
 from ..rewrite.emit import emit_plans
+from .artifacts import SUMMARY
 from .context import PipelineContext
+
+#: What a run that names no target builds: the transformed source.
+DEFAULT_TARGET = "rewrite"
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,11 @@ class Pass:
     #: unstored artifact lives only in the run's context, and the pass
     #: is built only when a pass being built requires it.
     stored: bool = True
+    #: For a stored pass: ``reject(ctx, error)`` builds the artifact of
+    #: a run targeting this pass that a :class:`ToolError` stopped
+    #: before it, so that a hit replays the rejection; None stores
+    #: nothing for such a run.
+    reject: Callable[[PipelineContext, ToolError], Any] | None = None
 
 
 # -- stage bodies ------------------------------------------------------------
@@ -153,11 +170,51 @@ def _build_rewrite(ctx: PipelineContext) -> str:
     return emit_plans(ctx.source, plans)
 
 
+class Summary(NamedTuple):
+    """What a batch or served transform returns: the ``summary`` artifact."""
+
+    #: The rewritten source; None for a rejected input.
+    output: str | None
+    #: The run's diagnostics, in pass order.
+    diagnostics: tuple[Diagnostic, ...]
+    directive_count: int = 0
+    #: Did the rewrite differ from the input source?
+    changed: bool = False
+    #: The message of the :class:`ToolError` that rejected the input.
+    error: str | None = None
+
+
+def _build_summary(ctx: PipelineContext) -> Summary:
+    plans, _, _ = ctx.artifact("plan")
+    output = ctx.artifact("rewrite")
+    return Summary(
+        output, tuple(ctx.diagnostics), count_constructs(plans),
+        output != ctx.source,
+    )
+
+
+def _reject_summary(ctx: PipelineContext, error: ToolError) -> Summary:
+    return Summary(None, tuple(error.diagnostics), error=str(error))
+
+
+def _finalize_summary(ctx: PipelineContext, summary: Summary) -> None:
+    """Replay the run's diagnostics, and its rejection if it had one.
+
+    The diagnostics a built summary holds are the ones the run's
+    ``constraints`` and ``plan`` checks left, and a rejected input's
+    summary holds the error those checks (the werror one included) or
+    a build raised, so a hit fails exactly as the run it replays.
+    """
+    ctx.diagnostics[:] = summary.diagnostics
+    if summary.error is not None:
+        raise ToolError(summary.error, list(summary.diagnostics))
+
+
 #: The OMPDart stage chain, in execution order.  ``effects`` requires
 #: ``constraints`` for the fused prep it consumes, which also keeps a
 #: constraint violation failing a run before any analysis starts.  The
-#: record keeps ``parse``, ``codegen``, ``constraints``, ``plan`` and
-#: ``rewrite``: everything a hit reads.
+#: record keeps ``parse``, ``codegen``, ``constraints``, ``plan``,
+#: ``rewrite`` and ``summary``: everything a hit reads.
 DEFAULT_PASSES: tuple[Pass, ...] = (
     Pass("preprocess", _build_preprocess, stored=False),
     Pass("parse", _build_parse, requires=("preprocess",)),
@@ -167,4 +224,8 @@ DEFAULT_PASSES: tuple[Pass, ...] = (
     Pass("cfg", _build_cfg, requires=("parse",), stored=False),
     Pass("plan", _build_plan, _finalize_plan, requires=("parse", "effects", "cfg")),
     Pass("rewrite", _build_rewrite, requires=("plan",)),
+    Pass(
+        SUMMARY, _build_summary, _finalize_summary,
+        requires=("plan", "rewrite"), reject=_reject_summary,
+    ),
 )

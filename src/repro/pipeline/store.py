@@ -4,8 +4,8 @@ The artifact cache (:mod:`repro.pipeline.cache`) spills one ``.art``
 record per input and never removes one.  This module keeps
 such a directory bounded and clean:
 
-* :func:`gc_spills` evicts spills LRU-oldest-first to a size bound
-  and/or past a TTL, and always sweeps garbage: quarantined ``.bad``
+* :func:`gc_spills` evicts spills least-recently-used first to a size
+  bound and/or past a TTL, and always sweeps garbage: quarantined ``.bad``
   files, ``.pkl`` spills of the retired whole-object format (never
   read), and ``.tmp`` files whose writer died mid-spill.
 * :func:`sweep_dead_tmp` is that last sweep on its own; the worker
@@ -155,10 +155,10 @@ def gc_spills(
     3. then the oldest remaining spills until the directory fits under
        ``max_bytes``.
 
-    Recency is mtime: the cache rewrites a record only when a run
-    adds artifacts to it, so a record's age is the time since its
-    input last needed building.  ``dry_run`` counts without
-    unlinking.  Fail-soft per file — a racing writer or
+    Recency is mtime: the cache rewrites a record when a run adds
+    artifacts to it and refreshes its mtime whenever a run loads it,
+    so a record's age is the time since a run last read or wrote it.
+    ``dry_run`` counts without unlinking.  Fail-soft per file — a racing writer or
     cleaner never aborts the sweep.
     """
     directory = Path(directory)

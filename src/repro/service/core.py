@@ -28,6 +28,7 @@ from typing import Any, Callable, Iterable
 
 from .._version import __version__
 from ..diagnostics import ToolError
+from ..pipeline.artifacts import SUMMARY
 from ..pipeline.cache import ArtifactCache, fingerprint
 from ..pipeline.context import ToolOptions
 from ..pipeline.manager import PassManager
@@ -100,20 +101,17 @@ class BatchOutcome:
 
 
 def _outcome_from_context(ctx: Any, elapsed: float) -> BatchOutcome:
-    from ..core.directives import count_constructs
-
-    plans, _, _ = ctx.artifact("plan")
-    output = ctx.artifact("rewrite")
+    summary = ctx.artifact(SUMMARY)
     return BatchOutcome(
         filename=ctx.filename,
         ok=True,
-        output_source=output,
-        diagnostics=tuple(d.render() for d in ctx.diagnostics),
-        directive_count=count_constructs(plans),
+        output_source=summary.output,
+        diagnostics=tuple(d.render() for d in summary.diagnostics),
+        directive_count=summary.directive_count,
         elapsed_seconds=elapsed,
         timings=dict(ctx.timings),
         cache_events=dict(ctx.cache_events),
-        changed=output != ctx.source,
+        changed=summary.changed,
         cache_origins=dict(ctx.cache_origins),
     )
 
@@ -121,10 +119,16 @@ def _outcome_from_context(ctx: Any, elapsed: float) -> BatchOutcome:
 def transform_one(
     manager: PassManager, source: str, filename: str, options: ToolOptions
 ) -> BatchOutcome:
-    """Run one translation unit through ``manager``; never raises."""
+    """Run one translation unit through ``manager``; never raises.
+
+    The single entry of ``ompdart batch`` and of served transform jobs.
+    It targets the ``summary`` pass, so a warm input costs one decode
+    of its record's small summary part, and a cold one spills only
+    that part.
+    """
     start = time.perf_counter()
     try:
-        ctx = manager.run(source, filename, options)
+        ctx = manager.run(source, filename, options, until=SUMMARY)
     except ToolError as exc:
         return BatchOutcome(
             filename=filename,

@@ -156,7 +156,7 @@ def test_codegen_rows_hit_cross_worker_store(tmp_path, monkeypatch):
     run's workers execute: a second ``run_sweep(..., jobs=2,
     cache_dir=D)`` builds no ``codegen`` row.  Its workers start with
     empty memory tiers, so every row comes off the records on disk."""
-    from repro.pipeline.artifacts import decode_record
+    from repro.pipeline.artifacts import decode_part, split_parts
     from repro.runtime import codegen
     from repro.runtime.platform import DEFAULT_PLATFORM
     from repro.suite.runner import run_sweep
@@ -175,7 +175,10 @@ def test_codegen_rows_hit_cross_worker_store(tmp_path, monkeypatch):
         }
 
     first = sweep(jobs=2)
-    records = [decode_record(p.read_bytes()) for p in cache_dir.glob("*.art")]
+    records = [
+        decode_part(split_parts(p.read_bytes())[1])
+        for p in cache_dir.glob("*.art")
+    ]
     # Three variants per benchmark, each record holding its rows.
     assert len(records) == 3 * len(names)
     assert all(record["codegen"] for record in records)

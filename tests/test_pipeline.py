@@ -18,7 +18,6 @@ from repro.core import OMPDart, ToolOptions, transform_source
 from repro.diagnostics import ToolError
 from repro.pipeline import (
     ArtifactCache,
-    BatchRunStats,
     DEFAULT_PASSES,
     Pass,
     PassManager,
@@ -101,7 +100,7 @@ class TestPassManager:
         names = [p.name for p in DEFAULT_PASSES]
         assert names == [
             "preprocess", "parse", "codegen", "constraints", "effects",
-            "cfg", "plan", "rewrite",
+            "cfg", "plan", "rewrite", "summary",
         ]
 
     def test_first_run_misses_second_hits(self):
@@ -309,11 +308,10 @@ class TestBatchDriver:
 
     def test_serial_batch_dedups_across_filenames(self):
         items = [(SRC, "a.c"), (SRC, "b.c"), (SRC, "c.c")]
-        stats = BatchRunStats()
-        outcomes = transform_batch(items, jobs=1, run_stats=stats)
+        outcomes = transform_batch(items, jobs=1)
         assert all(o.ok for o in outcomes)
-        assert stats.unique_inputs == 1
-        assert stats.deduped_inputs == 2
+        assert sum(o.deduped_from is None for o in outcomes) == 1
+        assert sum(o.deduped_from is not None for o in outcomes) == 2
         assert outcomes[0].deduped_from is None
         assert [o.filename for o in outcomes] == ["a.c", "b.c", "c.c"]
         assert outcomes[1].deduped_from == "a.c"
@@ -361,6 +359,40 @@ class TestBatchDriver:
         assert list(tmp_path.glob("*.art"))
         again = transform_batch(items, jobs=1, cache_dir=str(tmp_path))
         assert set(again[0].cache_events.values()) == {"hit"}
+
+    def test_batch_record_gains_its_analysis_part(self, tmp_path):
+        """A record a batch wrote holds only the summary.  A tool run
+        and then a simulator run over it give what cold runs give and
+        add the analysis part, which both hit from disk next time."""
+
+        def disk():
+            return PassManager(cache=ArtifactCache(disk_dir=tmp_path))
+
+        def rows_of(ctx):
+            """The codegen rows' content hashes (node ids vary by parse)."""
+            return [row["key"] for row in ctx.artifact("codegen").values()]
+
+        (batch,) = transform_batch([(SRC, "t.c")], cache_dir=str(tmp_path))
+        cold = OMPDart().run(SRC, "t.c")
+        cold_rows = PassManager().run(SRC, "t.c", until="codegen")
+        tool = OMPDart(pipeline=disk()).run(SRC, "t.c")
+        rows = disk().run(SRC, "t.c", until="codegen")
+        assert set(tool.cache_events.values()) == {"miss"}
+        assert rows.cache_events == {"parse": "hit", "codegen": "miss"}
+        assert tool.output_source == cold.output_source == batch.output_source
+        assert [p.describe() for p in tool.plans] == [
+            p.describe() for p in cold.plans
+        ]
+        assert tool.diagnostics == cold.diagnostics
+        assert rows_of(rows) == rows_of(cold_rows)
+        for until, names in ((None, STORED_CHAIN), ("codegen", ["parse", "codegen"])):
+            warm = disk().run(SRC, "t.c", until=until)
+            assert warm.cache_events == dict.fromkeys(names, "hit")
+            assert warm.cache_origins == dict.fromkeys(names, "disk")
+        assert warm.artifact("codegen") == rows.artifact("codegen")
+        (again,) = transform_batch([(SRC, "t.c")], cache_dir=str(tmp_path))
+        assert again.cache_origins == {"summary": "disk"}
+        assert again.output_source == batch.output_source
 
 
 class TestRunAllBatch:

@@ -299,14 +299,19 @@ class TestWorkerErrorLabels:
             dispatch_map(_explode, ["bad"])
 
     def test_batch_outcome_reports_filename_for_internal_errors(self):
+        from dataclasses import replace
+
         from repro.pipeline.batch import transform_batch
-        from repro.pipeline.passes import Pass
+        from repro.pipeline.passes import DEFAULT_PASSES
 
         def boom(ctx):
             raise RuntimeError("pass exploded")
 
         manager = PassManager(
-            passes=[Pass(name="parse", build=boom)]
+            passes=[
+                replace(p, build=boom) if p.name == "parse" else p
+                for p in DEFAULT_PASSES
+            ]
         )
         (outcome,) = transform_batch(
             [("int x;", "broken.c")], manager=manager

@@ -133,6 +133,7 @@ class TestNoLocationObjects:
         manager = PassManager()
         record = manager.run(lulesh, "lulesh.c", until="codegen").artifacts
         record.update(manager.run(lulesh, "lulesh.c").artifacts)
+        record.update(manager.run(lulesh, "lulesh.c", until="summary").artifacts)
         assert set(record) == {p.name for p in manager.passes}
         counter = _TypeCounter(io.BytesIO())
         counter.dump((AR.RECORD_VERSION, record))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 from repro.pipeline.artifacts import record_filename
@@ -79,11 +80,8 @@ class TestBatchRunsShareTheCacheDir:
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("  cache ")
         ]
-        # One line per stored pass a transform runs, in chain order: a
-        # warm run builds neither codegen nor the unstored passes.
-        assert [line.split()[1] for line in warm] == [
-            "parse", "constraints", "plan", "rewrite",
-        ]
+        # A warm batch input runs its summary pass alone.
+        assert [line.split()[1] for line in warm] == ["summary"]
         for line in warm:
             assert " 3 hit(s) " in line and line.endswith("/ 0 miss(es)")
 
@@ -96,14 +94,14 @@ class TestBatchRunsShareTheCacheDir:
         capsys.readouterr()
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "  cache rewrite     1 hit(s) (memory 0, disk 1) " \
+        assert "  cache summary     1 hit(s) (memory 0, disk 1) " \
             "/ 0 miss(es)" in out
         assert "byte(s) in spill files" in out
 
     def test_report_rows_follow_the_chain_when_hits_and_misses_mix(
         self, tmp_path, capsys
     ):
-        """A warm input listed first runs only its stored passes; the
+        """A warm input listed first runs only its summary pass; the
         cold one after it adds the rest, which still print in chain
         order."""
         from repro.cli import main
@@ -120,11 +118,10 @@ class TestBatchRunsShareTheCacheDir:
         ]
         assert [row[1] for row in rows] == [
             "preprocess", "parse", "constraints", "effects", "cfg", "plan",
-            "rewrite",
+            "rewrite", "summary",
         ]
-        stored = {"parse", "constraints", "plan", "rewrite"}
         for row in rows:
-            assert row[2] == ("1" if row[1] in stored else "0"), row
+            assert row[2] == ("1" if row[1] == "summary" else "0"), row
 
     def test_store_stats_counts_one_record_per_input(self, tmp_path, capsys):
         from repro.cli import main
@@ -205,6 +202,28 @@ class TestSpillGC:
         assert not oldest.exists() and not middle.exists()
         assert newest.exists()
         assert report.remaining_bytes == 10
+
+    def test_size_bound_evicts_the_least_recently_read_first(self, tmp_path):
+        """A disk hit makes its spill recent: the spill written first
+        but read since outlives one written later and never read."""
+        from repro.pipeline.batch import transform_batch
+
+        cache = tmp_path / "cache"
+        hot, cold = (BENCH_SRC % 1, "hot.c"), (BENCH_SRC % 2, "cold.c")
+        spills = {}
+        for item in (hot, cold):
+            transform_batch([item], cache_dir=str(cache))
+            (spills[item[1]],) = set(cache.glob("*.art")) - set(spills.values())
+        now = time.time()
+        for age, path in ((200, spills["hot.c"]), (100, spills["cold.c"])):
+            os.utime(path, (now - age, now - age))
+        for _ in range(3):
+            (outcome,) = transform_batch([hot], cache_dir=str(cache))
+            assert set(outcome.cache_origins.values()) == {"disk"}
+        bound = max(path.stat().st_size for path in spills.values())
+        report = gc_spills(cache, max_bytes=bound)
+        assert report.size_evicted == 1
+        assert spills["hot.c"].exists() and not spills["cold.c"].exists()
 
     def test_dry_run_counts_without_unlinking(self, tmp_path):
         now = 1_000_000.0

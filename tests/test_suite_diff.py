@@ -10,6 +10,7 @@ import pytest
 
 from repro.pipeline.artifacts import record_filename
 from repro.pipeline.cache import MISS, ArtifactCache
+from repro.pipeline.store import spill_stats
 from repro.report.diff import diff_payloads, render_diff
 from repro.report.perf import sweep_to_dict
 from repro.suite.runner import run_benchmark, run_sweep
@@ -224,13 +225,13 @@ class TestCompressedCache:
         raw_len = len(pickle.dumps(artifact, protocol=5))
         cache.put("parse", "k1", artifact)
         cache.commit("k1")
-        assert 0 < cache.disk_bytes_written < raw_len
-        assert cache.disk_usage() == cache.disk_bytes_written
+        census = spill_stats(tmp_path)
+        assert census["files"] == census["records"] == 1
+        assert 0 < census["bytes"] < raw_len
 
         # A fresh cache (cold memory) reads it back through zlib.
         other = ArtifactCache(disk_dir=tmp_path)
         assert other.get("parse", "k1") == artifact
-        assert other.disk_bytes_read == cache.disk_bytes_written
 
     def test_corrupt_spill_is_a_miss(self, tmp_path):
         cache = ArtifactCache(disk_dir=tmp_path)
@@ -238,13 +239,14 @@ class TestCompressedCache:
         path.write_bytes(zlib.compress(b"not a pickle"))
         assert cache.get("parse", "bad") is MISS
 
-    def test_memory_only_cache_counts_no_bytes(self):
+    def test_memory_only_cache_counts_no_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cache = ArtifactCache()
         cache.put("parse", "k", 1)
         cache.commit("k")
         assert cache.get("parse", "k") == 1
-        assert cache.disk_bytes_read == 0 and cache.disk_bytes_written == 0
-        assert cache.disk_usage() == 0
+        assert spill_stats(tmp_path)["bytes"] == 0
+        assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
