@@ -14,7 +14,8 @@ and every OpenMP directive in the pragma table.
 
 from __future__ import annotations
 
-from typing import TypeVar
+import operator
+from typing import Callable, TypeVar
 
 from ..diagnostics import ParseError
 from . import ast_nodes as A
@@ -1176,6 +1177,37 @@ class Parser:
         return fold_integer_constant(expr)
 
 
+#: Integer folds of the binary operators.  Assignments and ``,`` do
+#: not fold, nor do ``/`` and ``%`` by zero.
+_FOLD_BINARY: dict[str, Callable[[int, int], int | None]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": lambda a, b: int(a / b) if b else None,
+    "%": lambda a, b: a - int(a / b) * b if b else None,
+    "<<": operator.lshift,
+    ">>": operator.rshift,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+    "<": lambda a, b: int(a < b),
+    ">": lambda a, b: int(a > b),
+    "<=": lambda a, b: int(a <= b),
+    ">=": lambda a, b: int(a >= b),
+    "==": lambda a, b: int(a == b),
+    "!=": lambda a, b: int(a != b),
+    "&&": lambda a, b: int(bool(a) and bool(b)),
+    "||": lambda a, b: int(bool(a) or bool(b)),
+}
+
+_FOLD_UNARY: dict[str, Callable[[int], int]] = {
+    "-": operator.neg,
+    "+": operator.pos,
+    "~": operator.invert,
+    "!": lambda v: int(not v),
+}
+
+
 def fold_integer_constant(expr: A.Expr) -> int | None:
     """Evaluate an integer constant expression, or None if not constant."""
     if isinstance(expr, A.IntegerLiteral):
@@ -1193,38 +1225,20 @@ def fold_integer_constant(expr: A.Expr) -> int | None:
             return expr.arg_expr.qual_type.size
         return None
     if isinstance(expr, A.UnaryOperator) and expr.is_prefix:
+        fold = _FOLD_UNARY.get(expr.op)
+        if fold is None:
+            return None
         val = fold_integer_constant(expr.operand)
-        if val is None:
+        return None if val is None else fold(val)
+    if isinstance(expr, A.BinaryOperator):
+        fold = _FOLD_BINARY.get(expr.op)
+        if fold is None:
             return None
-        return {"-": -val, "+": val, "~": ~val, "!": int(not val)}.get(expr.op)
-    if isinstance(expr, A.BinaryOperator) and not expr.is_assignment:
         lhs = fold_integer_constant(expr.lhs)
+        if lhs is None:
+            return None
         rhs = fold_integer_constant(expr.rhs)
-        if lhs is None or rhs is None:
-            return None
-        try:
-            return {
-                "+": lambda: lhs + rhs,
-                "-": lambda: lhs - rhs,
-                "*": lambda: lhs * rhs,
-                "/": lambda: int(lhs / rhs) if rhs else None,
-                "%": lambda: lhs - int(lhs / rhs) * rhs if rhs else None,
-                "<<": lambda: lhs << rhs,
-                ">>": lambda: lhs >> rhs,
-                "&": lambda: lhs & rhs,
-                "|": lambda: lhs | rhs,
-                "^": lambda: lhs ^ rhs,
-                "<": lambda: int(lhs < rhs),
-                ">": lambda: int(lhs > rhs),
-                "<=": lambda: int(lhs <= rhs),
-                ">=": lambda: int(lhs >= rhs),
-                "==": lambda: int(lhs == rhs),
-                "!=": lambda: int(lhs != rhs),
-                "&&": lambda: int(bool(lhs) and bool(rhs)),
-                "||": lambda: int(bool(lhs) or bool(rhs)),
-            }[expr.op]()
-        except (KeyError, ZeroDivisionError):
-            return None
+        return None if rhs is None else fold(lhs, rhs)
     if isinstance(expr, A.ConditionalOperator):
         cond = fold_integer_constant(expr.cond)
         if cond is None:

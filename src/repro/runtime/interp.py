@@ -1,8 +1,19 @@
 """Closure-compiling interpreter for mini-C with OpenMP offloading.
 
-Each AST node is compiled once into a Python closure; execution then
-runs closures only (no per-step dispatch on node types) — the standard
-technique for fast tree interpreters in Python.
+Each AST node is compiled at most once into a Python closure; execution
+then runs closures only (no per-step dispatch on node types) — the
+standard technique for fast tree interpreters in Python.
+
+Compiling happens on first use.  A function compiles at its first call,
+but its kernels and ``for`` loops only to a stub.  A kernel builds its
+launch plan and vector candidates at its first launch, and its
+interpreted body at the first launch that every candidate declines (or
+at its first launch under ``vectorize=False``).  A host ``for`` loop
+compiles its vector candidates at its first host execution, and its
+interpreted parts at its first interpreted run.  So a kernel that never
+launches costs nothing, and a vectorized one never builds the body it
+does not run.  An unsupported statement is reported when it first
+executes.
 
 Offload semantics implemented here (and observed by the profiler):
 
@@ -25,14 +36,14 @@ Offload semantics implemented here (and observed by the profiler):
 Implicit-mapping note: scalars referenced without any clause are mapped
 ``tofrom`` like aggregates (OpenMP 4.0 semantics, which the evaluated
 benchmarks' "Unoptimized" variants rely on for correctness); explicit
-``firstprivate`` suppresses the copies.  DESIGN.md documents this
-substitution.
+``firstprivate`` suppresses the copies.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -93,8 +104,9 @@ class SimulationResult:
     #: "masked", "wavefront") plus "interpreter" for launches no
     #: strategy accepted.
     strategy_launches: dict[str, int] = dataclass_field(default_factory=dict)
-    #: Why any launch ran interpreted (first static ineligibility note
-    #: or runtime-decline note); None when every launch vectorized.
+    #: Why the first kernel in source order that ran interpreted did
+    #: (its static ineligibility or runtime-decline note); None when
+    #: every launch vectorized.
     fallback_reason: str | None = None
 
     @property
@@ -253,7 +265,7 @@ class Interpreter:
         self.profiler = Profiler(cost_model)
         self.machine = Machine(self.profiler, max_steps)
         self.vectorize = vectorize
-        #: Fallback reasons per ineligible kernel, keyed by directive
+        #: Why each kernel that ran interpreted did, keyed by directive
         #: node id (populated only when ``vectorize`` is on).
         self.vector_notes: dict[int, str] = {}
         self._functions: dict[str, Callable[[list[Any]], Any]] = {}
@@ -284,8 +296,12 @@ class Interpreter:
             if not self.vectorize:
                 fallback_reason = "vectorization disabled (--no-vectorize)"
             else:
+                # The first kernel in source order among those that ran
+                # interpreted, whichever launched first.
+                notes = self.vector_notes
                 fallback_reason = next(
-                    iter(self.vector_notes.values()),
+                    (notes[node.node_id] for node in self.tu.preorder()
+                     if node.node_id in notes),
                     "kernel declined vectorization",
                 )
         return SimulationResult(
@@ -530,24 +546,41 @@ class Interpreter:
         return run
 
     def _stmt_ForStmt(self, stmt: A.ForStmt) -> Callable[[Machine], None]:
-        init = self._compile_stmt(stmt.init) if stmt.init is not None else None
-        cond = self._compile_expr(stmt.cond) if stmt.cond is not None else None
-        inc = self._compile_expr(stmt.inc) if stmt.inc is not None else None
-        body = self._compile_stmt(stmt.body)
-        candidates: list[Any] = []
-        if self.vectorize and not self._compiling_kernel:
+        # The vector candidates compile at the loop's first host
+        # execution and the interpreted parts at its first interpreted
+        # run, in the kernel-or-host context the loop was found in.
+        in_kernel = self._compiling_kernel
+        host_vector = self.vectorize and not in_kernel
+        if host_vector:
             from .vectorize import compile_host_loop_candidates, run_candidates
-
-            candidates = compile_host_loop_candidates(self, stmt)
+        candidates: list[Any] | None = None
+        loop: Callable[[Machine], None] | None = None
 
         def run(m: Machine) -> None:
+            nonlocal candidates, loop
             # Host-side loops route through the same vector executor as
             # kernels (bit-identical values and tick charges); inside an
             # interpreted kernel body (on_device) the loop stays
             # interpreted — kernel-level candidates own that case.
-            if candidates and not m.on_device:
-                if run_candidates(candidates, m) is not None:
+            if host_vector and not m.on_device:
+                if candidates is None:
+                    candidates = compile_host_loop_candidates(self, stmt)
+                if candidates and run_candidates(candidates, m) is not None:
                     return
+            if loop is None:
+                with self._compiling(in_kernel):
+                    loop = self._compile_for_loop(stmt)
+            loop(m)
+
+        return run
+
+    def _compile_for_loop(self, stmt: A.ForStmt) -> Callable[[Machine], None]:
+        init = self._compile_stmt(stmt.init) if stmt.init is not None else None
+        cond = self._compile_expr(stmt.cond) if stmt.cond is not None else None
+        inc = self._compile_expr(stmt.inc) if stmt.inc is not None else None
+        body = self._compile_stmt(stmt.body)
+
+        def run(m: Machine) -> None:
             if init is not None:
                 init(m)
             while True:
@@ -696,6 +729,8 @@ class Interpreter:
             decl = ref.decl
             if isinstance(decl, (A.FunctionDecl, EnumConstantDecl)):
                 continue
+            if decl is None and getattr(ref.parent, "callee", None) is ref:
+                continue  # an unknown function: compiling its call reports it
             if decl is not None and decl.node_id in local_ids:
                 continue
             if decl is None and ref.name not in seen:
@@ -724,43 +759,31 @@ class Interpreter:
 
     # -- kernels ------------------------------------------------------------
 
-    def _compile_kernel(self, stmt: A.OMPExecutableDirective) -> Callable[[Machine], None]:
-        self._compiling_kernel = True
+    @contextmanager
+    def _compiling(self, in_kernel: bool) -> Iterator[None]:
+        """Compile in a kernel body's context or a host context."""
+        saved, self._compiling_kernel = self._compiling_kernel, in_kernel
         try:
-            body = self._compile_stmt(stmt.associated_stmt)
+            yield
         finally:
-            self._compiling_kernel = False
-        candidates: list[Any] = []
-        if self.vectorize:
-            from .vectorize import compile_kernel_candidates, run_candidates
+            self._compiling_kernel = saved
 
-            candidates, note = compile_kernel_candidates(self, stmt)
-            if note is not None:
-                self.vector_notes[stmt.node_id] = note
+    def _compile_kernel(self, stmt: A.OMPExecutableDirective) -> Callable[[Machine], None]:
+        # The launch plan and the vector candidates are built at the
+        # kernel's first launch, the interpreted body at the first
+        # launch that runs it; a vectorized kernel never needs one.
+        launch: tuple[Any, list[Any], str | None] | None = None
+        body: Callable[[Machine], None] | None = None
         vector_notes = self.vector_notes
         node_id = stmt.node_id
-        refs = self._referenced_decls(stmt)
-        explicit_map = {name: (mt, alw) for name, mt, alw in self._map_items(stmt)}
-        firstprivate = self._clause_names(stmt, A.OMPFirstprivateClause)
-        private = self._clause_names(stmt, A.OMPPrivateClause)
-        reductions: list[tuple[str, str]] = []
-        for clause in stmt.clauses_of(A.OMPReductionClause):
-            for name in clause.var_names():
-                reductions.append((name, clause.operator))  # type: ignore[attr-defined]
-        reduction_names = {name for name, _ in reductions}
-        from .launch import KernelLaunchPlan
-
-        plan = KernelLaunchPlan(
-            refs=refs,
-            explicit_map=explicit_map,
-            private=private,
-            firstprivate=firstprivate,
-            reduction_names=reduction_names,
-            resolve=self._resolve_name,
-            mappable=self._mappable_of,
-        )
+        if self.vectorize:
+            from .vectorize import run_candidates
 
         def run(m: Machine) -> None:
+            nonlocal launch, body
+            if launch is None:
+                launch = self._kernel_launch(stmt)
+            plan, candidates, note = launch
             m.profiler.record_kernel_launch()
             token = plan.enter(m)
 
@@ -786,15 +809,14 @@ class Interpreter:
                         m.strategy_launches.get(executed, 0) + 1
                     )
                 else:
-                    if candidates:
-                        vector_notes.setdefault(
-                            node_id,
-                            "launch-time checks declined every strategy "
-                            "(data-dependent shape)",
-                        )
+                    if note is not None:
+                        vector_notes.setdefault(node_id, note)
                     m.strategy_launches["interpreter"] = (
                         m.strategy_launches.get("interpreter", 0) + 1
                     )
+                    if body is None:
+                        with self._compiling(True):
+                            body = self._compile_stmt(stmt.associated_stmt)
                     body(m)
             finally:
                 m.on_device = prev_device
@@ -802,6 +824,39 @@ class Interpreter:
             plan.exit(m, token)
 
         return run
+
+    def _kernel_launch(
+        self, stmt: A.OMPExecutableDirective
+    ) -> tuple[Any, list[Any], str | None]:
+        """A kernel's launch plan, its vector candidates, and the note a
+        launch that runs interpreted records (None without vectorizing)."""
+        candidates: list[Any] = []
+        note = None
+        if self.vectorize:
+            from .vectorize import compile_kernel_candidates
+
+            candidates, note = compile_kernel_candidates(self, stmt)
+            if candidates:
+                note = (
+                    "launch-time checks declined every strategy "
+                    "(data-dependent shape)"
+                )
+        refs = self._referenced_decls(stmt)
+        explicit_map = {name: (mt, alw) for name, mt, alw in self._map_items(stmt)}
+        firstprivate = self._clause_names(stmt, A.OMPFirstprivateClause)
+        private = self._clause_names(stmt, A.OMPPrivateClause)
+        from .launch import KernelLaunchPlan
+
+        plan = KernelLaunchPlan(
+            refs=refs,
+            explicit_map=explicit_map,
+            private=private,
+            firstprivate=firstprivate,
+            reduction_names=self._clause_names(stmt, A.OMPReductionClause),
+            resolve=self._resolve_name,
+            mappable=self._mappable_of,
+        )
+        return plan, candidates, note
 
     # -- data regions / updates ------------------------------------------------
 

@@ -2821,12 +2821,15 @@ def _compile_nest(
 def compile_kernel_candidates(
     interp: Any, stmt: A.OMPExecutableDirective
 ) -> tuple[list[VectorCandidate], str | None]:
-    """Compile every applicable strategy for one kernel directive.
+    """The applicable strategies for one kernel directive, in
+    preference order.
 
-    Returns ``(candidates, note)``: candidates in preference order
-    (empty when nothing compiles, with ``note`` holding the static
-    ineligibility reason).  Every candidate is bit-identical to the
-    interpreter when it accepts a launch, so order affects only speed.
+    Returns ``(candidates, note)``, with ``note`` holding the static
+    ineligibility reason when no candidate compiles.  The first
+    candidate is compiled here; a later one compiles when a launch first
+    reaches it, and declines every launch if that compile fails.  Every
+    candidate is bit-identical to the interpreter when it accepts a
+    launch, so order affects only speed.
     """
     nest: VectorCandidate | None = None
     features: set[str] = set()
@@ -2844,32 +2847,39 @@ def compile_kernel_candidates(
     except Exception as exc:  # noqa: BLE001 - fallback is always correct
         first_err = f"vectorizer error: {exc!r}"
 
+    def wavefront() -> Callable[[Any], bool]:
+        return _compile_nest(interp, stmt, wavefront=True)[0]
+
+    # Without a nest, or before a scattering one, the wavefront lowering
+    # is the first candidate and compiles now; behind a ragged nest it
+    # compiles when a launch first reaches it.
     wave: VectorCandidate | None = None
-    if nest is None or (features & {"scatter", "ragged"}):
+    if nest is None or "scatter" in features:
         try:
-            runner, _ = _compile_nest(interp, stmt, wavefront=True)
-            wave = VectorCandidate(runner, "wavefront")
+            wave = VectorCandidate(wavefront(), "wavefront")
         except Exception:  # noqa: BLE001 - fallback is always correct
             pass
+    elif "ragged" in features:
+        wave = VectorCandidate(_lazy(wavefront), "wavefront")
 
     if "scatter" in features:
         candidates = [c for c in (wave, nest) if c is not None]
     else:
         candidates = [c for c in (nest, wave) if c is not None]
 
+    from .replay import compile_replay
+
     replay_err: str | None = None
     if candidates:
         # Another strategy exists, so the sequential replay is only the
-        # launch-time safety net — compile it lazily, on the first
-        # launch the preferred strategies decline.  Kernels that never
-        # decline (the codegen/collapse majority) never pay for it.
-        candidates.append(
-            VectorCandidate(_lazy_replay(interp, stmt), "wavefront")
-        )
+        # launch-time safety net, compiled on the first launch the
+        # preferred strategies decline.  Kernels that never decline
+        # (the codegen/collapse majority) never pay for it.
+        candidates.append(VectorCandidate(
+            _lazy(lambda: compile_replay(interp, stmt)), "wavefront"
+        ))
     else:
         try:
-            from .replay import compile_replay
-
             candidates.append(
                 VectorCandidate(compile_replay(interp, stmt), "wavefront")
             )
@@ -2920,18 +2930,15 @@ def compile_host_loop_candidates(
     return candidates
 
 
-def _lazy_replay(
-    interp: Any, stmt: A.OMPExecutableDirective
-) -> Callable[[Any], bool]:
-    """Deferred :func:`repro.runtime.replay.compile_replay` runner."""
+def _lazy(compile: Callable[[], Callable[[Any], bool]]) -> Callable[[Any], bool]:
+    """A runner that compiles at the first launch reaching it.  A compile
+    that fails declines that launch and every later one."""
     compiled: list[Callable[[Any], bool] | None] = []
 
     def runner(machine: Any) -> bool:
         if not compiled:
             try:
-                from .replay import compile_replay
-
-                compiled.append(compile_replay(interp, stmt))
+                compiled.append(compile())
             except Exception:  # noqa: BLE001 - fallback is always correct
                 compiled.append(None)
         fn = compiled[0]

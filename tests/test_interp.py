@@ -495,3 +495,178 @@ class TestOffloadSemantics:
         }
         """
         assert out(src) == "1"
+
+
+class TestCompileOnFirstUse:
+    """Kernels and ``for`` loops compile when they first execute, and
+    only the parts that run: a kernel that never launches costs nothing,
+    and a vectorized kernel or host loop never builds its interpreted
+    form."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Runs a program and records what it compiled: statements,
+        kernel and host-loop candidate sets, and kernel launch plans."""
+        from repro.frontend import ast_nodes as A
+        from repro.frontend.parser import parse_source
+        from repro.runtime import launch, vectorize
+        from repro.runtime.interp import Interpreter
+
+        seen = {"stmt": [], "kernel": [], "host": [], "plan": []}
+
+        def spy(record, original):
+            # Records the statement of ``f(interp, stmt)`` or the
+            # keywords of ``KernelLaunchPlan(**kw)``.
+            def wrapper(*args, **kwargs):
+                record.append(args[1] if args else kwargs)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Interpreter, "_compile_stmt", spy(seen["stmt"], Interpreter._compile_stmt)
+        )
+        for key, attr in (
+            ("kernel", "compile_kernel_candidates"),
+            ("host", "compile_host_loop_candidates"),
+        ):
+            monkeypatch.setattr(vectorize, attr, spy(seen[key], getattr(vectorize, attr)))
+        monkeypatch.setattr(
+            launch, "KernelLaunchPlan", spy(seen["plan"], launch.KernelLaunchPlan)
+        )
+
+        def run_program(src, **kw):
+            tu = parse_source(src, "t.c")
+            interp = Interpreter(tu, **kw)
+            result = interp.run()
+            kernels = [
+                n for n in tu.preorder()
+                if isinstance(n, A.OMPExecutableDirective) and n.is_offload_kernel
+            ]
+            loops = [
+                n for n in tu.preorder()
+                if isinstance(n, A.ForStmt)
+                and not any(k.walk_index < n.walk_index < k.walk_end for k in kernels)
+            ]
+            return result, kernels, loops, seen
+
+        return run_program
+
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_kernel_that_never_launches_compiles_nothing(self, compiled, vectorize):
+        src = """
+        int flag = 0;
+        double a[16];
+        int main() {
+          if (flag) {
+            #pragma omp target teams distribute parallel for
+            for (int i = 0; i < 16; i++) { a[i] = i; }
+          }
+          printf("%.1f\\n", a[3]);
+          return 0;
+        }
+        """
+        result, (kernel,), _, seen = compiled(src, vectorize=vectorize)
+        assert result.output == "0.0\n"
+        assert result.stats.kernel_launches == 0
+        assert seen["plan"] == []
+        assert kernel not in seen["kernel"]
+        assert kernel.associated_stmt not in seen["stmt"]
+
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_kernel_builds_once_and_runs_its_body_only_interpreted(
+        self, compiled, vectorize
+    ):
+        src = """
+        double a[16];
+        int main() {
+          for (int t = 0; t < 3; t++) {
+            #pragma omp target teams distribute parallel for
+            for (int i = 0; i < 16; i++) { a[i] = a[i] + i * 0.5; }
+          }
+          printf("%.1f\\n", a[3]);
+          return 0;
+        }
+        """
+        result, (kernel,), _, seen = compiled(src, vectorize=vectorize)
+        assert result.output == "4.5\n"
+        assert result.stats.kernel_launches == 3
+        assert len(seen["plan"]) == 1
+        assert seen["kernel"].count(kernel) == (1 if vectorize else 0)
+        body_compiles = seen["stmt"].count(kernel.associated_stmt)
+        if vectorize:
+            assert result.strategy_launches == {"codegen": 3}
+            assert body_compiles == 0
+        else:
+            assert result.strategy_launches == {"interpreter": 3}
+            assert body_compiles == 1
+
+    def test_vectorized_host_loop_never_compiles_its_interpreted_parts(
+        self, compiled
+    ):
+        src = """
+        int flag = 0;
+        double a[16];
+        void fill(double s) { for (int i = 0; i < 16; i++) { a[i] = i * s; } }
+        int main() {
+          fill(0.5);
+          fill(2.0);
+          if (flag) {
+            for (int i = 0; i < 16; i++) { a[i] = 0.0; }
+          }
+          printf("%.1f\\n", a[3]);
+          return 0;
+        }
+        """
+        result, _, (filled, skipped), seen = compiled(src)
+        assert result.output == "6.0\n"
+        assert seen["host"].count(filled) == 1
+        assert filled.init not in seen["stmt"]
+        assert filled.body not in seen["stmt"]
+        assert skipped not in seen["host"]
+        assert skipped.init not in seen["stmt"]
+        assert skipped.body not in seen["stmt"]
+
+    def test_recursive_reentry_compiles_the_loop_once(self, compiled):
+        src = """
+        int count(int n) {
+          int s = 1;
+          for (int i = 0; i < n; i++) { s += count(i); }
+          return s;
+        }
+        int main() { printf("%d\\n", count(4)); return 0; }
+        """
+        result, _, (loop,), seen = compiled(src)
+        assert result.output == "16\n"
+        assert seen["host"].count(loop) == 1
+        assert seen["stmt"].count(loop.body) == 1
+
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            "#pragma omp target teams distribute parallel for\n"
+            "for (int i = 0; i < 16; i++) { a[i] = mystery(i); }",
+            "for (int i = 0; i < 16; i++) { a[i] = mystery(i); }",
+        ],
+        ids=["kernel", "host-loop"],
+    )
+    def test_a_failed_compile_fails_again_on_the_next_run(self, loop):
+        from repro.frontend.parser import parse_source
+        from repro.runtime.interp import Interpreter
+
+        src = f"""
+        double a[16];
+        int main() {{
+          printf("before\\n");
+          {loop}
+          return 0;
+        }}
+        """
+        interp = Interpreter(parse_source(src, "t.c"))
+        for attempt in (1, 2):
+            with pytest.raises(SimulationError, match="unknown function 'mystery'"):
+                interp.run()
+            # Reported when the statement first executes, after what
+            # ran before it, and nothing is left half-built.
+            assert "".join(interp.machine.stdout) == "before\n" * attempt
+            assert interp._compiling_kernel is False

@@ -353,6 +353,35 @@ class TestConstantFolding:
         with pytest.raises(ParseError):
             parse("int a[1 / 0];")
 
+    @pytest.mark.parametrize(
+        "expr,expected",
+        [
+            ("1 / 0", None),
+            ("5 % 0", None),
+            ("-7 / 2", -3),
+            ("-7 % 2", -1),
+            ("2 && 3", 1),
+            ("2 && 0", 0),
+            ("0 && x", None),
+            ("0 || 0", 0),
+            ("0 || 5", 1),
+            ("1 || x", None),
+            ("(1, 2)", None),
+            ("x = 3", None),
+            ("x += 1", None),
+            ("x + 1", None),
+            ("~2 + !0", -2),
+            ("'a' + sizeof(int)", 101),
+        ],
+    )
+    def test_fold_results(self, expr, expected):
+        """What folds and what does not: C truncating ``/`` and ``%``,
+        no fold of a division by zero, a non-constant operand, ``,`` or
+        an assignment."""
+        fn = first_fn(f"int f() {{ int x = 3; int y = {expr}; return y; }}", "f")
+        (y,) = [d for d in find(fn, A.VarDecl) if d.name == "y"]
+        assert fold_integer_constant(y.init) == expected
+
 
 class TestSourceRanges:
     def test_ranges_nest(self):

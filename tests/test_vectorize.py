@@ -97,6 +97,49 @@ def test_corpus_fallback_reasons_recorded():
     assert any("WhileStmt" in note for note in interp.vector_notes.values())
 
 
+_WHILE_KERNEL = """
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < 32; i++) { int k = 0; while (k < i) { k++; } b[i] = k; }
+"""
+_DO_KERNEL = """
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < 32; i++) { int k = 0; do { k++; } while (k < i); b[i] = k; }
+"""
+
+
+@pytest.mark.parametrize(
+    "src,launches,reason",
+    [
+        # The while kernel never launches: its note must not be reported.
+        (
+            f"int flag = 0; int b[32];\n"
+            f"int main() {{ if (flag) {{ {_WHILE_KERNEL} }} {_DO_KERNEL}\n"
+            f'printf("%d\\n", b[31]); return 0; }}',
+            1,
+            "unsupported kernel statement DoStmt",
+        ),
+        # Both run interpreted, the do kernel first; the while kernel
+        # comes first in the source.
+        (
+            f"int b[32];\nvoid early() {{ {_WHILE_KERNEL} }}\n"
+            f"int main() {{ {_DO_KERNEL} early();\n"
+            f'printf("%d\\n", b[31]); return 0; }}',
+            2,
+            "unsupported kernel statement WhileStmt",
+        ),
+    ],
+    ids=["never-launched", "launch-order"],
+)
+def test_fallback_reason_names_the_first_interpreted_kernel(src, launches, reason):
+    """fallback_reason is the note of the first kernel in source order
+    among those that ran interpreted."""
+    interp, vec = both(src)
+    assert_identical(interp, vec)
+    assert vec.output == "31\n"
+    assert vec.strategy_launches == {"interpreter": launches}
+    assert vec.fallback_reason == reason
+
+
 # ---------------------------------------------------------------------------
 # Targeted eligible shapes
 # ---------------------------------------------------------------------------
