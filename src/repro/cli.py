@@ -38,7 +38,6 @@ deduplicated by content hash, with bounded concurrency::
     curl -XPOST localhost:8571/jobs -d '{"kind": "benchmark", "benchmark": "bfs"}'
     curl localhost:8571/jobs/<id>?wait=1
     curl localhost:8571/stats
-    curl localhost:8571/metrics          # Prometheus text format
 
 Chaos mode serves one seeded job mix twice — under a deterministic
 fault plan (worker kills, spill corruption) and fault-free — and

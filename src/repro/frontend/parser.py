@@ -564,8 +564,7 @@ class Parser:
             if self._check(TokenKind.RBRACKET):
                 dims.append(None)
             else:
-                size_expr = self._parse_conditional()
-                size = self._fold_int(size_expr)
+                size = self._parse_array_size()
                 if size is None:
                     raise self._error("array size must be an integer constant")
                 dims.append(size)
@@ -573,6 +572,14 @@ class Parser:
         for dim in reversed(dims):
             qt = array_of(qt, dim)
         return name, qt, None, False
+
+    def _parse_array_size(self) -> int | None:
+        """The size between ``[`` and ``]``: its folded value, or None
+        when it is not an integer constant."""
+        size = self._fold_int(self._parse_conditional())
+        if size is not None and size < 0:
+            raise self._error("array size is negative")
+        return size
 
     def _parse_parameter_list(self) -> tuple[list[A.ParmVarDecl], bool]:
         params: list[A.ParmVarDecl] = []
@@ -604,9 +611,7 @@ class Parser:
                 if self._check(TokenKind.RBRACKET):
                     dims.append(None)
                 else:
-                    size_expr = self._parse_conditional()
-                    size = self._fold_int(size_expr)
-                    dims.append(size)
+                    dims.append(self._parse_array_size())
                 self._expect(TokenKind.RBRACKET)
             if dims:
                 inner = qt
@@ -1178,15 +1183,17 @@ class Parser:
 
 
 #: Integer folds of the binary operators.  Assignments and ``,`` do
-#: not fold, nor do ``/`` and ``%`` by zero.
+#: not fold, nor do ``/`` and ``%`` by zero, nor shifts by a count
+#: outside 0-63: C leaves those undefined, and an unbounded count would
+#: make Python build a huge int.
 _FOLD_BINARY: dict[str, Callable[[int, int], int | None]] = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
     "/": lambda a, b: int(a / b) if b else None,
     "%": lambda a, b: a - int(a / b) * b if b else None,
-    "<<": operator.lshift,
-    ">>": operator.rshift,
+    "<<": lambda a, b: a << b if 0 <= b < 64 else None,
+    ">>": lambda a, b: a >> b if 0 <= b < 64 else None,
     "&": operator.and_,
     "|": operator.or_,
     "^": operator.xor,

@@ -1,10 +1,10 @@
 """Minimal asyncio HTTP/1.1 client for the serve front.
 
 :class:`LoadClient` speaks just enough HTTP/1.1 to drive ``ompdart
-serve``: keep-alive connections, pipelined requests and chunked
-response bodies.  ``bench/workloads.py`` (the serve-mixed workload) and
-:mod:`repro.service.chaos` send their requests through it, and the tests
-use it to talk to the server.
+serve``: keep-alive connections and pipelined requests, with bodies
+framed by ``Content-Length``.  ``bench/workloads.py`` (the serve-mixed
+workload) and :mod:`repro.service.chaos` send their requests through
+it, and the tests use it to talk to the server.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class HttpResponse:
 
 
 class LoadClient:
-    """Minimal HTTP/1.1 client: keep-alive, pipelining, chunked bodies.
+    """Minimal HTTP/1.1 client: keep-alive and pipelining.
 
     ``keep_alive=False`` opens one connection per request and sends
     ``Connection: close``, so the server's close path can be exercised.
@@ -149,24 +149,10 @@ class LoadClient:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        if headers.get("transfer-encoding", "").lower() == "chunked":
-            body = await self._read_chunked()
-        elif "content-length" in headers:
+        if "content-length" in headers:
             body = await self._reader.readexactly(
                 int(headers["content-length"])
             )
         else:
             body = await self._reader.read()
         return HttpResponse(status, headers, body)
-
-    async def _read_chunked(self) -> bytes:
-        assert self._reader is not None
-        chunks: list[bytes] = []
-        while True:
-            size_line = (await self._reader.readline()).decode("latin-1")
-            size = int(size_line.strip() or "0", 16)
-            if size == 0:
-                await self._reader.readline()  # trailing CRLF
-                return b"".join(chunks)
-            chunks.append(await self._reader.readexactly(size))
-            await self._reader.readexactly(2)  # chunk CRLF

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .core import JobSpec, spec_to_dict
-from .metrics import MetricsRegistry
 from .supervisor import (
     JobCancelled,
     PoisonJobError,
@@ -173,7 +172,6 @@ class JobScheduler:
         job_timeout: float | None = None,
         max_finished: int = 256,
         finished_ttl: float | None = None,
-        metrics: MetricsRegistry | None = None,
         job_retries: int = 1,
         retry_backoff: float = 0.05,
         max_worker_restarts: int = 16,
@@ -237,10 +235,6 @@ class JobScheduler:
             fault_plan=fault_plan,
         )
         self._closed = False
-        self.metrics: MetricsRegistry | None = None
-        self._job_latency = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
 
     # -- submission ------------------------------------------------------
 
@@ -259,21 +253,18 @@ class JobScheduler:
         if job is not None and job.state not in (FAILED, CANCELLED):
             job.submissions += 1
             self._deduplicated += 1
-            self._count_job("deduplicated")
             return job
         if self._pool.exhausted:
             # Restart budget spent, no workers left: fail fast with a
             # clean 503 instead of queueing work that cannot run.
             self._submitted -= 1
             self._unavailable += 1
-            self._count_job("unavailable")
             raise PoolExhausted(
                 "worker restart budget spent and no workers remain"
             )
         if self._active >= self.max_queue:
             self._submitted -= 1  # rejected, not accepted-then-lost
             self._rejected += 1
-            self._count_job("rejected")
             raise QueueSaturated(
                 self._active, self.max_queue, self._retry_after()
             )
@@ -284,7 +275,6 @@ class JobScheduler:
         if key not in self._order:  # failed-job resubmits reuse the slot
             self._order.append(key)
         self._active += 1
-        self._count_job("accepted")
         task = asyncio.create_task(self._run(job))
         job.task = task
         # Keep a strong reference: the event loop only holds weak ones,
@@ -292,65 +282,6 @@ class JobScheduler:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         return job
-
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        """Register scheduler metrics on ``registry``.
-
-        Called from ``__init__`` when a registry is passed, or later by
-        the HTTP front when it creates the shared registry itself.
-        """
-        self.metrics = registry
-        self._job_latency = registry.histogram(
-            "ompdart_job_duration_seconds",
-            "Job execution latency by kind and outcome.",
-            ("kind", "outcome"),
-        )
-        registry.gauge(
-            "ompdart_queue_depth",
-            "Jobs queued or running right now.",
-            lambda: self._active,
-        )
-        registry.counter(
-            "ompdart_jobs_total",
-            "Job submissions by disposition.",
-            ("disposition",),
-        )
-        registry.gauge(
-            "ompdart_workers_alive",
-            "Worker processes alive in the supervised pool.",
-            lambda: self._pool_stat("alive"),
-        )
-        registry.gauge(
-            "ompdart_worker_restarts",
-            "Worker respawns consumed from the restart budget.",
-            lambda: self._pool_stat("restarts"),
-        )
-        registry.gauge(
-            "ompdart_job_crash_retries",
-            "Jobs re-dispatched after their worker died.",
-            lambda: self._pool_stat("retries"),
-        )
-        registry.gauge(
-            "ompdart_cancel_kills",
-            "Workers SIGKILLed after the cancel grace period.",
-            lambda: self._pool_stat("cancel_kills"),
-        )
-        registry.gauge(
-            "ompdart_degraded",
-            "Count of active degraded-health reasons (0 = healthy).",
-            lambda: len(self.degraded_reasons()),
-        )
-
-    def _pool_stat(self, name: str) -> int:
-        return int(self._pool.stats()[name])
-
-    def _count_job(self, disposition: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "ompdart_jobs_total",
-                "Job submissions by disposition.",
-                ("disposition",),
-            ).inc(disposition=disposition)
 
     def _retry_after(self) -> int:
         """Seconds a 429'd client should back off: roughly one mean
@@ -413,13 +344,11 @@ class JobScheduler:
                         f"(cancelled; {self.cancel_grace:g}s kill grace)"
                     )
                     self._cancelled += 1
-                    self._count_job("cancelled")
                     self._settle_failure(job, JobCancelled(job.error))
                 except JobCancelled as exc:
                     job.state = CANCELLED
                     job.error = str(exc) or "job cancelled"
                     self._cancelled += 1
-                    self._count_job("cancelled")
                     self._settle_failure(job, exc)
                 except PoisonJobError as exc:
                     # The job killed its worker past the retry bound:
@@ -429,14 +358,12 @@ class JobScheduler:
                     job.error = f"poison: {exc}"
                     self._failed += 1
                     self._poisoned += 1
-                    self._count_job("poisoned")
                     self._settle_failure(job, RuntimeError(job.error))
                 except PoolExhausted as exc:
                     job.state = FAILED
                     job.error = f"worker pool exhausted: {exc}"
                     self._failed += 1
                     self._unavailable += 1
-                    self._count_job("unavailable")
                     self._settle_failure(job, exc)
                 except asyncio.CancelledError:
                     raise  # accounted for by the outer handler
@@ -460,7 +387,6 @@ class JobScheduler:
                 job.state = CANCELLED
                 job.error = "job cancelled"
                 self._cancelled += 1
-                self._count_job("cancelled")
                 if job.pool_job is not None:
                     job.pool_job.cancel(self.cancel_grace)
                 self._settle_failure(job, JobCancelled(job.error))
@@ -484,13 +410,8 @@ class JobScheduler:
 
     def _record_finish(self, job: Job) -> None:
         if job.started_at is not None and job.finished_at is not None:
-            elapsed = job.finished_at - job.started_at
-            self._run_seconds += elapsed
+            self._run_seconds += job.finished_at - job.started_at
             self._run_samples += 1
-            if self._job_latency is not None:
-                self._job_latency.observe(
-                    elapsed, kind=job.spec.kind, outcome=job.state
-                )
         self._finished_order.append(job.key)
         self._evict()
 
@@ -523,7 +444,6 @@ class JobScheduler:
         except ValueError:
             pass
         self._evicted += 1
-        self._count_job("evicted")
         self._evicted_keys[key] = time.monotonic()
         while len(self._evicted_keys) > _EVICTED_KEYS_KEPT:
             self._evicted_keys.pop(next(iter(self._evicted_keys)))

@@ -4,29 +4,25 @@ Stdlib-only asyncio server, hardened for sustained traffic:
 
 * **Persistent connections.**  Each accepted socket runs a
   per-connection request loop: HTTP/1.1 keep-alive by default (and
-  HTTP/1.0 with ``Connection: keep-alive``), naturally serving
-  pipelined requests back-to-back, bounded by ``max_requests`` per
+  HTTP/1.0 with ``Connection: keep-alive``), answering pipelined
+  requests in order, one write each, bounded by ``max_requests`` per
   connection and an ``idle_timeout`` between requests.
 * **Slowloris guard.**  Every read — request line, header lines, body
   — carries ``read_timeout``; a client that stalls mid-request gets
   ``408 Request Timeout`` and the connection is closed.  An idle
   keep-alive connection that never starts another request is closed
   quietly.
-* **Streamed + memoized responses.**  Response bodies of
-  :data:`STREAM_THRESHOLD` bytes or more go out with chunked transfer
-  encoding (byte-identical payload, bounded write buffering).  A
-  finished job's JSON result is encoded **once** and memoized on the
-  job, so ``GET /jobs/<id>`` polls and duplicate ``POST /run``
-  awaiters splice the cached bytes into a small fresh envelope instead
-  of re-serializing hundreds of KB per request.
+* **One framing.**  Every response, HTTP/1.1 or 1.0, error or not,
+  is one write of a head with ``Content-Length`` and the body.
+* **Memoized responses.**  A finished job's JSON result is encoded
+  **once** and memoized on the job, so ``GET /jobs/<id>`` polls and
+  duplicate ``POST /run`` awaiters splice the cached bytes into a
+  small fresh envelope instead of re-serializing the result per
+  request.
 * **Admission control.**  When the scheduler's queue bound is hit, new
   work answers ``429 Too Many Requests`` with a ``Retry-After`` header
   instead of queueing unboundedly; evicted finished jobs answer ``410
   Gone``.
-* **Metrics.**  ``GET /metrics`` renders Prometheus text (request
-  counts by route/method/status, per-route latency histograms, queue
-  depth, job latency, result-cache traffic); ``GET /stats`` carries
-  the JSON counters.
 
 Routes:
 
@@ -34,7 +30,6 @@ Routes:
   reasons: a spent restart budget) while still answering 200 —
   degraded is not down.
 * ``GET  /stats``        — scheduler + HTTP counters.
-* ``GET  /metrics``      — Prometheus text exposition.
 * ``GET  /jobs``         — all retained jobs, submission order.
 * ``POST /jobs``         — submit a job spec; answers immediately with
   the content-hash job id and whether the submission coalesced onto an
@@ -67,7 +62,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import spec_from_dict
-from .metrics import MetricsRegistry
 from .scheduler import (
     DONE,
     SETTLED,
@@ -80,12 +74,6 @@ __all__ = ["JobServer"]
 
 #: Request bodies above this are rejected (64 MiB: a whole TU corpus).
 _MAX_BODY = 64 * 1024 * 1024
-
-#: Chunk size for chunked transfer encoding writes.
-_CHUNK = 64 * 1024
-
-#: Bodies at or above this many bytes stream out chunked (HTTP/1.1 only).
-STREAM_THRESHOLD = 64 * 1024
 
 #: Parsed-spec memo: identical request bodies (polls, duplicate
 #: submissions, a benchmark client's repeated bodies) skip JSON
@@ -122,6 +110,13 @@ class _HttpError(Exception):
         self.close = close
         self.headers = headers or {}
 
+    def response(self) -> _Response:
+        return _Response(
+            self.status,
+            json.dumps({"error": str(self)}).encode(),
+            headers=self.headers,
+        )
+
 
 @dataclass
 class _Request:
@@ -129,7 +124,6 @@ class _Request:
     path: str
     query: str
     body: bytes
-    version: str
     keep_alive: bool
 
 
@@ -137,7 +131,6 @@ class _Request:
 class _Response:
     status: int
     body: bytes
-    content_type: str = "application/json"
     headers: dict[str, str] | None = None
 
 
@@ -157,38 +150,11 @@ class JobServer:
         #: Requests served per connection before a polite close.
         self.max_requests = max(1, max_requests)
         self._server: asyncio.AbstractServer | None = None
-        self.metrics = scheduler.metrics or MetricsRegistry()
-        if scheduler.metrics is None:
-            scheduler.bind_metrics(self.metrics)
-        self._requests_total = self.metrics.counter(
-            "ompdart_http_requests_total",
-            "HTTP requests by route, method and status.",
-            ("route", "method", "status"),
-        )
-        self._request_latency = self.metrics.histogram(
-            "ompdart_http_request_seconds",
-            "HTTP request service latency by route.",
-            ("route",),
-        )
-        self._connections_total = self.metrics.counter(
-            "ompdart_http_connections_total",
-            "Connections accepted.",
-        )
+        #: The ``http`` block of ``GET /stats``.
+        self._connections = 0
         self._open_connections = 0
-        self.metrics.gauge(
-            "ompdart_http_open_connections",
-            "Connections currently open.",
-            lambda: self._open_connections,
-        )
-        self._result_cache = self.metrics.counter(
-            "ompdart_result_cache_total",
-            "Memoized result-body encodings served vs built.",
-            ("event",),
-        )
-        self._streamed = self.metrics.counter(
-            "ompdart_http_streamed_responses_total",
-            "Responses sent with chunked transfer encoding.",
-        )
+        self._result_cache_hits = 0
+        self._result_cache_misses = 0
         self._spec_cache: dict[bytes, Any] = {}
 
     # -- lifecycle -------------------------------------------------------
@@ -221,24 +187,12 @@ class JobServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection: serve requests until close/limits/timeouts.
-
-        Responses to pipelined requests coalesce in ``pending`` and
-        flush in one write when the reader has no further complete
-        request buffered — one send syscall per pipeline batch instead
-        of per response.
-        """
-        self._connections_total.inc()
+        """One connection: serve requests until close/limits/timeouts."""
+        self._connections += 1
         self._open_connections += 1
         try:
             served = 0
-            pending = bytearray()
             while served < self.max_requests:
-                if pending and not self._has_buffered_request(reader):
-                    try:
-                        await self._flush(writer, pending)
-                    except (ConnectionError, OSError):
-                        return
                 try:
                     request = await self._read_request(
                         reader, first=(served == 0)
@@ -246,33 +200,29 @@ class JobServer:
                 except _IdleClose:
                     break  # quiet end of a keep-alive connection
                 except _HttpError as exc:
-                    await self._respond_error(writer, exc, pending)
-                    break  # framing is unreliable after a read error
+                    # Framing is unreliable after a read error: answer
+                    # and close.
+                    response, keep_alive = exc.response(), False
                 except (ConnectionError, OSError):
                     return  # client reset the connection mid-read
-                if request is None:
-                    break  # clean EOF between requests
-                served += 1
-                keep_alive = (
-                    request.keep_alive and served < self.max_requests
-                )
-                response, close_after = await self._serve_one(request)
-                keep_alive = keep_alive and not close_after
+                else:
+                    if request is None:
+                        break  # clean EOF between requests
+                    served += 1
+                    response, close_after = await self._serve_one(request)
+                    keep_alive = (
+                        request.keep_alive
+                        and served < self.max_requests
+                        and not close_after
+                    )
                 try:
                     await self._write_response(
-                        writer, response, pending,
-                        keep_alive=keep_alive,
-                        chunked_ok=request.version == "HTTP/1.1",
+                        writer, response, keep_alive=keep_alive
                     )
                 except (ConnectionError, OSError):
                     return  # client went away mid-response
                 if not keep_alive:
                     break
-            if pending:
-                try:
-                    await self._flush(writer, pending)
-                except (ConnectionError, OSError):
-                    pass
         finally:
             self._open_connections -= 1
             writer.close()
@@ -286,45 +236,14 @@ class JobServer:
 
     async def _serve_one(self, request: _Request) -> tuple[_Response, bool]:
         """Route one request; returns (response, force_close)."""
-        start = asyncio.get_running_loop().time()
-        close_after = False
         try:
-            response = await self._route(request)
-            status = response.status
+            return await self._route(request), False
         except _HttpError as exc:
-            response = _Response(
-                exc.status,
-                json.dumps({"error": str(exc)}).encode(),
-                headers=exc.headers,
-            )
-            status = exc.status
-            close_after = exc.close
+            return exc.response(), exc.close
         except Exception as exc:  # noqa: BLE001 - a request must never
             # take the server down; report and carry on.
-            response = _Response(
-                500,
-                json.dumps(
-                    {"error": f"{type(exc).__name__}: {exc}"}
-                ).encode(),
-            )
-            status = 500
-        route = self._route_label(request.path)
-        self._requests_total.inc(
-            route=route, method=request.method, status=str(status)
-        )
-        self._request_latency.observe(
-            asyncio.get_running_loop().time() - start, route=route
-        )
-        return response, close_after
-
-    @staticmethod
-    def _route_label(path: str) -> str:
-        """Collapse job ids so metric label cardinality stays bounded."""
-        if path.startswith("/jobs/"):
-            return "/jobs/{id}"
-        if path in ("/healthz", "/stats", "/metrics", "/jobs", "/run"):
-            return path
-        return "(other)"
+            error = f"{type(exc).__name__}: {exc}"
+            return self._json(500, {"error": error}), False
 
     # -- request reading -------------------------------------------------
 
@@ -410,92 +329,28 @@ class JobServer:
             keep_alive = connection != "close"
         else:
             keep_alive = connection == "keep-alive"
-        return _Request(method, path, query, body, version, keep_alive)
+        return _Request(method, path, query, body, keep_alive)
 
     # -- response writing ------------------------------------------------
 
     @staticmethod
-    def _has_buffered_request(reader: asyncio.StreamReader) -> bool:
-        """True when a complete request head is already buffered.
-
-        Peeks the stream buffer (no public API exists) so pipelined
-        batches are served back-to-back before flushing responses; any
-        uncertainty flushes — the safe direction.
-        """
-        buffer = getattr(reader, "_buffer", None)
-        return buffer is not None and b"\r\n\r\n" in buffer
-
-    @staticmethod
-    async def _flush(
-        writer: asyncio.StreamWriter, pending: bytearray
-    ) -> None:
-        writer.write(bytes(pending))
-        pending.clear()
-        await writer.drain()
-
     async def _write_response(
-        self, writer: asyncio.StreamWriter, response: _Response,
-        pending: bytearray, *, keep_alive: bool, chunked_ok: bool,
+        writer: asyncio.StreamWriter, response: _Response, *,
+        keep_alive: bool,
     ) -> None:
         headers = {
-            "Content-Type": response.content_type,
+            "Content-Type": "application/json",
             "Connection": "keep-alive" if keep_alive else "close",
         }
         if response.headers:
             headers.update(response.headers)
-        body = response.body
-        chunked = chunked_ok and len(body) >= STREAM_THRESHOLD
-        if chunked:
-            headers["Transfer-Encoding"] = "chunked"
-        else:
-            headers["Content-Length"] = str(len(body))
+        headers["Content-Length"] = str(len(response.body))
         reason = _REASONS.get(response.status, "OK")
         head_lines = [f"HTTP/1.1 {response.status} {reason}"]
         head_lines.extend(f"{k}: {v}" for k, v in headers.items())
         head = ("\r\n".join(head_lines) + "\r\n\r\n").encode("latin-1")
-        if not chunked:
-            pending += head + body  # coalesced; _handle flushes
-            return
-        # Chunked: identical payload bytes, bounded buffering — drain
-        # between chunks so a slow reader applies backpressure here
-        # instead of ballooning the transport buffer.  Earlier
-        # responses flush first to keep the pipeline ordered.
-        self._streamed.inc()
-        pending += head
-        await self._flush(writer, pending)
-        for start in range(0, len(body), _CHUNK):
-            chunk = body[start:start + _CHUNK]
-            writer.write(
-                f"{len(chunk):x}\r\n".encode("latin-1") + chunk + b"\r\n"
-            )
-            await writer.drain()
-        writer.write(b"0\r\n\r\n")
+        writer.write(head + response.body)
         await writer.drain()
-
-    async def _respond_error(
-        self, writer: asyncio.StreamWriter, exc: _HttpError,
-        pending: bytearray,
-    ) -> None:
-        """Best-effort error response before closing the connection."""
-        route = "(read)"
-        self._requests_total.inc(
-            route=route, method="-", status=str(exc.status)
-        )
-        try:
-            await self._write_response(
-                writer,
-                _Response(
-                    exc.status,
-                    json.dumps({"error": str(exc)}).encode(),
-                    headers=exc.headers,
-                ),
-                pending,
-                keep_alive=False,
-                chunked_ok=False,
-            )
-            await self._flush(writer, pending)
-        except (ConnectionError, OSError):
-            pass
 
     # -- result-body memoization -----------------------------------------
 
@@ -503,9 +358,9 @@ class JobServer:
         """The job's result as JSON bytes, encoded at most once."""
         if job.encoded_result is None:
             job.encoded_result = json.dumps(job.future.result()).encode()
-            self._result_cache.inc(event="miss")
+            self._result_cache_misses += 1
         else:
-            self._result_cache.inc(event="hit")
+            self._result_cache_hits += 1
         return job.encoded_result
 
     def _job_payload_bytes(self, job, *, include_result: bool) -> bytes:
@@ -528,12 +383,6 @@ class JobServer:
             # is merely running without its redundancy layer.
             return self._json(
                 200, {"ok": True, "status": "degraded", "reasons": reasons}
-            )
-        if path == "/metrics" and method == "GET":
-            return _Response(
-                200,
-                self.metrics.render().encode(),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
             )
         if path == "/stats" and method == "GET":
             return self._json(200, self._stats())
@@ -598,7 +447,7 @@ class JobServer:
             return _Response(
                 200, self._job_payload_bytes(job, include_result=True)
             )
-        if path in ("/jobs", "/run", "/stats", "/healthz", "/metrics"):
+        if path in ("/jobs", "/run", "/stats", "/healthz"):
             raise _HttpError(405, f"{method} not allowed on {path}")
         if path.startswith("/jobs/"):
             raise _HttpError(405, f"{method} not allowed on {path}")
@@ -640,11 +489,10 @@ class JobServer:
     def _stats(self) -> dict[str, Any]:
         payload = self.scheduler.stats()
         payload["http"] = {
-            "connections": self._connections_total.value(),
+            "connections": self._connections,
             "open_connections": self._open_connections,
-            "streamed_responses": self._streamed.value(),
-            "result_cache_hits": self._result_cache.value(event="hit"),
-            "result_cache_misses": self._result_cache.value(event="miss"),
+            "result_cache_hits": self._result_cache_hits,
+            "result_cache_misses": self._result_cache_misses,
         }
         return payload
 

@@ -349,15 +349,22 @@ class TestConstantFolding:
         else:
             assert fold_integer_constant(var.init) == expected
 
-    def test_division_by_zero_not_folded(self):
+    @pytest.mark.parametrize("size", ["1 / 0", "1 << -1", "-1"])
+    def test_bad_array_size_is_a_parse_error(self, size):
+        """A size that does not fold (division by zero, a negative
+        shift count) or folds below 0 rejects the declaration."""
         with pytest.raises(ParseError):
-            parse("int a[1 / 0];")
+            parse(f"int a[{size}];")
 
     @pytest.mark.parametrize(
         "expr,expected",
         [
             ("1 / 0", None),
             ("5 % 0", None),
+            ("1 << -1", None),
+            ("5 >> -2", None),
+            ("1 << 64", None),
+            ("1 << 63", 2**63),
             ("-7 / 2", -3),
             ("-7 % 2", -1),
             ("2 && 3", 1),
@@ -376,8 +383,8 @@ class TestConstantFolding:
     )
     def test_fold_results(self, expr, expected):
         """What folds and what does not: C truncating ``/`` and ``%``,
-        no fold of a division by zero, a non-constant operand, ``,`` or
-        an assignment."""
+        no fold of a division by zero, a shift count outside 0-63, a
+        non-constant operand, ``,`` or an assignment."""
         fn = first_fn(f"int f() {{ int x = 3; int y = {expr}; return y; }}", "f")
         (y,) = [d for d in find(fn, A.VarDecl) if d.name == "y"]
         assert fold_integer_constant(y.init) == expected

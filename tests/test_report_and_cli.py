@@ -124,6 +124,19 @@ class TestCLI:
         )
         assert main([str(src)]) == 1
 
+    def test_negative_shift_in_array_size_is_a_parse_error(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        src = tmp_path / "shift.c"
+        src.write_text("int a[1 << -1];\nint main() { return 0; }\n")
+        assert main([str(src)]) == 1
+        err = capsys.readouterr().err
+        (line,) = [l for l in err.splitlines() if "ompdart: error:" in l]
+        assert line.endswith("array size must be an integer constant")
+        assert "Traceback" not in err
+
     def test_missing_file(self):
         from repro.cli import main
 

@@ -1,5 +1,6 @@
 """Serve fast path: keep-alive + pipelined HTTP, read timeouts,
-streamed/memoized bodies, admission control, eviction and metrics."""
+Content-Length framing, memoized bodies, admission control and
+eviction."""
 
 import asyncio
 import json
@@ -8,7 +9,6 @@ import struct
 import time
 
 from repro.service.core import PingJobSpec, execute_job, spec_from_dict
-from repro.service.server import STREAM_THRESHOLD
 from repro.service.loadgen import LoadClient
 
 
@@ -271,7 +271,7 @@ class TestConnectionResets:
                 # Every handler has seen its reset and finished.
                 deadline = time.monotonic() + 10
                 while time.monotonic() < deadline and (
-                    server._connections_total.value() < len(cases)
+                    server._connections < len(cases)
                     or len(asyncio.all_tasks()) > 1
                 ):
                     await asyncio.sleep(0.01)
@@ -419,7 +419,9 @@ class TestEviction:
 
 
 class TestStreamingAndMemoization:
-    def test_streamed_and_buffered_bodies_are_byte_identical(self):
+    def test_large_body_reaches_both_http_versions(self):
+        """A 1 MiB result goes out with a Content-Length, never chunked,
+        and both protocol versions read the same bytes."""
         async def run():
             server = _server()
             host, port = await server.start()
@@ -427,32 +429,24 @@ class TestStreamingAndMemoization:
             try:
                 response = await client.request(
                     "POST", "/run",
-                    {
-                        "kind": "ping", "token": "big",
-                        "payload_bytes": STREAM_THRESHOLD,
-                    },
+                    {"kind": "ping", "token": "big", "payload_bytes": 1 << 20},
                 )
                 assert response.status == 200
-                assert (
-                    response.headers.get("transfer-encoding") == "chunked"
-                )
+                assert len(response.json()["result"]["payload"]) == 1 << 20
                 key = response.json()["job"]
-                chunked = await client.request("GET", f"/jobs/{key}")
-                assert (
-                    chunked.headers.get("transfer-encoding") == "chunked"
+                http11 = await client.request("GET", f"/jobs/{key}")
+                assert "transfer-encoding" not in http11.headers
+                assert int(http11.headers["content-length"]) == len(
+                    http11.body
                 )
-                # HTTP/1.0 cannot take chunked: same resource goes out
-                # buffered with a Content-Length — byte-identical.
                 data = await _raw_exchange(
                     host, port,
                     f"GET /jobs/{key} HTTP/1.0\r\nHost: t\r\n\r\n".encode(),
                 )
-                head, _, buffered = data.partition(b"\r\n\r\n")
-                assert b"Content-Length" in head
+                head, _, http10 = data.partition(b"\r\n\r\n")
                 assert b"Transfer-Encoding" not in head
-                assert buffered == chunked.body
-                stats = (await client.request("GET", "/stats")).json()
-                assert stats["http"]["streamed_responses"] >= 2
+                assert f"Content-Length: {len(http10)}".encode() in head
+                assert http10 == http11.body
             finally:
                 await client.aclose()
                 await server.aclose()
@@ -477,41 +471,6 @@ class TestStreamingAndMemoization:
                 stats = (await client.request("GET", "/stats")).json()
                 assert stats["http"]["result_cache_misses"] == 1
                 assert stats["http"]["result_cache_hits"] >= 3
-            finally:
-                await client.aclose()
-                await server.aclose()
-
-        asyncio.run(run())
-
-
-class TestMetricsEndpoint:
-    def test_prometheus_text(self):
-        async def run():
-            server = _server()
-            host, port = await server.start()
-            client = LoadClient(host, port)
-            try:
-                await client.request("GET", "/healthz")
-                await client.request(
-                    "POST", "/run", {"kind": "ping", "token": "m"}
-                )
-                response = await client.request("GET", "/metrics")
-                assert response.status == 200
-                assert response.headers["content-type"].startswith(
-                    "text/plain"
-                )
-                text = response.body.decode()
-                assert "# TYPE ompdart_http_requests_total counter" in text
-                assert (
-                    'ompdart_http_requests_total{route="/healthz",'
-                    'method="GET",status="200"} 1' in text
-                )
-                assert "ompdart_http_request_seconds_bucket" in text
-                assert "ompdart_queue_depth 0" in text
-                assert (
-                    'ompdart_job_duration_seconds_count{kind="ping",'
-                    'outcome="done"} 1' in text
-                )
             finally:
                 await client.aclose()
                 await server.aclose()

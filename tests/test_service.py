@@ -173,33 +173,6 @@ class TestScheduler:
         with pytest.raises(OSError, match="fork blocked"):
             scheduler_module.JobScheduler(workers=1)
 
-    def test_metrics_expose_supervision_gauges(self):
-        async def run():
-            from repro.service.server import JobServer
-
-            server = JobServer(_scheduler(), port=0)
-            host, port = await server.start()
-            try:
-                from repro.service.loadgen import LoadClient
-
-                client = LoadClient(host, port, keep_alive=False)
-                try:
-                    response = await client.request("GET", "/metrics")
-                finally:
-                    await client.aclose()
-                text = response.body.decode()
-                for gauge in (
-                    "ompdart_workers_alive",
-                    "ompdart_worker_restarts",
-                    "ompdart_job_crash_retries",
-                    "ompdart_cancel_kills",
-                ):
-                    assert gauge in text
-            finally:
-                await server.aclose()
-
-        asyncio.run(run())
-
     def test_jobs_share_the_artifact_store(self, tmp_path):
         async def run():
             async with _scheduler(cache_dir=str(tmp_path)) as sched:
@@ -258,6 +231,26 @@ class TestServer:
                 status, body = await _request(host, port, "GET", "/stats")
                 assert status == 200
                 assert body["submitted"] == 2 and body["deduplicated"] == 1
+                # Every key the serve-mixed bench and the chaos harness
+                # read: one job ran, its result was encoded once.
+                assert body["executed"] == 1
+                for key in ("evicted", "rejected", "failed", "cancelled",
+                            "poisoned", "timed_out", "unavailable"):
+                    assert body[key] == 0, key
+                latency = body["latency"]
+                assert latency["samples"] == 1
+                assert latency["run_mean_s"] > 0
+                assert latency["queue_wait_mean_s"] >= 0
+                assert body["supervisor"]["restarts"] == 0
+                http = body["http"]
+                assert set(http) == {
+                    "connections", "open_connections",
+                    "result_cache_hits", "result_cache_misses",
+                }
+                assert http["connections"] == 5
+                assert http["open_connections"] >= 1
+                assert http["result_cache_hits"] == 0
+                assert http["result_cache_misses"] == 1
 
                 status, body = await _request(host, port, "GET", "/jobs")
                 assert status == 200 and len(body["jobs"]) == 1
@@ -266,8 +259,9 @@ class TestServer:
                 assert status == 404
                 status, _ = await _request(host, port, "DELETE", "/stats")
                 assert status == 405
-                status, _ = await _request(host, port, "GET", "/nowhere")
-                assert status == 404
+                for path in ("/nowhere", "/metrics"):
+                    status, _ = await _request(host, port, "GET", path)
+                    assert status == 404, path
             finally:
                 await server.aclose()
 
